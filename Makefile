@@ -1,7 +1,7 @@
 # Developer conveniences; CI runs the same commands (see
 # .github/workflows/ci.yml).
 
-.PHONY: lint format test baseline
+.PHONY: lint format test baseline loc
 
 # Style (ruff, skipped where not installed) plus the repo's own
 # invariant linter — rng determinism, iteration order, fork safety,
@@ -29,3 +29,9 @@ test:
 # or pragma-annotated, not baselined.
 baseline:
 	PYTHONPATH=src python -m repro lint src --write-baseline
+
+# Python line count of src/ (each change reports it; CI's repro-lint job
+# prints it in every run's log).
+loc:
+	@printf 'src/ Python lines: '
+	@find src -name '*.py' -print0 | xargs -0 cat | wc -l

@@ -1,7 +1,9 @@
 """Ablation benches for the design choices DESIGN.md calls out.
 
-1. **LP backend** — HiGHS vs the from-scratch simplex on identical small
-   programs (correctness is asserted, relative speed is reported).
+1. **LP backend** — HiGHS vs the from-scratch simplex oracle
+   (``tests/lp_oracle.py``) on identical small programs, both through the
+   compiled arrays path (correctness is asserted, relative speed is
+   reported).
 2. **Annotation form** — raw CNF vs minimal-DNF-normalized annotations:
    normalization reduces the φ-sensitivity S and hence G and the error.
 3. **μ bias** — node-privacy μ=1 vs edge-privacy μ=0.5: larger μ inflates
@@ -10,8 +12,10 @@
    general mechanism's exact bounding sequence on a small instance.
 """
 
+import importlib.util
 import math
 import statistics
+from pathlib import Path
 
 import numpy as np
 
@@ -23,8 +27,17 @@ from repro.core import (
 from repro.experiments import format_table
 from repro.graphs import Graph, random_graph_with_avg_degree
 from repro.krand import random_cnf_krelation
-from repro.lp import ScipyBackend, SimplexBackend
+from repro.lp import ScipyBackend
 from repro.subgraphs import subgraph_krelation, triangle
+
+
+def _simplex_oracle():
+    """The dense simplex backend that lives with the test suite."""
+    path = Path(__file__).resolve().parents[1] / "tests" / "lp_oracle.py"
+    spec = importlib.util.spec_from_file_location("lp_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.SimplexBackend()
 
 
 def test_ablation_lp_backend(benchmark, scale, record_figure):
@@ -38,7 +51,7 @@ def test_ablation_lp_backend(benchmark, scale, record_figure):
     scipy_values = benchmark.pedantic(
         lambda: solve_with(ScipyBackend()), rounds=1, iterations=1
     )
-    simplex_values = solve_with(SimplexBackend())
+    simplex_values = solve_with(_simplex_oracle())
     rows = [
         {"index": i, "scipy": a, "simplex": b}
         for i, (a, b) in enumerate(zip(scipy_values, simplex_values))

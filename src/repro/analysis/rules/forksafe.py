@@ -1,6 +1,6 @@
 """Rule: native solver state must never cross a fork unreset.
 
-A forked child inherits the parent's Gurobi environments and HiGHS
+A forked child inherits the parent's native solver environments and HiGHS
 model pointers by COW page, and touching them corrupts both processes.
 The repo's contract (:mod:`repro.parallel.pool`) is:
 
@@ -62,7 +62,7 @@ class ForkSafetyRule(Rule):
     id = "fork-safety"
     title = "native solver handles must enroll in the fork-reset registry"
     rationale = (
-        "Forked workers inherit the parent's native solver state (Gurobi "
+        "Forked workers inherit the parent's native solver state (solver "
         "environments, HiGHS models) as copy-on-write memory; using it in "
         "the child corrupts both sides.  repro/parallel/pool.py runs "
         "fork_reset() on every registered holder in each forked child, so "

@@ -149,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
         "in-process — results are byte-identical either way at a fixed seed)"
     )
     lp_backend_help = (
-        "LP solver backend (scipy | highs | gurobi; default: "
+        "LP solver backend (scipy | highs; default: "
         "$REPRO_LP_BACKEND, else the best available — released answers "
         "are byte-identical across backends at a fixed seed)"
     )

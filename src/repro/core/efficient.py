@@ -87,11 +87,6 @@ class EfficientRecursiveMechanism(RecursiveMechanismBase):
         encoding (guarantees ``S ≤ 1`` and safe annotations for hand-built
         relations; algebra-produced annotations are already safe, and for
         subgraph-counting relations they are already DNF).
-    compiled:
-        Route solves through the one-time-assembled
-        :class:`~repro.lp.compiled.CompiledProgram` when the backend
-        supports it (default).  ``False`` forces the legacy
-        clone-and-rebuild LP path (ablations / equivalence tests).
     workers:
         Worker processes for the parallel solve paths: batched H entries
         fan across a pool forked after compilation, and undecided Δ
@@ -122,7 +117,6 @@ class EfficientRecursiveMechanism(RecursiveMechanismBase):
         normalize: bool = False,
         bounding: str = "auto",
         s_bar=None,
-        compiled: bool = True,
         workers: Optional[int] = 1,
     ):
         super().__init__()
@@ -152,7 +146,6 @@ class EfficientRecursiveMechanism(RecursiveMechanismBase):
                 relation.sorted_participants,
                 relation.matrix,
                 backend,
-                compiled=compiled,
             )
             if bounding == "auto":
                 bounding = "paper"
@@ -164,7 +157,6 @@ class EfficientRecursiveMechanism(RecursiveMechanismBase):
                 sorted(relation.participants),
                 annotated,
                 backend,
-                compiled=compiled,
             )
             if bounding == "auto":
                 from ..boolexpr.transform import is_conjunction_of_vars
@@ -276,11 +268,6 @@ class EfficientRecursiveMechanism(RecursiveMechanismBase):
     def lp_size(self) -> int:
         """Number of LP variables in the encoding (``O(L)``, Sec. 5.3)."""
         return self._encoded.num_lp_variables
-
-    @property
-    def is_compiled(self) -> bool:
-        """Whether solves go through the compiled array fast path."""
-        return self._encoded.is_compiled
 
 
 def private_linear_query(

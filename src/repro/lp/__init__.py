@@ -1,59 +1,44 @@
 """Linear programming layer.
 
 The efficient recursive mechanism (Sec. 5.3 of the paper) reduces each
-``H_i`` / ``G_i`` evaluation to a linear program with ``O(L)`` variables.
-This package provides:
+``H_i`` / ``G_i`` / ``X`` evaluation to a linear program with ``O(L)``
+variables.  Every one of those programs is solved through a single path:
 
-* :class:`~repro.lp.model.LinearProgram` — a small declarative LP builder
-  (minimization, ``<=`` / ``>=`` / ``==`` rows, box bounds).
-* :mod:`repro.lp.backends` — the solver-backend registry.
-  ``backends.get("highs"|"scipy"|"gurobi")`` looks up a backend class,
+* :class:`~repro.lp.compiled.CompiledProgram` — the base epigraph program
+  assembled **once** into CSR/NumPy arrays, with cheap per-call overlays
+  for the ``H_i`` / ``G_i`` / ``X`` solves and the Δ-search predicate
+  ``G_i ≤ τ``.  :class:`~repro.relax.encode.EncodedRelation` compiles one
+  per relation.
+* :mod:`repro.lp.backends` — the solver-backend contract and registry.
+  A backend implements ``solve_arrays`` (one-shot array solves) and may
+  add persistent models; ``backends.get(name)`` looks up a backend class,
   ``backends.resolve(None | name | instance)`` normalises any backend
-  argument, and ``backends.default_backend()`` picks the best available
-  solver (``REPRO_LP_BACKEND`` overrides the measured-preference order).
+  argument, ``backends.default_backend()`` picks the best available
+  solver (``REPRO_LP_BACKEND`` overrides the measured-preference order),
+  and ``backends.register`` adds an out-of-tree backend.
 * :class:`~repro.lp.scipy_backend.ScipyBackend` — the ``"scipy"``
   backend: portable :func:`scipy.optimize.linprog` (HiGHS) on sparse
   matrices; always available, no persistent state.
 * :class:`~repro.lp.highs_engine.HighsBackend` — the ``"highs"``
   backend: persistent HiGHS models through SciPy's private bindings;
   the measured winner here and the auto-detect default when available.
-* ``repro.lp.gurobi_backend.GurobiBackend`` — the ``"gurobi"`` backend
-  (optional ``gurobipy`` dependency; registered but reported
-  unavailable without the package and a license).
-* :class:`~repro.lp.simplex.SimplexBackend` — a self-contained dense
-  two-phase primal simplex (Bland's rule), dependency-free and auditable;
-  suitable for small programs and used to cross-check HiGHS in tests.
-* :class:`~repro.lp.compiled.CompiledProgram` — the hot path: the base
-  epigraph program assembled **once** into CSR/NumPy arrays, with cheap
-  per-call overlays for the ``H_i`` / ``G_i`` / ``X`` solves (used by
-  :class:`~repro.relax.encode.EncodedRelation` whenever the backend
-  exposes ``solve_arrays``).
+* :class:`~repro.lp.model.LPSolution` — the solver-neutral result every
+  solve returns, with statuses from :mod:`repro.lp.status`.
 """
 
 from . import backends, status
 from .backends import SolverBackend
 from .compiled import CompiledProgram
 from .highs_engine import HighsBackend
-from .model import Constraint, LinearProgram, LPSolution
+from .model import LPSolution
 from .scipy_backend import ScipyBackend
-from .simplex import SimplexBackend
-
-#: The portable baseline backend instance (kept for backward
-#: compatibility — entry points resolve :func:`repro.lp.backends.
-#: default_backend` instead, which prefers the persistent ``"highs"``
-#: backend when SciPy's bindings are importable).
-DEFAULT_BACKEND = ScipyBackend()
 
 __all__ = [
-    "LinearProgram",
-    "Constraint",
     "LPSolution",
     "SolverBackend",
     "ScipyBackend",
     "HighsBackend",
-    "SimplexBackend",
     "CompiledProgram",
-    "DEFAULT_BACKEND",
     "backends",
     "status",
 ]

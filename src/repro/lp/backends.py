@@ -21,7 +21,8 @@ mirroring :mod:`repro.mechanisms`:
   Δ-probe race and batched solves are written against.
 * :func:`register` / :func:`get` / :func:`create` / :func:`resolve` /
   :func:`available` / :func:`describe` — the registry.  Backends are
-  addressed by name (``"scipy"``, ``"highs"``, ``"gurobi"``); an
+  addressed by name (the built-ins are ``"scipy"`` and ``"highs"``;
+  other solvers plug in out of tree through :func:`register`); an
   unavailable backend (missing bindings, missing license) stays
   *registered* and reports why it cannot run instead of disappearing.
 * :func:`default_backend` — resolution order: the ``REPRO_LP_BACKEND``
@@ -273,7 +274,9 @@ _BUILTIN_LOADED = False
 def register(cls: Type[SolverBackend]) -> Type[SolverBackend]:
     """Register a backend class under its ``name`` and ``aliases``.
 
-    Usable as a decorator.  Re-registering a name overwrites it (latest
+    Usable as a decorator.  This is how an out-of-tree solver joins the
+    registry: subclass :class:`SolverBackend`, implement ``solve_arrays``,
+    and register the class.  Re-registering a name overwrites it (latest
     wins), so a deployment can shadow a builtin with a tuned subclass.
     """
     for spelling in (cls.name, *cls.aliases):
@@ -287,7 +290,7 @@ def _ensure_builtin() -> None:
     if _BUILTIN_LOADED:
         return
     _BUILTIN_LOADED = True
-    from . import gurobi_backend, highs_engine, scipy_backend  # noqa: F401
+    from . import highs_engine, scipy_backend  # noqa: F401
 
 
 def registered() -> List[str]:
@@ -451,8 +454,11 @@ def resolve(backend=None) -> SolverBackend:
     """Normalise a backend argument to an instance.
 
     ``None`` → :func:`default_backend`; a string → :func:`create` by
-    name; anything exposing ``solve_arrays`` or ``solve`` passes through
-    unchanged (custom and instrumented backends keep working untouched).
+    name; anything exposing ``solve_arrays`` passes through unchanged
+    (custom and instrumented backends keep working untouched).  Every
+    solve runs through :class:`~repro.lp.compiled.CompiledProgram`, so
+    an object without ``solve_arrays`` is refused here, before any
+    relation is encoded against it.
     """
     if backend is None:
         return default_backend()
@@ -463,10 +469,10 @@ def resolve(backend=None) -> SolverBackend:
             instance = create(name)
             _INSTANCES[name] = instance
         return instance
-    if not (hasattr(backend, "solve_arrays") or hasattr(backend, "solve")):
+    if not hasattr(backend, "solve_arrays"):
         raise LPError(
             f"{backend!r} is not an LP backend: expected a name, None, or "
-            "an object with solve_arrays/solve"
+            "an object with solve_arrays"
         )
     return backend
 

@@ -15,9 +15,7 @@ only a tiny per-call overlay:
 * the ``X`` step (Eq. 20): a rank-one perturbation of the objective by
   ``-Δ̂`` on the participant columns.
 
-The legacy path (:class:`~repro.lp.model.LinearProgram` +
-:meth:`~repro.lp.scipy_backend.ScipyBackend.solve`) re-walks the Python
-constraint list and re-assembles CSR matrices on every solve.  A
+This is the only way the φ-epigraph LP is solved.  A
 :class:`CompiledProgram` performs the assembly exactly once and, when the
 backend advertises ``supports_persistent``, additionally loads each
 overlay into a persistent model
@@ -28,10 +26,10 @@ and re-running the solver.  Otherwise it hands the prebuilt arrays to
 type, selects the path, so an instrumented backend that wants to observe
 every solve simply leaves the flag false.
 
-The compiled path is an optimization, not a semantic fork: every solve
-returns the same :class:`~repro.lp.model.LPSolution` the slow path would,
-and ``tests/test_compiled_equivalence.py`` pins the paths — and every
-available backend — together.
+Both routes return the same :class:`~repro.lp.model.LPSolution`;
+``tests/test_compiled_equivalence.py`` holds every available backend to
+a from-scratch reference that rebuilds each program from the encoded
+relation's triplets and solves it with a dense simplex.
 """
 
 from __future__ import annotations
@@ -140,7 +138,7 @@ class CompiledProgram:
         if not hasattr(backend, "solve_arrays"):
             raise LPError(
                 f"backend {backend!r} has no solve_arrays entry point; "
-                "use the LinearProgram fallback instead"
+                "every LP backend must implement solve_arrays"
             )
         self.backend = backend
         self.num_variables = int(num_variables)
@@ -213,7 +211,7 @@ class CompiledProgram:
         rebuilt lazily from the shared arrays on first use in the worker.
         The backend's own :meth:`~repro.lp.backends.SolverBackend.
         fork_reset` hook runs too, so backends holding process-wide
-        native state (e.g. a Gurobi environment) re-initialise it.
+        native state (e.g. a licensed solver environment) re-initialise it.
         """
         self._h_model = None
         self._g_model = None

@@ -1,42 +1,18 @@
-"""Declarative linear program builder.
+"""The solver-neutral result of one linear-program solve.
 
-A :class:`LinearProgram` collects variables (with box bounds), sparse
-constraint rows, and a linear minimization objective, then hands the whole
-program to a backend.  The builder is deliberately minimal — just enough
-structure for the φ-epigraph encodings used by the efficient recursive
-mechanism — but fully general for tests and ablations.
+Every backend (:mod:`repro.lp.backends`) and every
+:class:`~repro.lp.compiled.CompiledProgram` overlay solve returns an
+:class:`LPSolution`, so callers read one status vocabulary
+(:mod:`repro.lp.status`) whatever solver ran.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import LPError
-
-__all__ = ["LinearProgram", "Constraint", "LPSolution"]
-
-_SENSES = ("<=", ">=", "==")
-
-
-@dataclass(frozen=True)
-class Constraint:
-    """A sparse linear constraint ``sum(coeff * x[idx]) sense rhs``."""
-
-    indices: Tuple[int, ...]
-    coefficients: Tuple[float, ...]
-    sense: str
-    rhs: float
-
-    def __post_init__(self):
-        if self.sense not in _SENSES:
-            raise LPError(
-                f"constraint sense must be one of {_SENSES}, got {self.sense!r}"
-            )
-        if len(self.indices) != len(self.coefficients):
-            raise LPError("indices and coefficients must have equal length")
+__all__ = ["LPSolution"]
 
 
 @dataclass
@@ -66,131 +42,3 @@ class LPSolution:
     @property
     def is_optimal(self) -> bool:
         return self.status == "optimal"
-
-
-class LinearProgram:
-    """A minimization LP under construction.
-
-    Example
-    -------
-    >>> lp = LinearProgram()
-    >>> x = lp.add_variable(lb=0.0, ub=1.0, name="x")
-    >>> y = lp.add_variable(lb=0.0, ub=1.0, name="y")
-    >>> lp.add_constraint({x: 1.0, y: 1.0}, ">=", 1.0)
-    >>> lp.set_objective({x: 2.0, y: 3.0})
-    >>> from repro.lp import DEFAULT_BACKEND
-    >>> sol = DEFAULT_BACKEND.solve(lp)
-    >>> round(sol.objective, 6)
-    2.0
-    """
-
-    def __init__(self):
-        self._lower: List[float] = []
-        self._upper: List[Optional[float]] = []
-        self._names: List[Optional[str]] = []
-        self._constraints: List[Constraint] = []
-        self._objective: Dict[int, float] = {}
-        self._objective_constant: float = 0.0
-
-    def clone(self) -> "LinearProgram":
-        """A shallow structural copy sharing the (immutable) constraints.
-
-        Used by callers that repeatedly solve the same base program with
-        one extra row (e.g. the ``Σf = i`` slice of the H/G encodings):
-        cloning costs one list copy instead of re-encoding.
-        """
-        other = LinearProgram()
-        other._lower = list(self._lower)
-        other._upper = list(self._upper)
-        other._names = list(self._names)
-        other._constraints = list(self._constraints)
-        other._objective = dict(self._objective)
-        other._objective_constant = self._objective_constant
-        return other
-
-    # -- variables ----------------------------------------------------------
-    def add_variable(
-        self,
-        lb: float = 0.0,
-        ub: Optional[float] = None,
-        name: Optional[str] = None,
-    ) -> int:
-        """Add a variable with bounds ``lb <= x <= ub`` and return its index."""
-        if ub is not None and ub < lb:
-            raise LPError(f"upper bound {ub} below lower bound {lb}")
-        self._lower.append(float(lb))
-        self._upper.append(None if ub is None else float(ub))
-        self._names.append(name)
-        return len(self._lower) - 1
-
-    def add_variables(
-        self, count: int, lb: float = 0.0, ub: Optional[float] = None
-    ) -> List[int]:
-        """Add ``count`` identical variables; return their indices."""
-        return [self.add_variable(lb=lb, ub=ub) for _ in range(count)]
-
-    @property
-    def num_variables(self) -> int:
-        return len(self._lower)
-
-    @property
-    def num_constraints(self) -> int:
-        return len(self._constraints)
-
-    def bounds(self) -> List[Tuple[float, Optional[float]]]:
-        """Per-variable ``(lb, ub)`` pairs (``None`` = unbounded above)."""
-        return list(zip(self._lower, self._upper))
-
-    def variable_name(self, index: int) -> Optional[str]:
-        """The optional debug name attached at :meth:`add_variable`."""
-        return self._names[index]
-
-    # -- constraints ----------------------------------------------------------
-    def add_constraint(
-        self, coefficients: Dict[int, float], sense: str, rhs: float
-    ) -> None:
-        """Add ``sum(c_j * x_j) sense rhs`` where coefficients maps index->c."""
-        for index in coefficients:
-            if not 0 <= index < self.num_variables:
-                raise LPError(f"constraint references unknown variable {index}")
-        items = sorted(coefficients.items())
-        self._constraints.append(
-            Constraint(
-                indices=tuple(index for index, _ in items),
-                coefficients=tuple(float(value) for _, value in items),
-                sense=sense,
-                rhs=float(rhs),
-            )
-        )
-
-    @property
-    def constraints(self) -> Sequence[Constraint]:
-        return tuple(self._constraints)
-
-    # -- objective ------------------------------------------------------------
-    def set_objective(
-        self, coefficients: Dict[int, float], constant: float = 0.0
-    ) -> None:
-        """Set the minimization objective ``sum(c_j x_j) + constant``."""
-        for index in coefficients:
-            if not 0 <= index < self.num_variables:
-                raise LPError(f"objective references unknown variable {index}")
-        self._objective = {int(k): float(v) for k, v in coefficients.items()}
-        self._objective_constant = float(constant)
-
-    def objective_vector(self) -> np.ndarray:
-        """The dense objective coefficient vector ``c``."""
-        c = np.zeros(self.num_variables)
-        for index, value in self._objective.items():
-            c[index] = value
-        return c
-
-    @property
-    def objective_constant(self) -> float:
-        return self._objective_constant
-
-    def __repr__(self) -> str:
-        return (
-            f"LinearProgram(num_variables={self.num_variables}, "
-            f"num_constraints={self.num_constraints})"
-        )

@@ -1,10 +1,8 @@
 """The ``"scipy"`` backend: HiGHS via :func:`scipy.optimize.linprog`.
 
-Constraint rows are assembled into sparse CSR matrices, so programs with the
-``O(L)`` variables produced by large K-relations stay cheap to build.  For
-the hot path, :meth:`ScipyBackend.solve_arrays` accepts prebuilt CSR/NumPy
-arrays directly (see :class:`~repro.lp.compiled.CompiledProgram`) and skips
-the per-solve assembly entirely.
+:meth:`ScipyBackend.solve_arrays` hands the prebuilt CSR/NumPy arrays of a
+:class:`~repro.lp.compiled.CompiledProgram` overlay straight to
+:func:`~scipy.optimize.linprog`, so per-solve work is the solver call alone.
 
 This is the portable baseline of the backend registry: always available
 wherever SciPy is, every solve a self-contained ``linprog`` call with no
@@ -16,22 +14,21 @@ SciPy's private HiGHS bindings are importable.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
-from scipy import sparse
 from scipy.optimize import linprog
 
 from . import status
 from .backends import SolverBackend, register
-from .model import LinearProgram, LPSolution
+from .model import LPSolution
 
 __all__ = ["ScipyBackend"]
 
 
 @register
 class ScipyBackend(SolverBackend):
-    """Solve :class:`LinearProgram` instances with HiGHS via linprog.
+    """Solve array-assembled programs with HiGHS via linprog.
 
     Parameters
     ----------
@@ -95,9 +92,8 @@ class ScipyBackend(SolverBackend):
         re-instantiated per process.
         """
 
-    def _resolve_method(self, program_size) -> str:
-        """Pick the HiGHS code for a program (a variable count or an LP)."""
-        num_variables = getattr(program_size, "num_variables", program_size)
+    def _resolve_method(self, num_variables: int) -> str:
+        """Pick the HiGHS code for a program with ``num_variables`` columns."""
         if self.method != "adaptive":
             return self.method
         if num_variables > self.ipm_threshold:
@@ -122,9 +118,8 @@ class ScipyBackend(SolverBackend):
     ) -> LPSolution:
         """Solve a program already assembled as arrays/CSR matrices.
 
-        This is the zero-copy entry point used by
-        :class:`~repro.lp.compiled.CompiledProgram`: nothing here touches
-        Python-object constraint lists, so per-call overhead is just the
+        This is the entry point :class:`~repro.lp.compiled.CompiledProgram`
+        calls for every overlay solve; per-call overhead is just the
         :func:`scipy.optimize.linprog` invocation itself.
         """
         n = len(c)
@@ -148,64 +143,6 @@ class ScipyBackend(SolverBackend):
             float(result.fun) + float(objective_constant),
             np.asarray(result.x, dtype=float),
             message=result.message,
-        )
-
-    def solve(self, lp: LinearProgram) -> LPSolution:
-        """Solve the program; never raises on infeasible/unbounded (see status)."""
-        n = lp.num_variables
-        if n == 0:
-            return LPSolution("optimal", lp.objective_constant, np.zeros(0))
-
-        rows_ub: List[int] = []
-        cols_ub: List[int] = []
-        vals_ub: List[float] = []
-        rhs_ub: List[float] = []
-        rows_eq: List[int] = []
-        cols_eq: List[int] = []
-        vals_eq: List[float] = []
-        rhs_eq: List[float] = []
-
-        for constraint in lp.constraints:
-            if constraint.sense == "==":
-                row = len(rhs_eq)
-                rhs_eq.append(constraint.rhs)
-                for index, value in zip(constraint.indices, constraint.coefficients):
-                    rows_eq.append(row)
-                    cols_eq.append(index)
-                    vals_eq.append(value)
-            else:
-                # normalize ">= rhs" to "-row <= -rhs"
-                flip = -1.0 if constraint.sense == ">=" else 1.0
-                row = len(rhs_ub)
-                rhs_ub.append(flip * constraint.rhs)
-                for index, value in zip(constraint.indices, constraint.coefficients):
-                    rows_ub.append(row)
-                    cols_ub.append(index)
-                    vals_ub.append(flip * value)
-
-        a_ub = (
-            sparse.csr_matrix(
-                (vals_ub, (rows_ub, cols_ub)), shape=(len(rhs_ub), n)
-            )
-            if rhs_ub
-            else None
-        )
-        a_eq = (
-            sparse.csr_matrix(
-                (vals_eq, (rows_eq, cols_eq)), shape=(len(rhs_eq), n)
-            )
-            if rhs_eq
-            else None
-        )
-
-        return self.solve_arrays(
-            c=lp.objective_vector(),
-            a_ub=a_ub,
-            b_ub=np.asarray(rhs_ub) if rhs_ub else None,
-            a_eq=a_eq,
-            b_eq=np.asarray(rhs_eq) if rhs_eq else None,
-            bounds=lp.bounds(),
-            objective_constant=lp.objective_constant,
         )
 
     def __repr__(self) -> str:

@@ -189,7 +189,7 @@ class Mechanism:
     Solver-backed mechanisms take a ``backend`` option naming an entry in
     the solver-backend registry (:mod:`repro.lp.backends`): ``None`` for
     the auto-detected default, a registered name (``"scipy"``,
-    ``"highs"``, ``"gurobi"``), or a backend instance.  The resolved
+    ``"highs"``), or a backend instance.  The resolved
     backend's ``cache_token`` participates in the session cache key, so
     prepared queries are never shared across solver backends.
     """

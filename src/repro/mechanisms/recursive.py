@@ -31,7 +31,7 @@ class PreparedRecursive(PreparedQuery):
     def __init__(self, spec: QuerySpec, mechanism: EfficientRecursiveMechanism):
         super().__init__(spec)
         #: The underlying :class:`EfficientRecursiveMechanism` (exposes
-        #: ``lp_size`` / ``is_compiled`` diagnostics and the entry caches).
+        #: the ``lp_size`` diagnostic and the entry caches).
         self.mechanism = mechanism
 
     @property
@@ -52,11 +52,10 @@ class RecursiveMechanism(Mechanism):
     """Recursive mechanism (Chen & Zhou): node- or edge-DP, any linear query.
 
     Options (all optional): ``backend`` (a solver-backend registry name
-    such as ``"scipy"``/``"highs"``/``"gurobi"``, a backend instance, or
-    ``None`` for the auto-detected default), ``workers`` (worker
-    processes for the parallel solve paths), ``bounding``
-    (``"paper"``/``"uniform"``/``"auto"``), ``normalize``, ``s_bar``,
-    ``compiled`` — forwarded to
+    such as ``"scipy"``/``"highs"``, a backend instance, or ``None`` for
+    the auto-detected default), ``workers`` (worker processes for the
+    parallel solve paths), ``bounding`` (``"paper"``/``"uniform"``/
+    ``"auto"``), ``normalize``, ``s_bar`` — forwarded to
     :class:`~repro.core.efficient.EfficientRecursiveMechanism`.
     """
 
@@ -72,11 +71,10 @@ class RecursiveMechanism(Mechanism):
         bounding: str = "auto",
         normalize: bool = False,
         s_bar=None,
-        compiled: bool = True,
     ):
         super().__init__(
             data, backend=backend, workers=workers, bounding=bounding,
-            normalize=normalize, s_bar=s_bar, compiled=compiled,
+            normalize=normalize, s_bar=s_bar,
         )
 
     def _prepare(self, spec: QuerySpec) -> PreparedRecursive:
@@ -88,7 +86,6 @@ class RecursiveMechanism(Mechanism):
             normalize=self.options["normalize"],
             bounding=self.options["bounding"],
             s_bar=self.options["s_bar"],
-            compiled=self.options["compiled"],
             workers=self.options["workers"],
         )
         return PreparedRecursive(spec, mechanism)

@@ -12,7 +12,7 @@ evaluations principle that drives compiled query answering under updates.
 Two things do **not** survive the fork:
 
 * persistent solver models (any :class:`~repro.lp.backends.PersistentModel`
-  — HiGHS, Gurobi, or a third-party backend's) hold native solver state
+  — HiGHS or a third-party backend's) hold native solver state
   that must not be mutated concurrently from several processes sharing
   copy-on-write pages of bookkeeping — each worker lazily re-instantiates
   its own models from the (shared) arrays via the backend's

@@ -22,13 +22,11 @@ drives every node variable down to its exact φ value (simple induction), so
 are each a single linear program with ``O(L)`` variables, where ``L`` is the
 total annotation length (Sec. 5.3).
 
-Encoding emits COO triplets straight into growable arrays — no per-node
-``Constraint`` objects — and compiles them once into a
-:class:`~repro.lp.compiled.CompiledProgram` when the backend supports array
-solves (``solve_arrays``).  Backends without that entry point (the dense
-simplex, failure-injection doubles) and callers passing ``compiled=False``
-use the legacy :class:`~repro.lp.model.LinearProgram` clone path, which is
-materialized lazily from the same triplets.
+Encoding emits COO triplets straight into growable arrays, freezes them
+into NumPy buffers, and compiles them once into a
+:class:`~repro.lp.compiled.CompiledProgram`; every ``H``/``G``/``X`` solve
+below is an overlay solve on that program through the backend's
+``solve_arrays`` (or its persistent models).
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ from ..boolexpr.expr import And, Expr, Or, Var, _Const
 from ..boolexpr.sensitivity import phi_sensitivities
 from ..errors import ExpressionError, LPError
 from ..lp.compiled import CompiledProgram
-from ..lp.model import LinearProgram, LPSolution
+from ..lp.model import LPSolution
 
 __all__ = ["EncodedRelation", "encode_relation"]
 
@@ -60,12 +58,8 @@ class EncodedRelation:
         Pairs ``(expression, weight)`` with nonnegative weights ``q(t)``;
         zero-weight tuples may be passed and are skipped.
     backend:
-        An LP backend (``ScipyBackend`` by default at the call sites).
-    compiled:
-        Use the :class:`CompiledProgram` fast path when the backend
-        supports it (default).  ``False`` forces the legacy
-        clone-and-rebuild path — kept for ablations and the equivalence
-        tests.
+        An LP backend exposing ``solve_arrays`` (see
+        :mod:`repro.lp.backends`).
     """
 
     def __init__(
@@ -73,7 +67,6 @@ class EncodedRelation:
         participants: Sequence[str],
         annotated: Sequence[Tuple[Expr, float]],
         backend,
-        compiled: bool = True,
     ):
         self.participants: List[str] = list(participants)
         self.backend = backend
@@ -138,32 +131,29 @@ class EncodedRelation:
 
         self._num_structural = self._next_var
         # freeze the triplets: one compact array each instead of
-        # per-element Python objects (shared by both solve paths)
+        # per-element Python objects
         self._ub_rows = np.asarray(self._ub_rows, dtype=np.int64)
         self._ub_cols = np.asarray(self._ub_cols, dtype=np.int64)
         self._ub_vals = np.asarray(self._ub_vals, dtype=float)
         self._ub_rhs = np.asarray(self._ub_rhs, dtype=float)
         self._root_vars = np.asarray(root_vars, dtype=np.int64)
         self._root_weights = np.asarray(root_weights, dtype=float)
-        self._finalize(compiled)
+        self._finalize()
 
-    def _finalize(self, compiled: bool) -> None:
-        """Build the compiled program from the frozen arrays (both paths)."""
-        self._lp: Optional[LinearProgram] = None  # legacy path, built lazily
-        self._compiled: Optional[CompiledProgram] = None
-        if compiled and hasattr(self.backend, "solve_arrays"):
-            self._compiled = CompiledProgram(
-                num_variables=self._num_structural,
-                num_participants=len(self.participants),
-                ub_rows=self._ub_rows,
-                ub_cols=self._ub_cols,
-                ub_vals=self._ub_vals,
-                ub_rhs=self._ub_rhs,
-                objective=self._objective_vector(),
-                objective_constant=self._constant_weight,
-                g_rows=list(self._g_rows.values()),
-                backend=self.backend,
-            )
+    def _finalize(self) -> None:
+        """Compile the frozen arrays into the program every solve uses."""
+        self._compiled = CompiledProgram(
+            num_variables=self._num_structural,
+            num_participants=len(self.participants),
+            ub_rows=self._ub_rows,
+            ub_cols=self._ub_cols,
+            ub_vals=self._ub_vals,
+            ub_rhs=self._ub_rhs,
+            objective=self._objective_vector(),
+            objective_constant=self._constant_weight,
+            g_rows=list(self._g_rows.values()),
+            backend=self.backend,
+        )
 
     @classmethod
     def from_conjunctions(
@@ -171,7 +161,6 @@ class EncodedRelation:
         participants: Sequence[str],
         matrix: np.ndarray,
         backend,
-        compiled: bool = True,
         weights: Optional[np.ndarray] = None,
     ) -> "EncodedRelation":
         """Vectorized construction for conjunctions of distinct variables.
@@ -266,7 +255,7 @@ class EncodedRelation:
                 self._g_rows[self.participants[int(uniq[group])]] = {
                     root_list[row]: weight_list[row] for row in rows
                 }
-        self._finalize(compiled)
+        self._finalize()
         return self
 
     # -- construction helpers -------------------------------------------------
@@ -324,55 +313,14 @@ class EncodedRelation:
     def num_lp_variables(self) -> int:
         return self._num_structural
 
-    @property
-    def is_compiled(self) -> bool:
-        """Whether solves go through the array fast path."""
-        return self._compiled is not None
-
     def true_answer(self) -> float:
         """``q(supp(R)) = H_{|P|}`` — the exact (non-private) query answer."""
         return self.total_weight
 
     # -- LP assembly ------------------------------------------------------------
-    @property
-    def base_lp(self) -> LinearProgram:
-        """The legacy :class:`LinearProgram`, materialized from the triplets.
-
-        Only built when a solve actually takes the fallback path (non-array
-        backend or ``compiled=False``) — the fast path never allocates it.
-        """
-        if self._lp is None:
-            lp = LinearProgram()
-            for name in self.participants:
-                lp.add_variable(lb=0.0, ub=1.0, name=f"f[{name}]")
-            for _ in range(self._num_structural - len(self.participants)):
-                lp.add_variable(lb=0.0, ub=1.0)
-            row_coeffs: List[Dict[int, float]] = [{} for _ in range(len(self._ub_rhs))]
-            for row, col, val in zip(
-                self._ub_rows.tolist(), self._ub_cols.tolist(), self._ub_vals.tolist()
-            ):
-                coeffs = row_coeffs[row]
-                coeffs[col] = coeffs.get(col, 0.0) + val
-            for coeffs, rhs in zip(row_coeffs, self._ub_rhs.tolist()):
-                lp.add_constraint(coeffs, "<=", rhs)
-            self._lp = lp
-        return self._lp
-
-    def _clone_lp(self) -> LinearProgram:
-        return self.base_lp.clone()
-
-    def _mass_row(self) -> Dict[int, float]:
-        return {self._pindex[name]: 1.0 for name in self.participants}
-
-    def _objective_terms(self) -> Dict[int, float]:
-        coeffs: Dict[int, float] = {}
-        for var, weight in zip(self._root_vars.tolist(), self._root_weights.tolist()):
-            coeffs[var] = coeffs.get(var, 0.0) + weight
-        return coeffs
-
     def _objective_vector(self) -> np.ndarray:
         c = np.zeros(self._num_structural)
-        # np.add.at accumulates duplicate root vars like the legacy loop
+        # np.add.at accumulates the weights of duplicate root vars
         np.add.at(c, self._root_vars, self._root_weights)
         return c
 
@@ -418,13 +366,7 @@ class EncodedRelation:
         closed = self._h_closed_form(i)
         if closed is not None:
             return closed
-        if self._compiled is not None:
-            solution = self._compiled.solve_h(float(i))
-        else:
-            lp = self._clone_lp()
-            lp.add_constraint(self._mass_row(), "==", float(i))
-            lp.set_objective(self._objective_terms(), constant=self._constant_weight)
-            solution = self.backend.solve(lp)
+        solution = self._compiled.solve_h(float(i))
         self._check(solution, f"H_{i}")
         return max(0.0, float(solution.objective))
 
@@ -439,8 +381,6 @@ class EncodedRelation:
         a sequential loop otherwise — results are identical either way).
         """
         indices = list(indices)
-        if self._compiled is None:
-            return [self.solve_h(i) for i in indices]
         values: List[Optional[float]] = [self._h_closed_form(i) for i in indices]
         lp_positions = [pos for pos, value in enumerate(values) if value is None]
         if lp_positions:
@@ -474,19 +414,7 @@ class EncodedRelation:
             return 0.0
         if i >= self.num_participants - 1e-12:
             return self._g_full()
-        if self._compiled is not None:
-            solution = self._compiled.solve_g(float(i))
-        else:
-            lp = self._clone_lp()
-            z = lp.add_variable(lb=0.0, name="z")
-            for row in self._g_rows.values():
-                coeffs = {z: 1.0}
-                for var, coeff in row.items():
-                    coeffs[var] = coeffs.get(var, 0.0) - coeff
-                lp.add_constraint(coeffs, ">=", 0.0)
-            lp.add_constraint(self._mass_row(), "==", float(i))
-            lp.set_objective({z: 1.0})
-            solution = self.backend.solve(lp)
+        solution = self._compiled.solve_g(float(i))
         self._check(solution, f"G_{i}")
         return max(0.0, 2.0 * float(solution.objective))
 
@@ -494,13 +422,12 @@ class EncodedRelation:
         """The exact predicate ``G_i ≤ threshold`` as ``(bool, G or None)``.
 
         The Δ binary search (Sec. 5.3) only consumes threshold tests, so
-        the compiled path races a pure feasibility probe — the Eq. 19
-        polytope with ``z`` pinned at ``threshold/2`` — against the exact
-        min-max solve (see ``CompiledProgram.solve_g_decide``); with
-        ``workers >= 2`` the two strands run concurrently in forked
-        processes, first decided wins.  When the exact strand wins, its
-        value is returned for the caller to cache.  Falls back to an
-        exact ``solve_g`` comparison on the legacy path.
+        this races a pure feasibility probe — the Eq. 19 polytope with
+        ``z`` pinned at ``threshold/2`` — against the exact min-max solve
+        (see ``CompiledProgram.solve_g_decide``); with ``workers >= 2``
+        the two strands run concurrently in forked processes, first
+        decided wins.  When the exact strand wins, its value is returned
+        for the caller to cache.
         """
         if not 0.0 <= i <= self.num_participants + 1e-9:
             raise LPError(f"G index {i} outside [0, {self.num_participants}]")
@@ -511,12 +438,9 @@ class EncodedRelation:
         if i >= self.num_participants - 1e-12:
             full = self._g_full()
             return full <= threshold, full
-        if self._compiled is not None:
-            return self._compiled.solve_g_decide(
-                float(i), float(threshold), workers=workers
-            )
-        value = self.solve_g(i)
-        return value <= threshold, value
+        return self._compiled.solve_g_decide(
+            float(i), float(threshold), workers=workers
+        )
 
     def g_leq(self, i: float, threshold: float) -> bool:
         """Boolean form of :meth:`g_decide`."""
@@ -564,16 +488,7 @@ class EncodedRelation:
         if self._root_vars.size == 0:
             # H is constant; X = H + (n - n)·Δ̂ at i' = n.
             return self._constant_weight, float(n)
-        if self._compiled is not None:
-            solution = self._compiled.solve_x(float(delta_hat))
-        else:
-            lp = self._clone_lp()
-            coeffs = self._objective_terms()
-            for name in self.participants:
-                idx = self._pindex[name]
-                coeffs[idx] = coeffs.get(idx, 0.0) - delta_hat
-            lp.set_objective(coeffs, constant=self._constant_weight + n * delta_hat)
-            solution = self.backend.solve(lp)
+        solution = self._compiled.solve_x(float(delta_hat))
         self._check(solution, "X relaxation")
         self._check_values(solution, "X relaxation")
         mass = float(np.sum(solution.x[:n]))
@@ -584,16 +499,13 @@ def encode_relation(
     participants: Sequence[str],
     annotated: Sequence[Tuple[Expr, float]],
     backend=None,
-    compiled: bool = True,
 ) -> EncodedRelation:
     """Build an :class:`EncodedRelation`.
 
     ``backend`` may be ``None`` (the registry's auto-detected default —
     ``REPRO_LP_BACKEND`` overrides), a registered backend name like
-    ``"scipy"`` / ``"highs"`` / ``"gurobi"``, or a backend instance.
+    ``"scipy"`` / ``"highs"``, or a backend instance.
     """
     from ..lp.backends import resolve as resolve_backend
 
-    return EncodedRelation(
-        participants, annotated, resolve_backend(backend), compiled=compiled
-    )
+    return EncodedRelation(participants, annotated, resolve_backend(backend))

@@ -160,8 +160,8 @@ class PrivateSession:
     backend:
         LP backend forwarded to the recursive mechanism: ``None`` (the
         registry's auto-detected default, ``REPRO_LP_BACKEND``
-        overriding), a registered name (``"scipy"`` / ``"highs"`` /
-        ``"gurobi"``), or a backend instance.  Resolved once at
+        overriding), a registered name (``"scipy"`` / ``"highs"``), or a
+        backend instance.  Resolved once at
         construction; the resolved identity is part of every compiled-
         relation cache key and audit ledger entry, so replay verifies
         against the backend that produced the answer.

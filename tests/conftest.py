@@ -4,15 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from lp_oracle import SimplexBackend
 
 from repro.boolexpr import Var
 from repro.graphs import Graph
-from repro.lp import ScipyBackend, SimplexBackend
+from repro.lp import ScipyBackend
 from repro.lp import backends as lp_backends
 
 #: Every solver backend registered AND usable in this environment — scipy is
 #: always present; "highs" joins when the scipy HiGHS bindings expose the
-#: persistent engine; "gurobi" joins only with gurobipy plus a license.
+#: persistent engine.
 AVAILABLE_LP_BACKENDS = tuple(lp_backends.available())
 
 
@@ -27,19 +28,9 @@ def lp_backend(request):
     return lp_backends.create(request.param)
 
 
-@pytest.fixture
-def scipy_backend():
-    return ScipyBackend()
-
-
-@pytest.fixture
-def simplex_backend():
-    return SimplexBackend()
-
-
 @pytest.fixture(params=["scipy", "simplex"])
 def any_backend(request):
-    """Parametrized over both LP backends (for conformance tests)."""
+    """The portable backend and the simplex oracle (conformance tests)."""
     if request.param == "scipy":
         return ScipyBackend()
     return SimplexBackend()

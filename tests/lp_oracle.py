@@ -1,0 +1,384 @@
+"""Test-side LP oracles: a dense simplex backend and a from-scratch reference.
+
+Two independent checks on the one production solve path
+(:class:`~repro.lp.compiled.CompiledProgram`):
+
+* :class:`SimplexBackend` — a self-contained dense two-phase primal
+  simplex (classical tableau, Bland's rule, so it always terminates).  It
+  implements ``solve_arrays``, so it can be passed anywhere a backend is
+  accepted and runs through ``CompiledProgram``'s arrays path, giving an
+  auditable solver to cross-check HiGHS on small programs.
+* :func:`reference_h` / :func:`reference_g` / :func:`reference_x` — the
+  ``H_i`` (Eq. 16), ``G_i`` (Eq. 19) and X-step (Eq. 20) programs rebuilt
+  from an :class:`~repro.relax.encode.EncodedRelation`'s frozen COO
+  triplets as dense rows, one program per call, and solved with the
+  simplex above.  They share no assembly code with ``CompiledProgram``
+  and take no closed-form shortcut at the endpoints.
+
+Standard-form conversion in the simplex: every variable ``lb <= x <= ub``
+is shifted to ``x' = x - lb >= 0`` (finite upper bounds become extra
+rows), and every inequality gains a slack/surplus column; phase 1 drives
+artificials to zero.  Meant for programs with at most a few hundred
+variables.
+"""
+
+from __future__ import annotations
+
+from typing import List, Optional, Tuple
+
+import numpy as np
+from scipy import sparse
+
+from repro.errors import LPError
+from repro.lp import LPSolution
+from repro.lp.backends import SolverBackend
+
+__all__ = ["SimplexBackend", "reference_h", "reference_g", "reference_x"]
+
+_EPS = 1e-9
+
+
+def _dense(matrix) -> Optional[np.ndarray]:
+    if matrix is None:
+        return None
+    if sparse.issparse(matrix):
+        return matrix.toarray()
+    return np.asarray(matrix, dtype=float)
+
+
+class SimplexBackend(SolverBackend):
+    """Dense two-phase primal simplex with Bland's anti-cycling rule."""
+
+    name = "simplex"
+
+    def __init__(self, max_iterations: int = 100_000):
+        self.max_iterations = max_iterations
+
+    def solve_arrays(
+        self,
+        c: np.ndarray,
+        a_ub,
+        b_ub: Optional[np.ndarray],
+        a_eq,
+        b_eq: Optional[np.ndarray],
+        bounds,
+        objective_constant: float = 0.0,
+    ) -> LPSolution:
+        """Solve ``min c·x`` s.t. ``a_ub x <= b_ub``, ``a_eq x == b_eq``, bounds.
+
+        ``bounds`` is an ``(n, 2)`` array or a sequence of ``(lb, ub)``
+        pairs; ``ub`` may be ``None`` or ``inf``, ``lb`` must be finite.
+        Statuses mirror the SciPy backend's; exceeding ``max_iterations``
+        raises :class:`~repro.errors.LPError`.
+        """
+        c = np.asarray(c, dtype=float)
+        n = len(c)
+        if n == 0:
+            return LPSolution("optimal", float(objective_constant), np.zeros(0))
+        lower = np.empty(n)
+        upper: List[Optional[float]] = []
+        for index, (lb, ub) in enumerate(bounds):
+            if lb is None or not np.isfinite(lb):
+                raise LPError("the simplex oracle needs finite lower bounds")
+            lower[index] = float(lb)
+            upper.append(None if ub is None or not np.isfinite(ub) else float(ub))
+
+        # Rows: the given constraints (rhs adjusted for the lb shift) plus
+        # one "<=" row per finite upper bound.
+        rows: List[Tuple[np.ndarray, str, float]] = []
+        for matrix, rhs, sense in ((a_ub, b_ub, "<="), (a_eq, b_eq, "==")):
+            dense = _dense(matrix)
+            if dense is None:
+                continue
+            for row, value in zip(dense, np.asarray(rhs, dtype=float)):
+                rows.append((row.copy(), sense, float(value) - float(row @ lower)))
+        for index, ub in enumerate(upper):
+            if ub is not None:
+                row = np.zeros(n)
+                row[index] = 1.0
+                rows.append((row, "<=", ub - lower[index]))
+
+        solution = self._solve_standard(rows, c)
+        if solution is None:
+            return LPSolution("infeasible", float("nan"), np.zeros(0))
+        status, x_shifted, objective = solution
+        if status == "unbounded":
+            return LPSolution("unbounded", float("nan"), np.zeros(0))
+        return LPSolution(
+            "optimal",
+            objective + float(c @ lower) + float(objective_constant),
+            x_shifted + lower,
+        )
+
+    # -- tableau machinery ----------------------------------------------------
+    def _solve_standard(
+        self,
+        rows: List[Tuple[np.ndarray, str, float]],
+        c: np.ndarray,
+    ) -> Optional[Tuple[str, np.ndarray, float]]:
+        """Solve min c'x s.t. rows, x >= 0.  None means infeasible."""
+        n = len(c)
+        m = len(rows)
+        if m == 0:
+            # Feasible iff objective bounded: any negative cost is unbounded.
+            if np.any(c < -_EPS):
+                return ("unbounded", np.zeros(n), float("nan"))
+            return ("optimal", np.zeros(n), 0.0)
+
+        # Sign-normalize so every rhs >= 0, then count extra columns: one
+        # slack/surplus per inequality, artificials for ">=" and "==" rows.
+        norm_rows = []
+        for row, sense, rhs in rows:
+            if rhs < 0:
+                row = -row
+                rhs = -rhs
+                sense = {"<=": ">=", ">=": "<=", "==": "=="}[sense]
+            norm_rows.append((row, sense, rhs))
+
+        num_slack = sum(1 for _, sense, _ in norm_rows if sense != "==")
+        a = np.zeros((m, n + num_slack))
+        b = np.zeros(m)
+        needs_artificial = []
+        slack_col = n
+        for i, (row, sense, rhs) in enumerate(norm_rows):
+            a[i, :n] = row
+            b[i] = rhs
+            if sense == "<=":
+                a[i, slack_col] = 1.0
+                needs_artificial.append(False)
+                slack_col += 1
+            elif sense == ">=":
+                a[i, slack_col] = -1.0
+                needs_artificial.append(True)
+                slack_col += 1
+            else:
+                needs_artificial.append(True)
+
+        artificial_cols = []
+        extra = sum(needs_artificial)
+        if extra:
+            art = np.zeros((m, extra))
+            j = 0
+            for i, needed in enumerate(needs_artificial):
+                if needed:
+                    art[i, j] = 1.0
+                    artificial_cols.append(n + num_slack + j)
+                    j += 1
+            a = np.hstack([a, art])
+
+        total = a.shape[1]
+        basis = [-1] * m
+        # initial basis: slack for "<=" rows, artificial otherwise
+        slack_col = n
+        art_iter = iter(artificial_cols)
+        for i, (_, sense, _) in enumerate(norm_rows):
+            if sense == "<=":
+                basis[i] = slack_col
+                slack_col += 1
+            else:
+                if sense == ">=":
+                    slack_col += 1
+                basis[i] = next(art_iter)
+
+        tableau = np.hstack([a, b.reshape(-1, 1)])
+
+        if artificial_cols:
+            phase1_cost = np.zeros(total)
+            phase1_cost[artificial_cols] = 1.0
+            status = self._run_simplex(tableau, basis, phase1_cost)
+            if status == "unbounded":  # cannot happen in phase 1
+                raise LPError("phase 1 unbounded — internal error")
+            if self._objective_value(tableau, basis, phase1_cost) > 1e-7:
+                return None  # infeasible
+            self._drive_out_artificials(tableau, basis, set(artificial_cols))
+
+        full_cost = np.zeros(total)
+        full_cost[:n] = c
+        blocked = set(artificial_cols)
+        status = self._run_simplex(tableau, basis, full_cost, blocked_columns=blocked)
+        x = np.zeros(total)
+        for i, col in enumerate(basis):
+            if col >= 0:
+                x[col] = tableau[i, -1]
+        if status == "unbounded":
+            return ("unbounded", x[:n], float("nan"))
+        return ("optimal", x[:n], float(full_cost @ x))
+
+    def _objective_value(self, tableau, basis, cost) -> float:
+        total = tableau.shape[1] - 1
+        x = np.zeros(total)
+        for i, col in enumerate(basis):
+            if col >= 0:
+                x[col] = tableau[i, -1]
+        return float(cost @ x)
+
+    def _run_simplex(
+        self,
+        tableau: np.ndarray,
+        basis: List[int],
+        cost: np.ndarray,
+        blocked_columns=frozenset(),
+    ) -> str:
+        m, width = tableau.shape
+        total = width - 1
+        for _ in range(self.max_iterations):
+            # reduced costs: c_j - z_j with z from basic costs
+            reduced = cost - cost[basis] @ tableau[:, :total]
+            entering = -1
+            for j in range(total):  # Bland: smallest index with negative cost
+                if j in blocked_columns:
+                    continue
+                if reduced[j] < -_EPS:
+                    entering = j
+                    break
+            if entering < 0:
+                return "optimal"
+            # ratio test (Bland ties: smallest basis index)
+            best_ratio = None
+            leaving = -1
+            for i in range(m):
+                coeff = tableau[i, entering]
+                if coeff > _EPS:
+                    ratio = tableau[i, -1] / coeff
+                    if (
+                        best_ratio is None
+                        or ratio < best_ratio - _EPS
+                        or (
+                            abs(ratio - best_ratio) <= _EPS
+                            and basis[i] < basis[leaving]
+                        )
+                    ):
+                        best_ratio = ratio
+                        leaving = i
+            if leaving < 0:
+                return "unbounded"
+            self._pivot(tableau, leaving, entering)
+            basis[leaving] = entering
+        raise LPError("simplex iteration limit exceeded")
+
+    @staticmethod
+    def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
+        tableau[row] /= tableau[row, col]
+        for i in range(tableau.shape[0]):
+            if i != row and abs(tableau[i, col]) > _EPS:
+                tableau[i] -= tableau[i, col] * tableau[row]
+
+    def _drive_out_artificials(self, tableau, basis, artificial_cols) -> None:
+        """Pivot basic artificials out of the basis where possible."""
+        m, width = tableau.shape
+        total = width - 1
+        for i in range(m):
+            if basis[i] in artificial_cols:
+                pivot_col = -1
+                for j in range(total):
+                    if j not in artificial_cols and abs(tableau[i, j]) > _EPS:
+                        pivot_col = j
+                        break
+                if pivot_col >= 0:
+                    self._pivot(tableau, i, pivot_col)
+                    basis[i] = pivot_col
+                # else: redundant row with zero rhs; leave the artificial at 0.
+
+    def __repr__(self) -> str:
+        return f"SimplexBackend(max_iterations={self.max_iterations})"
+
+
+# -- from-scratch reference programs ------------------------------------------
+
+
+def _epigraph_rows(encoded) -> Tuple[np.ndarray, np.ndarray]:
+    """The base ``A x <= b`` rows, summing duplicate COO entries."""
+    a = np.zeros((len(encoded._ub_rhs), encoded.num_lp_variables))
+    for row, col, value in zip(
+        encoded._ub_rows.tolist(),
+        encoded._ub_cols.tolist(),
+        encoded._ub_vals.tolist(),
+    ):
+        a[row, col] += value
+    return a, np.asarray(encoded._ub_rhs, dtype=float)
+
+
+def _root_objective(encoded) -> np.ndarray:
+    """``Σ_t q(t)·v_root(t)`` as a dense cost vector."""
+    c = np.zeros(encoded.num_lp_variables)
+    for var, weight in zip(
+        encoded._root_vars.tolist(), encoded._root_weights.tolist()
+    ):
+        c[var] += weight
+    return c
+
+
+def _mass_row(encoded, width: int) -> np.ndarray:
+    """``Σ_p f_p`` over the participant columns, padded to ``width``."""
+    row = np.zeros((1, width))
+    row[0, : encoded.num_participants] = 1.0
+    return row
+
+
+def _solve(backend, **program) -> LPSolution:
+    solution = backend.solve_arrays(**program)
+    if not solution.is_optimal:
+        raise LPError(f"reference LP not optimal: {solution.status}")
+    return solution
+
+
+def reference_h(encoded, i: float, backend=None) -> float:
+    """``H_i`` (Eq. 16): ``min Σ_t q·v_root`` over the slice ``Σ f = i``."""
+    a, b = _epigraph_rows(encoded)
+    n = encoded.num_lp_variables
+    solution = _solve(
+        backend or SimplexBackend(),
+        c=_root_objective(encoded),
+        a_ub=a,
+        b_ub=b,
+        a_eq=_mass_row(encoded, n),
+        b_eq=np.array([float(i)]),
+        bounds=[(0.0, 1.0)] * n,
+        objective_constant=encoded._constant_weight,
+    )
+    return max(0.0, solution.objective)
+
+
+def reference_g(encoded, i: float, backend=None) -> float:
+    """``G_i`` (Eq. 19): ``2·min z`` with ``z ≥ Σ_t q·S_{t,p}·v_root`` per p."""
+    base, b = _epigraph_rows(encoded)
+    n = encoded.num_lp_variables
+    rows = [np.append(row, 0.0) for row in base]
+    for g_row in encoded._g_rows.values():
+        row = np.zeros(n + 1)
+        row[n] = -1.0
+        for var, coeff in g_row.items():
+            row[var] += coeff
+        rows.append(row)
+    c = np.zeros(n + 1)
+    c[n] = 1.0
+    solution = _solve(
+        backend or SimplexBackend(),
+        c=c,
+        a_ub=np.array(rows).reshape(len(rows), n + 1),
+        b_ub=np.concatenate([b, np.zeros(len(encoded._g_rows))]),
+        a_eq=_mass_row(encoded, n + 1),
+        b_eq=np.array([float(i)]),
+        bounds=[(0.0, 1.0)] * n + [(0.0, None)],
+    )
+    return max(0.0, 2.0 * solution.objective)
+
+
+def reference_x(encoded, delta_hat: float, backend=None) -> Tuple[float, float]:
+    """Eq. 20 over the whole cube: ``(value, Σ f_p at the optimum)``."""
+    a, b = _epigraph_rows(encoded)
+    n = encoded.num_lp_variables
+    p = encoded.num_participants
+    c = _root_objective(encoded)
+    c[:p] -= delta_hat
+    solution = _solve(
+        backend or SimplexBackend(),
+        c=c,
+        a_ub=a,
+        b_ub=b,
+        a_eq=None,
+        b_eq=None,
+        bounds=[(0.0, 1.0)] * n,
+        objective_constant=encoded._constant_weight + p * delta_hat,
+    )
+    return solution.objective, float(np.sum(solution.x[:p]))

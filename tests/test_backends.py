@@ -3,9 +3,10 @@
 Pins the registry contract introduced with the pluggable-backend refactor:
 
 * **registry** — ``backends.get``/``create``/``resolve`` honour names and
-  aliases, reject unknown names with the list of registered backends, and
-  report unavailable backends (gurobi without gurobipy) with an actionable
-  message naming the missing module and the fallback;
+  aliases, reject unknown names with the list of registered backends,
+  report unavailable backends (an out-of-tree backend missing its module)
+  with an actionable message naming the missing module and the fallback,
+  and refuse objects without ``solve_arrays``;
 * **selection** — ``REPRO_LP_BACKEND`` overrides the measured-preference
   auto-detect order, and the CLI ``--lp-backend`` knob validates eagerly;
 * **identity** — the chosen backend's ``cache_token`` flows into session
@@ -20,21 +21,52 @@ import json
 
 import pytest
 
+from repro.boolexpr import Var
 from repro.errors import LPError
 from repro.graphs import random_graph_with_avg_degree
 from repro.lp import ScipyBackend, backends, status
 from repro.lp.backends import BACKEND_ENV, PersistentModel, SolverBackend
+from repro.relax.encode import EncodedRelation
 from repro.session import PrivateSession
 from repro.subgraphs import triangle
 
 AVAILABLE = tuple(backends.available())
 
-try:  # pragma: no cover - exercised only where gurobipy is installed
-    import gurobipy  # noqa: F401
 
-    HAS_GUROBIPY = True
-except ImportError:
-    HAS_GUROBIPY = False
+class MissingModuleBackend(SolverBackend):
+    """An out-of-tree backend whose solver module is not installed."""
+
+    name = "dummy-missing"
+    aliases = ("dummy-alias",)
+    preference = 99
+
+    @classmethod
+    def availability(cls):
+        return False, "No module named 'dummy_solver'"
+
+
+class PluginBackend(ScipyBackend):
+    """An out-of-tree backend that is available (it reuses linprog)."""
+
+    name = "dummy-plugin"
+    aliases = ()  # leave ScipyBackend's "linprog" alias with scipy
+    preference = 1
+
+
+class SolveOnlyBackend:
+    """An object with only the removed ``solve(lp)`` entry point."""
+
+    def solve(self, lp):
+        raise AssertionError("never called")
+
+
+@pytest.fixture
+def scratch_registry(monkeypatch):
+    """Let a test register backends without leaking them to the suite."""
+    monkeypatch.setattr(backends, "_REGISTRY", dict(backends._REGISTRY))
+    monkeypatch.setattr(backends, "_INSTANCES", dict(backends._INSTANCES))
+    monkeypatch.delenv(BACKEND_ENV, raising=False)
+    return backends
 
 
 @pytest.fixture
@@ -44,9 +76,7 @@ def graph():
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        names = backends.registered()
-        assert {"scipy", "highs", "gurobi"} <= set(names)
-        assert names == sorted(names)
+        assert backends.registered() == ["highs", "scipy"]
 
     def test_scipy_always_available(self):
         assert "scipy" in AVAILABLE
@@ -54,14 +84,13 @@ class TestRegistry:
     def test_get_resolves_aliases(self):
         assert backends.get("linprog") is backends.get("scipy")
         assert backends.get("persistent") is backends.get("highs")
-        assert backends.get("grb") is backends.get("gurobi")
         assert backends.get("HIGHS") is backends.get("highs")  # case-blind
 
     def test_unknown_name_lists_registry(self):
         with pytest.raises(LPError, match="unknown LP backend 'nope'") as exc:
             backends.get("nope")
         message = str(exc.value)
-        for name in ("scipy", "highs", "gurobi"):
+        for name in ("scipy", "highs"):
             assert name in message
 
     def test_resolve_caches_one_instance_per_name(self):
@@ -74,22 +103,46 @@ class TestRegistry:
         assert rows["scipy"]["available"] is True
         assert rows["scipy"]["supports_persistent"] is False
         assert rows["scipy"]["supports_multi_rhs"] is False
-        assert rows["gurobi"]["preference"] == 20
+        assert rows["highs"]["preference"] > rows["scipy"]["preference"]
         # sorted by preference, best-first
         preferences = [row["preference"] for row in backends.describe()]
         assert preferences == sorted(preferences, reverse=True)
 
-    @pytest.mark.skipif(HAS_GUROBIPY, reason="gurobipy installed here")
-    def test_gurobi_degrades_cleanly_when_missing(self):
-        rows = {row["name"]: row for row in backends.describe()}
-        assert rows["gurobi"]["available"] is False
-        assert "gurobipy" in rows["gurobi"]["reason"]
+    def test_unavailable_backend_degrades_cleanly(self, scratch_registry):
+        scratch_registry.register(MissingModuleBackend)
+        assert scratch_registry.get("dummy-alias") is MissingModuleBackend
+        rows = {row["name"]: row for row in scratch_registry.describe()}
+        assert rows["dummy-missing"]["available"] is False
+        assert "dummy_solver" in rows["dummy-missing"]["reason"]
+        assert "dummy-missing" not in scratch_registry.available()
+        # the highest preference, but unavailable: never auto-detected
+        assert scratch_registry.default_backend().name != "dummy-missing"
         with pytest.raises(LPError) as exc:
-            backends.create("gurobi")
+            scratch_registry.create("dummy-missing")
         message = str(exc.value)
-        assert "[lp-backend gurobi]" in message
-        assert "gurobipy" in message  # names the missing module
+        assert "[lp-backend dummy-missing]" in message
+        assert "dummy_solver" in message  # names the missing module
         assert BACKEND_ENV in message  # names the fallback knob
+
+    def test_out_of_tree_backend_registers_and_serves(self, scratch_registry, graph):
+        scratch_registry.register(PluginBackend)
+        assert "dummy-plugin" in scratch_registry.available()
+        plugin = PrivateSession(graph, backend="dummy-plugin")
+        assert plugin.lp_backend == "dummy-plugin"
+        reference = PrivateSession(graph, backend="scipy")
+        answers = {
+            session.query(triangle(), privacy="node", epsilon=0.5, rng=42).answer
+            for session in (plugin, reference)
+        }
+        assert len(answers) == 1
+
+    def test_resolve_refuses_backend_without_solve_arrays(self):
+        with pytest.raises(LPError, match="solve_arrays"):
+            backends.resolve(SolveOnlyBackend())
+
+    def test_compiled_program_refuses_backend_without_solve_arrays(self):
+        with pytest.raises(LPError, match="must implement solve_arrays"):
+            EncodedRelation(["a"], [(Var("a"), 1.0)], SolveOnlyBackend())
 
     def test_env_var_overrides_preference_order(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV, "scipy")

@@ -1,18 +1,21 @@
-"""Property test: the compiled-LP fast path equals the legacy clone path.
+"""Property test: the compiled-LP solves equal a from-scratch reference.
 
 For random small annotated relations, ``solve_h`` / ``solve_g`` /
 ``solve_g_uniform`` / ``solve_x_relaxation`` through the one-time-compiled
-CSR arrays must match the ``LinearProgram.clone()`` re-assembly path within
-1e-6, and the full mechanism (Δ and X, in both ``"paper"`` and
-``"uniform"`` bounding modes) must agree on its deterministic
-intermediates.  The solve-path test runs once per registered-and-available
-solver backend (the ``lp_backend`` fixture), so every backend in the
-registry is held to the same equivalence contract.
+CSR arrays must match the legacy formulation — each program rebuilt from
+the relation's frozen triplets and solved by the dense simplex oracle
+(``tests/lp_oracle.py``) — within 1e-6.  The full mechanism (Δ and X, in
+both ``"paper"`` and ``"uniform"`` bounding modes) must agree on its
+deterministic intermediates when the oracle itself is the backend.  Both
+tests run once per registered-and-available solver backend (the
+``lp_backend`` fixture), so every backend in the registry is held to the
+same equivalence contract.
 """
 
 import random
 
 import pytest
+from lp_oracle import SimplexBackend, reference_g, reference_h, reference_x
 
 from repro.boolexpr.expr import And, Or, Var
 from repro.core import (
@@ -20,6 +23,7 @@ from repro.core import (
     RecursiveMechanismParams,
     SensitiveKRelation,
 )
+from repro.lp import ScipyBackend
 from repro.relax.encode import EncodedRelation
 
 
@@ -49,34 +53,53 @@ def random_relation(seed: int):
 def test_compiled_matches_legacy_solves(seed, lp_backend):
     names, annotated = random_relation(seed)
     compiled = EncodedRelation(names, annotated, lp_backend)
-    legacy = EncodedRelation(names, annotated, lp_backend, compiled=False)
-    assert compiled.is_compiled
-    assert not legacy.is_compiled
 
     indices = list(range(len(names) + 1)) + [0.5, len(names) - 0.5]
+    h_legacy = {i: reference_h(compiled, i) for i in indices}
+    g_legacy = {i: reference_g(compiled, i) for i in indices}
     for i in indices:
-        assert compiled.solve_h(i) == pytest.approx(legacy.solve_h(i), abs=1e-6)
-        assert compiled.solve_g(i) == pytest.approx(legacy.solve_g(i), abs=1e-6)
+        assert compiled.solve_h(i) == pytest.approx(h_legacy[i], abs=1e-6)
+        assert compiled.solve_g(i) == pytest.approx(g_legacy[i], abs=1e-6)
         assert compiled.solve_g_uniform(i) == pytest.approx(
-            legacy.solve_g_uniform(i), abs=1e-6
+            2.0 * compiled.max_phi_sensitivity * h_legacy[i], abs=1e-6
         )
     assert compiled.solve_h_many(indices) == pytest.approx(
-        [legacy.solve_h(i) for i in indices], abs=1e-6
+        [h_legacy[i] for i in indices], abs=1e-6
     )
     for i in range(len(names) + 1):
-        g_exact = legacy.solve_g(i)
+        g_exact = g_legacy[i]
         for threshold in (0.0, g_exact - 0.1, g_exact + 0.1, g_exact * 2 + 1.0):
             if threshold < 0:
                 continue
             assert compiled.g_leq(i, threshold) == (g_exact <= threshold + 1e-9)
     for delta in (0.0, 0.05, 0.5, 2.0):
         value_c, index_c = compiled.solve_x_relaxation(delta)
-        value_l, index_l = legacy.solve_x_relaxation(delta)
+        value_l, index_l = reference_x(compiled, delta)
         assert value_c == pytest.approx(value_l, abs=1e-6)
         # the optimal mass i' need not be unique (flat stretches of H),
         # but both must be feasible masses
         assert 0.0 <= index_c <= len(names)
-        assert 0.0 <= index_l <= len(names)
+        assert -1e-9 <= index_l <= len(names) + 1e-9
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_reference_programs_agree_across_solvers(seed):
+    """The reference rebuilds solve alike under the simplex and linprog,
+    so an equivalence failure points at the compiled path, not the oracle."""
+    names, annotated = random_relation(200 + seed)
+    scipy = ScipyBackend()
+    encoded = EncodedRelation(names, annotated, scipy)
+    for i in (0, 0.5, 1, len(names) - 0.5, len(names)):
+        assert reference_h(encoded, i) == pytest.approx(
+            reference_h(encoded, i, backend=scipy), abs=1e-6
+        )
+        assert reference_g(encoded, i) == pytest.approx(
+            reference_g(encoded, i, backend=scipy), abs=1e-6
+        )
+    for delta in (0.05, 2.0):
+        assert reference_x(encoded, delta)[0] == pytest.approx(
+            reference_x(encoded, delta, backend=scipy)[0], abs=1e-6
+        )
 
 
 def test_h_entries_preserves_fractional_indices():
@@ -104,9 +127,8 @@ def test_mechanism_intermediates_agree_across_paths(seed, bounding, lp_backend):
     )
     fast = EfficientRecursiveMechanism(relation, bounding=bounding, backend=lp_backend)
     slow = EfficientRecursiveMechanism(
-        relation, bounding=bounding, backend=lp_backend, compiled=False
+        relation, bounding=bounding, backend=SimplexBackend()
     )
-    assert fast.is_compiled and not slow.is_compiled
 
     params = RecursiveMechanismParams.paper(1.0)
     delta_fast, j_fast = fast.compute_delta(params)

@@ -20,35 +20,70 @@ from repro.core import (
 from repro.errors import LPError, MechanismError
 from repro.graphs import random_graph_with_avg_degree
 from repro.lp import LPSolution, ScipyBackend
+from repro.lp.backends import SolverBackend
 from repro.subgraphs import subgraph_krelation, triangle
 
+# The doubles below implement ``solve_arrays`` and leave every capability
+# flag false, so each solve reaches them through ``CompiledProgram``'s
+# arrays path — the one production solve path.
 
-class FailingBackend:
+
+class FailingBackend(SolverBackend):
     """A backend that reports infeasibility for every program."""
 
-    def solve(self, lp):
+    name = "failing"
+
+    def solve_arrays(self, c, a_ub, b_ub, a_eq, b_eq, bounds, objective_constant=0.0):
         return LPSolution("infeasible", float("nan"), np.zeros(0), "injected")
 
 
-class TruncatedSolutionBackend:
+class TruncatedSolutionBackend(SolverBackend):
     """A backend that claims optimality but returns no variable values."""
 
-    def solve(self, lp):
+    name = "truncated"
+
+    def solve_arrays(self, c, a_ub, b_ub, a_eq, b_eq, bounds, objective_constant=0.0):
         return LPSolution("optimal", 1.0, np.zeros(0), "truncated")
 
 
-class CorruptingBackend:
-    """A backend that returns wrong (optimal-looking) objective values."""
+class CorruptingBackend(ScipyBackend):
+    """Real solves, but a wrong (optimal-looking) X-step objective.
 
-    def __init__(self, inner=None, offset=-100.0):
-        self.inner = inner or ScipyBackend()
+    The X overlay (Eq. 20) is the only program without the mass row, so
+    ``a_eq is None`` singles it out; H and G solves stay exact.
+    """
+
+    def __init__(self, offset=100.0):
+        super().__init__()
         self.offset = offset
 
-    def solve(self, lp):
-        solution = self.inner.solve(lp)
-        if solution.is_optimal:
+    def solve_arrays(self, c, a_ub, b_ub, a_eq, b_eq, bounds, objective_constant=0.0):
+        solution = super().solve_arrays(
+            c, a_ub, b_ub, a_eq, b_eq, bounds, objective_constant
+        )
+        if solution.is_optimal and a_eq is None:
             solution.objective += self.offset
         return solution
+
+
+class ErroringProbeBackend(ScipyBackend):
+    """Exact solves, except that every Δ feasibility probe errors out.
+
+    The probe (``G_i ≤ τ`` with ``z`` pinned) is the only overlay with an
+    all-zero objective.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.probes = 0
+
+    def solve_arrays(self, c, a_ub, b_ub, a_eq, b_eq, bounds, objective_constant=0.0):
+        if not np.any(c):
+            self.probes += 1
+            return LPSolution("error", float("nan"), np.zeros(0), "injected")
+        return super().solve_arrays(
+            c, a_ub, b_ub, a_eq, b_eq, bounds, objective_constant
+        )
 
 
 @pytest.fixture
@@ -83,6 +118,27 @@ class TestSolverFailures:
         mechanism = EfficientRecursiveMechanism(relation, backend=backend)
         with pytest.raises(LPError, match="iteration_limit"):
             mechanism.h_entry(2)
+
+    def test_errored_feasibility_probe_raises_not_decides(self):
+        """A probe whose solver reports ``error`` must abort the Δ search
+        with an LPError — never be read as infeasible (``G_i > τ``)."""
+        graph = random_graph_with_avg_degree(30, 6, rng=0)
+        relation = subgraph_krelation(graph, triangle(), privacy="node")
+        backend = ErroringProbeBackend()
+        mechanism = EfficientRecursiveMechanism(relation, backend=backend)
+        params = RecursiveMechanismParams.paper(0.5, node_privacy=True)
+        with pytest.raises(LPError, match="feasibility probe failed: error"):
+            mechanism.compute_delta(params)
+        assert backend.probes == 1
+
+    def test_corrupted_x_relaxation_detected_by_convexity_guard(self, relation):
+        """A solver returning a too-high Eq. 20 relaxation trips the
+        consistency check instead of silently biasing the release."""
+        mechanism = EfficientRecursiveMechanism(
+            relation, backend=CorruptingBackend(offset=100.0)
+        )
+        with pytest.raises(MechanismError, match="convexity violation"):
+            mechanism._compute_x(0.5)
 
     def test_corrupted_objective_detected_by_convexity_guard(self, relation):
         """A solver returning too-low X values trips the Eq. 20 consistency

@@ -372,9 +372,10 @@ class TestCrossBackendIdentity:
     """Released answers are byte-identical across every available backend.
 
     The registry may route solves through pure ``linprog``, the persistent
-    HiGHS engine, or Gurobi — but at a fixed seed the mechanism's noise and
-    its deterministic intermediates (Δ-probe race decisions, batched
-    ``solve_many`` objectives) must not depend on which backend ran.
+    HiGHS engine, or an out-of-tree backend — but at a fixed seed the
+    mechanism's noise and its deterministic intermediates (Δ-probe race
+    decisions, batched ``solve_many`` objectives) must not depend on
+    which backend ran.
     """
 
     def _backends(self):

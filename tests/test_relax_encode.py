@@ -9,10 +9,11 @@ import itertools
 
 import numpy as np
 import pytest
+from lp_oracle import SimplexBackend
 
 from repro.boolexpr import And, Var, parse
 from repro.errors import LPError
-from repro.lp import ScipyBackend, SimplexBackend
+from repro.lp import ScipyBackend
 from repro.relax import encode_relation, phi
 from repro.relax.encode import EncodedRelation
 
@@ -190,9 +191,9 @@ class TestSolveG:
 
     def test_endpoint_closed_forms_match_lp_limit(self):
         """G is continuous on [0, |P|], so the i=0 / i=|P| closed forms
-        must agree with near-endpoint LP solves (both paths shortcut the
-        endpoints, so the compiled/legacy equivalence test cannot see a
-        wrong closed form — this pins it against the LP itself)."""
+        must agree with near-endpoint LP solves (solve_h / solve_g
+        shortcut the endpoints; this pins the closed forms against the
+        compiled LP itself)."""
         participants = ["a", "b", "c", "d"]
         annotated = [
             (parse("a & b"), 1.0),

@@ -234,11 +234,20 @@ class TestServiceEndToEnd:
                     )
                 with pytest.raises(ValueError, match="epsilon"):
                     client.query("triangle", epsilon=-1, privacy="edge")
+                # the removed legacy-LP switch is an unknown option now
+                with pytest.raises(ValueError, match="compiled"):
+                    client.query(
+                        "triangle",
+                        epsilon=0.5,
+                        privacy="edge",
+                        options={"compiled": False},
+                    )
                 # same connection keeps serving
                 assert client.query("triangle", epsilon=0.5,
                                     privacy="edge")["status"] == "released"
-        # the two rejected queries never touched the ledger
+        # the three rejected queries never touched the ledger
         assert [e.status for e in session.accountant.ledger] == ["released"]
+        assert session.accountant.spent == 0.5
         session.close()
 
     def test_unsupported_version_and_malformed_frames(self, graph):

@@ -42,9 +42,7 @@ def _compiled_program(backend):
         (Or([Var("p1"), And([Var("p2"), Var("p3")])]), 2.0),
         (Var("p2"), 0.75),
     ]
-    relation = EncodedRelation(names, annotated, backend)
-    assert relation.is_compiled
-    return relation._compiled
+    return EncodedRelation(names, annotated, backend)._compiled
 
 
 class TestArrayExportAttach:
