@@ -133,8 +133,8 @@ def private_subgraph_count(
     params / backend:
         Override the mechanism parameters or the LP backend.
     workers:
-        Worker processes for the parallel solve paths (Δ-probe races,
-        batched H entries); ``1`` (default) stays in-process, ``None``
+        Worker processes for batched H entries (the Δ search is one
+        in-process walk); ``1`` (default) stays in-process, ``None``
         resolves ``$REPRO_WORKERS`` / CPU count.  The released answer is
         byte-identical for any worker count at a fixed seed.
 

@@ -17,6 +17,7 @@ import math
 from typing import Optional, Tuple
 
 from ..errors import MechanismError
+from ..obs import metrics as obs_metrics
 from ..relax.encode import EncodedRelation
 from ..rng import RngLike
 from .framework import MechanismResult, RecursiveMechanismBase, _index_key
@@ -71,6 +72,11 @@ def _convex_lower(known, i):
     return best
 
 
+def _count_probe(how: str) -> None:
+    """Count one Δ-search probe by how it was decided."""
+    obs_metrics().counter("repro_delta_probes_total", how=how).inc()
+
+
 class EfficientRecursiveMechanism(RecursiveMechanismBase):
     """LP-based recursive mechanism for a nonnegative linear query.
 
@@ -88,10 +94,9 @@ class EfficientRecursiveMechanism(RecursiveMechanismBase):
         relations; algebra-produced annotations are already safe, and for
         subgraph-counting relations they are already DNF).
     workers:
-        Worker processes for the parallel solve paths: batched H entries
-        fan across a pool forked after compilation, and undecided Δ
-        probes race their two formulations in separate processes
-        (first decided wins).  The default ``1`` stays fully in-process;
+        Worker processes for batched H entries, which fan across a pool
+        forked after compilation (the Δ search is one in-process walk
+        whatever the count).  The default ``1`` stays fully in-process;
         ``None`` resolves ``$REPRO_WORKERS`` / CPU count
         (:func:`repro.parallel.pool.resolve_workers`).  Released answers
         are byte-identical for any worker count at a fixed seed.
@@ -196,22 +201,27 @@ class EfficientRecursiveMechanism(RecursiveMechanismBase):
         return self._encoded.solve_g(i)
 
     def _g_predicate(self, i: int, threshold: float) -> bool:
-        """``G_i ≤ threshold`` via a cost cascade, exact at every step.
+        """``G_i ≤ threshold`` by the cheapest exact route.
 
-        1. ``G`` is convex and nondecreasing in ``i`` (the LP value as a
-           function of the mass RHS), so chords between known exact
-           entries upper-bound it and outward secants lower-bound it —
-           both decide the predicate with no LP at all.
-        2. Otherwise a feasibility probe (z pinned at ``threshold/2``)
-           races the exact min-max solve under doubling iteration budgets
-           (``CompiledProgram.solve_g_decide``) — whichever formulation
-           is cheap on this structure wins.
-        3. Every exact entry that does get computed (endpoints are closed
-           forms, race wins are returned) permanently tightens the bounds
-           for later probes.
+        Each probe counts once in ``repro_delta_probes_total{how}``:
+
+        * ``closed_form`` — the entry needs no LP (the endpoints; under
+          the uniform bounding, a closed-form ``H_i``);
+        * ``chord`` / ``secant`` — ``G`` is convex and nondecreasing in
+          ``i`` (the LP value as a function of the mass RHS), so chords
+          between known exact entries bound it from above and outward
+          secants from below, deciding with no LP at all;
+        * ``lp`` — otherwise one step of the Δ-search walk on the exact
+          G model (``CompiledProgram.solve_g_decide``); the exact value
+          it returns is cached and tightens the bounds for later probes.
         """
         if self.bounding == "uniform":
             # Ĝ = 2·S̄·H — one (cheap) H solve; keep the exact entry cached
+            lp = self._encoded.h_closed_form(i) is None
+            _count_probe("lp" if lp else "closed_form")
+            return self.g_entry(i) <= threshold
+        if self._encoded.g_closed_form(i) is not None:
+            _count_probe("closed_form")
             return self.g_entry(i) <= threshold
         # endpoints are closed forms — seed the bound cache for free
         self.g_entry(0)
@@ -219,15 +229,27 @@ class EfficientRecursiveMechanism(RecursiveMechanismBase):
         known = sorted(self._g_cache.items())
         upper = _convex_upper(known, i)
         if upper is not None and upper <= threshold:
+            _count_probe("chord")
             return True
         if _convex_lower(known, i) > threshold:
+            _count_probe("secant")
             return False
-        decided, value = self._encoded.g_decide(i, threshold, workers=self.workers)
-        if value is not None:
-            # the exact strand won the race — keep the entry so it
-            # tightens the convexity bounds for later probes
-            self._g_cache[_index_key(i)] = float(value)
+        _count_probe("lp")
+        decided, value = self._encoded.g_decide(i, threshold)
+        self._g_cache[_index_key(i)] = value
         return decided
+
+    def compute_delta(self, params: RecursiveMechanismParams) -> Tuple[float, int]:
+        """Eq. 11 (see the base class), as one walk on the exact G model.
+
+        The walk's model is freed when the search returns: a pool forked
+        later does not inherit it, and the next search starts cold
+        instead of from this one's basis.
+        """
+        try:
+            return super().compute_delta(params)
+        finally:
+            self._encoded.end_g_walk()
 
     def true_answer(self) -> float:
         """``q(supp(R)) = H_{|P|}`` (Theorem 3) without solving an LP."""

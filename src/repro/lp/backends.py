@@ -11,14 +11,15 @@ mirroring :mod:`repro.mechanisms`:
   array solves, :meth:`~SolverBackend.build_persistent` for a live model
   built once from the compiled CSR blocks and mutated in place between
   solves, capability flags (``supports_persistent``,
-  ``supports_multi_rhs``, ``supports_warm_start``) that
+  ``supports_multi_rhs``) that
   :class:`~repro.lp.compiled.CompiledProgram` consults instead of
   type-checking, and a :meth:`~SolverBackend.fork_reset` hook for the
   :mod:`repro.parallel` fork-after-compile scheme.
 * :class:`PersistentModel` — the base of every persistent model,
   carrying the owner-pid guard (a live solver must never be used across
-  ``fork()``) and the generic RHS-sweep and iteration-budget APIs the
-  Δ-probe race and batched solves are written against.
+  ``fork()``), the cold-or-resumed :meth:`~PersistentModel.solve` the
+  Δ-search walk is written against, and the generic RHS sweep of
+  batched solves.
 * :func:`register` / :func:`get` / :func:`create` / :func:`resolve` /
   :func:`available` / :func:`describe` — the registry.  Backends are
   addressed by name (the built-ins are ``"scipy"`` and ``"highs"``;
@@ -72,8 +73,6 @@ BACKEND_ENV = "REPRO_LP_BACKEND"
 #: measured ``fig5`` timings rank the auto-detected default backend.
 PREFERENCES_ENV = "REPRO_LP_PREFERENCES"
 
-_INT_MAX = 2147483647
-
 
 class PersistentModel:
     """Base of every backend's persistent model.
@@ -90,12 +89,12 @@ class PersistentModel:
       misuse into a loud :class:`~repro.errors.LPError`; forked workers
       drop inherited models via ``CompiledProgram.fork_reset`` and
       rebuild their own lazily.
-    * **iteration budgets** — the Δ-probe race throttles both strands
-      through :meth:`set_iteration_limit` / :meth:`restore_iteration_limits`
-      without knowing the backend's native option names.
+    * **cold or resumed solves** — :meth:`solve` either starts afresh
+      or, for the Δ-search walk, continues from the previous basis,
+      without the caller knowing the backend's native option names.
 
-    Subclasses implement :meth:`set_row_bounds`, :meth:`set_col_costs`,
-    :meth:`solve` and :meth:`set_iteration_limit`.
+    Subclasses implement :meth:`set_row_bounds`, :meth:`set_col_costs`
+    and :meth:`solve`.
     """
 
     #: backend name carried into error messages (set by the builder)
@@ -105,9 +104,6 @@ class PersistentModel:
         self._owner_pid = os.getpid()
         #: iterations of the most recent :meth:`solve`
         self.last_iteration_count = 0
-        #: the configured per-solve budget ceiling (restored after
-        #: temporary overrides by :meth:`restore_iteration_limits`)
-        self.base_iteration_limit = _INT_MAX
 
     def _assert_owner(self) -> None:
         if os.getpid() != self._owner_pid:
@@ -127,23 +123,15 @@ class PersistentModel:
         """Overwrite the objective coefficients of the given columns."""
         raise NotImplementedError
 
-    def solve(self, resume: bool = False, warm_values=None) -> LPSolution:
+    def solve(self, resume: bool = False) -> LPSolution:
         """Solve the current model state.
 
-        ``resume`` continues from the previous basis where the backend
-        supports it; ``warm_values`` primes a primal starting point.
-        Backends without those capabilities may ignore both — results
-        must not depend on them, only wall-clock.
+        ``resume=True`` continues from the previous solve's basis (the
+        Δ-search walk's later probes, which only move the mass row).  A
+        backend without warm starts may ignore it and solve cold — the
+        optimum must not depend on it, only wall-clock.
         """
         raise NotImplementedError
-
-    def set_iteration_limit(self, limit: int) -> None:
-        """Cap the next solve's iterations (Δ-probe race budgets)."""
-        raise NotImplementedError
-
-    def restore_iteration_limits(self) -> None:
-        """Undo :meth:`set_iteration_limit` back to the configured caps."""
-        self.set_iteration_limit(self.base_iteration_limit)
 
     # -- batched solves ------------------------------------------------------
     def solve_rhs_sweep(self, row: int, values) -> List[LPSolution]:
@@ -186,9 +174,6 @@ class SolverBackend:
         Whether H-entry RHS sweeps should be vectorised through
         :meth:`PersistentModel.solve_rhs_sweep` (one backend call) when
         running in-process.
-    ``supports_warm_start``
-        Whether :meth:`PersistentModel.solve` honors ``resume=True`` /
-        ``warm_values`` — required by the in-process Δ-probe budget race.
     ``preference``
         Auto-detect rank (higher wins among available backends); encodes
         measured performance on the epigraph workload.
@@ -198,7 +183,6 @@ class SolverBackend:
     aliases: Tuple[str, ...] = ()
     supports_persistent = False
     supports_multi_rhs = False
-    supports_warm_start = False
     preference = 0
 
     # -- availability --------------------------------------------------------
@@ -501,7 +485,6 @@ def describe() -> List[Dict]:
                 "reason": reason,
                 "supports_persistent": cls.supports_persistent,
                 "supports_multi_rhs": cls.supports_multi_rhs,
-                "supports_warm_start": cls.supports_warm_start,
                 "preference": cls.preference,
             }
         )

@@ -9,9 +9,8 @@ only a tiny per-call overlay:
   that changes between calls;
 * ``G_i``: one extra column ``z`` and one ``z ≥ Σ_t q·S_{t,p}·v_root(t)``
   row per participant (identical across calls) plus the same mass row;
-* the Δ-search predicate ``G_i ≤ τ``: the same rows with ``z`` replaced
-  by the constant ``τ/2`` — a pure feasibility program, usually far
-  cheaper than minimizing the degenerate min-max objective;
+  the Δ search walks this model from probe to probe, re-solving each
+  one from the previous probe's basis;
 * the ``X`` step (Eq. 20): a rank-one perturbation of the objective by
   ``-Δ̂`` on the participant columns.
 
@@ -43,13 +42,7 @@ from scipy import sparse
 from ..errors import LPError
 from ..obs import metrics as obs_metrics
 from ..obs import size_buckets
-from ..parallel.pool import (
-    fork_available,
-    map_tasks,
-    register_fork_reset,
-    resolve_workers,
-)
-from ..parallel.race import StrandError, first_decided
+from ..parallel.pool import map_tasks, register_fork_reset, resolve_workers
 from .backends import PersistentModel
 from .model import LPSolution
 
@@ -73,16 +66,6 @@ def _observe_solve(overlay: str, backend, elapsed: float, model=None) -> None:
             overlay=overlay,
             backend=backend.name,
         ).observe(float(iterations))
-
-
-#: First iteration budget of the Δ-probe race (doubles each round).
-RACE_INITIAL_BUDGET = 256
-
-#: Feasibility-strand iterations after which the exact strand joins the
-#: race.  Cheap probes (the common case) finish well under this and never
-#: pay for the second strand; pathological phase-1 probes get rescued by
-#: the exact solve at a bounded extra cost.
-RACE_EXACT_LAG = 1024
 
 
 def _csr(rows, cols, vals, shape) -> Optional[sparse.csr_matrix]:
@@ -180,16 +163,11 @@ class CompiledProgram:
         # custom/instrumented backend (subclass or duck-typed) that must
         # keep receiving every solve simply leaves the flag unset.
         self._use_engine = bool(getattr(backend, "supports_persistent", False))
-        # primal optimum of the most recent exact G solve — warm-start
-        # seed for the exact strand of later Δ-probe races
-        self._last_g_optimum: Optional[np.ndarray] = None
         # lazily assembled overlays (arrays and/or persistent models)
         self._g_overlay = None
         self._h_model: Optional[PersistentModel] = None
         self._g_model: Optional[PersistentModel] = None
         self._x_model: Optional[PersistentModel] = None
-        self._feas_model: Optional[PersistentModel] = None
-        self._feas_arrays = None
         # memoized shared-memory export spec (see export_shared)
         self._shared_spec: Optional[Dict] = None
         # Forked workers inherit the CSR blocks copy-on-write but must
@@ -207,8 +185,8 @@ class CompiledProgram:
         The compiled arrays (CSR blocks, bounds, objective, the lazily
         assembled G overlay) are process-agnostic and stay shared through
         copy-on-write; only the persistent models — live solver state
-        owned by the parent — and the warm-start seed are dropped, to be
-        rebuilt lazily from the shared arrays on first use in the worker.
+        owned by the parent — are dropped, to be rebuilt lazily from the
+        shared arrays on first use in the worker.
         The backend's own :meth:`~repro.lp.backends.SolverBackend.
         fork_reset` hook runs too, so backends holding process-wide
         native state (e.g. a licensed solver environment) re-initialise it.
@@ -216,8 +194,6 @@ class CompiledProgram:
         self._h_model = None
         self._g_model = None
         self._x_model = None
-        self._feas_model = None
-        self._last_g_optimum = None
         reset = getattr(self.backend, "fork_reset", None)
         if reset is not None:
             reset()
@@ -338,13 +314,10 @@ class CompiledProgram:
             for row in range(g_csr.shape[0])
         ]
         program._use_engine = bool(getattr(backend, "supports_persistent", False))
-        program._last_g_optimum = None
         program._g_overlay = None
         program._h_model = None
         program._g_model = None
         program._x_model = None
-        program._feas_model = None
-        program._feas_arrays = None
         program._shared_spec = None
         register_fork_reset(program)
         return program
@@ -477,6 +450,11 @@ class CompiledProgram:
 
     def solve_g(self, i: float) -> LPSolution:
         """The Eq. 19 min-max LP; the z overlay is assembled on first use."""
+        return self._solve_g(i, resume=False)
+
+    def _solve_g(self, i: float, resume: bool) -> LPSolution:
+        """:meth:`solve_g`, or with ``resume`` a re-solve of the persistent
+        model from its previous basis (the arrays path always solves cold)."""
         if not self._g_row_maps:
             raise LPError(
                 f"{self._err_prefix()} relation has no G rows — " "G_i is identically 0"
@@ -488,7 +466,7 @@ class CompiledProgram:
         if self._use_engine:
             model = self._ensure_g_model()
             model.set_row_bounds(model.num_rows - 1, float(i), float(i))
-            solution = model.solve()
+            solution = model.solve(resume=resume)
             _observe_solve("g", self.backend, time.perf_counter() - tick, model)
             return solution
         solution = self.backend.solve_arrays(
@@ -559,211 +537,36 @@ class CompiledProgram:
                 )
         return map_tasks(_solve_overlay_task, task_list, payload=self, workers=workers)
 
-    # -- the Δ-search predicate ----------------------------------------------
-    def _prepare_feas_model(self, i: float, half: float) -> PersistentModel:
-        """Build (once) and re-bound the feasibility model for one probe."""
-        num_g = len(self._g_row_maps)
-        if self._feas_model is None:
-            blocks = [self._g_matrix(self.num_variables), self._a_mass]
-            if self._a_ub is not None:
-                blocks.insert(0, self._a_ub)
-            matrix = sparse.vstack(blocks, format="csr")
-            row_lower = np.concatenate(
-                [self._ub_row_lower(), np.full(num_g, -_INF), [0.0]]
-            )
-            upper = self._b_ub if self._b_ub is not None else np.zeros(0)
-            row_upper = np.concatenate([upper, np.zeros(num_g), [0.0]])
-            self._feas_model = self.backend.build_persistent(
-                matrix,
-                col_costs=np.zeros(self.num_variables),
-                col_lower=self._bounds[:, 0],
-                col_upper=self._bounds[:, 1],
-                row_lower=row_lower,
-                row_upper=row_upper,
-            )
-        model = self._feas_model
-        first_g = model.num_rows - 1 - num_g
-        for offset in range(num_g):
-            model.set_row_bounds(first_g + offset, -_INF, half)
-        model.set_row_bounds(model.num_rows - 1, float(i), float(i))
-        return model
+    # -- the Δ-search walk --------------------------------------------------
+    def solve_g_decide(self, i: float, threshold: float):
+        """Decide ``G_i ≤ threshold``; returns ``(bool, exact G_i)``.
 
-    def solve_g_decide(self, i: float, threshold: float, workers: int = 1):
-        """Decide ``G_i ≤ threshold``; returns ``(bool, exact G or None)``.
-
-        Neither formulation of the test dominates: the feasibility probe
-        (``z`` pinned at ``threshold/2``) is fast when the answer is
-        clear-cut but its phase-1 can grind near the boundary, while the
-        exact min-max solve is sometimes cheap where the probe crawls and
-        vice versa — which regime a relation falls in is not predictable
-        from its size.  With ``workers >= 2`` the two formulations run to
-        completion in *separate forked processes* and the first decided
-        answer wins while the loser is terminated — latency is the
-        minimum of the strands.  Serially (``workers=1``, the default,
-        or no fork support) they instead interleave in-process as an
-        iteration-budget race: each strand gets a doubling budget
-        (:meth:`~repro.lp.backends.PersistentModel.set_iteration_limit`)
-        and resumes warm from where it stopped, costing at most ~2× the
-        cheaper strand — which requires a persistent backend advertising
-        ``supports_warm_start``; other backends take the plain
-        feasibility probe.  When the exact strand wins, its value is
-        returned so callers can cache it (tightening the Δ-search's
-        convexity bounds for later probes).
+        One Δ search is a walk on the exact Eq. 19 model: its first probe
+        builds the persistent G model and solves it cold with the
+        backend's configured method, and every later probe only moves the
+        mass row and resumes from the previous optimal basis.  The row
+        move leaves that basis dual feasible, so the HiGHS engine
+        re-solves with dual simplex in a few pivots.  Each probe yields
+        the exact value, which the caller keeps to tighten its convexity
+        bounds.  :meth:`end_g_walk` drops the model when the search ends,
+        so no search starts from another's basis.  A solve that is not
+        optimal raises :class:`~repro.errors.LPError` naming its status —
+        it is never read as ``G_i > threshold``.
         """
         if not self._g_row_maps:
             return 0.0 <= threshold, 0.0
-        if resolve_workers(workers) >= 2 and fork_available():
-            return self._race_decide_processes(float(i), float(threshold))
-        if not (
-            self._use_engine and getattr(self.backend, "supports_warm_start", False)
-        ):
-            return self.solve_g_feasible(i, threshold), None
-        if self._g_overlay is None:
-            self._build_g_overlay()
-        feas = self._prepare_feas_model(i, float(threshold) / 2.0)
-        exact = self._ensure_g_model()
-        exact.set_row_bounds(exact.num_rows - 1, float(i), float(i))
-        feas_budget = exact_budget = RACE_INITIAL_BUDGET
-        feas_spent = 0
-        feas_fresh = exact_fresh = True
-        feas_alive = exact_alive = True
-        try:
-            while feas_alive or exact_alive:
-                if feas_alive:
-                    cap = min(feas_budget, feas.base_iteration_limit)
-                    feas.set_iteration_limit(cap)
-                    solution = feas.solve(resume=not feas_fresh)
-                    feas_fresh = False
-                    feas_spent += feas.last_iteration_count
-                    if solution.is_optimal:
-                        return True, None
-                    if solution.status == "infeasible":
-                        return False, None
-                    if solution.status != "iteration_limit":
-                        raise LPError(
-                            f"{self._err_prefix()} G_{i} <= {threshold} "
-                            f"probe failed: {solution.status} "
-                            f"{solution.message}"
-                        )
-                    if cap >= feas.base_iteration_limit:
-                        feas_alive = False  # backend iteration cap exhausted
-                    feas_budget *= 2
-                if exact_alive and (feas_spent >= RACE_EXACT_LAG or not feas_alive):
-                    # join at parity with the feasibility strand's spend so
-                    # a pathological phase-1 cannot starve the exact solve
-                    exact_budget = max(exact_budget, feas_spent)
-                    cap = min(exact_budget, exact.base_iteration_limit)
-                    exact.set_iteration_limit(cap)
-                    solution = exact.solve(
-                        resume=not exact_fresh, warm_values=self._last_g_optimum
-                    )
-                    exact_fresh = False
-                    if solution.is_optimal:
-                        self._last_g_optimum = solution.x
-                        value = max(0.0, 2.0 * float(solution.objective))
-                        return value <= threshold, value
-                    if solution.status != "iteration_limit":
-                        raise LPError(
-                            f"{self._err_prefix()} G_{i} exact solve "
-                            f"failed: {solution.status} {solution.message}"
-                        )
-                    if cap >= exact.base_iteration_limit:
-                        exact_alive = False
-                    exact_budget *= 2
+        solution = self._solve_g(i, resume=self._g_model is not None)
+        if not solution.is_optimal:
             raise LPError(
-                f"{self._err_prefix()} G_{i} <= {threshold} probe hit the "
-                "configured iteration limit on both strands "
-                "(iteration_limit)"
+                f"{self._err_prefix()} G_{i} <= {threshold} probe failed: "
+                f"{solution.status} {solution.message}"
             )
-        finally:
-            for model in (feas, exact):
-                model.restore_iteration_limits()
+        value = max(0.0, 2.0 * float(solution.objective))
+        return value <= threshold, value
 
-    def _race_decide_processes(self, i: float, threshold: float):
-        """The Δ-probe race across two forked processes.
-
-        Each strand runs its formulation to completion (no interleaved
-        budgets) in its own process; both inherit the compiled arrays
-        copy-on-write and rebuild only the one model their strand needs.
-        Works on the arrays-fallback path too — neither strand requires
-        a persistent backend.  When the exact strand wins, its optimum
-        additionally seeds the parent's warm-start cache.
-        """
-        # Assemble the G overlay (pure arrays) in the parent first, so
-        # every forked exact strand inherits it copy-on-write instead of
-        # rebuilding — and then discarding — it once per probe.
-        if self._g_overlay is None:
-            self._build_g_overlay()
-
-        def feasibility_strand():
-            return self.solve_g_feasible(i, threshold), None, None
-
-        def exact_strand():
-            solution = self.solve_g(i)
-            if not solution.is_optimal:
-                raise LPError(
-                    f"{self._err_prefix()} G_{i} exact solve failed: "
-                    f"{solution.status} {solution.message}"
-                )
-            value = max(0.0, 2.0 * float(solution.objective))
-            return value <= threshold, value, np.asarray(solution.x, dtype=float)
-
-        try:
-            _, (decided, value, optimum) = first_decided(
-                [("feasibility", feasibility_strand), ("exact", exact_strand)]
-            )
-        except StrandError as exc:
-            raise LPError(
-                f"{self._err_prefix()} G_{i} <= {threshold} process race "
-                f"failed: {exc}"
-            ) from exc
-        if optimum is not None and len(optimum) == self.num_variables + 1:
-            self._last_g_optimum = optimum
-        return decided, value
-
-    def solve_g_feasible(self, i: float, bound: float) -> bool:
-        """Exact predicate ``G_i ≤ bound`` as a feasibility program.
-
-        ``G_i = 2·min z`` with ``z ≥ Σ_t q·S_{t,p}·v_root(t)`` per
-        participant, so ``G_i ≤ bound`` iff the polytope with ``z`` fixed
-        to ``bound/2`` is nonempty.  Feasibility is usually much cheaper
-        than optimizing the degenerate min-max objective, and the Δ binary
-        search only consumes the boolean.
-        """
-        if not self._g_row_maps:
-            return 0.0 <= bound
-        half = float(bound) / 2.0
-        num_g = len(self._g_row_maps)
-        if self._use_engine:
-            model = self._prepare_feas_model(i, half)
-            solution = model.solve()
-        else:
-            if self._feas_arrays is None:
-                g_mat = self._g_matrix(self.num_variables)
-                a_feas = (
-                    sparse.vstack([self._a_ub, g_mat], format="csr")
-                    if self._a_ub is not None
-                    else g_mat
-                )
-                self._feas_arrays = a_feas
-            base = self._b_ub if self._b_ub is not None else np.zeros(0)
-            solution = self.backend.solve_arrays(
-                c=np.zeros(self.num_variables),
-                a_ub=self._feas_arrays,
-                b_ub=np.concatenate([base, np.full(num_g, half)]),
-                a_eq=self._a_mass,
-                b_eq=np.array([float(i)]),
-                bounds=self._bounds,
-                objective_constant=0.0,
-            )
-        if solution.is_optimal:
-            return True
-        if solution.status == "infeasible":
-            return False
-        raise LPError(
-            f"{self._err_prefix()} G_{i} <= {bound} feasibility probe "
-            f"failed: {solution.status} {solution.message}"
-        )
+    def end_g_walk(self) -> None:
+        """Free the Δ-search walk's G model (rebuilt cold on next use)."""
+        self._g_model = None
 
     # -- X -------------------------------------------------------------------
     def solve_x(self, delta_hat: float) -> LPSolution:

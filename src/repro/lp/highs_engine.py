@@ -8,10 +8,14 @@ SciPy ships the underlying highspy-style bindings as
 into a HiGHS instance **once** and then only mutates the handful of numbers
 that change between solves (a row's bounds, a few objective entries).
 
-Each solve still starts from a cleared solver state (``clearSolver``), i.e.
-cold with presolve: on the heavily degenerate epigraph LPs a warm simplex
-basis skips presolve and is measurably *slower* than a fresh presolved
-solve, so we keep the model reuse and drop the basis reuse.
+A solve starts from a cleared solver state (``clearSolver``), i.e. cold
+with presolve and the configured method, unless the caller resumes.  The
+H sweep and the X step stay cold: on the heavily degenerate epigraph LPs
+a warm basis skips presolve and is not faster there.  The Δ search is
+different: it re-solves one G model whose mass row moves between
+probes, which leaves the previous optimal basis dual feasible, so
+``solve(resume=True)`` re-solves from that basis with dual simplex (see
+``CompiledProgram.solve_g_decide``).
 
 This is a private SciPy API, so :class:`HighsBackend` is gated behind a
 lazy, cached probe: :func:`engine_available` answers cheaply after the
@@ -111,6 +115,10 @@ def _status_name(model_status) -> str:
     return status.ERROR
 
 
+#: HiGHS options of a resumed solve: dual simplex from the kept basis.
+_RESUME_OPTIONS = {"solver": "simplex", "simplex_strategy": 1}
+
+
 class PersistentLP(PersistentModel):
     """One HiGHS model kept alive across solves.
 
@@ -180,15 +188,14 @@ class PersistentLP(PersistentModel):
                     OptimizeWarning,
                     stacklevel=3,
                 )
-        #: the configured iteration caps, restored after temporary overrides
-        self.base_simplex_limit = int(
-            (options or {}).get("simplex_iteration_limit", 2147483647)
-        )
-        self.base_ipm_limit = int(
-            (options or {}).get("ipm_iteration_limit", 2147483647)
-        )
-        #: the tighter of the two — the effective per-solve budget ceiling
-        self.base_iteration_limit = min(self.base_simplex_limit, self.base_ipm_limit)
+        # a cold solve runs the configured method; a resumed one switches
+        # to dual simplex (see solve) and a later cold solve switches back
+        configured = options or {}
+        self._cold_options = {
+            "solver": configured.get("solver", "choose"),
+            "simplex_strategy": configured.get("simplex_strategy", 1),
+        }
+        self._resumed = False
         if self._solver.passModel(lp) == _core.HighsStatus.kError:
             raise LPError(
                 f"[lp-backend {self.backend_name}] HiGHS rejected the " "compiled model"
@@ -206,39 +213,24 @@ class PersistentLP(PersistentModel):
         idx = np.asarray(indices, dtype=np.int32)
         self._solver.changeColsCost(len(idx), idx, np.asarray(values, dtype=float))
 
-    def set_option(self, key: str, value) -> None:
-        """Set a HiGHS option (e.g. a temporary iteration budget)."""
-        self._solver.setOptionValue(key, value)
-
-    def set_iteration_limit(self, limit: int) -> None:
-        """Cap both codes' iterations for the next solve (race budgets)."""
-        self.set_option("simplex_iteration_limit", int(limit))
-        self.set_option("ipm_iteration_limit", int(limit))
-
-    def restore_iteration_limits(self) -> None:
-        self.set_option("simplex_iteration_limit", self.base_simplex_limit)
-        self.set_option("ipm_iteration_limit", self.base_ipm_limit)
-
     # -- solving -------------------------------------------------------------
-    def solve(
-        self, resume: bool = False, warm_values: Optional[np.ndarray] = None
-    ) -> LPSolution:
+    def solve(self, resume: bool = False) -> LPSolution:
         """Solve; statuses match the canonical set (:mod:`repro.lp.status`).
 
-        ``resume=True`` keeps the solver state from the previous ``run``
-        so an iteration-limited solve continues warm instead of starting
-        over — the building block of the Δ-probe race.  ``warm_values``
-        (ignored when resuming) seeds a fresh solve with a primal point,
-        e.g. the optimum of a neighboring Δ-search probe.
+        The default clears the solver state and runs the configured
+        method with presolve.  ``resume=True`` keeps the previous basis
+        and re-solves with dual simplex: after a row-bound change that
+        basis stays dual feasible, so a few dual pivots restore primal
+        feasibility, where HiGHS's ``choose`` could re-run IPM instead.
         """
         self._assert_owner()
+        if resume != self._resumed:
+            options = _RESUME_OPTIONS if resume else self._cold_options
+            for key, value in options.items():
+                self._solver.setOptionValue(key, value)
+            self._resumed = resume
         if not resume:
             self._solver.clearSolver()
-            if warm_values is not None and len(warm_values) == self.num_cols:
-                warm = _core.HighsSolution()
-                warm.col_value = np.asarray(warm_values, dtype=float)
-                warm.value_valid = True
-                self._solver.setSolution(warm)
         run_status = self._solver.run()
         model_status = self._solver.getModelStatus()
         name = _status_name(model_status)
@@ -280,7 +272,6 @@ class HighsBackend(ScipyBackend):
     aliases = ("persistent", "highspy")
     supports_persistent = True
     supports_multi_rhs = True
-    supports_warm_start = True
     #: measured winner on this workload: model reuse beats per-call
     #: linprog assembly ~2.6× on the fig5 sweep (see BENCH_backends.json)
     preference = 30

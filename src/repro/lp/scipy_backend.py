@@ -56,7 +56,6 @@ class ScipyBackend(SolverBackend):
     aliases = ("linprog",)
     supports_persistent = False
     supports_multi_rhs = False
-    supports_warm_start = False
     #: portable baseline — always available, never the measured winner
     preference = 10
 

@@ -3,7 +3,7 @@
 Each backend translates its solver's native termination codes into this
 one set of spellings, so ``"iteration_limit"`` / ``"infeasible"`` /
 ``"optimal"`` cannot drift between backends — callers branch on these
-strings (the Δ-probe race, the mechanism's ``_check`` guards, the tests)
+strings (the mechanism's ``_check`` guards, the tests)
 and a misspelled status would silently take the error path.
 """
 

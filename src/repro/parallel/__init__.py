@@ -1,16 +1,17 @@
 """Process-pool execution layer: shared compiled state, two ways.
 
-Three tiers of parallelism build on the same principle — pay the
+Two tiers of parallelism build on the same principle — pay the
 expensive one-time compilation once and share the compiled arrays with
 every worker, re-instantiating per-process solver state (persistent
 HiGHS models) lazily in each worker:
 
 1. batch overlay solves
    (:meth:`~repro.lp.compiled.CompiledProgram.solve_many`);
-2. the concurrent Δ-probe race (:func:`~repro.parallel.race.first_decided`
-   underneath :meth:`~repro.lp.compiled.CompiledProgram.solve_g_decide`);
-3. experiment sharding
+2. experiment sharding
    (:class:`~repro.experiments.harness.ParallelHarness`).
+
+The Δ search is not among them: it is one sequential walk on a single
+warm G model (:meth:`~repro.lp.compiled.CompiledProgram.solve_g_decide`).
 
 Two sharing schemes implement it.  *Fork-after-compile*
 (:class:`~repro.parallel.pool.WorkerPool`) forks workers after the
@@ -38,7 +39,6 @@ from .pool import (
     run_fork_resets,
     spawn_available,
 )
-from .race import StrandError, first_decided
 from .shm import (
     SegmentRegistry,
     attach_array,
@@ -58,8 +58,6 @@ __all__ = [
     "resolve_start_method",
     "resolve_workers",
     "run_fork_resets",
-    "StrandError",
-    "first_decided",
     "SegmentRegistry",
     "registry",
     "export_array",

@@ -341,7 +341,7 @@ class EncodedRelation:
         return solution
 
     # -- the three solves ---------------------------------------------------------
-    def _h_closed_form(self, i: float) -> Optional[float]:
+    def h_closed_form(self, i: float) -> Optional[float]:
         """The exact no-LP values of ``H_i``, or None when an LP is needed.
 
         At ``i = 0`` every ``f_p = 0`` so only constant-``True`` tuples
@@ -361,9 +361,9 @@ class EncodedRelation:
     def solve_h(self, i: float) -> float:
         """``H_i`` (Eq. 16) for integer or fractional ``i ∈ [0, |P|]``.
 
-        The endpoints are exact closed forms, no LP (:meth:`_h_closed_form`).
+        The endpoints are exact closed forms, no LP (:meth:`h_closed_form`).
         """
-        closed = self._h_closed_form(i)
+        closed = self.h_closed_form(i)
         if closed is not None:
             return closed
         solution = self._compiled.solve_h(float(i))
@@ -381,7 +381,7 @@ class EncodedRelation:
         a sequential loop otherwise — results are identical either way).
         """
         indices = list(indices)
-        values: List[Optional[float]] = [self._h_closed_form(i) for i in indices]
+        values: List[Optional[float]] = [self.h_closed_form(i) for i in indices]
         lp_positions = [pos for pos, value in enumerate(values) if value is None]
         if lp_positions:
             tasks = [("h", float(indices[pos])) for pos in lp_positions]
@@ -391,56 +391,49 @@ class EncodedRelation:
                 values[pos] = max(0.0, float(solution.objective))
         return values
 
-    def _g_full(self) -> float:
-        """Closed-form ``G_{|P|} = 2·max_p Σ_t q·S_{t,p}``.
+    def g_closed_form(self, i: float) -> Optional[float]:
+        """The exact no-LP values of ``G_i``, or None when an LP is needed.
 
-        At ``i = |P|`` the mass row forces ``f ≡ 1``, which forces every
-        node variable to 1 (epigraph lower bounds meet the unit upper
-        bounds), so the min-max collapses to the largest G-row sum.
+        ``G_0 = 0`` (``f ≡ 0`` lets every node variable sit at 0), and at
+        ``i = |P|`` the mass row forces ``f ≡ 1``, which forces every node
+        variable to 1 (epigraph lower bounds meet the unit upper bounds),
+        so the min-max collapses to ``2·max_p Σ_t q·S_{t,p}``.
         """
-        return 2.0 * max(sum(row.values()) for row in self._g_rows.values())
+        if not 0.0 <= i <= self.num_participants + 1e-9:
+            raise LPError(f"G index {i} outside [0, {self.num_participants}]")
+        if not self._g_rows or i <= 1e-12:
+            return 0.0
+        if i >= self.num_participants - 1e-12:
+            return 2.0 * max(sum(row.values()) for row in self._g_rows.values())
+        return None
 
     def solve_g(self, i: float) -> float:
         """``G_i`` (Eq. 19) — twice the min-max LP value.
 
-        Endpoints are closed forms (no LP): ``G_0 = 0`` (``f ≡ 0`` lets
-        every node variable sit at 0) and ``G_{|P|}`` via :meth:`_g_full`.
+        The endpoints are exact closed forms, no LP (:meth:`g_closed_form`).
         """
-        if not 0.0 <= i <= self.num_participants + 1e-9:
-            raise LPError(f"G index {i} outside [0, {self.num_participants}]")
-        if not self._g_rows:
-            return 0.0
-        if i <= 1e-12:
-            return 0.0
-        if i >= self.num_participants - 1e-12:
-            return self._g_full()
+        closed = self.g_closed_form(i)
+        if closed is not None:
+            return closed
         solution = self._compiled.solve_g(float(i))
         self._check(solution, f"G_{i}")
         return max(0.0, 2.0 * float(solution.objective))
 
-    def g_decide(self, i: float, threshold: float, workers: int = 1):
-        """The exact predicate ``G_i ≤ threshold`` as ``(bool, G or None)``.
+    def g_decide(self, i: float, threshold: float) -> Tuple[bool, float]:
+        """The exact predicate ``G_i ≤ threshold`` as ``(bool, G_i)``.
 
-        The Δ binary search (Sec. 5.3) only consumes threshold tests, so
-        this races a pure feasibility probe — the Eq. 19 polytope with
-        ``z`` pinned at ``threshold/2`` — against the exact min-max solve
-        (see ``CompiledProgram.solve_g_decide``); with ``workers >= 2``
-        the two strands run concurrently in forked processes, first
-        decided wins.  When the exact strand wins, its value is returned
-        for the caller to cache.
+        A closed form needs no LP; otherwise this is one step of the
+        Δ-search walk on the exact G model
+        (``CompiledProgram.solve_g_decide``), ended by :meth:`end_g_walk`.
         """
-        if not 0.0 <= i <= self.num_participants + 1e-9:
-            raise LPError(f"G index {i} outside [0, {self.num_participants}]")
-        if threshold < 0:
-            return False, None  # G_i >= 0 always
-        if not self._g_rows or i <= 1e-12:
-            return True, 0.0  # G_i = 0 <= threshold
-        if i >= self.num_participants - 1e-12:
-            full = self._g_full()
-            return full <= threshold, full
-        return self._compiled.solve_g_decide(
-            float(i), float(threshold), workers=workers
-        )
+        closed = self.g_closed_form(i)
+        if closed is not None:
+            return closed <= threshold, closed
+        return self._compiled.solve_g_decide(float(i), float(threshold))
+
+    def end_g_walk(self) -> None:
+        """Free the Δ-search walk's G model (``CompiledProgram.end_g_walk``)."""
+        self._compiled.end_g_walk()
 
     def g_leq(self, i: float, threshold: float) -> bool:
         """Boolean form of :meth:`g_decide`."""

@@ -37,6 +37,10 @@ __all__ = ["SimplexBackend", "reference_h", "reference_g", "reference_x"]
 
 _EPS = 1e-9
 
+#: Smallest pivot element the ratio test accepts: pivoting on an entry
+#: barely above ``_EPS`` amplifies rounding until the basis is garbage.
+_PIVOT_TOL = 1e-7
+
 
 def _dense(matrix) -> Optional[np.ndarray]:
     if matrix is None:
@@ -104,10 +108,18 @@ class SimplexBackend(SolverBackend):
         status, x_shifted, objective = solution
         if status == "unbounded":
             return LPSolution("unbounded", float("nan"), np.zeros(0))
+        x = x_shifted + lower
+        # an oracle must fail loudly, never report an infeasible "optimum"
+        gaps = [lower - x, x - np.array([np.inf if u is None else u for u in upper])]
+        if a_ub is not None:
+            gaps.append(_dense(a_ub) @ x - np.asarray(b_ub, dtype=float))
+        if a_eq is not None:
+            gaps.append(np.abs(_dense(a_eq) @ x - np.asarray(b_eq, dtype=float)))
+        worst = max(float(np.max(gap, initial=0.0)) for gap in gaps)
+        if worst > 1e-6:
+            raise LPError(f"simplex oracle lost feasibility (violation {worst:.2e})")
         return LPSolution(
-            "optimal",
-            objective + float(c @ lower) + float(objective_constant),
-            x_shifted + lower,
+            "optimal", objective + float(c @ lower) + float(objective_constant), x
         )
 
     # -- tableau machinery ----------------------------------------------------
@@ -238,7 +250,7 @@ class SimplexBackend(SolverBackend):
             leaving = -1
             for i in range(m):
                 coeff = tableau[i, entering]
-                if coeff > _EPS:
+                if coeff > _PIVOT_TOL:
                     ratio = tableau[i, -1] / coeff
                     if (
                         best_ratio is None
@@ -259,9 +271,11 @@ class SimplexBackend(SolverBackend):
     @staticmethod
     def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
         tableau[row] /= tableau[row, col]
-        for i in range(tableau.shape[0]):
-            if i != row and abs(tableau[i, col]) > _EPS:
-                tableau[i] -= tableau[i, col] * tableau[row]
+        # eliminate every other row, tiny entries too, so no residue
+        # survives to be amplified by later pivots
+        factors = tableau[:, col].copy()
+        factors[row] = 0.0
+        tableau -= np.outer(factors, tableau[row])
 
     def _drive_out_artificials(self, tableau, basis, artificial_cols) -> None:
         """Pivot basic artificials out of the basis where possible."""

@@ -182,11 +182,7 @@ class TestBackendContract:
     def test_capability_flags_exposed(self):
         for name in AVAILABLE:
             backend = backends.create(name)
-            for flag in (
-                "supports_persistent",
-                "supports_multi_rhs",
-                "supports_warm_start",
-            ):
+            for flag in ("supports_persistent", "supports_multi_rhs"):
                 assert isinstance(getattr(backend, flag), bool)
 
     def test_abstract_backend_rejects_persistent_build(self):

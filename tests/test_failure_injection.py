@@ -21,11 +21,24 @@ from repro.errors import LPError, MechanismError
 from repro.graphs import random_graph_with_avg_degree
 from repro.lp import LPSolution, ScipyBackend
 from repro.lp.backends import SolverBackend
+from repro.lp.highs_engine import HighsBackend, engine_available
 from repro.subgraphs import subgraph_krelation, triangle
 
-# The doubles below implement ``solve_arrays`` and leave every capability
+# Most doubles below implement ``solve_arrays`` and leave every capability
 # flag false, so each solve reaches them through ``CompiledProgram``'s
-# arrays path — the one production solve path.
+# arrays path.  ``FailingWalkBackend`` instead wraps the persistent G
+# model the Δ search walks on.
+
+needs_engine = pytest.mark.skipif(
+    not engine_available(), reason="scipy HiGHS bindings unavailable"
+)
+
+
+def _is_g_program(c):
+    """The G overlay is the only program whose objective is the lone
+    trailing ``z`` column."""
+    c = np.asarray(c)
+    return c[-1] == 1.0 and not np.any(c[:-1])
 
 
 class FailingBackend(SolverBackend):
@@ -67,23 +80,47 @@ class CorruptingBackend(ScipyBackend):
 
 
 class ErroringProbeBackend(ScipyBackend):
-    """Exact solves, except that every Δ feasibility probe errors out.
-
-    The probe (``G_i ≤ τ`` with ``z`` pinned) is the only overlay with an
-    all-zero objective.
-    """
+    """Exact solves, except that every G solve (each a cold Δ probe on the
+    arrays path) errors out."""
 
     def __init__(self):
         super().__init__()
         self.probes = 0
 
     def solve_arrays(self, c, a_ub, b_ub, a_eq, b_eq, bounds, objective_constant=0.0):
-        if not np.any(c):
+        if _is_g_program(c):
             self.probes += 1
             return LPSolution("error", float("nan"), np.zeros(0), "injected")
         return super().solve_arrays(
             c, a_ub, b_ub, a_eq, b_eq, bounds, objective_constant
         )
+
+
+class FailingWalkBackend(HighsBackend):
+    """Real HiGHS models, except that the Δ walk's G model reports
+    ``status`` on its cold solves (``resumed=False``) or on its resumed
+    ones (``resumed=True``)."""
+
+    def __init__(self, status, resumed):
+        super().__init__()
+        self.status = status
+        self.resumed = resumed
+        self.injected = 0
+
+    def build_persistent(self, matrix, col_costs, *args, **kwargs):
+        model = super().build_persistent(matrix, col_costs, *args, **kwargs)
+        if _is_g_program(col_costs):
+            solve = model.solve
+
+            def failing_solve(resume=False):
+                solution = solve(resume=resume)
+                if resume != self.resumed:
+                    return solution
+                self.injected += 1
+                return LPSolution(self.status, float("nan"), np.zeros(0), "injected")
+
+            model.solve = failing_solve
+        return model
 
 
 @pytest.fixture
@@ -119,17 +156,40 @@ class TestSolverFailures:
         with pytest.raises(LPError, match="iteration_limit"):
             mechanism.h_entry(2)
 
-    def test_errored_feasibility_probe_raises_not_decides(self):
-        """A probe whose solver reports ``error`` must abort the Δ search
-        with an LPError — never be read as infeasible (``G_i > τ``)."""
+    @staticmethod
+    def _walk_failure(backend):
+        """Run one Δ search on ``backend``; return the raised LPError."""
         graph = random_graph_with_avg_degree(30, 6, rng=0)
         relation = subgraph_krelation(graph, triangle(), privacy="node")
-        backend = ErroringProbeBackend()
         mechanism = EfficientRecursiveMechanism(relation, backend=backend)
         params = RecursiveMechanismParams.paper(0.5, node_privacy=True)
-        with pytest.raises(LPError, match="feasibility probe failed: error"):
+        with pytest.raises(LPError) as caught:
             mechanism.compute_delta(params)
+        # the failed walk's model is freed like a finished one's
+        assert mechanism._encoded._compiled._g_model is None
+        return caught.value
+
+    @needs_engine
+    def test_errored_g_probe_raises_not_decides(self):
+        """A Δ probe whose solver reports ``error`` — on the walk's cold
+        first solve, on a resumed solve, or on the arrays path — must
+        abort the Δ search with an LPError, never be read as ``G_i > τ``."""
+        for resumed in (False, True):
+            backend = FailingWalkBackend("error", resumed=resumed)
+            error = self._walk_failure(backend)
+            assert "probe failed: error" in str(error)
+            assert backend.injected == 1
+        backend = ErroringProbeBackend()
+        assert "probe failed: error" in str(self._walk_failure(backend))
         assert backend.probes == 1
+
+    @needs_engine
+    def test_iteration_limited_g_probe_names_the_status(self):
+        for resumed in (False, True):
+            backend = FailingWalkBackend("iteration_limit", resumed=resumed)
+            error = self._walk_failure(backend)
+            assert "probe failed: iteration_limit" in str(error)
+            assert backend.injected == 1
 
     def test_corrupted_x_relaxation_detected_by_convexity_guard(self, relation):
         """A solver returning a too-high Eq. 20 relaxation trips the

@@ -4,7 +4,8 @@ Pins the three guarantees of ``repro.parallel``:
 
 * **determinism** — released answers are byte-identical between serial
   (``workers=1``) and parallel (``workers=k``) execution at a fixed seed,
-  for trial sharding, sweep-grid sharding, and the Δ-probe process race;
+  for trial sharding and sweep-grid sharding (the Δ search is one
+  in-process walk for any worker count);
 * **fork-safety** — persistent HiGHS models never cross the fork: each
   worker re-instantiates its own lazily, and using a parent's model from
   a child raises instead of corrupting shared solver state;
@@ -30,13 +31,7 @@ from repro.experiments.mechanisms import make_runner
 from repro.experiments.runtime import fig5_runtime_sweep
 from repro.graphs import random_graph_with_avg_degree
 from repro.lp.highs_engine import engine_available
-from repro.parallel import (
-    StrandError,
-    first_decided,
-    fork_available,
-    map_tasks,
-    resolve_workers,
-)
+from repro.parallel import fork_available, map_tasks, resolve_workers
 from repro.rng import spawn_seed_sequences
 from repro.subgraphs import subgraph_krelation, triangle
 
@@ -185,32 +180,6 @@ class TestWorkerPoolShutdown:
             pool.submit(0.0)
 
 
-def _fast_strand():
-    return 42
-
-
-def _slow_strand():
-    import time
-
-    time.sleep(30)
-    return 0
-
-
-def _failing_strand():
-    raise RuntimeError("strand broke")
-
-
-@needs_fork
-class TestFirstDecided:
-    def test_fast_strand_wins_and_loser_dies(self):
-        name, value = first_decided([("slow", _slow_strand), ("fast", _fast_strand)])
-        assert (name, value) == ("fast", 42)
-
-    def test_all_failures_raise(self):
-        with pytest.raises(StrandError, match="strand broke"):
-            first_decided([("a", _failing_strand), ("b", _failing_strand)])
-
-
 class TestSpawnSeedSequences:
     def test_deterministic_from_int(self):
         a = [s.generate_state(2).tolist() for s in spawn_seed_sequences(11, 4)]
@@ -312,7 +281,6 @@ class TestForkSafety:
         assert program._h_model is None
         assert program._g_model is None
         assert program._x_model is None
-        assert program._feas_model is None
 
 
 @needs_fork
@@ -335,19 +303,19 @@ class TestSolveManyAndRace:
         ]
         assert [s.objective for s in batched] == [s.objective for s in pointwise]
 
-    def test_race_matches_serial_decision(self, small_graph):
+    def test_walk_matches_cold_decision(self, small_graph):
+        """A workers=2 mechanism's Δ walk decides like cold solves."""
         relation = subgraph_krelation(small_graph, triangle(), privacy="edge")
-        serial = EfficientRecursiveMechanism(relation)._encoded
-        parallel = EfficientRecursiveMechanism(relation)._encoded
-        n = serial.num_participants
-        full = serial.solve_g(n)
+        cold = EfficientRecursiveMechanism(relation)._encoded
+        walk = EfficientRecursiveMechanism(relation, workers=2)._encoded
+        n = cold.num_participants
+        full = cold.solve_g(n)
         for i in (n // 3, n // 2, 2 * n // 3):
+            exact = cold.solve_g(float(i))
             for threshold in (0.25 * full, 0.5 * full, 0.9 * full):
-                expected, _ = serial.g_decide(float(i), threshold, workers=1)
-                decided, value = parallel.g_decide(float(i), threshold, workers=2)
-                assert decided == expected, (i, threshold)
-                if value is not None:
-                    assert (value <= threshold) == decided
+                decided, value = walk.g_decide(float(i), threshold)
+                assert decided == (exact <= threshold), (i, threshold)
+                assert value == pytest.approx(exact, rel=1e-9, abs=1e-9)
 
     def test_nested_parallelism_demotes_in_daemonic_workers(self, small_graph):
         """A workers>=2 mechanism must run inside a pool shard (where
@@ -373,7 +341,7 @@ class TestCrossBackendIdentity:
 
     The registry may route solves through pure ``linprog``, the persistent
     HiGHS engine, or an out-of-tree backend — but at a fixed seed the
-    mechanism's noise and its deterministic intermediates (Δ-probe race
+    mechanism's noise and its deterministic intermediates (Δ-walk
     decisions, batched ``solve_many`` objectives) must not depend on
     which backend ran.
     """
@@ -392,18 +360,23 @@ class TestCrossBackendIdentity:
             results[name] = (outcome.answer, outcome.delta_hat)
         assert len(set(results.values())) == 1, results
 
-    def test_g_decide_race_identical(self, small_graph):
+    def test_g_decide_walk_identical(self, small_graph):
+        """Every backend's Δ walk makes the decisions of cold solves."""
         relation = subgraph_krelation(small_graph, triangle(), privacy="edge")
         decisions = {}
         for name in self._backends():
             encoded = EfficientRecursiveMechanism(relation, backend=name)._encoded
+            cold = EfficientRecursiveMechanism(relation, backend=name)._encoded
             n = encoded.num_participants
             full = encoded.solve_g(n)
-            decisions[name] = tuple(
-                encoded.g_decide(float(i), threshold, workers=1)[0]
+            probes = [
+                (float(i), threshold)
                 for i in (n // 3, n // 2, 2 * n // 3)
                 for threshold in (0.25 * full, 0.5 * full, 0.9 * full)
-            )
+            ]
+            decisions[name] = tuple(encoded.g_decide(*probe)[0] for probe in probes)
+            expected = tuple(cold.solve_g(i) <= threshold for i, threshold in probes)
+            assert decisions[name] == expected, name
         assert len(set(decisions.values())) == 1, decisions
 
     def test_solve_many_identical(self, small_graph):

@@ -120,8 +120,7 @@ class TestCompiledProgramSharing:
                 attached.solve_x(delta).objective, program.solve_x(delta).objective
             )
         for i, bound in ((1.0, 0.5), (2.0, 10.0)):
-            assert (attached.solve_g_feasible(i, bound)
-                    == program.solve_g_feasible(i, bound))
+            assert attached.solve_g_decide(i, bound) == program.solve_g_decide(i, bound)
         shm.release_spec(spec)  # the attach references
         program.release_shared()
         with pytest.raises(FileNotFoundError):
