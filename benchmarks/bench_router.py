@@ -1,4 +1,4 @@
-"""Horizontal-serving microbench: routing, replication lag, shared memory.
+"""Horizontal-serving microbench: routing and replication lag.
 
 Runs the PR-7 topology in-process — one primary
 :class:`~repro.service.ServiceRouter` with two datasets (one dynamic)
@@ -7,9 +7,7 @@ plus one tailing :class:`~repro.service.ReplicaService` — and measures:
 * warm per-request latency through the v2 router, per dataset (the
   multi-dataset routing layer must not tax the v1 hot path);
 * replica catch-up: the wall time from a primary write to the moment a
-  ``min_version``-floored read on the replica releases;
-* shared-memory compiled-block export/attach round-trip, with the
-  attached program's answer checked byte-identical to the exporter's.
+  ``min_version``-floored read on the replica releases.
 
 Emits ``BENCH_router.json`` (path from ``$REPRO_BENCH_ROUTER_OUT``,
 default ``benchmarks/results/``) so CI can archive the numbers next to
@@ -22,13 +20,11 @@ import statistics
 import time
 from pathlib import Path
 
-import numpy as np
 from bench_service import scraped_quantiles
 
 from repro import PrivateSession, random_graph_with_avg_degree
 from repro.dynamic import VersionedGraph
 from repro.experiments import format_table
-from repro.parallel import shm
 from repro.service import (
     BackgroundService,
     ReplicaService,
@@ -51,7 +47,7 @@ def _session(data, cache):
     )
 
 
-def test_router_replication_shm_bench(scale, record_figure, results_dir):
+def test_router_replication_bench(scale, record_figure, results_dir):
     n = max(40, int(round(150 * scale.graph_nodes_factor)))
     alpha_graph = VersionedGraph(random_graph_with_avg_degree(n, 6, rng=11))
     beta_graph = random_graph_with_avg_degree(n, 6, rng=12)
@@ -125,31 +121,6 @@ def test_router_replication_shm_bench(scale, record_figure, results_dir):
     for session in replica_sessions:
         session.close()
 
-    # Shared-memory compiled blocks: export, attach, byte-identical solve.
-    from repro.boolexpr.expr import And, Or, Var
-    from repro.lp import backends as lp_backends
-    from repro.relax.encode import EncodedRelation
-
-    names = [f"p{i}" for i in range(6)]
-    annotated = [
-        (And([Var("p0"), Var("p1"), Var("p2")]), 2.0),
-        (Or([Var("p2"), And([Var("p3"), Var("p4")])]), 1.5),
-        (Or([Var("p1"), Var("p5")]), 1.0),
-    ]
-    relation = EncodedRelation(names, annotated, lp_backends.default_backend())
-    program = relation._compiled
-    start = time.perf_counter()
-    spec = program.export_shared()
-    export_seconds = time.perf_counter() - start
-    start = time.perf_counter()
-    attached = type(program).attach_shared(spec)
-    attach_seconds = time.perf_counter() - start
-    np.testing.assert_equal(
-        attached.solve_h(1.0).objective, program.solve_h(1.0).objective
-    )
-    shm.release_spec(spec)
-    program.release_shared()
-
     # Per-dataset server-side latency quantiles from the wire metrics op
     # (the lane label isolates this router's streams from other benches
     # sharing the process registry — filter on dataset name only).
@@ -169,15 +140,13 @@ def test_router_replication_shm_bench(scale, record_figure, results_dir):
         "beta_p99_seconds": beta_latency["p99"],
         "replica_catchup_median_seconds": statistics.median(catchup),
         "replica_catchup_max_seconds": max(catchup),
-        "shm_export_seconds": export_seconds,
-        "shm_attach_seconds": attach_seconds,
     }
     record_figure(
         "router_serving",
         format_table(
             [row],
             list(row),
-            title=f"Router + replica + shared-memory serving " f"(scale={scale.name})",
+            title=f"Router + replica serving (scale={scale.name})",
         ),
     )
     out_path = Path(
@@ -192,6 +161,3 @@ def test_router_replication_shm_bench(scale, record_figure, results_dir):
     out_path.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"[router bench written to {out_path}]")
 
-    # Attaching shared blocks must stay cheap next to exporting them —
-    # the whole point is that attach avoids the copy/compile.
-    assert attach_seconds < 1.0, f"attach took {attach_seconds:.3f}s"

@@ -11,8 +11,6 @@ Each module contributes one invariant checker:
   reach ``commit()``/``rollback()``;
 * :mod:`.eventloop` — ``async-blocking``: no blocking calls on the
   service event loop;
-* :mod:`.shmlifecycle` — ``shm-lifecycle``: shared-memory exports need
-  a paired registered release;
 * :mod:`.pragmas` — ``pragma``: suppressions must name a real rule, a
   reason, and an actual finding.
 """
@@ -24,7 +22,6 @@ from . import (
     iteration,
     pragmas,
     rng,
-    shmlifecycle,
 )
 
 __all__ = [
@@ -34,5 +31,4 @@ __all__ = [
     "iteration",
     "pragmas",
     "rng",
-    "shmlifecycle",
 ]

@@ -129,7 +129,7 @@ def _apply_lp_backend(args) -> None:
         from .lp.backends import PREFERENCES_ENV, load_preferences
 
         # load now (fail fast on a bad file) and export for any forked
-        # or spawned worker that re-resolves the default backend
+        # worker that re-resolves the default backend
         load_preferences(args.lp_preferences)
         os.environ[PREFERENCES_ENV] = args.lp_preferences
 

@@ -168,8 +168,6 @@ class CompiledProgram:
         self._h_model: Optional[PersistentModel] = None
         self._g_model: Optional[PersistentModel] = None
         self._x_model: Optional[PersistentModel] = None
-        # memoized shared-memory export spec (see export_shared)
-        self._shared_spec: Optional[Dict] = None
         # Forked workers inherit the CSR blocks copy-on-write but must
         # re-instantiate the per-process persistent models lazily.
         register_fork_reset(self)
@@ -197,135 +195,6 @@ class CompiledProgram:
         reset = getattr(self.backend, "fork_reset", None)
         if reset is not None:
             reset()
-
-    # -- shared-memory export / attach ---------------------------------------
-    def export_shared(self) -> Dict:
-        """Export the compiled base blocks into named shared-memory segments.
-
-        Returns a small JSON-able *spec* — segment names plus shapes,
-        dtypes, and the scalar metadata — from which
-        :meth:`attach_shared` rebuilds an equivalent program in **any**
-        process, mapping the same physical pages read-only instead of
-        copying them.  This is the fork-free sharing path: spawn-started
-        workers, sibling service processes, and processes older than the
-        compilation all attach by name.
-
-        Exported blocks: the ``A_ub`` CSR triple, its RHS, the objective
-        vector, and the G rows as one CSR block.  *Derived* state is
-        deliberately not shipped — the unit-cube bounds, the mass row,
-        the lazily assembled overlays, and all persistent models are
-        rebuilt on the attach side (the persistent ones through the
-        backend's ``build_persistent``, exactly as forked workers do).
-
-        The spec is memoized: repeated calls (one per spawn pool, say)
-        reuse the same segments.  Balance with :meth:`release_shared`;
-        unreleased segments are unlinked at interpreter exit by the
-        :mod:`repro.parallel.shm` registry.  Requires a registry-named
-        backend (the attach side re-creates it by name).
-        """
-        from ..parallel import shm
-
-        if self._shared_spec is not None:
-            return self._shared_spec
-        backend_name = getattr(self.backend, "name", None)
-        if not backend_name or not isinstance(backend_name, str):
-            raise LPError(
-                f"{self._err_prefix()} shared export needs a registry-named "
-                "backend (attachers re-create it by name); this backend has "
-                "no usable .name"
-            )
-        g_csr = self._g_matrix(self.num_variables)
-        spec: Dict = {
-            "num_variables": self.num_variables,
-            "num_participants": self.num_participants,
-            "objective_constant": self._constant,
-            "backend": backend_name,
-            "objective": shm.export_array(self._c),
-            "g": _export_csr(g_csr),
-            "ub": None,
-            "rhs": None,
-        }
-        if self._a_ub is not None:
-            spec["ub"] = _export_csr(self._a_ub)
-            spec["rhs"] = shm.export_array(self._b_ub)
-        self._shared_spec = spec
-        return spec
-
-    def release_shared(self) -> None:
-        """Release this program's exported segments (owner side).
-
-        Safe when nothing was exported.  After release the spec is
-        forgotten, so a later :meth:`export_shared` exports afresh.
-        """
-        from ..parallel import shm
-
-        if self._shared_spec is not None:
-            spec, self._shared_spec = self._shared_spec, None
-            shm.release_spec(spec)
-
-    @classmethod
-    def attach_shared(cls, spec: Dict, backend=None) -> "CompiledProgram":
-        """Rebuild a program over the segments named in ``spec``.
-
-        The attached arrays are mapped read-only; everything derived —
-        bounds, mass row, overlays, persistent models — is rebuilt
-        locally, so solves are byte-identical to the exporting program's
-        (pinned by ``tests/test_shm.py``).  ``backend`` defaults to the
-        spec's registry name, re-created in this process.
-        """
-        from ..parallel import shm
-        from .backends import resolve
-
-        backend = resolve(backend if backend is not None else spec["backend"])
-        program = object.__new__(cls)
-        program.backend = backend
-        program.num_variables = int(spec["num_variables"])
-        program.num_participants = int(spec["num_participants"])
-        program._constant = float(spec["objective_constant"])
-        program._bounds = np.empty((program.num_variables, 2))
-        program._bounds[:, 0] = 0.0
-        program._bounds[:, 1] = 1.0
-        program._c = shm.attach_array(spec["objective"])
-        if spec["ub"] is not None:
-            program._a_ub = _attach_csr(spec["ub"])
-            program._b_ub = shm.attach_array(spec["rhs"])
-        else:
-            program._a_ub = None
-            program._b_ub = None
-        program._a_mass = sparse.csr_matrix(
-            (
-                np.ones(program.num_participants),
-                (
-                    np.zeros(program.num_participants, dtype=np.int64),
-                    np.arange(program.num_participants, dtype=np.int64),
-                ),
-            ),
-            shape=(1, program.num_variables),
-        )
-        g_csr = _attach_csr(spec["g"])
-        program._g_row_maps = [
-            {
-                int(col): float(val)
-                for col, val in zip(
-                    g_csr.indices[g_csr.indptr[row]:g_csr.indptr[row + 1]],
-                    g_csr.data[g_csr.indptr[row]:g_csr.indptr[row + 1]],
-                )
-            }
-            for row in range(g_csr.shape[0])
-        ]
-        program._use_engine = bool(getattr(backend, "supports_persistent", False))
-        program._g_overlay = None
-        program._h_model = None
-        program._g_model = None
-        program._x_model = None
-        program._shared_spec = None
-        register_fork_reset(program)
-        return program
-
-    def __shared_spawn__(self):
-        """The :func:`repro.parallel.pool.map_tasks` spawn protocol:
-        ``(importable rebuild callable, picklable spec)``."""
-        return _rebuild_shared_program, self.export_shared()
 
     # -- shared helpers ------------------------------------------------------
     def _num_ub_rows(self) -> int:
@@ -612,38 +481,6 @@ class CompiledProgram:
             f"num_g_rows={len(self._g_row_maps)}, "
             f"engine={self._use_engine})"
         )
-
-
-def _export_csr(matrix: sparse.csr_matrix) -> Dict:
-    """Export one CSR matrix as three named segments plus its shape."""
-    from ..parallel import shm
-
-    return {
-        "data": shm.export_array(matrix.data),
-        "indices": shm.export_array(matrix.indices),
-        "indptr": shm.export_array(matrix.indptr),
-        "shape": [int(matrix.shape[0]), int(matrix.shape[1])],
-    }
-
-
-def _attach_csr(spec: Dict) -> sparse.csr_matrix:
-    """Map an exported CSR back over its segments (arrays stay read-only)."""
-    from ..parallel import shm
-
-    return sparse.csr_matrix(
-        (
-            shm.attach_array(spec["data"]),
-            shm.attach_array(spec["indices"]),
-            shm.attach_array(spec["indptr"]),
-        ),
-        shape=tuple(spec["shape"]),
-        copy=False,
-    )
-
-
-def _rebuild_shared_program(spec) -> CompiledProgram:
-    """Spawn-worker initializer target: attach the shared program."""
-    return CompiledProgram.attach_shared(spec)
 
 
 def _solve_overlay_task(program: CompiledProgram, task) -> LPSolution:

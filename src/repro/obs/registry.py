@@ -352,7 +352,7 @@ class MetricsRegistry:
 
 
 #: The process-wide registry.  Forked workers inherit it (and rebaseline
-#: in the pool initializer); spawn workers start a fresh empty one.
+#: in the pool initializer).
 _DEFAULT = MetricsRegistry()
 
 

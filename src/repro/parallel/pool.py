@@ -27,18 +27,6 @@ per-process solver state call :func:`register_fork_reset` at construction
 time, and every worker runs :func:`run_fork_resets` immediately after the
 fork, before touching any task.
 
-Since PR 7 the fork *ordering constraint* — workers must be forked
-after compilation, from the compiling process — is optional: payloads
-that implement the ``__shared_spawn__`` protocol (notably
-:class:`~repro.lp.compiled.CompiledProgram` via
-:mod:`repro.parallel.shm`) export their base arrays into named
-shared-memory segments, and :class:`SpawnWorkerPool` workers started
-with the ``spawn`` method attach those segments read-only by name and
-rebuild the payload in place.  Any process can join at any time; the
-physical pages are still shared, exactly as under copy-on-write.
-Select the method explicitly with ``$REPRO_START_METHOD`` (``fork`` /
-``spawn``); the default remains ``fork`` where available.
-
 Platforms without the ``fork`` start method (Windows, some embedded
 interpreters) and ``workers=1`` runs take a clean in-process fallback:
 the same task functions run sequentially in the parent, with identical
@@ -58,21 +46,15 @@ from ..obs import tracer as obs_tracer
 
 __all__ = [
     "fork_available",
-    "spawn_available",
     "resolve_workers",
-    "resolve_start_method",
     "register_fork_reset",
     "run_fork_resets",
     "map_tasks",
     "WorkerPool",
-    "SpawnWorkerPool",
 ]
 
 #: Environment variable consulted when ``workers`` is not given explicitly.
 WORKERS_ENV = "REPRO_WORKERS"
-
-#: Environment variable selecting the worker start method (fork/spawn).
-START_METHOD_ENV = "REPRO_START_METHOD"
 
 #: Objects whose per-process solver state must be dropped in forked
 #: children (weak references — registration must not leak programs).
@@ -91,38 +73,6 @@ _ACTIVE_KEY: Optional[int] = None
 def fork_available() -> bool:
     """Whether copy-on-write worker pools can be used on this platform."""
     return "fork" in multiprocessing.get_all_start_methods()
-
-
-def spawn_available() -> bool:
-    """Whether spawn-started (shared-memory-attaching) pools can be used."""
-    return "spawn" in multiprocessing.get_all_start_methods()
-
-
-def resolve_start_method() -> str:
-    """The worker start method pools should use: ``fork`` or ``spawn``.
-
-    ``$REPRO_START_METHOD`` wins when set (and must name an available
-    method); otherwise ``fork`` where the platform has it — copy-on-write
-    inheritance needs no segment bookkeeping — falling back to ``spawn``.
-    Note the capability asymmetry: fork pools carry *any* payload, spawn
-    pools only payloads implementing ``__shared_spawn__`` (everything
-    else degrades to the in-process serial fallback).
-    """
-    env = os.environ.get(START_METHOD_ENV)
-    if env is not None and env.strip():
-        method = env.strip().lower()
-        if method not in ("fork", "spawn"):
-            raise ValueError(
-                f"${START_METHOD_ENV} must be 'fork' or 'spawn', got {env!r}"
-            )
-        if method not in multiprocessing.get_all_start_methods():
-            raise ValueError(
-                f"${START_METHOD_ENV}={method} is not available on this " "platform"
-            )
-        return method
-    if fork_available():
-        return "fork"
-    return "spawn" if spawn_available() else "fork"
 
 
 def _available_cpus() -> int:
@@ -157,8 +107,8 @@ def resolve_workers(workers: Optional[int] = None) -> int:
             workers = validate_workers(workers, name=f"${WORKERS_ENV}")
         else:
             workers = _available_cpus()
-    if workers > 1 and not fork_available() and not spawn_available():
-        return 1  # no usable multiprocess start method at all
+    if workers > 1 and not fork_available():
+        return 1  # no fork start method: the in-process fallback
     if workers > 1 and multiprocessing.current_process().daemon:
         # Pool workers are daemonic and may not fork children of their
         # own (e.g. a mechanism built with workers>=2 running inside a
@@ -234,8 +184,10 @@ def _absorb(envelope):
     return envelope.result
 
 
-def _run_enveloped(fn, payload, task):
-    """Worker-side execution: activate context, run, pack telemetry."""
+def _invoke(task):
+    """Run one task against the worker's inherited payload: activate the
+    submitter's span context, run, and pack the telemetry it produced."""
+    fn, payload = _PAYLOADS[_ACTIVE_KEY]
     tracing = obs_tracer()
     if isinstance(task, _ObsTask):
         token = tracing.activate(task.context)
@@ -246,12 +198,6 @@ def _run_enveloped(fn, payload, task):
     else:
         result = fn(payload, task)
     return _ObsEnvelope(result, obs_metrics().drain_delta(), tracing.drain_buffered())
-
-
-def _invoke(task):
-    """Run one task against the worker's inherited payload."""
-    fn, payload = _PAYLOADS[_ACTIVE_KEY]
-    return _run_enveloped(fn, payload, task)
 
 
 class _PoolResult:
@@ -431,73 +377,6 @@ class WorkerPool:
         self.close()
 
 
-# -- spawn-started pools over shared-memory payloads -------------------------
-
-#: Set in each spawn worker by the pool initializer: (fn, rebuilt payload).
-_SPAWN_STATE: Optional[Tuple[Callable, object]] = None
-
-
-def _spawn_worker_init(fn: Callable, rebuild: Callable, spec) -> None:
-    """Spawn-pool initializer: rebuild the payload from its shared spec."""
-    global _SPAWN_STATE
-    _SPAWN_STATE = (fn, rebuild(spec))
-
-
-def _spawn_invoke(task):
-    """Run one task against the worker's rebuilt payload."""
-    fn, payload = _SPAWN_STATE
-    return _run_enveloped(fn, payload, task)
-
-
-class SpawnWorkerPool:
-    """A pool whose workers *attach* the payload instead of inheriting it.
-
-    The shared-memory counterpart of :class:`WorkerPool`: workers start
-    with the ``spawn`` method (fresh interpreters — nothing is inherited)
-    and rebuild the payload by calling ``rebuild(spec)``, where ``spec``
-    is a small picklable description — typically shared-memory segment
-    names exported through :mod:`repro.parallel.shm`, so the big arrays
-    are mapped, not copied.  This removes the fork ordering constraint:
-    the pool may be created before, after, or long after compilation, in
-    any process that can resolve the segment names.
-
-    ``fn`` and ``rebuild`` must be importable module-level callables
-    (they cross the spawn boundary by pickle); payloads advertise their
-    ``(rebuild, spec)`` pair through the ``__shared_spawn__`` protocol.
-    """
-
-    def __init__(self, workers: int, fn: Callable, rebuild: Callable, spec):
-        if workers < 2:
-            raise ValueError(f"SpawnWorkerPool needs >= 2 workers, got {workers}")
-        if not spawn_available():  # pragma: no cover - spawn is universal
-            raise RuntimeError("SpawnWorkerPool requires the 'spawn' start method")
-        context = multiprocessing.get_context("spawn")
-        self._pool = context.Pool(
-            processes=workers,
-            initializer=_spawn_worker_init,
-            initargs=(fn, rebuild, spec),
-        )
-
-    def map(self, tasks: Sequence) -> List:
-        """Run every task; results come back in task order."""
-        tasks = [_wrap_task(task) for task in tasks]
-        obs_metrics().counter("repro_pool_tasks_total", mode="spawn").inc(len(tasks))
-        return [_absorb(envelope) for envelope in self._pool.map(_spawn_invoke, tasks)]
-
-    def close(self) -> None:
-        """Terminate the workers (their segment mappings die with them)."""
-        if self._pool is not None:
-            pool, self._pool = self._pool, None
-            pool.terminate()
-            pool.join()
-
-    def __enter__(self) -> "SpawnWorkerPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
 def map_tasks(
     fn: Callable,
     tasks: Sequence,
@@ -509,25 +388,13 @@ def map_tasks(
     The single entry point used by the batch APIs: resolves ``workers``
     (argument > env > CPU count) and falls back to a sequential
     in-process loop when only one worker is available (or useful).
-    Otherwise the start method (:func:`resolve_start_method`) picks the
-    sharing scheme: ``fork`` pools fork *after* ``payload`` exists so
-    workers inherit it copy-on-write; ``spawn`` pools rebuild the
-    payload from its ``__shared_spawn__`` spec (shared-memory segment
-    names) in each worker — payloads without that protocol run serially.
-    Results are always in task order and identical across all three
-    execution modes.
+    Otherwise a :class:`WorkerPool` forks *after* ``payload`` exists so
+    workers inherit it copy-on-write.  Results are in task order and
+    identical in both execution modes.
     """
     tasks = list(tasks)
     workers = min(resolve_workers(workers), len(tasks))
     if workers <= 1:
         return [fn(payload, task) for task in tasks]
-    method = resolve_start_method()
-    if method == "fork" and fork_available():
-        with WorkerPool(workers, fn, payload) as pool:
-            return pool.map(tasks)
-    shared = getattr(payload, "__shared_spawn__", None)
-    if shared is not None and spawn_available():
-        rebuild, spec = shared()
-        with SpawnWorkerPool(workers, fn, rebuild, spec) as pool:
-            return pool.map(tasks)
-    return [fn(payload, task) for task in tasks]
+    with WorkerPool(workers, fn, payload) as pool:
+        return pool.map(tasks)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import json
 import socket
-import warnings
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..errors import (
@@ -41,19 +40,29 @@ __all__ = ["ServiceClient", "parse_address"]
 
 
 def parse_address(address: Union[str, Tuple[str, int]]) -> Tuple[str, int]:
-    """``"host:port"`` / ``"tcp://host:port"`` / ``(host, port)`` → tuple."""
+    """``"host:port"`` / ``"tcp://host:port"`` / ``(host, port)`` → tuple.
+
+    A bracketed IPv6 host (``"[::1]:8732"``) loses its brackets; the port
+    must lie in 1–65535.
+    """
+    host, port = "", 0
     if isinstance(address, tuple) and len(address) == 2:
-        return str(address[0]), int(address[1])
-    if isinstance(address, str):
+        host, port = str(address[0]), int(address[1])
+    elif isinstance(address, str):
         text = address
         if text.startswith("tcp://"):
             text = text[len("tcp://"):]
-        host, sep, port = text.rpartition(":")
-        if sep and host and port.isdigit():
-            return host, int(port)
+        head, sep, tail = text.rpartition(":")
+        if sep and tail.isdigit():
+            host, port = head, int(tail)
+            if host.startswith("[") and host.endswith("]"):
+                host = host[1:-1]
+    if host and 1 <= port <= 65535:
+        return host, port
     raise ServiceError(
         f"cannot parse service address {address!r}; expected "
-        "'host:port', 'tcp://host:port', or a (host, port) tuple"
+        "'host:port', 'tcp://host:port', or a (host, port) tuple with a "
+        "port in 1-65535"
     )
 
 
@@ -64,8 +73,6 @@ class ServiceClient:
     ----------
     address:
         ``(host, port)``, ``"host:port"``, or ``"tcp://host:port"``.
-        (The two-argument ``ServiceClient(host, port)`` form still works
-        but is deprecated — pass one ``"host:port"`` string.)
     dataset:
         Default dataset every request routes to (protocol v2).  ``None``
         leaves routing to the server's default dataset — exactly what a
@@ -80,20 +87,11 @@ class ServiceClient:
     def __init__(
         self,
         address: Union[str, Tuple[str, int]],
-        port: Optional[int] = None,
         *,
         dataset: Optional[str] = None,
         user: Optional[str] = None,
         timeout: float = 60.0,
     ):
-        if port is not None:
-            warnings.warn(
-                "ServiceClient(host, port) is deprecated; pass one "
-                "address argument, e.g. ServiceClient('host:port')",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            address = (address, port)
         self._address = parse_address(address)
         self._dataset = dataset
         self._user = user

@@ -221,11 +221,14 @@ class ReplicaService(ServiceRouter):
     async def stop(self) -> None:
         if self._follow_task is not None:
             task, self._follow_task = self._follow_task, None
-            task.cancel()
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):
-                pass
+            # Re-cancel until the task ends: before Python 3.12, a cancel
+            # that lands just as an ``asyncio.wait_for`` call in the tail
+            # loop completes is swallowed, and the loop would poll on.
+            while not task.done():
+                task.cancel()
+                await asyncio.wait([task], timeout=self._poll_interval)
+            if not task.cancelled():
+                task.exception()  # a fatal error is kept in follow_error
         await super().stop()
 
     # -- the tail loop ----------------------------------------------------------

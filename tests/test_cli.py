@@ -112,6 +112,11 @@ class TestCommands:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["count", "--workers", "0"])
 
+    def test_replica_rejects_out_of_range_primary_port(self, capsys):
+        args = ["replica", "--primary", "127.0.0.1:70000", "--dataset", "d"]
+        assert main(args) == 2
+        assert "1-65535" in capsys.readouterr().err
+
 
 class TestBatchCommand:
     SPEC = {

@@ -89,6 +89,11 @@ class TestResolveWorkers:
         with pytest.raises(ValueError, match="REPRO_WORKERS"):
             resolve_workers(None)
 
+    def test_forkless_platform_runs_in_process(self, monkeypatch):
+        monkeypatch.setattr("repro.parallel.pool.fork_available", lambda: False)
+        assert resolve_workers(4) == 1
+        assert map_tasks(_double, [1, 2, 3], payload=10, workers=4) == [12, 14, 16]
+
 
 class TestScaleSubsetEmpty:
     def test_empty_sweep_raises_with_scale_names(self):

@@ -12,6 +12,7 @@ read-your-writes contract across the wire.
 
 from __future__ import annotations
 
+import asyncio
 import random
 
 import pytest
@@ -129,6 +130,31 @@ class TestReplicationFeed:
                 with pytest.raises(ValueError, match="static"):
                     client.log()
         session.close()
+
+
+class TestReplicaStop:
+    def test_stop_ends_a_tail_that_swallowed_its_cancel(self):
+        # Before Python 3.12, asyncio.wait_for can swallow a cancel that
+        # lands as its inner call completes; stop() must still end the tail.
+        async def stubborn_tail():
+            try:
+                await asyncio.sleep(60)
+            except asyncio.CancelledError:
+                pass
+            await asyncio.sleep(60)
+
+        async def run():
+            replica = ReplicaService(
+                ("127.0.0.1", 1), "alpha", _session_over, poll_interval=0.01
+            )
+            tail = asyncio.get_running_loop().create_task(stubborn_tail())
+            replica._follow_task = tail
+            await asyncio.sleep(0)
+            stop = asyncio.ensure_future(replica.stop())
+            done, _ = await asyncio.wait([stop], timeout=5)
+            return stop in done and tail.cancelled()
+
+        assert asyncio.run(run())
 
 
 class TestReplicaConsistency:

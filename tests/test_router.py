@@ -384,15 +384,9 @@ class TestPerDatasetStats:
 
 
 class TestClientSurface:
-    def test_positional_host_port_ctor_is_deprecated(self, alpha_graph):
-        session = _session(alpha_graph)
-        with BackgroundService(session) as bg:
-            host, port = bg.address
-            with pytest.warns(DeprecationWarning, match="deprecated"):
-                client = ServiceClient(host, port)
-            with client:
-                assert client.ping()["pong"] is True
-        session.close()
+    def test_positional_host_port_ctor_is_gone(self):
+        with pytest.raises(TypeError):
+            ServiceClient("127.0.0.1", 8732)
 
     def test_connect_context_manager(self, alpha_graph):
         session = _session(alpha_graph)

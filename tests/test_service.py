@@ -95,8 +95,18 @@ class TestProtocol:
         assert parse_address("tcp://10.0.0.1:8732") == ("10.0.0.1", 8732)
         assert parse_address("localhost:99") == ("localhost", 99)
         assert parse_address(("h", 1)) == ("h", 1)
-        with pytest.raises(ServiceError):
-            parse_address("no-port")
+        assert parse_address("[::1]:8732") == ("::1", 8732)
+        assert parse_address("tcp://[fe80::2]:65535") == ("fe80::2", 65535)
+        for bad in (
+            "no-port",
+            "127.0.0.1:70000",
+            "127.0.0.1:0",
+            "[]:8732",
+            ("h", 65536),
+            ("h", 0),
+        ):
+            with pytest.raises(ServiceError):
+                parse_address(bad)
 
     def test_options_must_not_shadow_named_fields(self):
         with pytest.raises(ValueError, match="options"):
