@@ -22,6 +22,7 @@ default ``benchmarks/results/``) for the CI ``dynamic-smoke`` job to
 archive.
 """
 
+import importlib.util
 import json
 import os
 import statistics
@@ -34,6 +35,7 @@ import pytest
 from repro import PrivateSession, VersionedGraph, random_graph_with_avg_degree
 from repro.experiments import format_table
 from repro.store import ingest_edge_list
+from repro.subgraphs import triangle
 from repro.subgraphs.patterns import cycle_pattern
 
 WARM_QUERIES = 10
@@ -178,12 +180,40 @@ def _write_random_edge_list(path, num_edges, num_nodes, seed):
         handle.writelines(f"{a} {b}\n" for a, b in zip(lo, hi))
 
 
+def _load_store_oracle():
+    """The dict occurrence-store oracle that lives beside the tests."""
+    path = Path(__file__).resolve().parents[1] / "tests" / "store_oracle.py"
+    spec = importlib.util.spec_from_file_location("store_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _ingest_dict_lane(edge_list):
+    """Ingest ``edge_list`` with the dict oracle swapped in before registration."""
+    report = ingest_edge_list(edge_list)
+    maintainer = _load_store_oracle().use_dict_store(report.graph).maintainer
+    pattern = triangle()
+    start = time.perf_counter()
+    maintainer.register(pattern)
+    report.register_seconds = time.perf_counter() - start
+    report.registered = [
+        {
+            "pattern": pattern.name,
+            "occurrences": maintainer.count(pattern),
+            "seconds": report.register_seconds,
+        }
+    ]
+    return report
+
+
 def test_dynamic_scale_tier(scale, record_figure, results_dir, tmp_path):
     """Million-edge tier: streaming ingest, 10^4 live updates, store parity.
 
     Opt-in via ``REPRO_BENCH_TIER=scale`` (the tier ingests up to 10^6
     edges and is far too heavy for the default bench sweep).  Two lanes —
-    the columnar store and the dict oracle — ingest the same edge list,
+    the columnar store and the dict oracle loaded from
+    ``tests/store_oracle.py`` — ingest the same edge list,
     absorb the same update stream, and answer the same fixed-seed queries
     at evenly spaced checkpoints; any divergence in the released answers
     fails the run.  ``$REPRO_SCALE_EDGE_LIST`` substitutes a real SNAP
@@ -201,9 +231,10 @@ def test_dynamic_scale_tier(scale, record_figure, results_dir, tmp_path):
         _write_random_edge_list(edge_list, num_edges, num_nodes, seed=19)
         print(f"[edge list generated in {time.perf_counter() - start:.1f}s]")
 
-    lanes = {}
-    for store in ("columnar", "dict"):
-        lanes[store] = ingest_edge_list(edge_list, store=store, register=["triangle"])
+    lanes = {
+        "columnar": ingest_edge_list(edge_list, register=["triangle"]),
+        "dict": _ingest_dict_lane(edge_list),
+    }
     reference = lanes["columnar"].graph
     assert reference.num_edges == lanes["dict"].graph.num_edges
     # "Loads a million-edge file in seconds": a hard floor well under the

@@ -4,8 +4,9 @@ A realistic deployment releases several statistics of the same sensitive
 graph under one global privacy budget, and wants an empirical check that
 the implementation honors its guarantee.  This example:
 
-1. runs three subgraph statistics through a :class:`PrivacyAccountant`
-   (sequential composition) until the ε budget is exhausted;
+1. runs three subgraph statistics through a budget-capped
+   :class:`PrivateSession` (sequential composition) until the ε budget
+   is exhausted;
 2. shows the budget gate rejecting an over-budget query;
 3. audits the mechanism empirically across a worst-case single-node
    withdrawal.
@@ -13,9 +14,14 @@ the implementation honors its guarantee.  This example:
 Run:  python examples/budgeted_workload.py
 """
 
-from repro import k_star, random_graph_with_avg_degree, triangle
-from repro.core import EfficientRecursiveMechanism, RecursiveMechanismParams
-from repro.core.accountant import BudgetExceededError, PrivacyAccountant
+from repro import (
+    BudgetExhausted,
+    PrivateSession,
+    k_star,
+    random_graph_with_avg_degree,
+    triangle,
+)
+from repro.core import RecursiveMechanismParams
 from repro.core.params import group_privacy_epsilon
 from repro.experiments.privacy_audit import audit_krelation_withdrawal
 from repro.subgraphs import k_triangle, subgraph_krelation
@@ -23,11 +29,8 @@ from repro.subgraphs import k_triangle, subgraph_krelation
 
 def main():
     graph = random_graph_with_avg_degree(50, 7, rng=31)
-    accountant = PrivacyAccountant(total_epsilon=1.5)
-    print(
-        f"graph: {graph.num_nodes} nodes; total budget eps = "
-        f"{accountant.total_epsilon}\n"
-    )
+    session = PrivateSession(graph, budget=1.5)
+    print(f"graph: {graph.num_nodes} nodes; total budget eps = {session.budget}\n")
 
     workload = [
         ("triangles", triangle(), 0.6),
@@ -35,12 +38,11 @@ def main():
         ("2-triangles", k_triangle(2), 0.6),  # this one exceeds the budget
     ]
     for label, pattern, epsilon in workload:
-        relation = subgraph_krelation(graph, pattern, privacy="node")
-        mechanism = EfficientRecursiveMechanism(relation)
-        params = RecursiveMechanismParams.paper(epsilon, node_privacy=True)
         try:
-            result = accountant.run(mechanism, params, rng=7, label=label)
-        except BudgetExceededError as error:
+            result = session.query(
+                pattern, privacy="node", epsilon=epsilon, rng=7, label=label
+            )
+        except BudgetExhausted as error:
             print(f"{label:12s} REFUSED: {error}")
             continue
         print(
@@ -48,8 +50,9 @@ def main():
             f"(true {result.true_answer:6.0f}, spent eps={epsilon})"
         )
 
-    print(f"\nledger: {accountant.ledger}")
-    print(f"remaining budget: eps = {accountant.remaining:.2f}")
+    print(f"\nledger: {[(e.label, e.epsilon) for e in session.ledger]}")
+    print(f"remaining budget: eps = {session.remaining:.2f}")
+    session.close()
 
     # group privacy: a user controlling 3 sockpuppet accounts
     params = RecursiveMechanismParams.paper(0.6, node_privacy=True)

@@ -123,15 +123,6 @@ def _apply_lp_backend(args) -> None:
         from .lp.backends import BACKEND_ENV
 
         os.environ[BACKEND_ENV] = args.lp_backend
-    if getattr(args, "lp_preferences", None) is not None:
-        import os
-
-        from .lp.backends import PREFERENCES_ENV, load_preferences
-
-        # load now (fail fast on a bad file) and export for any forked
-        # worker that re-resolves the default backend
-        load_preferences(args.lp_preferences)
-        os.environ[PREFERENCES_ENV] = args.lp_preferences
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -153,18 +144,10 @@ def build_parser() -> argparse.ArgumentParser:
         "$REPRO_LP_BACKEND, else the best available — released answers "
         "are byte-identical across backends at a fixed seed)"
     )
-    lp_preferences_help = (
-        "BENCH_backends.json whose measured fig5 timings rank the "
-        "auto-detected default backend (fastest available wins; default: "
-        "$REPRO_LP_PREFERENCES; an explicit --lp-backend still overrides)"
-    )
 
     def add_lp_flags(command) -> None:
         command.add_argument(
             "--lp-backend", type=_lp_backend_arg, default=None, help=lp_backend_help
-        )
-        command.add_argument(
-            "--lp-preferences", metavar="FILE", default=None, help=lp_preferences_help
         )
 
     def add_obs_flags(command) -> None:
@@ -226,13 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ingest.add_argument(
         "edge_list", help="SNAP-style edge-list file " "('u v' per line, #/%% comments)"
-    )
-    ingest.add_argument(
-        "--store",
-        choices=["columnar", "dict"],
-        default=None,
-        help="occurrence-store backend for the maintainer "
-        "(default: $REPRO_OCC_STORE, else columnar)",
     )
     ingest.add_argument(
         "--register",
@@ -595,7 +571,6 @@ def _cmd_ingest(args) -> int:
     try:
         report = ingest_edge_list(
             args.edge_list,
-            store=args.store,
             strict=not args.lenient,
             chunk_size=chunk_size,
             register=args.register,
@@ -603,11 +578,9 @@ def _cmd_ingest(args) -> int:
     except (GraphError, MechanismError) as error:
         print(error, file=sys.stderr)
         return 2
-    graph = report.graph
     print(
         f"ingested {args.edge_list}: {report.num_nodes} nodes, "
-        f"{report.num_edges} edges at version {graph.version} "
-        f"(store: {graph.maintainer.store})"
+        f"{report.num_edges} edges at version {report.graph.version}"
     )
     print(
         f"  read+load: {report.read_seconds:.2f}s "

@@ -23,13 +23,11 @@ answering queries under updates (Berkholz–Keppeler–Schweikardt):
   unchanged (patterns have at least one edge).
 
 The maintenance logic lives here; the *representation* of a maintained
-set is a pluggable :mod:`repro.store` backend — the columnar store
-(interned ids, NumPy tables, searchsorted inverted indexes) by default,
-the original dict-of-frozensets as the always-available oracle
-(``store="dict"`` / ``REPRO_OCC_STORE=dict``).  Both backends see the
-identical insert/drop call sequence, so the canonical occurrence order
-(ties broken by insertion order) and hence every downstream compiled LP
-is byte-identical across them.
+set is the :mod:`repro.store` columnar backend (interned ids, NumPy
+tables, searchsorted inverted indexes).  The canonical occurrence order
+breaks ties by insertion order, so a dict-of-frozensets oracle fed the
+same insert/drop call sequence (``tests/store_oracle.py``) yields the
+same order and hence the same compiled LP.
 
 Constrained patterns carry opaque predicate callables with no update
 algebra, so they take the :meth:`full rebuild <IncrementalOccurrences.
@@ -53,12 +51,7 @@ from ..errors import GraphError
 from ..graphs.graph import Graph
 from ..obs import metrics as obs_metrics
 from ..obs import size_buckets
-from ..store.backend import (
-    ColumnarOccurrenceBackend,
-    DictOccurrenceBackend,
-    OccurrenceBackend,
-    resolve_store,
-)
+from ..store.backend import ColumnarOccurrenceBackend
 from ..store.interning import InternTable
 from ..subgraphs.annotate import occurrences_for_pattern
 from ..subgraphs.matching import Occurrence
@@ -100,7 +93,9 @@ class _PatternState:
         "ball_max",
     )
 
-    def __init__(self, pattern: Pattern, incremental: bool, backend: OccurrenceBackend):
+    def __init__(
+        self, pattern: Pattern, incremental: bool, backend: ColumnarOccurrenceBackend
+    ):
         self.pattern = pattern
         self.incremental = incremental
         self.backend = backend
@@ -132,38 +127,32 @@ class IncrementalOccurrences:
         graph.add_edge(1, 2)
         inc.apply(GraphDelta.add_edge(1, 2))
         inc.verify()          # oracle: maintained == from-scratch
-
-    ``store`` selects the occurrence representation: ``"columnar"`` (the
-    default; ``$REPRO_OCC_STORE`` overrides) or ``"dict"`` (the oracle).
     """
 
-    def __init__(self, graph: Graph, store: Optional[str] = None):
+    def __init__(self, graph: Graph):
         self._graph = graph
         self._states: Dict[tuple, _PatternState] = {}
-        self.store = resolve_store(store)
-        # One intern table shared by every columnar pattern table, so a
-        # node/edge has the same dense id in all of them.  Its graph-
-        # presence flags are synced lazily at first registration and
-        # maintained per delta afterwards.
-        self._interner = InternTable() if self.store == "columnar" else None
+        # One intern table shared by every pattern table, so a node/edge
+        # has the same dense id in all of them.  Its graph-presence flags
+        # are synced lazily at first registration and maintained per
+        # delta afterwards.
+        self._interner = InternTable()
         self._interner_synced = False
 
     @property
-    def interner(self) -> Optional[InternTable]:
-        """The shared intern table (``None`` under the dict store)."""
+    def interner(self) -> InternTable:
+        """The intern table shared by every pattern's store."""
         return self._interner
 
-    def _make_backend(self, pattern: Pattern) -> OccurrenceBackend:
-        if self._interner is not None:
-            return ColumnarOccurrenceBackend(
-                self._interner,
-                num_nodes=pattern.num_nodes,
-                num_edges=pattern.graph.num_edges,
-            )
-        return DictOccurrenceBackend()
+    def _make_backend(self, pattern: Pattern) -> ColumnarOccurrenceBackend:
+        return ColumnarOccurrenceBackend(
+            self._interner,
+            num_nodes=pattern.num_nodes,
+            num_edges=pattern.graph.num_edges,
+        )
 
     def _sync_interner(self) -> None:
-        if self._interner is not None and not self._interner_synced:
+        if not self._interner_synced:
             self._interner.sync(self._graph)
             self._interner_synced = True
 
@@ -212,9 +201,8 @@ class IncrementalOccurrences:
     def relation_for(self, pattern: Pattern, privacy: str):
         """A columnar-backed sensitive K-relation, or ``None`` to fall back.
 
-        The fast relation path: when the pattern's maintained state lives
-        in the columnar store (and no repr collision makes string-keyed
-        orders ambiguous), the participant/annotation structure is read
+        The fast relation path: unless a repr collision makes string-keyed
+        orders ambiguous, the participant/annotation structure is read
         straight out of the intern table and occurrence table as index
         arrays — no per-occurrence ``Occurrence``/``And`` objects.  The
         result is float-identical to the legacy
@@ -223,11 +211,8 @@ class IncrementalOccurrences:
         if privacy not in ("node", "edge"):
             return None
         state = self._state(pattern)
-        backend = state.backend
-        if not isinstance(backend, ColumnarOccurrenceBackend):
-            return None
         interner = self._interner
-        if interner is None or interner.has_repr_collision:
+        if interner.has_repr_collision:
             return None
         if not interner.counts_match(self._graph):
             # the graph was mutated behind the maintainer's back —
@@ -235,7 +220,7 @@ class IncrementalOccurrences:
             interner.sync(self._graph)
         from ..store.relation import conjunctive_relation
 
-        return conjunctive_relation(backend, privacy)
+        return conjunctive_relation(state.backend, privacy)
 
     def count(self, pattern: Pattern) -> int:
         """Number of maintained occurrences of ``pattern``."""
@@ -263,7 +248,7 @@ class IncrementalOccurrences:
         """Apply one delta (the graph must already reflect it)."""
         if not isinstance(delta, GraphDelta):
             raise GraphError(f"apply() takes a GraphDelta, got {type(delta).__name__}")
-        if self._interner is not None and self._interner_synced:
+        if self._interner_synced:
             self._apply_presence(delta)
         registry = obs_metrics()
         for state in self._states.values():

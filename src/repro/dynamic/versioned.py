@@ -77,10 +77,6 @@ class VersionedGraph(Graph):
         ``nodes``/``edges``.
     nodes / edges:
         Base state built in place (also version 0).
-    store:
-        Occurrence-store backend for the maintainer: ``"columnar"``
-        (default) or ``"dict"`` (the oracle); ``None`` resolves
-        ``$REPRO_OCC_STORE``.
 
     >>> g = VersionedGraph(edges=[(0, 1), (1, 2)])
     >>> g.add_edge(0, 2); g.version
@@ -96,14 +92,13 @@ class VersionedGraph(Graph):
         graph: Optional[Graph] = None,
         nodes: Iterable[Node] = (),
         edges: Iterable[Edge] = (),
-        store: Optional[str] = None,
     ):
         # Attribute order matters: the overridden mutators consult
         # ``_recording`` and it must exist before Graph.__init__ runs them.
         self._recording = False
         self._log: List[GraphDelta] = []
         self._version = 0
-        self._maintainer = IncrementalOccurrences(self, store=store)
+        self._maintainer = IncrementalOccurrences(self)
         if graph is not None:
             if not isinstance(graph, Graph):
                 raise GraphError(
@@ -249,7 +244,7 @@ class VersionedGraph(Graph):
         the live store, so the tuple order (and hence the compiled LP)
         is bit-identical.
         """
-        return VersionedGraph(self.at_version(version), store=self._maintainer.store)
+        return VersionedGraph(self.at_version(version))
 
     # -- occurrence maintenance hooks -------------------------------------------
     def occurrences_for(self, pattern: Pattern):
@@ -268,9 +263,9 @@ class VersionedGraph(Graph):
         back materialized occurrence objects for the legacy annotation
         path, this returns the maintained relation directly in
         participant-index form
-        (:class:`~repro.store.relation.ConjunctiveKRelation`) when the
-        columnar store can serve it — float-identical, no per-occurrence
-        objects.  ``None`` means "use the legacy path".
+        (:class:`~repro.store.relation.ConjunctiveKRelation`) —
+        float-identical, no per-occurrence objects.  ``None`` means "use
+        the legacy path".
         """
         return self._maintainer.relation_for(pattern, privacy)
 
@@ -283,7 +278,7 @@ class VersionedGraph(Graph):
 
     def copy(self) -> "VersionedGraph":
         """An independent store based at the current state (history drops)."""
-        return VersionedGraph(self.as_graph(), store=self._maintainer.store)
+        return VersionedGraph(self.as_graph())
 
     def __repr__(self) -> str:
         return (

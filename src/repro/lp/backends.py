@@ -26,23 +26,17 @@ mirroring :mod:`repro.mechanisms`:
   other solvers plug in out of tree through :func:`register`); an
   unavailable backend (missing bindings, missing license) stays
   *registered* and reports why it cannot run instead of disappearing.
-* :func:`default_backend` — resolution order: the ``REPRO_LP_BACKEND``
-  environment variable if set, else *measured* preferences loaded from a
-  ``BENCH_backends.json`` (:func:`load_preferences`, auto-loaded from
-  ``$REPRO_LP_PREFERENCES`` or ``--lp-preferences``), else the available
-  backend with the highest static ``preference``.  Static preferences
-  encode measured performance on the epigraph workload (the
-  persistent-HiGHS path beats per-call ``linprog`` ~2.6× here), not
-  alphabetical accident; a measured file from *this* machine overrides
-  them with its actual ``fig5`` wall-clock ranking.
+* :func:`default_backend` — the ``REPRO_LP_BACKEND`` environment
+  variable if set, else the available backend with the highest static
+  ``preference``.  Static preferences encode measured performance on the
+  epigraph workload (the persistent-HiGHS path beats per-call
+  ``linprog`` ~2.6× here), not alphabetical accident.
 """
 
 from __future__ import annotations
 
-import json
 import os
-from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Type, Union
+from typing import Dict, List, Optional, Tuple, Type
 
 import numpy as np
 
@@ -51,7 +45,6 @@ from .model import LPSolution
 
 __all__ = [
     "BACKEND_ENV",
-    "PREFERENCES_ENV",
     "SolverBackend",
     "PersistentModel",
     "register",
@@ -62,16 +55,10 @@ __all__ = [
     "available",
     "describe",
     "default_backend",
-    "load_preferences",
-    "clear_preferences",
 ]
 
 #: Environment variable naming the backend every entry point defaults to.
 BACKEND_ENV = "REPRO_LP_BACKEND"
-
-#: Environment variable pointing at a ``BENCH_backends.json`` whose
-#: measured ``fig5`` timings rank the auto-detected default backend.
-PREFERENCES_ENV = "REPRO_LP_PREFERENCES"
 
 
 class PersistentModel:
@@ -330,83 +317,14 @@ def create(name: str, **kwargs) -> SolverBackend:
     return cls(**kwargs)
 
 
-#: Measured ``name -> fig5 wall seconds`` (loaded preferences), or None.
-_MEASURED: Optional[Dict[str, float]] = None
-_PREFS_ENV_CHECKED = False
-
-
-def load_preferences(path: Union[str, Path]) -> Dict[str, float]:
-    """Load measured backend timings from a ``BENCH_backends.json``.
-
-    The file is what ``benchmarks/bench_backends.py`` writes: the
-    ``fig5`` object maps each benchmarked backend name to (among other
-    counters) its ``wall_seconds`` over the paper's query grid.  Those
-    wall-clock numbers become the auto-detect ranking — on the next
-    :func:`default_backend` resolution the measured-fastest *available*
-    backend wins, instead of the static ``preference`` guess.  An
-    explicit ``REPRO_LP_BACKEND`` still overrides everything.
-
-    Returns the ``name -> wall_seconds`` map that was installed.
-    Unparseable files and files without usable ``fig5`` timings raise
-    :class:`~repro.errors.LPError` (a measurement you pointed at should
-    never be half-applied silently).
-    """
-    global _MEASURED
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise LPError(f"backend preferences file not found: {path}") from None
-    except json.JSONDecodeError as error:
-        raise LPError(
-            f"backend preferences file {path} is not valid JSON: {error}"
-        ) from None
-    fig5 = payload.get("fig5")
-    if not isinstance(fig5, dict):
-        raise LPError(f"backend preferences file {path} has no 'fig5' timing object")
-    measured: Dict[str, float] = {}
-    for name, row in fig5.items():
-        seconds = row.get("wall_seconds") if isinstance(row, dict) else None
-        if isinstance(seconds, (int, float)) and seconds > 0:
-            measured[str(name).lower()] = float(seconds)
-    if not measured:
-        raise LPError(
-            f"backend preferences file {path} carries no positive "
-            "'wall_seconds' entries under 'fig5'"
-        )
-    _MEASURED = measured
-    return dict(measured)
-
-
-def clear_preferences() -> None:
-    """Drop loaded measured preferences (static ranking applies again)."""
-    global _MEASURED, _PREFS_ENV_CHECKED
-    _MEASURED = None
-    _PREFS_ENV_CHECKED = False
-
-
-def _measured_preferences() -> Optional[Dict[str, float]]:
-    """Loaded timings, lazily pulling ``$REPRO_LP_PREFERENCES`` once."""
-    global _PREFS_ENV_CHECKED
-    if _MEASURED is None and not _PREFS_ENV_CHECKED:
-        _PREFS_ENV_CHECKED = True
-        env_path = os.environ.get(PREFERENCES_ENV)
-        if env_path:
-            load_preferences(env_path)
-    return _MEASURED
-
-
 def default_backend() -> SolverBackend:
     """The backend every entry point uses when none is named.
 
     ``REPRO_LP_BACKEND`` wins when set (raising the actionable
-    unavailability error rather than silently substituting); next a
-    loaded measured-preferences file ranks the available backends by
-    their ``fig5`` wall clock (fastest wins — see
-    :func:`load_preferences`); otherwise the available backend with the
-    highest static ``preference``.  Instances are cached per name, so
-    repeated resolution shares one backend object (and its
-    compiled-relation cache entries).
+    unavailability error rather than silently substituting); otherwise
+    the available backend with the highest static ``preference``.
+    Instances are cached per name, so repeated resolution shares one
+    backend object (and its compiled-relation cache entries).
     """
     _ensure_builtin()
     requested = os.environ.get(BACKEND_ENV)
@@ -419,14 +337,7 @@ def default_backend() -> SolverBackend:
                 "no LP backend is available in this environment "
                 f"(registered: {', '.join(registered())})"
             )
-        name = None
-        measured = _measured_preferences()
-        if measured:
-            timed = [n for n in candidates if n in measured]
-            if timed:
-                name = min(timed, key=lambda n: measured[n])
-        if name is None:
-            name = max(candidates, key=lambda n: _REGISTRY[n].preference)
+        name = max(candidates, key=lambda n: _REGISTRY[n].preference)
     instance = _INSTANCES.get(name)
     if instance is None:
         instance = create(name)

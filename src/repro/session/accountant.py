@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..core.accountant import BudgetExceededError
+from ..errors import PrivacyParameterError
 from ..validation import validate_epsilon
 
 __all__ = [
@@ -50,14 +50,13 @@ __all__ = [
 _CAP_TOLERANCE = 1e-12
 
 
-class BudgetExhausted(BudgetExceededError):
+class BudgetExhausted(PrivacyParameterError):
     """The session's hard privacy-budget cap would be exceeded.
 
-    Subclasses :class:`~repro.core.accountant.BudgetExceededError` (and so
-    :class:`~repro.errors.PrivacyParameterError` / :class:`ValueError`),
-    so existing ``except`` clauses keep working.  ``user`` names the
-    tenant whose sub-budget refused the release (``None`` when the shared
-    global cap was the binding constraint).
+    A :class:`~repro.errors.PrivacyParameterError` (and so a
+    :class:`ValueError`), raised before any work is done.  ``user`` names
+    the tenant whose sub-budget refused the release (``None`` when the
+    shared global cap was the binding constraint).
     """
 
     def __init__(self, message: str, *, user: Optional[str] = None):

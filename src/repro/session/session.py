@@ -323,7 +323,7 @@ class PrivateSession:
         Dynamic sessions report their
         :meth:`~repro.dynamic.IncrementalOccurrences.info` rows —
         occurrence counts, rebuilds, deltas applied, delta-join ball
-        sizes, and the occurrence-store (columnar/dict) counters.
+        sizes, and the occurrence-store counters.
         ``None`` over static data (nothing is being maintained).
         """
         if not self._dynamic:

@@ -12,10 +12,9 @@ with NumPy structured arrays instead of Python dicts-of-objects:
   ids and edge codes, with inverted indexes (edge → rows, node → rows)
   kept as sorted int arrays answered by ``searchsorted`` — delta-joins,
   deletes, and canonical ordering become vectorized index scans;
-* :class:`~repro.store.backend.ColumnarOccurrenceBackend` /
-  :class:`~repro.store.backend.DictOccurrenceBackend` — the storage
-  strategies behind ``_PatternState`` (the dict backend stays as the
-  oracle; ``REPRO_OCC_STORE`` selects);
+* :class:`~repro.store.backend.ColumnarOccurrenceBackend` — the store
+  behind ``_PatternState`` (a dict-of-frozensets oracle lives in
+  ``tests/store_oracle.py``);
 * :class:`~repro.store.relation.ConjunctiveKRelation` — a sensitive
   K-relation carried as a participant-index matrix, feeding
   :meth:`repro.relax.encode.EncodedRelation.from_conjunctions`
@@ -24,16 +23,11 @@ with NumPy structured arrays instead of Python dicts-of-objects:
   ingestion into a :class:`~repro.dynamic.VersionedGraph` (the
   ``repro ingest`` CLI).
 
-Released answers are byte-identical across backends at fixed seeds —
-pinned by ``tests/test_store.py`` and the CI ``scale-smoke`` job.
+Released answers are byte-identical to the dict oracle's at fixed
+seeds — pinned by ``tests/test_store.py`` and the CI ``scale-smoke`` job.
 """
 
-from .backend import (
-    ColumnarOccurrenceBackend,
-    DictOccurrenceBackend,
-    OccurrenceBackend,
-    resolve_store,
-)
+from .backend import ColumnarOccurrenceBackend
 from .columnar import ColumnarOccurrenceTable
 from .ingest import IngestReport, ingest_edge_list
 from .interning import InternTable
@@ -43,10 +37,7 @@ __all__ = [
     "ColumnarOccurrenceBackend",
     "ColumnarOccurrenceTable",
     "ConjunctiveKRelation",
-    "DictOccurrenceBackend",
     "IngestReport",
     "InternTable",
-    "OccurrenceBackend",
     "ingest_edge_list",
-    "resolve_store",
 ]

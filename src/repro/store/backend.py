@@ -1,178 +1,39 @@
-"""Occurrence-storage backends behind ``_PatternState``.
+"""The occurrence store behind ``_PatternState``.
 
-Both backends implement the same small contract the incremental
-maintainer drives — insert one occurrence, drop every occurrence using
-an edge, clear/bulk-load on rebuild, and read the canonically ordered
-occurrence tuple back — so the maintenance *logic* (delta-joins,
-neighborhood balls, rebuild fallbacks) lives in one place and only the
-*representation* differs:
+:class:`ColumnarOccurrenceBackend` implements the small contract the
+incremental maintainer drives — insert one occurrence, drop every
+occurrence using an edge, clear/bulk-load on rebuild, and read the
+canonically ordered occurrence tuple back — over interned ids in a
+:class:`~repro.store.columnar.ColumnarOccurrenceTable`, scaling to
+million-edge graphs.  The maintenance *logic* (delta-joins,
+neighborhood balls, rebuild fallbacks) lives in
+:mod:`repro.dynamic.incremental`; only the representation lives here.
 
-* :class:`DictOccurrenceBackend` — the original dicts-of-frozensets
-  representation, kept verbatim as the correctness oracle;
-* :class:`ColumnarOccurrenceBackend` — interned ids in a
-  :class:`~repro.store.columnar.ColumnarOccurrenceTable`, scaling to
-  million-edge graphs.
-
-Because the maintainer feeds both backends the identical insert/drop
-call sequence, insertion order — the tie-breaker of the canonical
-occurrence order — coincides, and :meth:`sorted_occurrences` is
-elementwise equal across backends (pinned by ``tests/test_store.py``).
-
-:func:`resolve_store` picks the backend: an explicit argument wins,
-then ``$REPRO_OCC_STORE``, then the columnar default.
+Canonical order breaks ties by insertion order, so a store fed the same
+insert/drop call sequence as the dict-of-frozensets oracle in
+``tests/store_oracle.py`` returns an elementwise equal
+:meth:`~ColumnarOccurrenceBackend.sorted_occurrences` (pinned by
+``tests/test_store.py``).
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
-from ..errors import GraphError
 from ..subgraphs.matching import Occurrence
 from .columnar import ColumnarOccurrenceTable
 from .interning import InternTable
 
-__all__ = [
-    "OccurrenceBackend",
-    "DictOccurrenceBackend",
-    "ColumnarOccurrenceBackend",
-    "resolve_store",
-    "STORE_ENV",
-]
-
-#: Environment variable selecting the default occurrence store.
-STORE_ENV = "REPRO_OCC_STORE"
-_STORES = ("columnar", "dict")
+__all__ = ["ColumnarOccurrenceBackend"]
 
 #: An occurrence's identity: its used-edge set with every edge reduced
 #: to an orientation-free endpoint pair (see ``dynamic.incremental``).
-_EdgeKey = FrozenSet[object]
-_OccKey = FrozenSet[_EdgeKey]
+_OccKey = FrozenSet[FrozenSet[object]]
 
 
-def resolve_store(store: Optional[str] = None) -> str:
-    """The occurrence-store name to use (argument > env > columnar)."""
-    if store is None:
-        store = os.environ.get(STORE_ENV) or "columnar"
-    if store not in _STORES:
-        raise GraphError(
-            f"unknown occurrence store {store!r}; expected one of {_STORES}"
-        )
-    return store
-
-
-def _occ_key(occurrence: Occurrence) -> _OccKey:
-    return frozenset(frozenset(edge) for edge in occurrence.edges)
-
-
-class OccurrenceBackend:
-    """Contract the maintainer's ``_PatternState`` drives."""
-
-    name: str = ""
-
-    def insert(self, occurrence: Occurrence) -> bool:
-        """Add one occurrence; False if already present."""
-        raise NotImplementedError
-
-    def bulk_load(self, occurrences: Iterable[Occurrence]) -> None:
-        """Replace the content with the given occurrences (a rebuild)."""
-        raise NotImplementedError
-
-    def drop_edge(self, u, v) -> int:
-        """Remove every occurrence using edge ``{u, v}``; returns count."""
-        raise NotImplementedError
-
-    def clear(self) -> None:
-        """Drop every stored occurrence."""
-        raise NotImplementedError
-
-    def __len__(self) -> int:
-        raise NotImplementedError
-
-    def sorted_occurrences(self) -> Tuple[Occurrence, ...]:
-        """The canonically ordered occurrences, as a cached tuple."""
-        raise NotImplementedError
-
-    def occ_keys(self) -> Set[_OccKey]:
-        """Orientation-free identities (the verify/diff oracle view)."""
-        raise NotImplementedError
-
-    def info(self) -> Dict[str, object]:
-        """Store-level counters merged into the maintainer's info rows."""
-        return {"store": self.name}
-
-
-def _occurrence_sort_key(occurrence: Occurrence) -> Tuple[str, ...]:
-    return tuple(sorted(map(repr, occurrence.edges)))
-
-
-class DictOccurrenceBackend(OccurrenceBackend):
-    """The original dict-of-objects representation (the oracle)."""
-
-    name = "dict"
-    __slots__ = ("occurrences", "by_edge", "_sorted")
-
-    def __init__(self):
-        self.occurrences: Dict[_OccKey, Occurrence] = {}
-        self.by_edge: Dict[_EdgeKey, Set[_OccKey]] = {}
-        self._sorted: Optional[Tuple[Occurrence, ...]] = None
-
-    def insert(self, occurrence: Occurrence) -> bool:
-        key = _occ_key(occurrence)
-        if key in self.occurrences:
-            return False
-        self.occurrences[key] = occurrence
-        for edge in key:
-            self.by_edge.setdefault(edge, set()).add(key)
-        self._sorted = None
-        return True
-
-    def bulk_load(self, occurrences: Iterable[Occurrence]) -> None:
-        self.clear()
-        for occurrence in occurrences:
-            self.insert(occurrence)
-
-    def drop_edge(self, u, v) -> int:
-        edge = frozenset((u, v))
-        keys = self.by_edge.pop(edge, None)
-        if not keys:
-            return 0
-        for key in keys:
-            del self.occurrences[key]
-            for other in key:
-                if other == edge:
-                    continue
-                bucket = self.by_edge.get(other)
-                if bucket is not None:
-                    bucket.discard(key)
-                    if not bucket:
-                        del self.by_edge[other]
-        self._sorted = None
-        return len(keys)
-
-    def clear(self) -> None:
-        """Drop every stored occurrence."""
-        self.occurrences.clear()
-        self.by_edge.clear()
-        self._sorted = None
-
-    def __len__(self) -> int:
-        return len(self.occurrences)
-
-    def sorted_occurrences(self) -> Tuple[Occurrence, ...]:
-        if self._sorted is None:
-            self._sorted = tuple(
-                sorted(self.occurrences.values(), key=_occurrence_sort_key)
-            )
-        return self._sorted
-
-    def occ_keys(self) -> Set[_OccKey]:
-        return set(self.occurrences)
-
-
-class ColumnarOccurrenceBackend(OccurrenceBackend):
+class ColumnarOccurrenceBackend:
     """Interned ids in a columnar table (shared maintainer interner)."""
 
     name = "columnar"
@@ -193,12 +54,14 @@ class ColumnarOccurrenceBackend(OccurrenceBackend):
 
     # -- writes -------------------------------------------------------------------
     def insert(self, occurrence: Occurrence) -> bool:
+        """Add one occurrence; False if already present."""
         nodes, edges = self._row_ids(occurrence)
         return self.table.insert(
             np.asarray(nodes, dtype=np.int64), np.asarray(edges, dtype=np.int64)
         )
 
     def bulk_load(self, occurrences: Iterable[Occurrence]) -> None:
+        """Replace the content with the given occurrences (a rebuild)."""
         self.table.clear()
         node_rows: List[List[int]] = []
         edge_rows: List[List[int]] = []
@@ -214,14 +77,11 @@ class ColumnarOccurrenceBackend(OccurrenceBackend):
         )
 
     def drop_edge(self, u, v) -> int:
+        """Remove every occurrence using edge ``{u, v}``; returns count."""
         edge_id = self.interner.edge_id(u, v)
         if edge_id is None:
             return 0
         return self.table.drop_edge(edge_id)
-
-    def clear(self) -> None:
-        """Drop every stored occurrence (interned ids are kept)."""
-        self.table.clear()
 
     # -- reads --------------------------------------------------------------------
     def __len__(self) -> int:
@@ -232,6 +92,7 @@ class ColumnarOccurrenceBackend(OccurrenceBackend):
         return self.table.canonical_order(self.interner.edge_ranks())
 
     def sorted_occurrences(self) -> Tuple[Occurrence, ...]:
+        """The canonically ordered occurrences, as a cached tuple."""
         if self._sorted is not None and self._sorted_token == self.table.mutations:
             return self._sorted
         rows = self.canonical_rows()
@@ -253,6 +114,7 @@ class ColumnarOccurrenceBackend(OccurrenceBackend):
         return occurrences
 
     def occ_keys(self) -> Set[_OccKey]:
+        """Orientation-free identities (the verify/diff oracle view)."""
         rows = self.table.alive_rows()
         pair = self.interner.edge_label_pair
         return {
@@ -261,7 +123,10 @@ class ColumnarOccurrenceBackend(OccurrenceBackend):
         }
 
     def info(self) -> Dict[str, object]:
-        """Table counters, ``store_``-prefixed to keep maintainer rows clear."""
+        """Store counters merged into the maintainer's info rows.
+
+        Table counters are ``store_``-prefixed to keep the rows clear.
+        """
         return {
             "store": self.name,
             **{f"store_{key}": value for key, value in self.table.info().items()},

@@ -17,7 +17,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Sequence, Union
 
 from ..graphs.io import DEFAULT_CHUNK_SIZE, read_edge_list
 
@@ -64,7 +64,6 @@ class IngestReport:
 
 def ingest_edge_list(
     path: Union[str, Path],
-    store: Optional[str] = None,
     strict: bool = True,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     register: Sequence = (),
@@ -75,9 +74,6 @@ def ingest_edge_list(
     ----------
     path:
         The SNAP-style edge list (``u v`` per line, ``#``/``%`` comments).
-    store:
-        Occurrence-store knob forwarded to the graph's maintainer
-        (``"columnar"``/``"dict"``; ``None`` = env/default).
     strict:
         Refuse malformed lines / self-loops / duplicates with line
         numbers (the default); ``False`` skips them silently.
@@ -93,7 +89,7 @@ def ingest_edge_list(
     start = time.perf_counter()
     graph = read_edge_list(path, strict=strict, chunk_size=chunk_size)
     read_done = time.perf_counter()
-    versioned = VersionedGraph(graph, store=store)
+    versioned = VersionedGraph(graph)
     wrap_done = time.perf_counter()
     registered: List[Dict[str, object]] = []
     for query in register:

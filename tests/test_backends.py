@@ -7,7 +7,7 @@ Pins the registry contract introduced with the pluggable-backend refactor:
   report unavailable backends (an out-of-tree backend missing its module)
   with an actionable message naming the missing module and the fallback,
   and refuse objects without ``solve_arrays``;
-* **selection** — ``REPRO_LP_BACKEND`` overrides the measured-preference
+* **selection** — ``REPRO_LP_BACKEND`` overrides the static-preference
   auto-detect order, and the CLI ``--lp-backend`` knob validates eagerly;
 * **identity** — the chosen backend's ``cache_token`` flows into session
   cache keys, ``lp_backend`` into audit-ledger entries and the service
@@ -16,8 +16,6 @@ Pins the registry contract introduced with the pluggable-backend refactor:
 """
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
@@ -327,85 +325,3 @@ class TestCliKnob:
             == "scipy"
         )
 
-
-class TestMeasuredPreferences:
-    """load_preferences: a BENCH_backends.json ranks the auto-detect."""
-
-    @pytest.fixture(autouse=True)
-    def _clean(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        monkeypatch.delenv(backends.PREFERENCES_ENV, raising=False)
-        backends.clear_preferences()
-        yield
-        backends.clear_preferences()
-
-    def _bench_file(self, tmp_path, timings):
-        path = tmp_path / "BENCH_backends.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "fig5": {
-                        name: {"wall_seconds": seconds}
-                        for name, seconds in timings.items()
-                    }
-                }
-            )
-        )
-        return path
-
-    def test_measured_fastest_available_wins(self, tmp_path):
-        slowest = {name: 100.0 + index for index, name in enumerate(AVAILABLE)}
-        slowest["scipy"] = 0.01  # scipy is always available
-        installed = backends.load_preferences(self._bench_file(tmp_path, slowest))
-        assert installed["scipy"] == 0.01
-        assert backends.default_backend().name == "scipy"
-
-    def test_env_backend_still_overrides_measured(self, tmp_path, monkeypatch):
-        other = next((n for n in AVAILABLE if n != "scipy"), "scipy")
-        backends.load_preferences(
-            self._bench_file(tmp_path, {"scipy": 0.01, other: 99.0})
-        )
-        monkeypatch.setenv(BACKEND_ENV, other)
-        assert backends.default_backend().name == other
-
-    def test_unavailable_timings_fall_back_to_static(self, tmp_path):
-        static_choice = backends.default_backend().name
-        backends.load_preferences(self._bench_file(tmp_path, {"no-such-solver": 0.001}))
-        assert backends.default_backend().name == static_choice
-
-    def test_env_path_is_loaded_lazily_once(self, tmp_path, monkeypatch):
-        slowest = {name: 100.0 for name in AVAILABLE}
-        slowest["scipy"] = 0.01
-        path = self._bench_file(tmp_path, slowest)
-        monkeypatch.setenv(backends.PREFERENCES_ENV, str(path))
-        backends.clear_preferences()  # re-arm the one-shot env check
-        assert backends.default_backend().name == "scipy"
-
-    def test_missing_file_raises(self, tmp_path):
-        with pytest.raises(LPError, match="not found"):
-            backends.load_preferences(tmp_path / "absent.json")
-
-    def test_invalid_json_raises(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{nope")
-        with pytest.raises(LPError, match="not valid JSON"):
-            backends.load_preferences(path)
-
-    def test_missing_fig5_raises(self, tmp_path):
-        path = tmp_path / "empty.json"
-        path.write_text(json.dumps({"default_backend": "scipy"}))
-        with pytest.raises(LPError, match="no 'fig5' timing object"):
-            backends.load_preferences(path)
-
-    def test_nonpositive_timings_rejected(self, tmp_path):
-        path = self._bench_file(tmp_path, {"scipy": 0.0, "highs": -1.0})
-        with pytest.raises(LPError, match="no positive"):
-            backends.load_preferences(path)
-
-    def test_cli_preferences_flag_loads_eagerly(self, tmp_path, monkeypatch):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(
-            ["count", "--lp-preferences", str(tmp_path / "absent.json")]
-        )
-        assert args.lp_preferences == str(tmp_path / "absent.json")

@@ -107,7 +107,7 @@ class TestBulkAddEdges:
 class TestIngestEdgeList:
     def test_report_fields_and_registration(self, tmp_path):
         path = _write(tmp_path, "1 2\n2 3\n1 3\n3 4\n")
-        report = ingest_edge_list(path, store="columnar", register=["triangle"])
+        report = ingest_edge_list(path, register=["triangle"])
         assert isinstance(report, IngestReport)
         assert report.num_nodes == 4 and report.num_edges == 4
         assert report.graph.version == 0
@@ -127,13 +127,6 @@ class TestIngestEdgeList:
         path = _write(tmp_path, "1 1\n")
         with pytest.raises(GraphError, match="self-loop"):
             ingest_edge_list(path)
-
-    @pytest.mark.parametrize("store", ["columnar", "dict"])
-    def test_store_knob_reaches_maintainer(self, tmp_path, store):
-        path = _write(tmp_path, "1 2\n2 3\n1 3\n")
-        report = ingest_edge_list(path, store=store, register=["triangle"])
-        (row,) = report.graph.maintainer.info()
-        assert row["store"] == store
 
 
 class TestIngestCli:
@@ -159,8 +152,3 @@ class TestIngestCli:
         path = _write(tmp_path, "1 2\n1 2\n2 3\n")
         assert main(["ingest", str(path), "--lenient"]) == 0
         assert "2 edges" in capsys.readouterr().out
-
-    def test_ingest_dict_store(self, tmp_path, capsys):
-        path = _write(tmp_path, "1 2\n2 3\n")
-        assert main(["ingest", str(path), "--store", "dict"]) == 0
-        assert "store: dict" in capsys.readouterr().out

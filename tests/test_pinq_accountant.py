@@ -1,16 +1,14 @@
-"""Tests for the PINQ-style baseline and the privacy accountant."""
+"""Tests for the PINQ-style baseline.
 
-import numpy as np
+Budget accounting (charging, the cap, refusal, rollback) is pinned by the
+budget tests in ``tests/test_session.py``.
+"""
+
 import pytest
 
 from repro.baselines.pinq import PINQStyleLaplace
 from repro.boolexpr import parse
-from repro.core import (
-    EfficientRecursiveMechanism,
-    RecursiveMechanismParams,
-    SensitiveKRelation,
-)
-from repro.core.accountant import BudgetExceededError, PrivacyAccountant
+from repro.core import EfficientRecursiveMechanism, SensitiveKRelation
 from repro.errors import MechanismError, PrivacyParameterError
 from repro.graphs import random_graph_with_avg_degree
 from repro.subgraphs import subgraph_krelation, triangle
@@ -70,43 +68,3 @@ class TestPINQBaseline:
         recursive = EfficientRecursiveMechanism(relation)
         assert recursive.true_answer() == pinq.true_answer
 
-
-class TestPrivacyAccountant:
-    def test_basic_charging(self):
-        accountant = PrivacyAccountant(total_epsilon=1.0)
-        accountant.charge(0.4, label="q1")
-        accountant.charge(0.6, label="q2")
-        assert accountant.remaining == pytest.approx(0.0)
-        assert [entry[0] for entry in accountant.ledger] == ["q1", "q2"]
-
-    def test_over_budget_raises(self):
-        accountant = PrivacyAccountant(total_epsilon=0.5)
-        accountant.charge(0.4)
-        with pytest.raises(BudgetExceededError):
-            accountant.charge(0.2)
-        assert accountant.spent == pytest.approx(0.4)  # unchanged
-
-    def test_delta_tracking(self):
-        accountant = PrivacyAccountant(total_epsilon=1.0, total_delta=0.1)
-        accountant.charge(0.5, delta=0.05)
-        assert not accountant.can_afford(0.1, delta=0.2)
-        with pytest.raises(BudgetExceededError):
-            accountant.charge(0.1, delta=0.06)
-
-    def test_invalid_construction(self):
-        with pytest.raises(PrivacyParameterError):
-            PrivacyAccountant(total_epsilon=0.0)
-        with pytest.raises(PrivacyParameterError):
-            PrivacyAccountant(total_epsilon=1.0, total_delta=-0.1)
-
-    def test_gated_mechanism_run(self):
-        g = random_graph_with_avg_degree(20, 5, rng=1)
-        relation = subgraph_krelation(g, triangle(), privacy="edge")
-        mechanism = EfficientRecursiveMechanism(relation)
-        accountant = PrivacyAccountant(total_epsilon=1.0)
-        params = RecursiveMechanismParams.paper(0.6)
-        result = accountant.run(mechanism, params, rng=0, label="triangles")
-        assert result is not None
-        assert accountant.remaining == pytest.approx(0.4)
-        with pytest.raises(BudgetExceededError):
-            accountant.run(mechanism, params, rng=0, label="again")

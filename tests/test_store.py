@@ -3,8 +3,9 @@
 The store lives or dies by one pin: **columnar == dict == from-scratch**.
 For randomized insert/delete streams the columnar backend must hold
 exactly the occurrences a full re-enumeration produces, in exactly the
-dict oracle's canonical order, and a session over it must release
-answers byte-identical to the dict path at the same seeds.  On top of
+canonical order of the dict oracle (``tests/store_oracle.py``), and a
+session over it must release answers byte-identical to a dict lane on
+the legacy relation path at the same seeds.  On top of
 that pin: the array fast path into the φ-epigraph encoder must produce
 the very same LP as the legacy annotation tree-walk, and the table /
 interner primitives must honor their insertion-order and tombstone
@@ -15,14 +16,14 @@ import random
 
 import numpy as np
 import pytest
+from store_oracle import tee_dict_oracle, use_dict_store
 
 from repro import PrivateSession, VersionedGraph, random_graph_with_avg_degree
-from repro.errors import GraphError, LPError
+from repro.errors import LPError
 from repro.graphs import Graph
 from repro.lp import backends as lp_backends
 from repro.relax.encode import EncodedRelation
 from repro.store import ConjunctiveKRelation
-from repro.store.backend import resolve_store
 from repro.store.columnar import ColumnarOccurrenceTable
 from repro.store.interning import InternTable
 from repro.subgraphs import k_star, path_pattern, triangle
@@ -42,12 +43,10 @@ def _occ_signature(occurrences):
     ]
 
 
-def _paired_graphs(n=36, rng_seed=7):
+def _paired_graphs(n, rng_seed):
+    """A columnar lane and a dict lane (legacy relation path) on one graph."""
     base = random_graph_with_avg_degree(n, 5, rng=rng_seed)
-    return (
-        VersionedGraph(base.copy(), store="columnar"),
-        VersionedGraph(base.copy(), store="dict"),
-    )
+    return VersionedGraph(base.copy()), use_dict_store(VersionedGraph(base.copy()))
 
 
 def _toggle_stream(graphs, steps, rng_seed=13, universe=40):
@@ -74,20 +73,23 @@ class TestStoreOracleParity:
         ids=lambda p: p.name,
     )
     def test_randomized_stream_matches_oracle(self, pattern):
-        columnar, oracle = _paired_graphs()
-        for graph in (columnar, oracle):
-            graph.maintainer.register(pattern)
-        assert _occ_signature(columnar.maintainer.occurrences(pattern)) == \
-            _occ_signature(oracle.maintainer.occurrences(pattern))
-        for step in _toggle_stream((columnar, oracle), steps=90):
+        # one maintainer drives both stores: every columnar insert/drop is
+        # teed into the dict oracle, so the delta-joins run once
+        graph = VersionedGraph(random_graph_with_avg_degree(36, 5, rng=7))
+        oracles = tee_dict_oracle(graph)
+        graph.maintainer.register(pattern)
+        oracle = oracles[pattern.cache_token]
+        assert _occ_signature(graph.maintainer.occurrences(pattern)) == \
+            _occ_signature(oracle.sorted_occurrences())
+        for step in _toggle_stream((graph,), steps=90):
             if step % 15 == 0 or step == 90:
                 # canonical order parity against the dict oracle ...
                 assert _occ_signature(
-                    columnar.maintainer.occurrences(pattern)
-                ) == _occ_signature(oracle.maintainer.occurrences(pattern))
-                # ... and both match a from-scratch re-enumeration
-                assert columnar.maintainer.verify(pattern)
-                assert oracle.maintainer.verify(pattern)
+                    graph.maintainer.occurrences(pattern)
+                ) == _occ_signature(oracle.sorted_occurrences())
+                # ... and the columnar store (so, by the order parity,
+                # the oracle too) matches a from-scratch re-enumeration
+                assert graph.maintainer.verify(pattern)
 
     def test_released_answers_byte_identical(self):
         for privacy in ("edge", "node"):
@@ -117,7 +119,7 @@ class TestStoreOracleParity:
             # the columnar lane must match a cold session on the final
             # graph, not merely the dict lane (both could drift together)
             scratch = PrivateSession(
-                VersionedGraph(columnar.checkout(columnar.version), store="dict"), rng=5
+                use_dict_store(columnar.checkout(columnar.version)), rng=5
             )
             assert scratch.query(
                 triangle(), privacy=privacy, epsilon=0.8,
@@ -127,16 +129,13 @@ class TestStoreOracleParity:
                 session.close()
 
     def test_fast_path_gating(self):
-        columnar, oracle = _paired_graphs()
+        columnar = VersionedGraph(random_graph_with_avg_degree(36, 5, rng=7))
         pattern = triangle()
-        for graph in (columnar, oracle):
-            graph.maintainer.register(pattern)
+        columnar.maintainer.register(pattern)
         relation = columnar.relation_for(pattern, "edge")
         assert isinstance(relation, ConjunctiveKRelation)
         assert relation.matrix.shape[1] == 3  # triangle → 3 edge vars
-        # the dict oracle never takes the array fast path ...
-        assert oracle.relation_for(pattern, "edge") is None
-        # ... and unknown privacy notions fall back to the legacy path
+        # unknown privacy notions fall back to the legacy path
         assert columnar.maintainer.relation_for(pattern, "weighted") is None
 
 
@@ -150,9 +149,7 @@ class TestEncoderIdentity:
         ids=lambda value: getattr(value, "name", value),
     )
     def test_arrays_match_legacy_tree_walk(self, pattern, privacy):
-        graph = VersionedGraph(
-            random_graph_with_avg_degree(28, 5, rng=3), store="columnar"
-        )
+        graph = VersionedGraph(random_graph_with_avg_degree(28, 5, rng=3))
         graph.maintainer.register(pattern)
         relation = graph.relation_for(pattern, privacy)
         assert isinstance(relation, ConjunctiveKRelation)
@@ -196,7 +193,9 @@ class TestSortedOccurrencesCache:
 
     @pytest.mark.parametrize("store", ["columnar", "dict"])
     def test_cached_until_mutation(self, store):
-        graph = VersionedGraph(random_graph_with_avg_degree(24, 5, rng=9), store=store)
+        graph = VersionedGraph(random_graph_with_avg_degree(24, 5, rng=9))
+        if store == "dict":
+            use_dict_store(graph)
         pattern = triangle()
         graph.maintainer.register(pattern)
         first = graph.maintainer.occurrences(pattern)
@@ -282,17 +281,8 @@ class TestInternTable:
 
 
 class TestResolveStore:
-    def test_argument_wins_then_env_then_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_OCC_STORE", raising=False)
-        assert resolve_store(None) == "columnar"
-        assert resolve_store("dict") == "dict"
-        monkeypatch.setenv("REPRO_OCC_STORE", "dict")
-        assert resolve_store(None) == "dict"
-        with pytest.raises(GraphError):
-            resolve_store("lsm")
-
     def test_backend_info_names_store(self):
-        graph = VersionedGraph(Graph(edges=[(1, 2), (2, 3), (1, 3)]), store="columnar")
+        graph = VersionedGraph(Graph(edges=[(1, 2), (2, 3), (1, 3)]))
         graph.maintainer.register(triangle())
         (row,) = graph.maintainer.info()
         assert row["store"] == "columnar"
