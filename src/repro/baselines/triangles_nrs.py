@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from typing import Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from ..graphs.graph import Graph
 from ..rng import RngLike
@@ -90,8 +90,9 @@ def triangle_local_sensitivity_at_distance(
 class NRSTriangleMechanism:
     """ε-DP triangle counting via smooth sensitivity + Cauchy noise.
 
-    The per-graph pair statistics are computed once in ``__init__``; each
-    :meth:`run` then costs one smooth-max scan and one noise draw.
+    The per-graph pair statistics are computed once in ``__init__`` and
+    the local sensitivity once per distance; after the first :meth:`run`
+    a release costs one smooth max over cached values and one noise draw.
     """
 
     def __init__(self, graph: Graph, exact_pairs: bool = False):
@@ -111,8 +112,13 @@ class NRSTriangleMechanism:
         from ..subgraphs.counting import count_triangles
 
         self._true = float(count_triangles(graph))
+        self._ls_cache: Dict[int, float] = {}
 
     def _ls_at_distance(self, s: int) -> float:
+        # deterministic in s, and every run's smooth max asks the same
+        # distances again: scan the pairs once per distance
+        if s in self._ls_cache:
+            return self._ls_cache[s]
         best = 0
         for a, b in self._stats:
             value = min(a + (s + min(s, b)) // 2, self._cap)
@@ -120,7 +126,8 @@ class NRSTriangleMechanism:
                 best = value
                 if best >= self._cap:
                     break
-        return float(best)
+        self._ls_cache[s] = float(best)
+        return self._ls_cache[s]
 
     def run(self, epsilon: float, rng: RngLike = None) -> BaselineResult:
         """One ε-DP release of the triangle count."""

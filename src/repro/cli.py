@@ -27,7 +27,8 @@ Commands
 ``replica``
     Start a read replica of one dataset on a running primary: bootstrap
     from its ``snapshot``, tail its delta ``log``, serve reads (updates
-    are refused — writes go to the primary).
+    are refused — writes go to the primary).  ``--epsilon`` is required:
+    each replica spends its own slice of the dataset's cap.
 ``fig``
     Regenerate one of the paper's figures at a chosen scale preset and
     print the rendered table.
@@ -429,9 +430,10 @@ def build_parser() -> argparse.ArgumentParser:
     replica.add_argument(
         "--epsilon",
         type=_positive_float,
-        default=None,
-        help="this replica's global epsilon cap (privacy "
-        "budgets are per replica instance)",
+        required=True,
+        help="this replica's global epsilon cap (required): each "
+        "replica spends its own slice, so give every replica its "
+        "share of the dataset's cap",
     )
     replica.add_argument(
         "--user-epsilon",

@@ -2,9 +2,13 @@
 
 ``H_i`` (Eq. 16) and the 2-bounding ``G_i`` (Eq. 19) are evaluated as linear
 programs over the φ-epigraph encoding (:mod:`repro.relax.encode`).  The
-Δ search touches ``O(log(ln G/β))`` G-entries (Sec. 5.3); the X step solves
-the continuous relaxation Eq. 20 as a single LP and then uses convexity of
-``H`` (Lemma 10) to restrict the integer argmin to ``{⌊i'⌋, ⌈i'⌉}``.
+Δ search touches ``O(log(ln G/β))`` G-entries (Sec. 5.3).  The X step is
+usually decided with no LP: the argmin of Eq. 12 is monotone in ``Δ̂``, so
+earlier releases of the same mechanism bracket it
+(:meth:`~repro.core.framework.RecursiveMechanismBase.x_step`).  Only when
+they do not does it solve the continuous relaxation Eq. 20 as a single LP
+and use convexity of ``H`` (Lemma 10) to restrict the integer argmin to
+``{⌊i'⌋, ⌈i'⌉}``.
 
 Overall cost is a polynomial of the total annotation length ``L`` — this is
 the mechanism that makes node-differentially-private subgraph counting
@@ -256,7 +260,11 @@ class EfficientRecursiveMechanism(RecursiveMechanismBase):
         return self._encoded.true_answer()
 
     def _compute_x(self, delta_hat: float) -> Tuple[float, float]:
-        """Eq. 12 via Eq. 20: one LP plus at most two cached H-entries."""
+        """Eq. 12 via Eq. 20: one LP plus at most two cached H-entries.
+
+        The fallback route of :meth:`x_step`, taken only when earlier
+        decisions do not already bracket the argmin at ``delta_hat``.
+        """
         n = self.num_participants
         relaxed_value, i_prime = self._encoded.solve_x_relaxation(delta_hat)
         candidates = sorted(

@@ -9,7 +9,11 @@ evaluate entries of the recursive sequence ``H`` and its g-bounding sequence
    ``Δ̂ = e^{μ+Y}·Δ`` with ``Y ~ Lap(β/ε1)`` is ε1-differentially private
    (Lemma 4).
 2. ``X = min_i { H_i + (|P|-i)·Δ̂ }``  (Eq. 12); for any fixed ``Δ̂ ≥ 0``,
-   ``X`` has global sensitivity ≤ Δ̂ (Lemma 7).
+   ``X`` has global sensitivity ≤ Δ̂ (Lemma 7).  The argmin is
+   nondecreasing in ``Δ̂`` for any sequence ``H``, so once two earlier
+   releases at ``Δ̂_a ≤ Δ̂ ≤ Δ̂_b`` returned the same index ``k``, ``k`` is
+   the argmin at ``Δ̂`` and ``X`` needs only the cached ``H_k``
+   (:meth:`RecursiveMechanismBase.x_step`).
 3. Release ``X̂ = X + Lap(Δ̂/ε2)`` — ε2-differentially private, giving
    ``(ε1+ε2)``-differential privacy overall (Theorem 1).
 
@@ -20,14 +24,16 @@ search over ``O(log)`` G-entries (Sec. 5.3).
 
 from __future__ import annotations
 
+import bisect
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..errors import MechanismError
+from ..obs import metrics as obs_metrics
 from ..parallel.pool import map_tasks
 from ..results import ResultBase
 from ..rng import RngLike, ensure_rng, laplace, spawn_seed_sequences
@@ -85,6 +91,9 @@ class RecursiveMechanismBase:
         # (i, threshold) -> bool, for Δ searches that probe the predicate
         # G_i <= threshold without materializing the exact entry
         self._g_pred_cache: Dict[Tuple[int, float], bool] = {}
+        # sorted (Δ̂, argmin) decisions of earlier X steps; per argmin only
+        # the smallest and largest Δ̂ are kept (see x_step)
+        self._x_brackets: List[Tuple[float, int]] = []
 
     # -- to be provided by implementations --------------------------------------
     @property
@@ -219,6 +228,47 @@ class RecursiveMechanismBase:
                 best = (value, float(i))
         return best
 
+    def x_step(self, delta_hat: float) -> Tuple[float, float]:
+        """Eq. 12 as :meth:`_compute_x` returns it, solved only when needed.
+
+        For ``i < j`` the difference ``F(j) − F(i)`` of the objective
+        ``F(i) = H_i + (|P|−i)·Δ̂`` strictly decreases in ``Δ̂``, so every
+        argmin at a larger ``Δ̂`` is ≥ every argmin at a smaller one
+        (Topkis).  The nearest earlier decisions below and above ``Δ̂``
+        (or ``0`` / ``|P|`` when there is none) therefore bracket the
+        argmin; when they agree it is fixed, and ``X`` is evaluated from
+        the cached ``H_k`` by the same expression :meth:`_compute_x`
+        uses, so the released bytes do not depend on the route.  Each
+        decision counts once in ``repro_x_step_total{how}``:
+        ``bracket`` or ``solve``.
+        """
+        n = self.num_participants
+        brackets = self._x_brackets
+        pos = bisect.bisect_left(brackets, (delta_hat,))
+        if pos < len(brackets) and brackets[pos][0] == delta_hat:
+            k_lo = k_hi = brackets[pos][1]
+        else:
+            k_lo = brackets[pos - 1][1] if pos else 0
+            k_hi = brackets[pos][1] if pos < len(brackets) else n
+        if k_lo == k_hi:
+            _count_x_step("bracket")
+            return self.h_entry(k_lo) + (n - k_lo) * delta_hat, float(k_lo)
+        _count_x_step("solve")
+        x_value, x_index = self._compute_x(delta_hat)
+        k = int(x_index)
+        if k_lo <= k <= k_hi:
+            # an index outside the bracket can only be solver noise;
+            # recording it would break the list's monotonicity
+            brackets.insert(pos, (delta_hat, k))
+            # a neighbour flanked by its own index on both sides is no
+            # longer an end of its run
+            for j in (pos + 1, pos - 1):
+                if (0 < j < len(brackets) - 1
+                        and brackets[j - 1][1] == brackets[j][1]
+                        == brackets[j + 1][1]):
+                    del brackets[j]
+        return x_value, x_index
+
     def run(
         self, params: RecursiveMechanismParams, rng: RngLike = None
     ) -> MechanismResult:
@@ -227,7 +277,7 @@ class RecursiveMechanismBase:
         start = time.perf_counter()
         delta, j_star = self.compute_delta(params)
         delta_hat = self.noisy_delta(delta, params, generator)
-        x_value, x_index = self._compute_x(delta_hat)
+        x_value, x_index = self.x_step(delta_hat)
         answer = x_value + laplace(delta_hat / params.epsilon2, generator)
         seconds = time.perf_counter() - start
         return MechanismResult(
@@ -280,6 +330,11 @@ class RecursiveMechanismBase:
             payload=self,
             workers=workers,
         )
+
+
+def _count_x_step(how: str) -> None:
+    """Count one X-step decision by how it was made."""
+    obs_metrics().counter("repro_x_step_total", how=how).inc()
 
 
 def _sample_trial(mechanism: "RecursiveMechanismBase", task) -> MechanismResult:

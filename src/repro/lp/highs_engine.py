@@ -10,8 +10,10 @@ that change between solves (a row's bounds, a few objective entries).
 
 A solve starts from a cleared solver state (``clearSolver``), i.e. cold
 with presolve and the configured method, unless the caller resumes.  The
-H sweep and the X step stay cold: on the heavily degenerate epigraph LPs
-a warm basis skips presolve and is not faster there.  The Δ search is
+H sweep and the X relaxation stay cold: on the heavily degenerate
+epigraph LPs a warm basis skips presolve and is not faster there (and a
+warm release rarely solves the X relaxation at all — see
+``RecursiveMechanismBase.x_step``).  The Δ search is
 different: it re-solves one G model whose mass row moves between
 probes, which leaves the previous optimal basis dual feasible, so
 ``solve(resume=True)`` re-solves from that basis with dual simplex (see

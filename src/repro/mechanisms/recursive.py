@@ -8,8 +8,9 @@ sensitive K-relation and compiling the φ-epigraph LP
 :class:`~repro.lp.compiled.CompiledProgram`) — and the resulting
 :class:`PreparedRecursive` is exactly what the session cache reuses:
 repeated releases skip re-encode/re-compile *and* inherit the warm
-``H``/``G`` entry caches, so a warm query pays only the X-step overlay
-solve plus noise.
+``H``/``G`` entry caches and earlier X-step decisions, so a warm query
+usually pays only noise: the X-step overlay solve runs only when no
+earlier release brackets the new ``Δ̂``.
 """
 
 from __future__ import annotations

@@ -113,9 +113,20 @@ class TestCommands:
             build_parser().parse_args(["count", "--workers", "0"])
 
     def test_replica_rejects_out_of_range_primary_port(self, capsys):
-        args = ["replica", "--primary", "127.0.0.1:70000", "--dataset", "d"]
+        args = [
+            "replica", "--primary", "127.0.0.1:70000", "--dataset", "d",
+            "--epsilon", "1",
+        ]
         assert main(args) == 2
         assert "1-65535" in capsys.readouterr().err
+
+    def test_replica_requires_an_epsilon_slice(self, capsys):
+        # without a cap a replica's budget is unlimited, so K replicas
+        # would spend without bound against the dataset
+        with pytest.raises(SystemExit) as exit_info:
+            main(["replica", "--primary", "127.0.0.1:8732", "--dataset", "d"])
+        assert exit_info.value.code == 2
+        assert "--epsilon" in capsys.readouterr().err
 
 
 class TestBatchCommand:

@@ -1,0 +1,231 @@
+"""The X step decided from earlier releases' argmins (Eq. 12).
+
+``RecursiveMechanismBase.x_step`` answers a release with no LP when the
+argmins of earlier releases at ``Δ̂_a ≤ Δ̂ ≤ Δ̂_b`` agree.  Pinned here:
+
+* every ``x_step`` result bit-equals a fresh mechanism's ``_compute_x``
+  at the same ``Δ̂``, for ascending, descending and shuffled streams with
+  exact repeats, on triangle/node, 2-star/edge, 2-triangle/node, a
+  disjunctive relation under ``bounding="uniform"`` and the general
+  mechanism, on every available backend;
+* the one-sided ends (``k = 0`` and ``k = |P|``), the bound of
+  ``2(|P|+1)`` kept decisions, and the ``repro_x_step_total{how}`` routes;
+* an LP error on the fallback route records nothing;
+* released answers do not depend on the route: ``sample_answers`` is
+  byte-identical for one and two workers, and a warm session's answers
+  equal cold one-release sessions at the same seeds.
+"""
+
+import random
+
+import pytest
+
+from repro.boolexpr import Var, parse
+from repro.core import (
+    EfficientRecursiveMechanism,
+    GeneralRecursiveMechanism,
+    RecursiveMechanismParams,
+    SensitiveKRelation,
+)
+from repro.errors import LPError
+from repro.graphs import random_graph_with_avg_degree
+from repro.obs import metrics
+from repro.session import PrivateSession
+from repro.subgraphs import k_star, k_triangle, subgraph_krelation, triangle
+
+#: Δ̂ values spanning the slopes of H on the relations below
+GRID = [0.02 * 1.7 ** t for t in range(16)]
+
+
+def _graph():
+    return random_graph_with_avg_degree(12, 5, rng=3)
+
+
+def _disjunctive_relation():
+    return SensitiveKRelation(
+        ["a", "b", "c", "d", "e"],
+        [
+            ("t1", parse("a | b")),
+            ("t2", parse("(b & c) | d")),
+            ("t3", parse("c & e")),
+            ("t4", parse("a & (d | e)")),
+        ],
+    )
+
+
+def _efficient(relation, backend, **options):
+    return lambda: EfficientRecursiveMechanism(relation, backend=backend, **options)
+
+
+def _general():
+    database = _disjunctive_relation().as_sensitive_database()
+    return GeneralRecursiveMechanism(database, lambda world: float(len(world)))
+
+
+FACTORIES = {
+    "triangle/node": lambda b: _efficient(
+        subgraph_krelation(_graph(), triangle(), "node"), b
+    ),
+    "2-star/edge": lambda b: _efficient(
+        subgraph_krelation(_graph(), k_star(2), "edge"), b
+    ),
+    "2-triangle/node": lambda b: _efficient(
+        subgraph_krelation(_graph(), k_triangle(2), "node"), b
+    ),
+    "disjunctive/uniform": lambda b: _efficient(
+        _disjunctive_relation(), b, bounding="uniform"
+    ),
+    "general": lambda b: _general,
+}
+
+
+def _streams():
+    repeats = GRID + GRID[3:9:2]
+    shuffled = list(repeats)
+    random.Random(7).shuffle(shuffled)
+    return {
+        "ascending": sorted(repeats),
+        "descending": sorted(repeats, reverse=True),
+        "shuffled": shuffled,
+    }
+
+
+def _routes():
+    return {
+        how: metrics().counter("repro_x_step_total", how=how).value
+        for how in ("bracket", "solve")
+    }
+
+
+@pytest.mark.parametrize("stream", sorted(_streams()))
+@pytest.mark.parametrize("name", sorted(FACTORIES))
+def test_x_step_bit_equals_a_fresh_compute_x(name, stream, lp_backend):
+    factory = FACTORIES[name](lp_backend)
+    warm = factory()
+    n = warm.num_participants
+    before = _routes()
+    for delta_hat in _streams()[stream]:
+        assert warm.x_step(delta_hat) == factory()._compute_x(delta_hat)
+        # at most two decisions per index, kept sorted and monotone
+        assert len(warm._x_brackets) <= 2 * (n + 1)
+        assert warm._x_brackets == sorted(warm._x_brackets)
+        indices = [k for _, k in warm._x_brackets]
+        assert indices == sorted(indices)
+    after = _routes()
+    decided = sum(after[how] - before[how] for how in after)
+    assert decided == len(_streams()[stream])
+    # exact repeats at least never solve again
+    assert after["bracket"] - before["bracket"] >= len(GRID[3:9:2])
+
+
+def _unit_relation(n=4):
+    """``H_i = i``: the argmin is ``0`` below ``Δ̂ = 1`` and ``|P|`` above."""
+    names = [f"p{i}" for i in range(n)]
+    return SensitiveKRelation(names, [(f"t{i}", Var(p)) for i, p in enumerate(names)])
+
+
+class TestBrackets:
+    def test_one_sided_ends_decide_without_a_solve(self):
+        mechanism = EfficientRecursiveMechanism(_unit_relation())
+        n = mechanism.num_participants
+        assert mechanism.x_step(0.5) == (n * 0.5, 0.0)
+        assert mechanism.x_step(2.0) == (float(n), float(n))
+        before = _routes()
+        # below the k = 0 decision and above the k = |P| one
+        assert mechanism.x_step(0.25) == (n * 0.25, 0.0)
+        assert mechanism.x_step(9.0) == (float(n), float(n))
+        after = _routes()
+        assert after["bracket"] - before["bracket"] == 2
+        assert after["solve"] == before["solve"]
+        assert mechanism._x_brackets == [(0.5, 0), (2.0, n)]
+
+    def test_interior_of_a_run_is_dropped(self):
+        mechanism = EfficientRecursiveMechanism(_unit_relation())
+        n = mechanism.num_participants
+        for delta_hat in (0.1, 0.9, 0.5):
+            mechanism.x_step(delta_hat)
+        # 0.5 lies inside [0.1, 0.9], both k = 0: decided, not recorded
+        assert mechanism._x_brackets == [(0.1, 0), (0.9, 0)]
+        mechanism.x_step(3.0)
+        before = _routes()
+        mechanism.x_step(0.95)
+        # 0.95 solved (0 | n bracket), extends the k = 0 run: 0.9 goes
+        assert _routes()["solve"] - before["solve"] == 1
+        assert mechanism._x_brackets == [(0.1, 0), (0.95, 0), (3.0, n)]
+
+    def test_lp_error_records_nothing(self, monkeypatch):
+        mechanism = EfficientRecursiveMechanism(_unit_relation())
+        mechanism.x_step(0.5)
+        recorded = list(mechanism._x_brackets)
+
+        def failing(delta_hat):
+            raise LPError("injected X-relaxation failure")
+
+        monkeypatch.setattr(mechanism._encoded, "solve_x_relaxation", failing)
+        with pytest.raises(LPError, match="injected"):
+            mechanism.x_step(2.0)
+        assert mechanism._x_brackets == recorded
+        # a bracketed Δ̂ still needs no LP
+        assert mechanism.x_step(0.25) == (1.0, 0.0)
+
+    def test_index_outside_the_bracket_is_not_recorded(self, monkeypatch):
+        mechanism = EfficientRecursiveMechanism(_unit_relation())
+        solved = iter([(7.0, 2.0), (9.0, 3.0)])
+        monkeypatch.setattr(mechanism, "_compute_x", lambda delta_hat: next(solved))
+        assert mechanism.x_step(1.0) == (7.0, 2.0)
+        # below Δ̂ = 1 the argmin is at most 2: an index of 3 is released
+        # as solved but never kept as a bracket
+        assert mechanism.x_step(0.5) == (9.0, 3.0)
+        assert mechanism._x_brackets == [(1.0, 2)]
+
+    def test_run_routes_through_x_step(self):
+        relation = subgraph_krelation(_graph(), triangle(), "node")
+        mechanism = EfficientRecursiveMechanism(relation)
+        params = RecursiveMechanismParams.paper(1.0, node_privacy=True)
+        results = mechanism.sample_answers(params, trials=30, rng=4)
+        fresh = EfficientRecursiveMechanism(relation)
+        for result in results:
+            assert (result.x_value, result.x_index) == fresh._compute_x(
+                result.delta_hat
+            )
+        assert 0 < len(mechanism._x_brackets) < 30
+
+
+def test_sample_answers_identical_for_one_and_two_workers():
+    relation = subgraph_krelation(_graph(), k_star(2), "edge")
+    params = RecursiveMechanismParams.paper(1.0)
+    answers = []
+    for workers in (1, 2):
+        mechanism = EfficientRecursiveMechanism(relation)
+        results = mechanism.sample_answers(params, trials=24, rng=9, workers=workers)
+        answers.append([result.answer for result in results])
+    assert answers[0] == answers[1]
+
+
+def test_warm_session_answers_equal_cold_sessions():
+    graph = _graph()
+    specs = [
+        (triangle(), "node", seed) for seed in range(10)
+    ] + [(k_star(2), "edge", seed) for seed in range(10, 18)]
+    warm = PrivateSession(graph, rng=3)
+    released = [
+        warm.query(pattern, privacy=privacy, epsilon=0.5, rng=seed).answer
+        for pattern, privacy, seed in specs
+    ]
+    assert warm.verify_ledger()
+    # the same releases, each the first on its own cold session
+    cold = [
+        PrivateSession(graph).query(
+            pattern, privacy=privacy, epsilon=0.5, rng=seed
+        ).answer
+        for pattern, privacy, seed in specs
+    ]
+    assert released == cold
+    # and a fresh session taking them in reverse order replays them all
+    fresh = PrivateSession(graph, rng=3)
+    reversed_answers = [
+        fresh.query(pattern, privacy=privacy, epsilon=0.5, rng=seed).answer
+        for pattern, privacy, seed in reversed(specs)
+    ]
+    assert reversed_answers == released[::-1]
+    assert all(record.matches for record in fresh.replay())
