@@ -1,17 +1,10 @@
-"""Cross-backend solver benchmark: fig5 sweep + multi-RHS batching.
+"""Cross-backend solver benchmark: the fig5 sweep per backend.
 
-Two measurements, once per registered-and-available solver backend
-(:mod:`repro.lp.backends`):
-
-* **fig5 sweep** — the Fig. 5 runtime sweep under ``REPRO_LP_BACKEND=<name>``,
-  so the numbers reflect exactly what a user selecting that backend gets,
-  including the released answers (recorded to pin cross-backend
-  determinism in the artifact);
-* **multi-RHS micro-bench** — an H-entry right-hand-side sweep through
-  ``CompiledProgram.solve_many`` (one batched backend call where
-  ``supports_multi_rhs``, a per-overlay loop otherwise) against the
-  explicit pointwise loop.  The acceptance bar: batching is never slower
-  beyond noise tolerance on backends that advertise the capability.
+Once per registered-and-available solver backend
+(:mod:`repro.lp.backends`), the Fig. 5 runtime sweep runs under
+``REPRO_LP_BACKEND=<name>``, so the numbers reflect exactly what a user
+selecting that backend gets, including the released answers (recorded to
+pin cross-backend determinism in the artifact).
 
 Emits ``BENCH_backends.json`` (path from ``$REPRO_BENCH_BACKENDS_OUT``,
 default ``benchmarks/results/``) for CI to archive next to
@@ -23,15 +16,9 @@ import os
 import time
 from pathlib import Path
 
-from repro.core.efficient import EfficientRecursiveMechanism
 from repro.experiments import format_table
 from repro.experiments.runtime import fig5_runtime_sweep
-from repro.graphs import random_graph_with_avg_degree
 from repro.lp import backends as lp_backends
-from repro.subgraphs import subgraph_krelation, triangle
-
-SWEEP_REPEATS = 3  # best-of for the micro-bench (solves are milliseconds)
-TOLERANCE = 1.25   # batched may be up to 25% slower before we call it a loss
 
 
 def _fig5_under_backend(name, scale):
@@ -59,47 +46,11 @@ def _fig5_under_backend(name, scale):
     }
 
 
-def _multi_rhs_point(name):
-    """Batched vs pointwise H-sweep timings for one backend."""
-    graph = random_graph_with_avg_degree(60, 8.0, rng=5)
-    relation = subgraph_krelation(graph, triangle(), privacy="edge")
-    program = EfficientRecursiveMechanism(relation, backend=name)._encoded._compiled
-    n = program.num_participants
-    values = [n * k / 16.0 for k in range(1, 16)]
-    tasks = [("h", value) for value in values]
-
-    # warm up both paths once (model build, page faults)
-    program.solve_many(tasks, workers=1)
-    [program.solve_h(value) for value in values]
-
-    batched_best = pointwise_best = float("inf")
-    for _ in range(SWEEP_REPEATS):
-        start = time.perf_counter()
-        batched = program.solve_many(tasks, workers=1)
-        batched_best = min(batched_best, time.perf_counter() - start)
-        start = time.perf_counter()
-        pointwise = [program.solve_h(value) for value in values]
-        pointwise_best = min(pointwise_best, time.perf_counter() - start)
-
-    assert [s.objective for s in batched] == [
-        s.objective for s in pointwise
-    ], f"{name}: batched sweep diverged from pointwise"
-    backend = program.backend
-    return {
-        "rhs_count": len(values),
-        "supports_multi_rhs": bool(getattr(backend, "supports_multi_rhs", False)),
-        "batched_seconds": batched_best,
-        "pointwise_seconds": pointwise_best,
-        "speedup": pointwise_best / batched_best if batched_best else None,
-    }
-
-
 def test_backend_matrix(scale, record_figure, results_dir):
     names = lp_backends.available()
     assert names, "at least the scipy backend must be available"
 
     sweeps = {name: _fig5_under_backend(name, scale) for name in names}
-    micro = {name: _multi_rhs_point(name) for name in names}
 
     # cross-backend determinism: every backend released the same answers
     reference = sweeps[names[0]]["answers"]
@@ -108,32 +59,16 @@ def test_backend_matrix(scale, record_figure, results_dir):
             f"released answers under {name} diverge from {names[0]}"
         )
 
-    rows = []
-    for name in names:
-        rows.append(
-            {
-                "backend": name,
-                "fig5_wall_seconds": sweeps[name]["wall_seconds"],
-                "multi_rhs": micro[name]["supports_multi_rhs"],
-                "batched_seconds": micro[name]["batched_seconds"],
-                "pointwise_seconds": micro[name]["pointwise_seconds"],
-                "batch_speedup": micro[name]["speedup"],
-            }
-        )
+    rows = [
+        {"backend": name, "fig5_wall_seconds": sweeps[name]["wall_seconds"]}
+        for name in names
+    ]
     record_figure(
         "backend_matrix",
         format_table(
             rows,
-            [
-                "backend",
-                "fig5_wall_seconds",
-                "multi_rhs",
-                "batched_seconds",
-                "pointwise_seconds",
-                "batch_speedup",
-            ],
-            title=f"Solver backends: fig5 sweep + multi-RHS batching "
-            f"(scale={scale.name})",
+            ["backend", "fig5_wall_seconds"],
+            title=f"Solver backends: fig5 sweep (scale={scale.name})",
         ),
     )
 
@@ -149,17 +84,5 @@ def test_backend_matrix(scale, record_figure, results_dir):
             for name in names
         },
         "answers_identical_across_backends": True,
-        "multi_rhs": micro,
-        "tolerance": TOLERANCE,
     }, indent=2, sort_keys=True) + "\n")
     print(f"[backend bench written to {out_path}]")
-
-    # batching must not lose where the backend advertises multi-RHS
-    for name in names:
-        if micro[name]["supports_multi_rhs"]:
-            assert (micro[name]["batched_seconds"]
-                    <= micro[name]["pointwise_seconds"] * TOLERANCE), (
-                f"{name}: batched multi-RHS sweep slower than pointwise "
-                f"({micro[name]['batched_seconds']:.4f}s vs "
-                f"{micro[name]['pointwise_seconds']:.4f}s)"
-            )

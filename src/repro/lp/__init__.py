@@ -10,15 +10,17 @@ variables.  Every one of those programs is solved through a single path:
   ``G_i ≤ τ``.  :class:`~repro.relax.encode.EncodedRelation` compiles one
   per relation.
 * :mod:`repro.lp.backends` — the solver-backend contract and registry.
-  A backend implements ``solve_arrays`` (one-shot array solves) and may
-  add persistent models; ``backends.get(name)`` looks up a backend class,
+  ``CompiledProgram`` solves every overlay on a model the backend builds
+  (``build_persistent``); a backend implements ``solve_arrays`` (one-shot
+  array solves, wrapped in the default ``ArrayModel``) or overrides
+  ``build_persistent``.  ``backends.get(name)`` looks up a backend class,
   ``backends.resolve(None | name | instance)`` normalises any backend
   argument, ``backends.default_backend()`` picks the best available
   solver (``REPRO_LP_BACKEND`` overrides the measured-preference order),
   and ``backends.register`` adds an out-of-tree backend.
 * :class:`~repro.lp.scipy_backend.ScipyBackend` — the ``"scipy"``
   backend: portable :func:`scipy.optimize.linprog` (HiGHS) on sparse
-  matrices; always available, no persistent state.
+  matrices; always available, no solver state kept between solves.
 * :class:`~repro.lp.highs_engine.HighsBackend` — the ``"highs"``
   backend: persistent HiGHS models through SciPy's private bindings;
   the measured winner here and the auto-detect default when available.

@@ -1,25 +1,22 @@
 """The solver-backend contract and registry.
 
-Every released answer bottoms out in the φ-epigraph LP solves, and which
-solver executes them used to be an ad-hoc two-way gate (persistent HiGHS
-bindings when SciPy exposes them, :func:`scipy.optimize.linprog`
-otherwise) threaded implicitly through :class:`~repro.lp.compiled.
-CompiledProgram`.  This module promotes that gate into a registry
+Every released answer bottoms out in the φ-epigraph LP solves, and every
+one of them runs through a :class:`PersistentModel` that a backend builds
+from the compiled CSR blocks of a :class:`~repro.lp.compiled.
+CompiledProgram`.  This module holds that contract and a registry
 mirroring :mod:`repro.mechanisms`:
 
 * :class:`SolverBackend` — the contract: ``solve_arrays`` for one-shot
-  array solves, :meth:`~SolverBackend.build_persistent` for a live model
-  built once from the compiled CSR blocks and mutated in place between
-  solves, capability flags (``supports_persistent``,
-  ``supports_multi_rhs``) that
-  :class:`~repro.lp.compiled.CompiledProgram` consults instead of
-  type-checking, and a :meth:`~SolverBackend.fork_reset` hook for the
-  :mod:`repro.parallel` fork-after-compile scheme.
-* :class:`PersistentModel` — the base of every persistent model,
-  carrying the owner-pid guard (a live solver must never be used across
-  ``fork()``), the cold-or-resumed :meth:`~PersistentModel.solve` the
-  Δ-search walk is written against, and the generic RHS sweep of
-  batched solves.
+  array solves, :meth:`~SolverBackend.build_persistent` for a model built
+  once and mutated in place between solves, and a
+  :meth:`~SolverBackend.fork_reset` hook for the :mod:`repro.parallel`
+  fork-after-compile scheme.  A one-shot backend implements only
+  ``solve_arrays`` and inherits :class:`ArrayModel`; a backend with live
+  solver state overrides ``build_persistent``.
+* :class:`PersistentModel` — the base of every model, carrying the
+  owner-pid guard (a live solver must never be used across ``fork()``)
+  and the cold-or-resumed :meth:`~PersistentModel.solve` the Δ-search
+  walk is written against.
 * :func:`register` / :func:`get` / :func:`create` / :func:`resolve` /
   :func:`available` / :func:`describe` — the registry.  Backends are
   addressed by name (the built-ins are ``"scipy"`` and ``"highs"``;
@@ -29,7 +26,7 @@ mirroring :mod:`repro.mechanisms`:
 * :func:`default_backend` — the ``REPRO_LP_BACKEND`` environment
   variable if set, else the available backend with the highest static
   ``preference``.  Static preferences encode measured performance on the
-  epigraph workload (the persistent-HiGHS path beats per-call
+  epigraph workload (the persistent-HiGHS models beat per-call
   ``linprog`` ~2.6× here), not alphabetical accident.
 """
 
@@ -39,6 +36,7 @@ import os
 from typing import Dict, List, Optional, Tuple, Type
 
 import numpy as np
+from scipy import sparse
 
 from ..errors import LPError
 from .model import LPSolution
@@ -47,6 +45,7 @@ __all__ = [
     "BACKEND_ENV",
     "SolverBackend",
     "PersistentModel",
+    "ArrayModel",
     "register",
     "get",
     "create",
@@ -62,12 +61,12 @@ BACKEND_ENV = "REPRO_LP_BACKEND"
 
 
 class PersistentModel:
-    """Base of every backend's persistent model.
+    """Base of every backend's model of one compiled program.
 
-    A persistent model is live solver state built **once** from the
-    compiled CSR blocks and then only mutated between solves (a row's
-    bounds, a few objective entries).  Two invariants are enforced here
-    rather than per backend:
+    A model is built **once** from the compiled CSR blocks and then only
+    mutated between solves (a row's bounds, a few objective entries); it
+    may hold live solver state.  Two invariants are enforced here rather
+    than per backend:
 
     * **fork safety** — live solver state must never be driven from a
       process other than the one that built it (copy-on-write pages
@@ -120,26 +119,70 @@ class PersistentModel:
         """
         raise NotImplementedError
 
-    # -- batched solves ------------------------------------------------------
-    def solve_rhs_sweep(self, row: int, values) -> List[LPSolution]:
-        """Solve the model once per RHS value of one row — one backend call.
 
-        This is the multi-RHS entry point behind
-        ``CompiledProgram.solve_many``: the H-entry sweep rebinds the
-        single mass row ``Σf = i`` and re-solves, so the whole sweep is
-        one call into the backend instead of N overlay dispatches.  The
-        default implementation performs exactly the pointwise
-        ``set_row_bounds`` + ``solve`` sequence, which keeps sweep
-        results byte-identical to pointwise solves by construction;
-        backends with a native multi-RHS API may override it under the
-        same identity obligation.
-        """
+class ArrayModel(PersistentModel):
+    """The model every one-shot backend inherits: the program kept as arrays.
+
+    It holds the row bounds and column costs, and each :meth:`solve`
+    splits the rows back into ``A_ub`` rows (lower bound ``-inf``) and
+    ``A_eq`` rows (lower equals upper) for ``backend.solve_arrays``.  A
+    one-shot solve has no basis to continue from, so ``resume`` is
+    ignored.
+    """
+
+    def __init__(
+        self,
+        backend: "SolverBackend",
+        matrix,
+        col_costs: np.ndarray,
+        col_lower: np.ndarray,
+        col_upper: np.ndarray,
+        row_lower: np.ndarray,
+        row_upper: np.ndarray,
+    ):
+        super().__init__()
+        self.backend_name = backend.name
+        self._backend = backend
+        self._matrix = sparse.csr_matrix(matrix)
+        self._costs = np.array(col_costs, dtype=float)
+        self._bounds = np.column_stack([col_lower, col_upper]).astype(float)
+        self._row_lower = np.array(row_lower, dtype=float)
+        self._row_upper = np.array(row_upper, dtype=float)
+
+    def set_row_bounds(self, row: int, lower: float, upper: float) -> None:
         self._assert_owner()
-        solutions = []
-        for value in values:
-            self.set_row_bounds(row, float(value), float(value))
-            solutions.append(self.solve())
-        return solutions
+        self._row_lower[row] = lower
+        self._row_upper[row] = upper
+
+    def set_col_costs(self, indices, values) -> None:
+        self._assert_owner()
+        self._costs[np.asarray(indices)] = values
+
+    def _rows(self, mask: np.ndarray):
+        """``(A, b)`` of the masked rows, or ``(None, None)`` for none."""
+        if not mask.any():
+            return None, None
+        return self._matrix[np.flatnonzero(mask)], self._row_upper[mask]
+
+    def solve(self, resume: bool = False) -> LPSolution:
+        self._assert_owner()
+        ub = self._row_lower == -np.inf
+        eq = self._row_lower == self._row_upper
+        if not np.all(ub | eq):
+            raise LPError(
+                f"[lp-backend {self.backend_name}] a row bounded on both "
+                "sides is neither A_ub nor A_eq"
+            )
+        a_ub, b_ub = self._rows(ub)
+        a_eq, b_eq = self._rows(eq)
+        return self._backend.solve_arrays(
+            c=self._costs,
+            a_ub=a_ub,
+            b_ub=b_ub,
+            a_eq=a_eq,
+            b_eq=b_eq,
+            bounds=self._bounds,
+        )
 
 
 class SolverBackend:
@@ -150,26 +193,16 @@ class SolverBackend:
     ``name`` / ``aliases``
         Registry spellings.  ``name`` is the canonical identity carried
         into cache keys, ledger entries, and the service hello frame.
-    ``supports_persistent``
-        Whether :meth:`build_persistent` returns a live
-        :class:`PersistentModel`.  When false, ``CompiledProgram`` hands
-        the prebuilt arrays to :meth:`solve_arrays` per call.  The flag —
-        not the backend's type — gates the persistent path, so an
-        instrumented subclass that wants to observe every solve simply
-        leaves it false.
-    ``supports_multi_rhs``
-        Whether H-entry RHS sweeps should be vectorised through
-        :meth:`PersistentModel.solve_rhs_sweep` (one backend call) when
-        running in-process.
     ``preference``
         Auto-detect rank (higher wins among available backends); encodes
         measured performance on the epigraph workload.
+
+    A backend implements :meth:`solve_arrays`, or overrides
+    :meth:`build_persistent` with a model of its own.
     """
 
     name = "abstract"
     aliases: Tuple[str, ...] = ()
-    supports_persistent = False
-    supports_multi_rhs = False
     preference = 0
 
     # -- availability --------------------------------------------------------
@@ -206,7 +239,10 @@ class SolverBackend:
         objective_constant: float = 0.0,
     ) -> LPSolution:
         """One-shot solve of a program already assembled as arrays."""
-        raise NotImplementedError
+        raise LPError(
+            f"[lp-backend {self.name}] backend implements neither "
+            "solve_arrays nor build_persistent"
+        )
 
     def build_persistent(
         self,
@@ -217,10 +253,13 @@ class SolverBackend:
         row_lower: np.ndarray,
         row_upper: np.ndarray,
     ) -> PersistentModel:
-        """A live model over ``row_lower <= A x <= row_upper`` (once)."""
-        raise LPError(
-            f"[lp-backend {self.name}] backend does not support "
-            "persistent models (supports_persistent is false)"
+        """A model over ``row_lower <= A x <= row_upper``, built once.
+
+        The default is an :class:`ArrayModel` that solves through
+        :meth:`solve_arrays`.
+        """
+        return ArrayModel(
+            self, matrix, col_costs, col_lower, col_upper, row_lower, row_upper
         )
 
     # -- parallel plumbing ---------------------------------------------------
@@ -246,9 +285,10 @@ def register(cls: Type[SolverBackend]) -> Type[SolverBackend]:
     """Register a backend class under its ``name`` and ``aliases``.
 
     Usable as a decorator.  This is how an out-of-tree solver joins the
-    registry: subclass :class:`SolverBackend`, implement ``solve_arrays``,
-    and register the class.  Re-registering a name overwrites it (latest
-    wins), so a deployment can shadow a builtin with a tuned subclass.
+    registry: subclass :class:`SolverBackend`, implement ``solve_arrays``
+    (or override ``build_persistent``), and register the class.
+    Re-registering a name overwrites it (latest wins), so a deployment can
+    shadow a builtin with a tuned subclass.
     """
     for spelling in (cls.name, *cls.aliases):
         _REGISTRY[str(spelling).lower()] = cls
@@ -349,11 +389,11 @@ def resolve(backend=None) -> SolverBackend:
     """Normalise a backend argument to an instance.
 
     ``None`` → :func:`default_backend`; a string → :func:`create` by
-    name; anything exposing ``solve_arrays`` passes through unchanged
+    name; anything exposing ``build_persistent`` passes through unchanged
     (custom and instrumented backends keep working untouched).  Every
-    solve runs through :class:`~repro.lp.compiled.CompiledProgram`, so
-    an object without ``solve_arrays`` is refused here, before any
-    relation is encoded against it.
+    solve runs through a model the backend builds, so an object without
+    ``build_persistent`` is refused here, before any relation is encoded
+    against it.
     """
     if backend is None:
         return default_backend()
@@ -364,10 +404,10 @@ def resolve(backend=None) -> SolverBackend:
             instance = create(name)
             _INSTANCES[name] = instance
         return instance
-    if not hasattr(backend, "solve_arrays"):
+    if not hasattr(backend, "build_persistent"):
         raise LPError(
             f"{backend!r} is not an LP backend: expected a name, None, or "
-            "an object with solve_arrays"
+            "an object with build_persistent"
         )
     return backend
 
@@ -376,8 +416,8 @@ def describe() -> List[Dict]:
     """One row per registered backend — the registry table.
 
     Each row carries the canonical name, aliases, availability (with
-    reason when unavailable), capability flags, and auto-detect
-    preference; the CLI and README render this directly.
+    reason when unavailable), and auto-detect preference; the CLI and
+    README render this directly.
     """
     _ensure_builtin()
     rows = []
@@ -394,8 +434,6 @@ def describe() -> List[Dict]:
                 ),
                 "available": ok,
                 "reason": reason,
-                "supports_persistent": cls.supports_persistent,
-                "supports_multi_rhs": cls.supports_multi_rhs,
                 "preference": cls.preference,
             }
         )

@@ -15,17 +15,14 @@ only a tiny per-call overlay:
   ``-Δ̂`` on the participant columns.
 
 This is the only way the φ-epigraph LP is solved.  A
-:class:`CompiledProgram` performs the assembly exactly once and, when the
-backend advertises ``supports_persistent``, additionally loads each
-overlay into a persistent model
-(:meth:`~repro.lp.backends.SolverBackend.build_persistent`) so per-call
-work shrinks to mutating one row's bounds (or a few objective entries)
-and re-running the solver.  Otherwise it hands the prebuilt arrays to
-``backend.solve_arrays`` — the capability *flag*, not the backend's
-type, selects the path, so an instrumented backend that wants to observe
-every solve simply leaves the flag false.
+:class:`CompiledProgram` performs the assembly exactly once and loads
+each overlay into a model the backend builds
+(:meth:`~repro.lp.backends.SolverBackend.build_persistent`), so every
+solve is ``set_row_bounds`` / ``set_col_costs`` on that model and
+``solve``.  Whether the model is live solver state (``highs``) or arrays
+handed to a one-shot ``solve_arrays`` (``scipy``, the default
+:class:`~repro.lp.backends.ArrayModel`) is the backend's business.
 
-Both routes return the same :class:`~repro.lp.model.LPSolution`;
 ``tests/test_compiled_equivalence.py`` holds every available backend to
 a from-scratch reference that rebuilds each program from the encoded
 relation's triplets and solves it with a dense simplex.
@@ -42,7 +39,7 @@ from scipy import sparse
 from ..errors import LPError
 from ..obs import metrics as obs_metrics
 from ..obs import size_buckets
-from ..parallel.pool import map_tasks, register_fork_reset, resolve_workers
+from ..parallel.pool import map_tasks, register_fork_reset
 from .backends import PersistentModel
 from .model import LPSolution
 
@@ -51,14 +48,15 @@ __all__ = ["CompiledProgram"]
 _INF = float("inf")
 
 
-def _observe_solve(overlay: str, backend, elapsed: float, model=None) -> None:
-    """Record one overlay solve: latency always, simplex iterations when
-    the persistent engine reports them (the arrays path has none)."""
+def _observe_solve(overlay: str, backend, elapsed: float, model) -> None:
+    """Record one overlay solve: latency always, solver iterations when
+    the model reports them (an :class:`~repro.lp.backends.ArrayModel`
+    reports none)."""
     registry = obs_metrics()
     registry.histogram(
         "repro_lp_solve_seconds", overlay=overlay, backend=backend.name
     ).observe(elapsed)
-    iterations = getattr(model, "last_iteration_count", 0) if model is not None else 0
+    iterations = model.last_iteration_count
     if iterations:
         registry.histogram(
             "repro_lp_iterations",
@@ -66,13 +64,6 @@ def _observe_solve(overlay: str, backend, elapsed: float, model=None) -> None:
             overlay=overlay,
             backend=backend.name,
         ).observe(float(iterations))
-
-
-def _csr(rows, cols, vals, shape) -> Optional[sparse.csr_matrix]:
-    """A CSR matrix from COO triplets, or ``None`` for zero rows."""
-    if shape[0] == 0:
-        return None
-    return sparse.csr_matrix((vals, (rows, cols)), shape=shape)
 
 
 class CompiledProgram:
@@ -97,12 +88,9 @@ class CompiledProgram:
         Per-participant ``{root column: q·S}`` coefficient maps for the
         Eq. 19 min-max rows (only participants with positive sensitivity).
     backend:
-        A solver exposing ``solve_arrays(c, a_ub, b_ub, a_eq, b_eq,
-        bounds, objective_constant) -> LPSolution`` — any
-        :class:`~repro.lp.backends.SolverBackend`.  Backends advertising
-        ``supports_persistent`` get their models built once from the
-        compiled blocks via ``build_persistent`` and mutated in place
-        per call.
+        Any :class:`~repro.lp.backends.SolverBackend`: one model per
+        overlay is built from the compiled blocks through its
+        ``build_persistent`` and mutated in place per call.
     """
 
     def __init__(
@@ -118,10 +106,10 @@ class CompiledProgram:
         g_rows: Sequence[Dict[int, float]],
         backend,
     ):
-        if not hasattr(backend, "solve_arrays"):
+        if not hasattr(backend, "build_persistent"):
             raise LPError(
-                f"backend {backend!r} has no solve_arrays entry point; "
-                "every LP backend must implement solve_arrays"
+                f"backend {backend!r} has no build_persistent entry point; "
+                "every LP backend must implement build_persistent"
             )
         self.backend = backend
         self.num_variables = int(num_variables)
@@ -137,11 +125,10 @@ class CompiledProgram:
         self._bounds[:, 0] = 0.0
         self._bounds[:, 1] = 1.0
 
-        self._a_ub = _csr(ub_rows, ub_cols, ub_vals, (len(ub_rhs), self.num_variables))
-        # linprog wants b_ub=None (not an empty array) when A_ub is None
-        self._b_ub = (
-            np.asarray(ub_rhs, dtype=float) if self._a_ub is not None else None
+        self._a_ub = sparse.csr_matrix(
+            (ub_vals, (ub_rows, ub_cols)), shape=(len(ub_rhs), self.num_variables)
         )
+        self._b_ub = np.asarray(ub_rhs, dtype=float)
 
         # Mass row Σ_p f_p: only its RHS varies between H/G calls.
         self._a_mass = sparse.csr_matrix(
@@ -158,13 +145,9 @@ class CompiledProgram:
         self._c = np.asarray(objective, dtype=float)
         self._constant = float(objective_constant)
         self._g_row_maps: List[Dict[int, float]] = [dict(row) for row in g_rows]
-        # The persistent path replaces backend.solve_arrays, so it is
-        # gated on the capability flag, never the backend's type — a
-        # custom/instrumented backend (subclass or duck-typed) that must
-        # keep receiving every solve simply leaves the flag unset.
-        self._use_engine = bool(getattr(backend, "supports_persistent", False))
-        # lazily assembled overlays (arrays and/or persistent models)
-        self._g_overlay = None
+        # lazily assembled: the G overlay's build_persistent arguments,
+        # and one model per overlay
+        self._g_overlay: Optional[Dict] = None
         self._h_model: Optional[PersistentModel] = None
         self._g_model: Optional[PersistentModel] = None
         self._x_model: Optional[PersistentModel] = None
@@ -198,7 +181,7 @@ class CompiledProgram:
 
     # -- shared helpers ------------------------------------------------------
     def _num_ub_rows(self) -> int:
-        return 0 if self._a_ub is None else self._a_ub.shape[0]
+        return self._a_ub.shape[0]
 
     def _ub_row_lower(self) -> np.ndarray:
         return np.full(self._num_ub_rows(), -_INF)
@@ -223,187 +206,98 @@ class CompiledProgram:
         )
 
     # -- H -------------------------------------------------------------------
-    def _build_h_model(self) -> PersistentModel:
-        blocks = (
-            [self._a_ub, self._a_mass] if self._a_ub is not None else [self._a_mass]
-        )
-        matrix = sparse.vstack(blocks, format="csr")
-        row_lower = np.concatenate([self._ub_row_lower(), [0.0]])
-        upper = self._b_ub if self._b_ub is not None else np.zeros(0)
-        row_upper = np.concatenate([upper, [0.0]])
-        return self.backend.build_persistent(
-            matrix,
-            col_costs=self._c,
-            col_lower=self._bounds[:, 0],
-            col_upper=self._bounds[:, 1],
-            row_lower=row_lower,
-            row_upper=row_upper,
-        )
-
     def _ensure_h_model(self) -> PersistentModel:
         if self._h_model is None:
-            self._h_model = self._build_h_model()
+            self._h_model = self.backend.build_persistent(
+                sparse.vstack([self._a_ub, self._a_mass], format="csr"),
+                col_costs=self._c,
+                col_lower=self._bounds[:, 0],
+                col_upper=self._bounds[:, 1],
+                row_lower=np.append(self._ub_row_lower(), 0.0),
+                row_upper=np.append(self._b_ub, 0.0),
+            )
         return self._h_model
 
     def solve_h(self, i: float) -> LPSolution:
-        """``H_i`` with only the mass-row RHS rebuilt per call."""
+        """``H_i`` with only the mass-row RHS rebound per call."""
         tick = time.perf_counter()
-        if self._use_engine:
-            model = self._ensure_h_model()
-            model.set_row_bounds(model.num_rows - 1, float(i), float(i))
-            solution = self._with_constant(model.solve(), self._constant)
-            _observe_solve("h", self.backend, time.perf_counter() - tick, model)
-            return solution
-        solution = self.backend.solve_arrays(
-            c=self._c,
-            a_ub=self._a_ub,
-            b_ub=self._b_ub,
-            a_eq=self._a_mass,
-            b_eq=np.array([float(i)]),
-            bounds=self._bounds,
-            objective_constant=self._constant,
-        )
-        _observe_solve("h", self.backend, time.perf_counter() - tick)
+        model = self._ensure_h_model()
+        model.set_row_bounds(self._num_ub_rows(), float(i), float(i))
+        solution = self._with_constant(model.solve(), self._constant)
+        _observe_solve("h", self.backend, time.perf_counter() - tick, model)
         return solution
 
     # -- G -------------------------------------------------------------------
-    def _build_g_overlay(self):
+    def _build_g_overlay(self) -> Dict:
         """Append the ``z`` column and per-participant min-max rows once."""
         n = self.num_variables
-        z = n  # the extra column index
-        g_block = sparse.hstack(
-            [
-                self._g_matrix(n),
-                sparse.csr_matrix(
-                    (
-                        np.full(len(self._g_row_maps), -1.0),
-                        (
-                            np.arange(len(self._g_row_maps), dtype=np.int64),
-                            np.zeros(len(self._g_row_maps), dtype=np.int64),
-                        ),
-                    ),
-                    shape=(len(self._g_row_maps), 1),
-                ),
-            ],
-            format="csr",
+        num_g = len(self._g_row_maps)
+        z_column = sparse.csr_matrix(
+            (
+                np.full(num_g, -1.0),
+                (np.arange(num_g, dtype=np.int64), np.zeros(num_g, dtype=np.int64)),
+            ),
+            shape=(num_g, 1),
         )
-        if self._a_ub is not None:
-            padded = sparse.hstack(
-                [self._a_ub, sparse.csr_matrix((self._a_ub.shape[0], 1))],
-                format="csr",
-            )
-            a_ub = sparse.vstack([padded, g_block], format="csr")
-            b_ub = np.concatenate([self._b_ub, np.zeros(len(self._g_row_maps))])
-        else:
-            a_ub = g_block
-            b_ub = np.zeros(len(self._g_row_maps))
-        a_eq = sparse.hstack([self._a_mass, sparse.csr_matrix((1, 1))], format="csr")
-        bounds = np.vstack([self._bounds, [[0.0, _INF]]])
-        c = np.zeros(n + 1)
-        c[z] = 1.0
-        self._g_overlay = (c, a_ub, b_ub, a_eq, bounds)
+        padded = sparse.hstack(
+            [self._a_ub, sparse.csr_matrix((self._num_ub_rows(), 1))], format="csr"
+        )
+        g_block = sparse.hstack([self._g_matrix(n), z_column], format="csr")
+        mass = sparse.hstack([self._a_mass, sparse.csr_matrix((1, 1))], format="csr")
+        costs = np.zeros(n + 1)
+        costs[n] = 1.0  # minimise z
+        return {
+            "matrix": sparse.vstack([padded, g_block, mass], format="csr"),
+            "col_costs": costs,
+            "col_lower": np.append(self._bounds[:, 0], 0.0),
+            "col_upper": np.append(self._bounds[:, 1], _INF),
+            "row_lower": np.concatenate(
+                [self._ub_row_lower(), np.full(num_g, -_INF), [0.0]]
+            ),
+            "row_upper": np.concatenate([self._b_ub, np.zeros(num_g), [0.0]]),
+        }
 
     def _ensure_g_model(self) -> PersistentModel:
         if self._g_model is None:
-            c, a_ub, b_ub, a_eq, bounds = self._g_overlay
-            matrix = sparse.vstack([a_ub, a_eq], format="csr")
-            self._g_model = self.backend.build_persistent(
-                matrix,
-                col_costs=c,
-                col_lower=bounds[:, 0],
-                col_upper=bounds[:, 1],
-                row_lower=np.concatenate([np.full(len(b_ub), -_INF), [0.0]]),
-                row_upper=np.concatenate([b_ub, [0.0]]),
-            )
+            if self._g_overlay is None:
+                self._g_overlay = self._build_g_overlay()
+            self._g_model = self.backend.build_persistent(**self._g_overlay)
         return self._g_model
 
-    def solve_g(self, i: float) -> LPSolution:
-        """The Eq. 19 min-max LP; the z overlay is assembled on first use."""
-        return self._solve_g(i, resume=False)
+    def solve_g(self, i: float, resume: bool = False) -> LPSolution:
+        """The Eq. 19 min-max LP; the z overlay is assembled on first use.
 
-    def _solve_g(self, i: float, resume: bool) -> LPSolution:
-        """:meth:`solve_g`, or with ``resume`` a re-solve of the persistent
-        model from its previous basis (the arrays path always solves cold)."""
+        ``resume`` re-solves the G model from its previous basis.
+        """
         if not self._g_row_maps:
             raise LPError(
                 f"{self._err_prefix()} relation has no G rows — " "G_i is identically 0"
             )
-        if self._g_overlay is None:
-            self._build_g_overlay()
-        c, a_ub, b_ub, a_eq, bounds = self._g_overlay
         tick = time.perf_counter()
-        if self._use_engine:
-            model = self._ensure_g_model()
-            model.set_row_bounds(model.num_rows - 1, float(i), float(i))
-            solution = model.solve(resume=resume)
-            _observe_solve("g", self.backend, time.perf_counter() - tick, model)
-            return solution
-        solution = self.backend.solve_arrays(
-            c=c,
-            a_ub=a_ub,
-            b_ub=b_ub,
-            a_eq=a_eq,
-            b_eq=np.array([float(i)]),
-            bounds=bounds,
-            objective_constant=0.0,
-        )
-        _observe_solve("g", self.backend, time.perf_counter() - tick)
+        model = self._ensure_g_model()
+        mass_row = self._num_ub_rows() + len(self._g_row_maps)
+        model.set_row_bounds(mass_row, float(i), float(i))
+        solution = model.solve(resume=resume)
+        _observe_solve("g", self.backend, time.perf_counter() - tick, model)
         return solution
 
     # -- batched overlay solves ----------------------------------------------
     def solve_many(
         self, tasks: Sequence, workers: Optional[int] = None
     ) -> List[LPSolution]:
-        """Batched overlay solves: multi-RHS sweeps or worker fan-out.
+        """Batched overlay solves, fanned across workers.
 
         ``tasks`` is a sequence of ``("h", i)``, ``("g", i)`` or
         ``("x", delta_hat)`` pairs; the result list matches task order and
         carries the same :class:`LPSolution` objects the pointwise calls
-        return.
-
-        Two execution strategies, picked per call:
-
-        * **multi-RHS sweep** — when the solves run in-process
-          (``workers`` resolves to 1) on a backend advertising
-          ``supports_multi_rhs``, a homogeneous H (or G) sweep varies
-          only the mass-row RHS, so the whole batch becomes *one*
-          backend call (:meth:`~repro.lp.backends.PersistentModel.
-          solve_rhs_sweep`) against the already-built persistent model
-          instead of N overlay dispatches.  The sweep performs the
-          identical rebind+solve sequence, so results are byte-identical
-          to the pointwise path.
-        * **worker fan-out** — otherwise the tasks shard across workers
-          forked after compilation: workers inherit the compiled CSR
-          blocks copy-on-write and lazily build their own persistent
-          models (the parent's do not survive the fork).  ``workers``
-          resolves through :func:`repro.parallel.pool.resolve_workers`;
-          ``workers=1`` without multi-RHS support runs the same solves
-          sequentially in-process.
+        return.  The tasks shard across workers forked after compilation:
+        workers inherit the compiled CSR blocks copy-on-write and lazily
+        build their own models (the parent's do not survive the fork).
+        ``workers`` resolves through
+        :func:`repro.parallel.pool.resolve_workers`; at ``workers=1`` the
+        same pointwise solves run sequentially in-process.
         """
         task_list = [(str(kind), float(value)) for kind, value in tasks]
-        if (
-            task_list
-            and self._use_engine
-            and getattr(self.backend, "supports_multi_rhs", False)
-            and resolve_workers(workers) == 1
-        ):
-            kinds = {kind for kind, _ in task_list}
-            if kinds == {"h"}:
-                model = self._ensure_h_model()
-                solutions = model.solve_rhs_sweep(
-                    model.num_rows - 1, [value for _, value in task_list]
-                )
-                return [
-                    self._with_constant(solution, self._constant)
-                    for solution in solutions
-                ]
-            if kinds == {"g"} and self._g_row_maps:
-                if self._g_overlay is None:
-                    self._build_g_overlay()
-                model = self._ensure_g_model()
-                return model.solve_rhs_sweep(
-                    model.num_rows - 1, [value for _, value in task_list]
-                )
         return map_tasks(_solve_overlay_task, task_list, payload=self, workers=workers)
 
     # -- the Δ-search walk --------------------------------------------------
@@ -411,9 +305,8 @@ class CompiledProgram:
         """Decide ``G_i ≤ threshold``; returns ``(bool, exact G_i)``.
 
         One Δ search is a walk on the exact Eq. 19 model: its first probe
-        builds the persistent G model and solves it cold with the
-        backend's configured method, and every later probe only moves the
-        mass row and resumes from the previous optimal basis.  The row
+        builds the G model and solves it cold, and every later probe only
+        moves the mass row and resumes from the previous optimal basis.  The row
         move leaves that basis dual feasible, so the HiGHS engine
         re-solves with dual simplex in a few pivots.  Each probe yields
         the exact value, which the caller keeps to tighten its convexity
@@ -424,7 +317,7 @@ class CompiledProgram:
         """
         if not self._g_row_maps:
             return 0.0 <= threshold, 0.0
-        solution = self._solve_g(i, resume=self._g_model is not None)
+        solution = self.solve_g(i, resume=self._g_model is not None)
         if not solution.is_optimal:
             raise LPError(
                 f"{self._err_prefix()} G_{i} <= {threshold} probe failed: "
@@ -441,37 +334,22 @@ class CompiledProgram:
     def solve_x(self, delta_hat: float) -> LPSolution:
         """Eq. 20: the base program with a ``-Δ̂`` objective perturbation."""
         constant = self._constant + self.num_participants * float(delta_hat)
-        participant_cols = np.arange(self.num_participants)
         tick = time.perf_counter()
-        if self._use_engine and self._a_ub is not None:
-            if self._x_model is None:
-                self._x_model = self.backend.build_persistent(
-                    self._a_ub,
-                    col_costs=self._c,
-                    col_lower=self._bounds[:, 0],
-                    col_upper=self._bounds[:, 1],
-                    row_lower=self._ub_row_lower(),
-                    row_upper=self._b_ub,
-                )
-            self._x_model.set_col_costs(
-                participant_cols,
-                self._c[: self.num_participants] - float(delta_hat),
+        if self._x_model is None:
+            self._x_model = self.backend.build_persistent(
+                self._a_ub,
+                col_costs=self._c,
+                col_lower=self._bounds[:, 0],
+                col_upper=self._bounds[:, 1],
+                row_lower=self._ub_row_lower(),
+                row_upper=self._b_ub,
             )
-            solution = self._with_constant(self._x_model.solve(), constant)
-            _observe_solve("x", self.backend, time.perf_counter() - tick, self._x_model)
-            return solution
-        c = self._c.copy()
-        c[: self.num_participants] -= float(delta_hat)
-        solution = self.backend.solve_arrays(
-            c=c,
-            a_ub=self._a_ub,
-            b_ub=self._b_ub,
-            a_eq=None,
-            b_eq=None,
-            bounds=self._bounds,
-            objective_constant=constant,
+        self._x_model.set_col_costs(
+            np.arange(self.num_participants),
+            self._c[: self.num_participants] - float(delta_hat),
         )
-        _observe_solve("x", self.backend, time.perf_counter() - tick)
+        solution = self._with_constant(self._x_model.solve(), constant)
+        _observe_solve("x", self.backend, time.perf_counter() - tick, self._x_model)
         return solution
 
     def __repr__(self) -> str:
@@ -479,7 +357,7 @@ class CompiledProgram:
             f"CompiledProgram(num_variables={self.num_variables}, "
             f"num_ub_rows={self._num_ub_rows()}, "
             f"num_g_rows={len(self._g_row_maps)}, "
-            f"engine={self._use_engine})"
+            f"backend={self.backend.name!r})"
         )
 
 

@@ -9,14 +9,15 @@ into a HiGHS instance **once** and then only mutates the handful of numbers
 that change between solves (a row's bounds, a few objective entries).
 
 A solve starts from a cleared solver state (``clearSolver``), i.e. cold
-with presolve and the configured method, unless the caller resumes.  The
-H sweep and the X relaxation stay cold: on the heavily degenerate
-epigraph LPs a warm basis skips presolve and is not faster there (and a
-warm release rarely solves the X relaxation at all — see
-``RecursiveMechanismBase.x_step``).  The Δ search is
-different: it re-solves one G model whose mass row moves between
-probes, which leaves the previous optimal basis dual feasible, so
-``solve(resume=True)`` re-solves from that basis with dual simplex (see
+with presolve and the size-chosen method (HiGHS's ``choose``, or IPM
+above :data:`~repro.lp.scipy_backend.IPM_THRESHOLD` columns), unless the
+caller resumes.  H solves and the X relaxation stay cold: on the heavily
+degenerate epigraph LPs a warm basis skips presolve and is not faster
+there (and a warm release rarely solves the X relaxation at all — see
+``RecursiveMechanismBase.x_step``).  The Δ search is different: it
+re-solves one G model whose mass row moves between probes, which leaves
+the previous optimal basis dual feasible, so ``solve(resume=True)``
+re-solves from that basis with dual simplex (see
 ``CompiledProgram.solve_g_decide``).
 
 This is a private SciPy API, so :class:`HighsBackend` is gated behind a
@@ -29,17 +30,15 @@ to take (``REPRO_LP_BACKEND=scipy``) instead of degrading silently.
 
 from __future__ import annotations
 
-import warnings
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
-from scipy.optimize import OptimizeWarning
 
 from ..errors import LPError
 from . import status
 from .backends import PersistentModel, register
 from .model import LPSolution
-from .scipy_backend import ScipyBackend
+from .scipy_backend import ScipyBackend, resolve_method
 
 __all__ = [
     "engine_available",
@@ -135,9 +134,9 @@ class PersistentLP(PersistentModel):
         Objective and box bounds per column (``np.inf`` allowed).
     row_lower / row_upper:
         Initial row bounds; mutable per solve via :meth:`set_row_bounds`.
-    options:
-        HiGHS option name → value pairs set once at construction (e.g.
-        ``{"simplex_iteration_limit": 100, "presolve": "off"}``).
+    solver:
+        The HiGHS ``solver`` option of a cold solve (``"choose"`` or
+        ``"ipm"``).
     """
 
     backend_name = "highs"
@@ -150,7 +149,7 @@ class PersistentLP(PersistentModel):
         col_upper: np.ndarray,
         row_lower: np.ndarray,
         row_upper: np.ndarray,
-        options: Optional[Dict] = None,
+        solver: str = "choose",
     ):
         require_engine(self.backend_name)
         # the owner-pid fork guard lives in PersistentModel: a persistent
@@ -180,23 +179,10 @@ class PersistentLP(PersistentModel):
         self.num_cols = num_cols
         self._solver = _core._Highs()
         self._solver.setOptionValue("output_flag", False)
-        for key, value in (options or {}).items():
-            if self._solver.setOptionValue(key, value) != _core.HighsStatus.kOk:
-                # mirror linprog, which warns on unrecognized options
-                # rather than silently diverging from the configuration
-                warnings.warn(
-                    f"HiGHS rejected option {key}={value!r}; "
-                    "solving with its default instead",
-                    OptimizeWarning,
-                    stacklevel=3,
-                )
-        # a cold solve runs the configured method; a resumed one switches
-        # to dual simplex (see solve) and a later cold solve switches back
-        configured = options or {}
-        self._cold_options = {
-            "solver": configured.get("solver", "choose"),
-            "simplex_strategy": configured.get("simplex_strategy", 1),
-        }
+        self._solver.setOptionValue("solver", solver)
+        # a cold solve runs ``solver``; a resumed one switches to dual
+        # simplex (see solve) and a later cold solve switches back
+        self._cold_options = {"solver": solver, "simplex_strategy": 1}
         self._resumed = False
         if self._solver.passModel(lp) == _core.HighsStatus.kError:
             raise LPError(
@@ -219,8 +205,8 @@ class PersistentLP(PersistentModel):
     def solve(self, resume: bool = False) -> LPSolution:
         """Solve; statuses match the canonical set (:mod:`repro.lp.status`).
 
-        The default clears the solver state and runs the configured
-        method with presolve.  ``resume=True`` keeps the previous basis
+        The default clears the solver state and runs the cold ``solver``
+        with presolve.  ``resume=True`` keeps the previous basis
         and re-solves with dual simplex: after a row-bound change that
         basis stays dual feasible, so a few dual pivots restore primal
         feasibility, where HiGHS's ``choose`` could re-run IPM instead.
@@ -254,61 +240,33 @@ class PersistentLP(PersistentModel):
         return f"PersistentLP(num_cols={self.num_cols}, num_rows={self.num_rows})"
 
 
-_SOLVER_BY_METHOD = {"highs": "choose", "highs-ds": "simplex", "highs-ipm": "ipm"}
+_SOLVER_BY_METHOD = {"highs": "choose", "highs-ipm": "ipm"}
 
 
 @register
 class HighsBackend(ScipyBackend):
     """The persistent-model backend over SciPy's private HiGHS bindings.
 
-    Shares every knob (and the one-shot ``solve_arrays`` path) with
-    :class:`~repro.lp.scipy_backend.ScipyBackend` — the two are
+    Builds one :class:`PersistentLP` per overlay from the compiled CSR
+    blocks, so per-call work shrinks to mutating one row's bounds and
+    re-running the solver.  It picks the same size-based method as
+    :class:`~repro.lp.scipy_backend.ScipyBackend`; the two are
     numerically byte-identical on the epigraph workload, which the
-    cross-backend equivalence matrix pins — but additionally builds
-    :class:`PersistentLP` models from the compiled CSR blocks, so
-    per-call work shrinks to mutating one row's bounds and re-running
-    the solver.
+    cross-backend equivalence matrix pins.
     """
 
     name = "highs"
     aliases = ("persistent", "highspy")
-    supports_persistent = True
-    supports_multi_rhs = True
     #: measured winner on this workload: model reuse beats per-call
     #: linprog assembly ~2.6× on the fig5 sweep (see BENCH_backends.json)
     preference = 30
 
-    def __init__(self, *args, **kwargs):
+    def __init__(self):
         require_engine(self.name)
-        super().__init__(*args, **kwargs)
 
     @classmethod
     def availability(cls) -> Tuple[bool, str]:
         return _probe()
-
-    def _engine_options(self, num_variables: int) -> Dict:
-        """Translate the scipy-style knobs into HiGHS option names.
-
-        Honors the method selection (including the ``"adaptive"``
-        simplex/IPM switch on large degenerate programs); scipy-style
-        option names are translated, anything else passes through as a
-        native HiGHS option.
-        """
-        options: Dict = {}
-        method = self._resolve_method(num_variables)
-        options["solver"] = _SOLVER_BY_METHOD.get(method, "choose")
-        raw = dict(self.options)
-        max_iterations = self.max_iterations
-        if max_iterations is None and "maxiter" in raw:
-            max_iterations = raw["maxiter"]
-        raw.pop("maxiter", None)
-        if max_iterations is not None:
-            options["simplex_iteration_limit"] = int(max_iterations)
-            options["ipm_iteration_limit"] = int(max_iterations)
-        if "presolve" in raw:
-            options["presolve"] = "on" if raw.pop("presolve") else "off"
-        options.update(raw)  # native HiGHS options pass through unchanged
-        return options
 
     def build_persistent(
         self,
@@ -326,5 +284,5 @@ class HighsBackend(ScipyBackend):
             col_upper=col_upper,
             row_lower=row_lower,
             row_upper=row_upper,
-            options=self._engine_options(matrix.shape[1]),
+            solver=_SOLVER_BY_METHOD[resolve_method(matrix.shape[1])],
         )

@@ -23,8 +23,8 @@ class LPSolution:
     ----------
     status:
         ``"optimal"``, ``"infeasible"``, ``"unbounded"``,
-        ``"iteration_limit"`` (solver stopped on its iteration budget —
-        see ``ScipyBackend(max_iterations=...)``), or ``"error"``.
+        ``"iteration_limit"`` (solver stopped on its iteration budget),
+        or ``"error"``.
     objective:
         Optimal objective value (including the objective constant), or
         ``nan`` when not optimal.

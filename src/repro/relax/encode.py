@@ -25,8 +25,8 @@ total annotation length (Sec. 5.3).
 Encoding emits COO triplets straight into growable arrays, freezes them
 into NumPy buffers, and compiles them once into a
 :class:`~repro.lp.compiled.CompiledProgram`; every ``H``/``G``/``X`` solve
-below is an overlay solve on that program through the backend's
-``solve_arrays`` (or its persistent models).
+below is an overlay solve on that program, through a model the backend
+builds once per overlay.
 """
 
 from __future__ import annotations
@@ -58,8 +58,7 @@ class EncodedRelation:
         Pairs ``(expression, weight)`` with nonnegative weights ``q(t)``;
         zero-weight tuples may be passed and are skipped.
     backend:
-        An LP backend exposing ``solve_arrays`` (see
-        :mod:`repro.lp.backends`).
+        An LP backend (see :mod:`repro.lp.backends`).
     """
 
     def __init__(
@@ -434,11 +433,6 @@ class EncodedRelation:
     def end_g_walk(self) -> None:
         """Free the Δ-search walk's G model (``CompiledProgram.end_g_walk``)."""
         self._compiled.end_g_walk()
-
-    def g_leq(self, i: float, threshold: float) -> bool:
-        """Boolean form of :meth:`g_decide`."""
-        decided, _ = self.g_decide(i, threshold)
-        return decided
 
     def solve_g_uniform(self, i: float, s_bar: Optional[float] = None) -> float:
         """The sound alternative bounding sequence ``Ĝ_i = 2·S̄·H_i``.

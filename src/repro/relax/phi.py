@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Mapping
 
+import numpy as np
+
 from ..boolexpr.expr import And, Expr, Or, Var, _Const
 from ..errors import ExpressionError
 from ..rng import RngLike, ensure_rng
@@ -60,6 +62,27 @@ def phi_star(expr: Expr, f: Mapping[str, float]) -> float:
     return 1.0 - phi(expr, flipped)
 
 
+def _phi_columns(
+    expr: Expr, columns: Mapping[str, np.ndarray], rows: int
+) -> np.ndarray:
+    """:func:`phi` at many points at once: ``columns`` maps each variable to
+    its values at every point, so each node is evaluated once per call."""
+    if isinstance(expr, _Const):
+        return np.full(rows, 1.0 if expr.value else 0.0)
+    if isinstance(expr, Var):
+        return columns[expr.name]
+    if isinstance(expr, And):
+        total = np.zeros(rows)
+        for child in expr.children:
+            total = total + _phi_columns(child, columns, rows)
+        return np.maximum(0.0, total - (len(expr.children) - 1))
+    if isinstance(expr, Or):
+        return np.maximum.reduce(
+            [_phi_columns(child, columns, rows) for child in expr.children]
+        )
+    raise ExpressionError(f"unknown expression node {expr!r}")
+
+
 def phi_equivalent(
     k1: Expr,
     k2: Expr,
@@ -81,11 +104,16 @@ def phi_equivalent(
     if not names:
         return phi(k1, {}) == phi(k2, {})
     # Boolean vertices first (exact, cheap for small expressions): cap at 2^16.
+    # Vertex ``bits`` sets variable ``pos`` to bit ``pos`` of ``bits``.
     if len(names) <= 16:
-        for bits in range(1 << len(names)):
-            f = {name: float((bits >> pos) & 1) for pos, name in enumerate(names)}
-            if abs(phi(k1, f) - phi(k2, f)) > 1e-12:
-                return False
+        rows = 1 << len(names)
+        bits = np.arange(rows)
+        vertices = {
+            name: ((bits >> pos) & 1).astype(float) for pos, name in enumerate(names)
+        }
+        gap = _phi_columns(k1, vertices, rows) - _phi_columns(k2, vertices, rows)
+        if np.any(np.abs(gap) > 1e-12):
+            return False
     generator = ensure_rng(rng)
     for _ in range(n_samples):
         values = generator.random(len(names))

@@ -5,9 +5,10 @@ Two independent checks on the one production solve path
 
 * :class:`SimplexBackend` — a self-contained dense two-phase primal
   simplex (classical tableau, Bland's rule, so it always terminates).  It
-  implements ``solve_arrays``, so it can be passed anywhere a backend is
-  accepted and runs through ``CompiledProgram``'s arrays path, giving an
-  auditable solver to cross-check HiGHS on small programs.
+  implements ``solve_arrays`` and inherits the default ``ArrayModel``, so
+  it can be passed anywhere a backend is accepted and runs through
+  ``CompiledProgram``, giving an auditable solver to cross-check HiGHS on
+  small programs.
 * :func:`reference_h` / :func:`reference_g` / :func:`reference_x` — the
   ``H_i`` (Eq. 16), ``G_i`` (Eq. 19) and X-step (Eq. 20) programs rebuilt
   from an :class:`~repro.relax.encode.EncodedRelation`'s frozen COO

@@ -6,7 +6,7 @@ Pins the registry contract introduced with the pluggable-backend refactor:
   aliases, reject unknown names with the list of registered backends,
   report unavailable backends (an out-of-tree backend missing its module)
   with an actionable message naming the missing module and the fallback,
-  and refuse objects without ``solve_arrays``;
+  and refuse objects without ``build_persistent``;
 * **selection** — ``REPRO_LP_BACKEND`` overrides the static-preference
   auto-detect order, and the CLI ``--lp-backend`` knob validates eagerly;
 * **identity** — the chosen backend's ``cache_token`` flows into session
@@ -17,7 +17,9 @@ Pins the registry contract introduced with the pluggable-backend refactor:
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.boolexpr import Var
 from repro.errors import LPError
@@ -52,9 +54,9 @@ class PluginBackend(ScipyBackend):
 
 
 class SolveOnlyBackend:
-    """An object with only the removed ``solve(lp)`` entry point."""
+    """An object with only a one-shot ``solve_arrays``, not the contract."""
 
-    def solve(self, lp):
+    def solve_arrays(self, *args, **kwargs):
         raise AssertionError("never called")
 
 
@@ -99,8 +101,7 @@ class TestRegistry:
     def test_describe_rows_carry_capabilities(self):
         rows = {row["name"]: row for row in backends.describe()}
         assert rows["scipy"]["available"] is True
-        assert rows["scipy"]["supports_persistent"] is False
-        assert rows["scipy"]["supports_multi_rhs"] is False
+        assert rows["scipy"]["aliases"] == ["linprog"]
         assert rows["highs"]["preference"] > rows["scipy"]["preference"]
         # sorted by preference, best-first
         preferences = [row["preference"] for row in backends.describe()]
@@ -134,12 +135,12 @@ class TestRegistry:
         }
         assert len(answers) == 1
 
-    def test_resolve_refuses_backend_without_solve_arrays(self):
-        with pytest.raises(LPError, match="solve_arrays"):
+    def test_resolve_refuses_backend_without_build_persistent(self):
+        with pytest.raises(LPError, match="build_persistent"):
             backends.resolve(SolveOnlyBackend())
 
-    def test_compiled_program_refuses_backend_without_solve_arrays(self):
-        with pytest.raises(LPError, match="must implement solve_arrays"):
+    def test_compiled_program_refuses_backend_without_build_persistent(self):
+        with pytest.raises(LPError, match="must implement build_persistent"):
             EncodedRelation(["a"], [(Var("a"), 1.0)], SolveOnlyBackend())
 
     def test_env_var_overrides_preference_order(self, monkeypatch):
@@ -162,31 +163,65 @@ class TestRegistry:
         monkeypatch.delenv(BACKEND_ENV, raising=False)
         assert backends.resolve(None).name == backends.default_backend().name
         assert backends.resolve("scipy").name == "scipy"
-        explicit = ScipyBackend(method="highs-ds")
+        explicit = ScipyBackend()
         assert backends.resolve(explicit) is explicit
         with pytest.raises(LPError, match="not an LP backend"):
             backends.resolve(object())
 
-    def test_cache_tokens_distinguish_backends_and_options(self):
+    def test_cache_tokens_distinguish_backends(self):
         tokens = {backends.create(name).cache_token for name in AVAILABLE}
         assert len(tokens) == len(AVAILABLE)
-        assert (
-            ScipyBackend(method="highs-ds").cache_token
-            != ScipyBackend(method="highs-ipm").cache_token
-        )
+        assert ScipyBackend().cache_token == ("lp-backend", "scipy")
 
 
 class TestBackendContract:
-    def test_capability_flags_exposed(self):
-        for name in AVAILABLE:
-            backend = backends.create(name)
-            for flag in ("supports_persistent", "supports_multi_rhs"):
-                assert isinstance(getattr(backend, flag), bool)
-
-    def test_abstract_backend_rejects_persistent_build(self):
-        backend = SolverBackend()
+    def test_abstract_backend_refuses_to_solve(self):
+        model = SolverBackend().build_persistent(
+            sparse.csr_matrix((0, 1)), [1.0], [0.0], [1.0], [], []
+        )
         with pytest.raises(LPError, match=r"\[lp-backend abstract\]"):
-            backend.build_persistent(None, None, None, None, None, None)
+            model.solve()
+
+    def test_array_model_splits_rows_for_solve_arrays(self):
+        """The default model hands ``lower = -inf`` rows to ``A_ub`` and
+        ``lower = upper`` rows to ``A_eq``, with the current bounds and
+        costs; it ignores ``resume``."""
+        calls = []
+
+        class RecordingBackend(SolverBackend):
+            name = "recording"
+
+            def solve_arrays(
+                self, c, a_ub, b_ub, a_eq, b_eq, bounds, objective_constant=0.0
+            ):
+                calls.append(
+                    (c.copy(), a_ub.toarray(), b_ub, a_eq.toarray(), b_eq, bounds)
+                )
+                return ScipyBackend().solve_arrays(
+                    c, a_ub, b_ub, a_eq, b_eq, bounds, objective_constant
+                )
+
+        matrix = sparse.csr_matrix([[1.0, 2.0], [1.0, 1.0], [3.0, 0.0]])
+        model = RecordingBackend().build_persistent(
+            matrix,
+            col_costs=np.array([1.0, 1.0]),
+            col_lower=np.zeros(2),
+            col_upper=np.ones(2),
+            row_lower=np.array([-np.inf, 0.0, -np.inf]),
+            row_upper=np.array([2.5, 0.0, 2.0]),
+        )
+        model.set_row_bounds(1, 1.5, 1.5)
+        model.set_col_costs([1], [-1.0])
+        solution = model.solve(resume=True)
+        c, a_ub, b_ub, a_eq, b_eq, bounds = calls[-1]
+        np.testing.assert_array_equal(c, [1.0, -1.0])
+        np.testing.assert_array_equal(a_ub, [[1.0, 2.0], [3.0, 0.0]])
+        np.testing.assert_array_equal(b_ub, [2.5, 2.0])
+        np.testing.assert_array_equal(a_eq, [[1.0, 1.0]])
+        np.testing.assert_array_equal(b_eq, [1.5])
+        np.testing.assert_array_equal(bounds, [[0.0, 1.0], [0.0, 1.0]])
+        assert solution.is_optimal
+        assert solution.objective == pytest.approx(-0.5)
 
     def test_persistent_model_fork_guard(self):
         import os
@@ -195,19 +230,6 @@ class TestBackendContract:
         model._owner_pid = os.getpid() + 1
         with pytest.raises(LPError, match="fork"):
             model._assert_owner()
-
-    def test_non_persistent_backend_builds_no_models(self, graph):
-        from repro.core.efficient import EfficientRecursiveMechanism
-        from repro.subgraphs import subgraph_krelation
-
-        relation = subgraph_krelation(graph, triangle(), privacy="edge")
-        program = EfficientRecursiveMechanism(
-            relation, backend="scipy"
-        )._encoded._compiled
-        assert program._h_model is None
-        program.solve_h(1.0)
-        # scipy path never builds persistent models
-        assert program._h_model is None
 
 
 class TestStatusVocabulary:

@@ -71,7 +71,7 @@ def test_compiled_matches_legacy_solves(seed, lp_backend):
         for threshold in (0.0, g_exact - 0.1, g_exact + 0.1, g_exact * 2 + 1.0):
             if threshold < 0:
                 continue
-            assert compiled.g_leq(i, threshold) == (g_exact <= threshold + 1e-9)
+            assert compiled.g_decide(i, threshold)[0] == (g_exact <= threshold + 1e-9)
     for delta in (0.0, 0.05, 0.5, 2.0):
         value_c, index_c = compiled.solve_x_relaxation(delta)
         value_l, index_l = reference_x(compiled, delta)

@@ -24,10 +24,10 @@ from repro.lp.backends import SolverBackend
 from repro.lp.highs_engine import HighsBackend, engine_available
 from repro.subgraphs import subgraph_krelation, triangle
 
-# Most doubles below implement ``solve_arrays`` and leave every capability
-# flag false, so each solve reaches them through ``CompiledProgram``'s
-# arrays path.  ``FailingWalkBackend`` instead wraps the persistent G
-# model the Δ search walks on.
+# Most doubles below implement only ``solve_arrays``, so each solve reaches
+# them through the default ``ArrayModel`` they inherit.
+# ``FailingWalkBackend`` instead wraps the HiGHS G model the Δ search
+# walks on.
 
 needs_engine = pytest.mark.skipif(
     not engine_available(), reason="scipy HiGHS bindings unavailable"
@@ -48,6 +48,17 @@ class FailingBackend(SolverBackend):
 
     def solve_arrays(self, c, a_ub, b_ub, a_eq, b_eq, bounds, objective_constant=0.0):
         return LPSolution("infeasible", float("nan"), np.zeros(0), "injected")
+
+
+class IterationLimitedBackend(SolverBackend):
+    """A backend whose every solve stops on the iteration limit."""
+
+    name = "iteration-limited"
+
+    def solve_arrays(self, c, a_ub, b_ub, a_eq, b_eq, bounds, objective_constant=0.0):
+        return LPSolution(
+            "iteration_limit", float("nan"), np.zeros(0), "Iteration limit reached"
+        )
 
 
 class TruncatedSolutionBackend(SolverBackend):
@@ -80,8 +91,8 @@ class CorruptingBackend(ScipyBackend):
 
 
 class ErroringProbeBackend(ScipyBackend):
-    """Exact solves, except that every G solve (each a cold Δ probe on the
-    arrays path) errors out."""
+    """Exact solves, except that every G solve (each a cold Δ probe, as an
+    array model ignores ``resume``) errors out."""
 
     def __init__(self):
         super().__init__()
@@ -151,8 +162,9 @@ class TestSolverFailures:
     def test_iteration_limited_solver_cause_surfaced(self, relation):
         """An LP stopped on the iteration budget must name the real cause
         in the raised error rather than a bare \"error\"."""
-        backend = ScipyBackend(max_iterations=0, options={"presolve": False})
-        mechanism = EfficientRecursiveMechanism(relation, backend=backend)
+        mechanism = EfficientRecursiveMechanism(
+            relation, backend=IterationLimitedBackend()
+        )
         with pytest.raises(LPError, match="iteration_limit"):
             mechanism.h_entry(2)
 
@@ -172,7 +184,7 @@ class TestSolverFailures:
     @needs_engine
     def test_errored_g_probe_raises_not_decides(self):
         """A Δ probe whose solver reports ``error`` — on the walk's cold
-        first solve, on a resumed solve, or on the arrays path — must
+        first solve, on a resumed solve, or through an array model — must
         abort the Δ search with an LPError, never be read as ``G_i > τ``."""
         for resumed in (False, True):
             backend = FailingWalkBackend("error", resumed=resumed)

@@ -9,9 +9,11 @@ objective and solution.
 import numpy as np
 import pytest
 from lp_oracle import SimplexBackend
+from scipy.optimize import linprog
 
 from repro.errors import LPError
-from repro.lp import ScipyBackend
+from repro.lp import ScipyBackend, status
+from repro.lp.scipy_backend import IPM_THRESHOLD, resolve_method
 
 
 def program(
@@ -155,11 +157,10 @@ class TestBackends:
             SimplexBackend().solve_arrays(**program([1], bounds=[(None, 1.0)]))
 
     def test_adaptive_method_selection(self):
-        backend = ScipyBackend(method="adaptive", ipm_threshold=2)
-        assert backend._resolve_method(1) == "highs"
-        assert backend._resolve_method(2) == "highs"
-        assert backend._resolve_method(5) == "highs-ipm"
-        assert ScipyBackend(method="highs-ds")._resolve_method(5) == "highs-ds"
+        assert IPM_THRESHOLD == 3000
+        assert resolve_method(1) == "highs"
+        assert resolve_method(IPM_THRESHOLD) == "highs"
+        assert resolve_method(IPM_THRESHOLD + 1) == "highs-ipm"
 
 
 def _dense_random_lp(seed=0, num_variables=40, num_rows=30):
@@ -179,23 +180,22 @@ def _dense_random_lp(seed=0, num_variables=40, num_rows=30):
 
 class TestScipyIterationLimit:
     def test_limit_reported_as_iteration_limit(self):
-        """Hitting HiGHS's maxiter must surface as a distinct status with
-        the solver message attached — not a bare "error" with nan only."""
-        backend = ScipyBackend(
-            method="highs", max_iterations=1, options={"presolve": False}
+        """HiGHS's maxiter stop maps to the distinct ``iteration_limit``
+        status — not a bare "error"."""
+        lp = _dense_random_lp()
+        result = linprog(
+            c=lp["c"],
+            A_ub=lp["a_ub"],
+            b_ub=lp["b_ub"],
+            bounds=lp["bounds"],
+            method="highs",
+            options={"maxiter": 1, "presolve": False},
         )
-        solution = backend.solve_arrays(**_dense_random_lp())
-        assert solution.status == "iteration_limit"
-        assert not solution.is_optimal
-        assert np.isnan(solution.objective)
-        assert "iteration" in solution.message.lower()
+        assert "iteration" in result.message.lower()
+        assert status.canonical(status.LINPROG_STATUS[result.status]) == (
+            status.ITERATION_LIMIT
+        )
 
     def test_same_program_solves_without_limit(self):
-        solution = ScipyBackend(method="highs").solve_arrays(**_dense_random_lp())
+        solution = ScipyBackend().solve_arrays(**_dense_random_lp())
         assert solution.is_optimal
-
-    def test_unlimited_backend_keeps_default_options(self):
-        backend = ScipyBackend()
-        assert backend._solver_options() is None
-        limited = ScipyBackend(max_iterations=7, options={"presolve": False})
-        assert limited._solver_options() == {"maxiter": 7, "presolve": False}

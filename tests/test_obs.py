@@ -658,6 +658,25 @@ class TestServingIntegration:
         after = _histogram_count("repro_lp_solve_seconds", overlay="h")
         assert after == before + 1
 
+    @pytest.mark.parametrize("backend", ["highs", "scipy"])
+    def test_batched_h_solves_each_observed(self, identity_graph, backend):
+        """A batched ``h_entries`` call records one solve per LP index."""
+        from repro.core.efficient import EfficientRecursiveMechanism
+        from repro.lp import backends as lp_backends
+        from repro.subgraphs import subgraph_krelation
+
+        if backend not in lp_backends.available():
+            pytest.skip(f"{backend} backend unavailable")
+        relation = subgraph_krelation(identity_graph, triangle(), privacy="edge")
+        mechanism = EfficientRecursiveMechanism(relation, backend=backend)
+        n = mechanism.num_participants
+        lp_indices = [n // 4, n // 3, n // 2, 2 * n // 3]
+        assert all(mechanism._encoded.h_closed_form(i) is None for i in lp_indices)
+        before = _histogram_count("repro_lp_solve_seconds", overlay="h")
+        mechanism.h_entries([0, *lp_indices, n])
+        after = _histogram_count("repro_lp_solve_seconds", overlay="h")
+        assert after - before == len(lp_indices)
+
     def test_pool_tasks_merge_into_parent_registry(self, identity_graph):
         tasks_before = _counter_total("repro_pool_tasks_total")
         releases_before = _histogram_count("repro_release_seconds")

@@ -267,8 +267,6 @@ class TestForkSafety:
         from repro.errors import LPError
 
         program = mechanism._encoded._compiled
-        if not getattr(program.backend, "supports_persistent", False):
-            pytest.skip("backend builds no persistent model to guard")
         program.solve_h(mechanism.num_participants / 2.0)
         model = program._h_model
         assert model is not None

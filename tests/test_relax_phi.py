@@ -2,11 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from repro.boolexpr import FALSE, TRUE, And, Or, Var, parse
+from repro.boolexpr import FALSE, TRUE, And, Or, Var, expand_dnf, parse
 from repro.errors import ExpressionError
 from repro.relax import phi, phi_equivalent, phi_on_vector, phi_star
+from repro.relax.phi import _phi_columns
 
 
 class TestPhiEvaluation:
@@ -116,3 +118,75 @@ class TestPhiEquivalence:
     def test_commutativity_is_phi_equivalent(self):
         assert phi_equivalent(parse("a & b"), parse("b & a"))
         assert phi_equivalent(parse("a | b"), parse("b | a"))
+
+
+def _pointwise_phi_equivalent(k1, k2, n_samples=256, rng=0):
+    """Reference: Def. 19's check with one ``phi`` walk per Boolean vertex."""
+    names = sorted(k1.variables() | k2.variables())
+    if not names:
+        return phi(k1, {}) == phi(k2, {})
+    if len(names) <= 16:
+        for bits in range(1 << len(names)):
+            f = {name: float((bits >> pos) & 1) for pos, name in enumerate(names)}
+            if abs(phi(k1, f) - phi(k2, f)) > 1e-12:
+                return False
+    generator = np.random.default_rng(rng) if isinstance(rng, int) else rng
+    for _ in range(n_samples):
+        values = generator.random(len(names))
+        f = dict(zip(names, values))
+        if abs(phi(k1, f) - phi(k2, f)) > 1e-9:
+            return False
+        half = {name: (v + 0.5) / 2.0 for name, v in f.items()}
+        if abs(phi(k1, half) - phi(k2, half)) > 1e-9:
+            return False
+    return True
+
+
+def _random_positive(rng, names, depth):
+    """A random positive expression over ``names``."""
+    if depth == 0 or rng.random() < 0.3:
+        return Var(names[int(rng.integers(len(names)))])
+    children = [
+        _random_positive(rng, names, depth - 1)
+        for _ in range(int(rng.integers(2, 4)))
+    ]
+    return And(children) if rng.random() < 0.5 else Or(children)
+
+
+class TestVectorisedVertexCheck:
+    """The vertex stage evaluates each expression once over all vertices;
+    it must decide exactly like the per-vertex loop it replaced."""
+
+    def test_vertex_values_match_pointwise_phi(self):
+        rng = np.random.default_rng(3)
+        names = [f"b{j}" for j in range(6)]
+        rows = 1 << len(names)
+        bits = np.arange(rows)
+        vertices = {
+            name: ((bits >> pos) & 1).astype(float) for pos, name in enumerate(names)
+        }
+        for _ in range(40):
+            expr = _random_positive(rng, names, depth=4)
+            values = _phi_columns(expr, vertices, rows)
+            for row in range(rows):
+                f = {name: vertices[name][row] for name in names}
+                assert values[row] == phi(expr, f)
+
+    def test_matches_pointwise_loop_on_random_expressions(self):
+        rng = np.random.default_rng(7)
+        pairs = [(parse("(b1 | b2) & (b1 | b3)"), parse("b1 | (b2 & b3)"))]
+        for _ in range(30):
+            names = [f"b{j}" for j in range(int(rng.integers(3, 10)))]
+            left = _random_positive(rng, names, depth=3)
+            pairs.append((left, _random_positive(rng, names, depth=3)))
+            pairs.append((left, expand_dnf(left)))
+        outcomes = set()
+        for left, right in pairs:
+            ours, theirs = np.random.default_rng(11), np.random.default_rng(11)
+            expected = _pointwise_phi_equivalent(left, right, rng=theirs)
+            assert phi_equivalent(left, right, rng=ours) == expected, (left, right)
+            # the sample stage takes the same draws from the caller's generator
+            assert ours.bit_generator.state == theirs.bit_generator.state
+            outcomes.add(expected)
+        assert outcomes == {True, False}
+        assert not phi_equivalent(*pairs[0])
