@@ -18,7 +18,7 @@ practical (Theorem 6).
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..errors import MechanismError
 from ..obs import metrics as obs_metrics
@@ -74,6 +74,27 @@ def _convex_lower(known, i):
         if i2 > i1:
             best = max(best, g1 - (i1 - i) * (g2 - g1) / (i2 - i1))
     return best
+
+
+#: HiGHS's dual feasibility tolerance: how far a reported mass-row dual
+#: may sit from a true subgradient of ``G``, per unit of ``|i − k|``.
+_DUAL_TOLERANCE = 1e-7
+
+
+def _tangent_exceeds(tangents, i, threshold) -> bool:
+    """Whether a tangent of the convex ``G`` proves ``G_i > threshold``.
+
+    ``tangents`` maps each LP-probed index ``k`` to ``(G_k, slope_k)``,
+    where ``slope_k`` is a subgradient of ``G`` at ``k`` (the probe's
+    mass-row dual), so ``G_i ≥ G_k + slope_k·(i − k)`` on both sides of
+    ``k``.  A tangent decides only when it clears the threshold by
+    ``1e-9·max(1, τ)`` plus the dual tolerance per unit of ``|i − k|``.
+    """
+    floor = threshold + 1e-9 * max(1.0, threshold)
+    return any(
+        value + slope * (i - k) > floor + _DUAL_TOLERANCE * abs(i - k)
+        for k, (value, slope) in tangents.items()
+    )
 
 
 def _count_probe(how: str) -> None:
@@ -179,6 +200,9 @@ class EfficientRecursiveMechanism(RecursiveMechanismBase):
                     else "uniform"
                 )
         self.bounding = bounding
+        #: ``k → (G_k, slope_k)`` for every LP-probed G entry that came
+        #: with a subgradient (see _g_predicate)
+        self._g_tangents: Dict[int, Tuple[float, float]] = {}
         #: query-level φ-sensitivity cap for the "uniform" bounding mode;
         #: falls back to the max over the current annotations (see
         #: EncodedRelation.solve_g_uniform for the neighbor-consistency
@@ -215,9 +239,15 @@ class EfficientRecursiveMechanism(RecursiveMechanismBase):
           ``i`` (the LP value as a function of the mass RHS), so chords
           between known exact entries bound it from above and outward
           secants from below, deciding with no LP at all;
+        * ``tangent`` — each LP probe's mass-row dual is a subgradient of
+          the convex ``G``, so its tangent bounds ``G`` from below on both
+          sides of the probe; one that clears the threshold decides
+          ``G_i > threshold`` with no LP (:func:`_tangent_exceeds`);
         * ``lp`` — otherwise one step of the Δ-search walk on the exact
           G model (``CompiledProgram.solve_g_decide``); the exact value
-          it returns is cached and tightens the bounds for later probes.
+          and slope it returns are kept and tighten the bounds for later
+          probes.  A backend that reports no duals yields no tangents:
+          its decisions are the same, only more of them take an LP.
         """
         if self.bounding == "uniform":
             # Ĝ = 2·S̄·H — one (cheap) H solve; keep the exact entry cached
@@ -238,17 +268,24 @@ class EfficientRecursiveMechanism(RecursiveMechanismBase):
         if _convex_lower(known, i) > threshold:
             _count_probe("secant")
             return False
+        if _tangent_exceeds(self._g_tangents, i, threshold):
+            _count_probe("tangent")
+            return False
         _count_probe("lp")
-        decided, value = self._encoded.g_decide(i, threshold)
-        self._g_cache[_index_key(i)] = value
+        decided, value, slope = self._encoded.g_decide(i, threshold)
+        key = _index_key(i)
+        self._g_cache[key] = value
+        if slope is not None:
+            self._g_tangents[key] = (value, slope)
         return decided
 
     def compute_delta(self, params: RecursiveMechanismParams) -> Tuple[float, int]:
         """Eq. 11 (see the base class), as one walk on the exact G model.
 
         The walk's model is freed when the search returns: a pool forked
-        later does not inherit it, and the next search starts cold
-        instead of from this one's basis.
+        later does not inherit it, and the next search seeds a fresh one
+        instead of starting from this one's basis.  The exact entries and
+        tangents stay: they describe the same ``G``.
         """
         try:
             return super().compute_delta(params)

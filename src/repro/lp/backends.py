@@ -112,10 +112,10 @@ class PersistentModel:
     def solve(self, resume: bool = False) -> LPSolution:
         """Solve the current model state.
 
-        ``resume=True`` continues from the previous solve's basis (the
-        Δ-search walk's later probes, which only move the mass row).  A
-        backend without warm starts may ignore it and solve cold — the
-        optimum must not depend on it, only wall-clock.
+        ``resume=True`` continues from the previous solve's basis (every
+        Δ-search probe after the walk's seed, which only moves the mass
+        row).  A backend without warm starts may ignore it and solve
+        cold — the optimum must not depend on it, only wall-clock.
         """
         raise NotImplementedError
 
@@ -125,7 +125,8 @@ class ArrayModel(PersistentModel):
 
     It holds the row bounds and column costs, and each :meth:`solve`
     splits the rows back into ``A_ub`` rows (lower bound ``-inf``) and
-    ``A_eq`` rows (lower equals upper) for ``backend.solve_arrays``.  A
+    ``A_eq`` rows (lower equals upper) for ``backend.solve_arrays``, and
+    puts the row duals it reports back in the model's row order.  A
     one-shot solve has no basis to continue from, so ``resume`` is
     ignored.
     """
@@ -175,7 +176,7 @@ class ArrayModel(PersistentModel):
             )
         a_ub, b_ub = self._rows(ub)
         a_eq, b_eq = self._rows(eq)
-        return self._backend.solve_arrays(
+        solution = self._backend.solve_arrays(
             c=self._costs,
             a_ub=a_ub,
             b_ub=b_ub,
@@ -183,6 +184,13 @@ class ArrayModel(PersistentModel):
             b_eq=b_eq,
             bounds=self._bounds,
         )
+        if solution.row_dual is not None:
+            # solve_arrays reports the A_ub rows' duals, then the A_eq rows'
+            order = np.concatenate([np.flatnonzero(ub), np.flatnonzero(eq)])
+            row_dual = np.empty(len(order))
+            row_dual[order] = solution.row_dual
+            solution.row_dual = row_dual
+        return solution
 
 
 class SolverBackend:

@@ -8,9 +8,11 @@ only a tiny per-call overlay:
 * ``H_i``: one equality row ``Σ_p f_p = i`` whose RHS is the only thing
   that changes between calls;
 * ``G_i``: one extra column ``z`` and one ``z ≥ Σ_t q·S_{t,p}·v_root(t)``
-  row per participant (identical across calls) plus the same mass row;
-  the Δ search walks this model from probe to probe, re-solving each
-  one from the previous probe's basis;
+  row per participant (identical across calls) plus the same mass row,
+  where one slack column stands in for the participants no row uses;
+  the Δ search seeds this model at ``i = |P|`` or ``i = 0`` and walks
+  it from probe to probe, re-solving each one from the previous
+  probe's basis;
 * the ``X`` step (Eq. 20): a rank-one perturbation of the objective by
   ``-Δ̂`` on the participant columns.
 
@@ -46,6 +48,15 @@ from .model import LPSolution
 __all__ = ["CompiledProgram"]
 
 _INF = float("inf")
+
+#: How far below ``|P|``, as a share of ``|P|``, a walk's first probe may
+#: lie for the walk to open at ``G_{|P|}`` rather than at ``G_0``.  From
+#: ``f ≡ 1`` the resumed dual simplex pays about one pivot per variable
+#: that must leave its upper bound, so that seed pays off only near
+#: ``|P|``; from ``f ≡ 0`` a walk costs about what a cold solve does.
+#: On the fig5 sweeps and perfbench's ``cold-release`` the crossover lies
+#: between 0.25 and 0.34 of ``|P|``.
+_TOP_SEED_REACH = 0.3
 
 
 def _observe_solve(overlay: str, backend, elapsed: float, model) -> None:
@@ -229,9 +240,23 @@ class CompiledProgram:
 
     # -- G -------------------------------------------------------------------
     def _build_g_overlay(self) -> Dict:
-        """Append the ``z`` column and per-participant min-max rows once."""
+        """Append the ``z`` column and per-participant min-max rows once.
+
+        A participant in no epigraph row and no min-max row appears only
+        in the mass row, so such participants together take any mass in
+        ``[0, their count]`` at no cost.  The G model fixes them at 0 and
+        gives that mass to one slack column bounded by their count: the
+        same LP, but its mass row no longer holds thousands of
+        interchangeable columns that every dual simplex pivot would price.
+        """
         n = self.num_variables
         num_g = len(self._g_row_maps)
+        g_matrix = self._g_matrix(n)
+        used = sparse.vstack([self._a_ub, g_matrix], format="csc")
+        idle = np.zeros(n, dtype=bool)
+        idle[: self.num_participants] = (
+            np.diff(used.indptr)[: self.num_participants] == 0
+        )
         z_column = sparse.csr_matrix(
             (
                 np.full(num_g, -1.0),
@@ -239,23 +264,33 @@ class CompiledProgram:
             ),
             shape=(num_g, 1),
         )
+        # columns: the structural variables, the idle participants' slack, z
         padded = sparse.hstack(
-            [self._a_ub, sparse.csr_matrix((self._num_ub_rows(), 1))], format="csr"
+            [self._a_ub, sparse.csr_matrix((self._num_ub_rows(), 2))], format="csr"
         )
-        g_block = sparse.hstack([self._g_matrix(n), z_column], format="csr")
-        mass = sparse.hstack([self._a_mass, sparse.csr_matrix((1, 1))], format="csr")
-        costs = np.zeros(n + 1)
-        costs[n] = 1.0  # minimise z
+        g_block = sparse.hstack(
+            [g_matrix, sparse.csr_matrix((num_g, 1)), z_column], format="csr"
+        )
+        mass_coeffs = np.append(self._a_mass.toarray()[0] * ~idle, [1.0, 0.0])
+        mass = sparse.csr_matrix(mass_coeffs[np.newaxis, :])
+        costs = np.zeros(n + 2)
+        costs[n + 1] = 1.0  # minimise z
         return {
             "matrix": sparse.vstack([padded, g_block, mass], format="csr"),
             "col_costs": costs,
-            "col_lower": np.append(self._bounds[:, 0], 0.0),
-            "col_upper": np.append(self._bounds[:, 1], _INF),
+            "col_lower": np.append(self._bounds[:, 0], [0.0, 0.0]),
+            "col_upper": np.append(
+                np.where(idle, 0.0, self._bounds[:, 1]), [float(idle.sum()), _INF]
+            ),
             "row_lower": np.concatenate(
                 [self._ub_row_lower(), np.full(num_g, -_INF), [0.0]]
             ),
             "row_upper": np.concatenate([self._b_ub, np.zeros(num_g), [0.0]]),
         }
+
+    def _g_mass_row(self) -> int:
+        """The G model's mass row: after the epigraph and min-max rows."""
+        return self._num_ub_rows() + len(self._g_row_maps)
 
     def _ensure_g_model(self) -> PersistentModel:
         if self._g_model is None:
@@ -275,8 +310,7 @@ class CompiledProgram:
             )
         tick = time.perf_counter()
         model = self._ensure_g_model()
-        mass_row = self._num_ub_rows() + len(self._g_row_maps)
-        model.set_row_bounds(mass_row, float(i), float(i))
+        model.set_row_bounds(self._g_mass_row(), float(i), float(i))
         solution = model.solve(resume=resume)
         _observe_solve("g", self.backend, time.perf_counter() - tick, model)
         return solution
@@ -302,32 +336,51 @@ class CompiledProgram:
 
     # -- the Δ-search walk --------------------------------------------------
     def solve_g_decide(self, i: float, threshold: float):
-        """Decide ``G_i ≤ threshold``; returns ``(bool, exact G_i)``.
+        """Decide ``G_i ≤ threshold``; returns ``(bool, exact G_i, slope)``.
 
-        One Δ search is a walk on the exact Eq. 19 model: its first probe
-        builds the G model and solves it cold, and every later probe only
-        moves the mass row and resumes from the previous optimal basis.  The row
-        move leaves that basis dual feasible, so the HiGHS engine
-        re-solves with dual simplex in a few pivots.  Each probe yields
-        the exact value, which the caller keeps to tighten its convexity
-        bounds.  :meth:`end_g_walk` drops the model when the search ends,
-        so no search starts from another's basis.  A solve that is not
-        optimal raises :class:`~repro.errors.LPError` naming its status —
-        it is never read as ``G_i > threshold``.
+        One Δ search is a walk on the exact Eq. 19 model that never solves
+        cold at an interior index.  A walk with no G model builds one and
+        seeds it at a closed-form vertex: mass RHS ``|P|`` when its first
+        probe lies within :data:`_TOP_SEED_REACH` of it, else mass RHS 0.
+        The mass row forces ``f ≡ 1`` or ``f ≡ 0`` there, so presolve
+        fixes every column and the cold solve takes no iterations.  The
+        seed's value is discarded (``G_0`` and ``G_{|P|}`` have closed
+        forms); it only supplies a basis.  Every probe then moves the mass
+        row and resumes from the previous optimal basis.  The row move
+        leaves that basis dual feasible, so the HiGHS engine re-solves with
+        dual simplex.  Each probe yields the exact value, which the caller
+        keeps to tighten its convexity bounds, and ``slope``, twice the
+        mass row's dual: a subgradient of the convex ``G`` at ``i`` (None
+        when the backend reports no duals).
+        :meth:`end_g_walk` drops the model when the search ends, so no
+        search starts from another's basis.  A solve that is not optimal,
+        the seed's included, raises :class:`~repro.errors.LPError` naming
+        its status — it is never read as ``G_i > threshold``.
         """
         if not self._g_row_maps:
-            return 0.0 <= threshold, 0.0
-        solution = self.solve_g(i, resume=self._g_model is not None)
-        if not solution.is_optimal:
-            raise LPError(
-                f"{self._err_prefix()} G_{i} <= {threshold} probe failed: "
-                f"{solution.status} {solution.message}"
-            )
+            return 0.0 <= threshold, 0.0, None
+
+        def checked(solution: LPSolution) -> LPSolution:
+            if not solution.is_optimal:
+                raise LPError(
+                    f"{self._err_prefix()} G_{i} <= {threshold} probe failed: "
+                    f"{solution.status} {solution.message}"
+                )
+            return solution
+
+        if self._g_model is None:
+            top = self.num_participants
+            seed = top if top - i <= _TOP_SEED_REACH * top else 0.0
+            checked(self.solve_g(seed))
+        solution = checked(self.solve_g(i, resume=True))
         value = max(0.0, 2.0 * float(solution.objective))
-        return value <= threshold, value
+        slope = None
+        if solution.row_dual is not None:
+            slope = 2.0 * float(solution.row_dual[self._g_mass_row()])
+        return value <= threshold, value, slope
 
     def end_g_walk(self) -> None:
-        """Free the Δ-search walk's G model (rebuilt cold on next use)."""
+        """Free the Δ-search walk's G model (the next walk seeds a new one)."""
         self._g_model = None
 
     # -- X -------------------------------------------------------------------

@@ -11,14 +11,17 @@ that change between solves (a row's bounds, a few objective entries).
 A solve starts from a cleared solver state (``clearSolver``), i.e. cold
 with presolve and the size-chosen method (HiGHS's ``choose``, or IPM
 above :data:`~repro.lp.scipy_backend.IPM_THRESHOLD` columns), unless the
-caller resumes.  H solves and the X relaxation stay cold: on the heavily
-degenerate epigraph LPs a warm basis skips presolve and is not faster
-there (and a warm release rarely solves the X relaxation at all — see
-``RecursiveMechanismBase.x_step``).  The Δ search is different: it
-re-solves one G model whose mass row moves between probes, which leaves
-the previous optimal basis dual feasible, so ``solve(resume=True)``
-re-solves from that basis with dual simplex (see
-``CompiledProgram.solve_g_decide``).
+caller resumes.  H solves and the X relaxation stay cold: a warm H walk
+is faster but changes H values in their last bits, and released answers
+must not depend on the solve route (a warm release rarely solves the X
+relaxation at all — see ``RecursiveMechanismBase.x_step``).  The Δ
+search is different: it seeds one G model cold at mass RHS ``|P|`` or
+0, where presolve leaves nothing to solve, and then moves only its mass
+row between probes, which leaves the previous optimal basis dual
+feasible, so ``solve(resume=True)`` re-solves from that basis with dual
+simplex (see ``CompiledProgram.solve_g_decide``).  Every optimal
+solution carries its row duals, which the Δ search reads as subgradients
+of ``G``.
 
 This is a private SciPy API, so :class:`HighsBackend` is gated behind a
 lazy, cached probe: :func:`engine_available` answers cheaply after the
@@ -231,9 +234,13 @@ class PersistentLP(PersistentModel):
         )
         if name != "optimal":
             return LPSolution(name, float("nan"), np.zeros(0), message=message)
-        x = np.asarray(self._solver.getSolution().col_value, dtype=float)
+        solution = self._solver.getSolution()
         return LPSolution(
-            "optimal", float(info.objective_function_value), x, message=message
+            "optimal",
+            float(info.objective_function_value),
+            np.asarray(solution.col_value, dtype=float),
+            message=message,
+            row_dual=np.asarray(solution.row_dual, dtype=float),
         )
 
     def __repr__(self) -> str:

@@ -9,6 +9,7 @@ Every backend (:mod:`repro.lp.backends`) and every
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -32,12 +33,19 @@ class LPSolution:
         Optimal variable values (empty array when not optimal).
     message:
         Backend-specific diagnostic text.
+    row_dual:
+        One dual value per constraint row, in the model's row order, when
+        the backend reports them (None otherwise).  Each is the
+        sensitivity ``∂ objective / ∂ rhs`` of its row, so an optimal
+        row dual is a subgradient of the optimal value in that row's
+        right-hand side.
     """
 
     status: str
     objective: float
     x: np.ndarray
     message: str = ""
+    row_dual: Optional[np.ndarray] = None
 
     @property
     def is_optimal(self) -> bool:

@@ -70,7 +70,9 @@ class ScipyBackend(SolverBackend):
 
         A solver that stops early (e.g. on HiGHS's iteration limit) comes
         back with its canonical status (``"iteration_limit"``, not a bare
-        ``"error"``) and the HiGHS message attached.
+        ``"error"``) and the HiGHS message attached.  An optimal solution
+        carries linprog's ``ineqlin`` then ``eqlin`` marginals as its
+        ``row_dual``.
         """
         n = len(c)
         if n == 0:
@@ -92,6 +94,9 @@ class ScipyBackend(SolverBackend):
             float(result.fun) + float(objective_constant),
             np.asarray(result.x, dtype=float),
             message=result.message,
+            row_dual=np.concatenate(
+                [result.ineqlin.marginals, result.eqlin.marginals]
+            ).astype(float),
         )
 
     def __repr__(self) -> str:

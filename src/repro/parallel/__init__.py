@@ -11,7 +11,8 @@ HiGHS models) lazily in each worker:
    (:class:`~repro.experiments.harness.ParallelHarness`).
 
 The Δ search is not among them: it is one sequential walk on a single
-warm G model (:meth:`~repro.lp.compiled.CompiledProgram.solve_g_decide`).
+G model seeded at a closed-form vertex
+(:meth:`~repro.lp.compiled.CompiledProgram.solve_g_decide`).
 
 One sharing scheme implements it: :class:`~repro.parallel.pool.WorkerPool`
 forks workers after the arrays exist, so they inherit them copy-on-write.

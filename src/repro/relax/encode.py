@@ -418,16 +418,20 @@ class EncodedRelation:
         self._check(solution, f"G_{i}")
         return max(0.0, 2.0 * float(solution.objective))
 
-    def g_decide(self, i: float, threshold: float) -> Tuple[bool, float]:
-        """The exact predicate ``G_i ≤ threshold`` as ``(bool, G_i)``.
+    def g_decide(
+        self, i: float, threshold: float
+    ) -> Tuple[bool, float, Optional[float]]:
+        """The exact predicate ``G_i ≤ threshold`` as ``(bool, G_i, slope)``.
 
-        A closed form needs no LP; otherwise this is one step of the
-        Δ-search walk on the exact G model
-        (``CompiledProgram.solve_g_decide``), ended by :meth:`end_g_walk`.
+        A closed form needs no LP and has no slope (None); otherwise this
+        is one step of the Δ-search walk on the exact G model
+        (``CompiledProgram.solve_g_decide``), ended by :meth:`end_g_walk`,
+        and ``slope`` is a subgradient of ``G`` at ``i`` from the mass
+        row's dual (None when the backend reports no duals).
         """
         closed = self.g_closed_form(i)
         if closed is not None:
-            return closed <= threshold, closed
+            return closed <= threshold, closed, None
         return self._compiled.solve_g_decide(float(i), float(threshold))
 
     def end_g_walk(self) -> None:

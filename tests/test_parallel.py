@@ -316,7 +316,7 @@ class TestSolveManyAndRace:
         for i in (n // 3, n // 2, 2 * n // 3):
             exact = cold.solve_g(float(i))
             for threshold in (0.25 * full, 0.5 * full, 0.9 * full):
-                decided, value = walk.g_decide(float(i), threshold)
+                decided, value, _ = walk.g_decide(float(i), threshold)
                 assert decided == (exact <= threshold), (i, threshold)
                 assert value == pytest.approx(exact, rel=1e-9, abs=1e-9)
 
