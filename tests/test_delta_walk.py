@@ -85,7 +85,7 @@ def test_idle_participants_share_one_slack_in_the_g_model(lp_backend):
 
 
 @pytest.mark.skipif(not engine_available(), reason="scipy HiGHS bindings unavailable")
-def test_walk_is_seeded_at_a_closed_form_vertex_and_resumes_every_probe(monkeypatch):
+def test_walk_resumes_after_a_cold_first_solve(monkeypatch):
     """A walk solves cold only at mass RHS ``|P|`` or 0 (its seed, chosen
     by how far below ``|P|`` its first probe lies) and every interior
     probe resumes, in hand-driven walks and in real searches; a walk that
