@@ -167,11 +167,12 @@ class EfficientRecursiveMechanism(RecursiveMechanismBase):
         backend = resolve_backend(backend)
         if (isinstance(relation, ConjunctiveKRelation)
                 and type(self.query) is CountQuery):
-            # Columnar-store relations arrive as a participant-index
-            # matrix; encode it without ever materializing per-occurrence
-            # annotation objects.  Every annotation is by construction a
-            # conjunction of distinct variables, so "auto" bounding is
-            # "paper" with no inspection pass.
+            # Subgraph relations (plain graphs and the columnar store)
+            # arrive as a participant-index matrix; encode it without ever
+            # materializing per-occurrence annotation objects.  Every
+            # annotation is by construction a conjunction of distinct
+            # variables, so "auto" bounding is "paper" with no inspection
+            # pass.
             self._encoded = EncodedRelation.from_conjunctions(
                 relation.sorted_participants,
                 relation.matrix,

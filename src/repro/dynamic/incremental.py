@@ -205,8 +205,10 @@ class IncrementalOccurrences:
         orders ambiguous, the participant/annotation structure is read
         straight out of the intern table and occurrence table as index
         arrays — no per-occurrence ``Occurrence``/``And`` objects.  The
-        result is float-identical to the legacy
-        :func:`~repro.subgraphs.annotate.subgraph_krelation` encoding.
+        rows are in canonical occurrence order: the result is a row
+        permutation of :func:`~repro.subgraphs.annotate.subgraph_krelation`
+        over the same graph (same participants, same multiset of rows),
+        float-identical to it only where the two orders agree.
         """
         if privacy not in ("node", "edge"):
             return None

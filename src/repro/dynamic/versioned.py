@@ -260,12 +260,15 @@ class VersionedGraph(Graph):
         """Columnar-backed sensitive K-relation, or ``None`` to fall back.
 
         The stronger provider hook: where :meth:`occurrences_for` hands
-        back materialized occurrence objects for the legacy annotation
-        path, this returns the maintained relation directly in
-        participant-index form
-        (:class:`~repro.store.relation.ConjunctiveKRelation`) —
-        float-identical, no per-occurrence objects.  ``None`` means "use
-        the legacy path".
+        back materialized occurrence objects, this returns the
+        maintained relation directly in participant-index form
+        (:class:`~repro.store.relation.ConjunctiveKRelation`), no
+        per-occurrence objects.  Its rows are in the store's canonical
+        occurrence order, so it is a row permutation of what
+        :func:`~repro.subgraphs.annotate.subgraph_krelation` builds from
+        the same graph (same participants, same rows), not a
+        float-identical copy.  ``None`` means "build it from the
+        occurrences instead".
         """
         return self._maintainer.relation_for(pattern, privacy)
 

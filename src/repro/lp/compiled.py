@@ -33,6 +33,7 @@ relation's triplets and solves it with a dense simplex.
 from __future__ import annotations
 
 import time
+from itertools import chain
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -202,20 +203,6 @@ class CompiledProgram:
             solution.objective += constant
         return solution
 
-    def _g_matrix(self, num_cols: int) -> sparse.csr_matrix:
-        """The per-participant ``Σ q·S·v_root`` rows as a sparse block."""
-        rows: List[int] = []
-        cols: List[int] = []
-        vals: List[float] = []
-        for row_index, row_map in enumerate(self._g_row_maps):
-            for var, coeff in row_map.items():
-                rows.append(row_index)
-                cols.append(var)
-                vals.append(float(coeff))
-        return sparse.csr_matrix(
-            (vals, (rows, cols)), shape=(len(self._g_row_maps), num_cols)
-        )
-
     # -- H -------------------------------------------------------------------
     def _ensure_h_model(self) -> PersistentModel:
         if self._h_model is None:
@@ -248,40 +235,47 @@ class CompiledProgram:
         gives that mass to one slack column bounded by their count: the
         same LP, but its mass row no longer holds thousands of
         interchangeable columns that every dual simplex pivot would price.
+
+        The matrix is assembled from one set of COO triplets: the epigraph
+        rows, the min-max rows (each map's entries in key order), their
+        ``-z`` entries, and the mass row.
         """
         n = self.num_variables
-        num_g = len(self._g_row_maps)
-        g_matrix = self._g_matrix(n)
-        used = sparse.vstack([self._a_ub, g_matrix], format="csc")
-        idle = np.zeros(n, dtype=bool)
-        idle[: self.num_participants] = (
-            np.diff(used.indptr)[: self.num_participants] == 0
+        p = self.num_participants
+        maps = self._g_row_maps
+        num_g = len(maps)
+        ub = self._a_ub.tocoo()
+        lengths = np.fromiter(map(len, maps), dtype=np.int64, count=num_g)
+        total = int(lengths.sum())
+        g_cols = np.fromiter(chain.from_iterable(maps), dtype=np.int64, count=total)
+        g_vals = np.fromiter(
+            chain.from_iterable(row.values() for row in maps), dtype=float, count=total
         )
-        z_column = sparse.csr_matrix(
-            (
-                np.full(num_g, -1.0),
-                (np.arange(num_g, dtype=np.int64), np.zeros(num_g, dtype=np.int64)),
-            ),
-            shape=(num_g, 1),
-        )
+        used = np.zeros(n, dtype=bool)
+        used[ub.col] = True
+        used[g_cols] = True
+        idle = ~used[:p]
+        active = np.flatnonzero(used[:p])
+        # rows: the epigraph rows, the min-max rows, the mass row;
         # columns: the structural variables, the idle participants' slack, z
-        padded = sparse.hstack(
-            [self._a_ub, sparse.csr_matrix((self._num_ub_rows(), 2))], format="csr"
+        g_rows = np.arange(ub.shape[0], ub.shape[0] + num_g, dtype=np.int64)
+        mass_row = ub.shape[0] + num_g
+        mass_rows = np.full(active.size + 1, mass_row, dtype=np.int64)
+        rows = np.concatenate([ub.row, np.repeat(g_rows, lengths), g_rows, mass_rows])
+        cols = np.concatenate([ub.col, g_cols, np.full(num_g, n + 1), active, [n]])
+        vals = np.concatenate(
+            [ub.data, g_vals, np.full(num_g, -1.0), np.ones(active.size + 1)]
         )
-        g_block = sparse.hstack(
-            [g_matrix, sparse.csr_matrix((num_g, 1)), z_column], format="csr"
-        )
-        mass_coeffs = np.append(self._a_mass.toarray()[0] * ~idle, [1.0, 0.0])
-        mass = sparse.csr_matrix(mass_coeffs[np.newaxis, :])
+        matrix = sparse.csr_matrix((vals, (rows, cols)), shape=(mass_row + 1, n + 2))
+        col_upper = self._bounds[:, 1].copy()
+        col_upper[:p][idle] = 0.0
         costs = np.zeros(n + 2)
         costs[n + 1] = 1.0  # minimise z
         return {
-            "matrix": sparse.vstack([padded, g_block, mass], format="csr"),
+            "matrix": matrix,
             "col_costs": costs,
             "col_lower": np.append(self._bounds[:, 0], [0.0, 0.0]),
-            "col_upper": np.append(
-                np.where(idle, 0.0, self._bounds[:, 1]), [float(idle.sum()), _INF]
-            ),
+            "col_upper": np.append(col_upper, [float(idle.sum()), _INF]),
             "row_lower": np.concatenate(
                 [self._ub_row_lower(), np.full(num_g, -_INF), [0.0]]
             ),

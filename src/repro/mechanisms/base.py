@@ -236,9 +236,8 @@ class Mechanism:
         # query over one reads the maintained relation instead of
         # re-enumerating from scratch.  The columnar store can go one step
         # further and hand back the relation in participant-index form
-        # (no per-occurrence annotation objects); custom per-tuple weights
-        # need the materialized occurrences, so they stay on the legacy
-        # path.
+        # in canonical row order; custom per-tuple weights need the
+        # materialized occurrences, so they take the occurrence path.
         if spec.weight is None:
             relation_provider = getattr(graph, "relation_for", None)
             if relation_provider is not None:

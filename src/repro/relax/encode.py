@@ -160,16 +160,14 @@ class EncodedRelation:
         participants: Sequence[str],
         matrix: np.ndarray,
         backend,
-        weights: Optional[np.ndarray] = None,
     ) -> "EncodedRelation":
         """Vectorized construction for conjunctions of distinct variables.
 
         ``matrix`` is the ``(N, width)`` participant-index matrix of a
         :class:`~repro.store.relation.ConjunctiveKRelation`: row ``r``
         holds the (distinct) participant indices tuple ``r`` conjoins,
-        columns in annotation children order, rows in canonical tuple
-        order.  ``weights`` are the per-tuple query weights (default: 1.0
-        each — counting), all strictly positive.
+        columns in annotation children order.  Every tuple has query
+        weight 1.0 (counting).
 
         The emitted structure is **identical, element for element**, to
         ``cls(participants, annotated, ...)`` over the equivalent
@@ -193,22 +191,8 @@ class EncodedRelation:
         n, width = matrix.shape
         if n and (matrix.min() < 0 or matrix.max() >= num_participants):
             raise LPError("conjunction matrix references unknown participants")
-        if weights is None:
-            weights = np.ones(n, dtype=float)
-            total_weight = float(n)
-        else:
-            weights = np.asarray(weights, dtype=float)
-            if weights.shape != (n,):
-                raise LPError(f"expected {n} weights, got shape {weights.shape}")
-            if n and weights.min() <= 0.0:
-                raise LPError("from_conjunctions needs strictly positive weights")
-            # sequential accumulation, matching the tree walk float for float
-            total = 0.0
-            for value in weights.tolist():
-                total += value
-            total_weight = total
         self._constant_weight = 0.0
-        self.total_weight = total_weight
+        self.total_weight = float(n)
         self.max_phi_sensitivity = 1 if n else 0
         self._next_var = num_participants
 
@@ -233,10 +217,10 @@ class EncodedRelation:
             self._root_vars = num_participants + np.arange(n, dtype=np.int64)
             self._num_structural = num_participants + n
             self._next_var = self._num_structural
-        self._root_weights = weights
+        self._root_weights = np.ones(n, dtype=float)
 
         # G rows: one dict per participant, keyed in the tree walk's
-        # first-encounter order (row-major over the canonical matrix),
+        # first-encounter order (row-major over the matrix),
         # entries in ascending tuple order (stable grouping argsort)
         self._g_rows = {}
         if n:
@@ -247,13 +231,17 @@ class EncodedRelation:
             ends = np.r_[starts[1:], flat.size]
             uniq, first_pos = np.unique(flat, return_index=True)
             row_of = order // width
-            weight_list = weights.tolist()
             root_list = self._root_vars.tolist()
             for group in np.argsort(first_pos, kind="stable").tolist():
                 rows = row_of[starts[group]:ends[group]].tolist()
-                self._g_rows[self.participants[int(uniq[group])]] = {
-                    root_list[row]: weight_list[row] for row in rows
-                }
+                name = self.participants[int(uniq[group])]
+                if width == 1:
+                    # repeated rows share the bare participant as root
+                    self._g_rows[name] = {root_list[rows[0]]: float(len(rows))}
+                else:
+                    self._g_rows[name] = dict.fromkeys(
+                        (root_list[row] for row in rows), 1.0
+                    )
         self._finalize()
         return self
 

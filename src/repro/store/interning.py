@@ -20,7 +20,7 @@ strings**, so a stable integer lexsort over ranks reproduces the dict
 path's string sorts exactly, ties included.  Distinct labels sharing a
 ``repr`` make several string-keyed orders ambiguous, so the table tracks
 :attr:`InternTable.has_repr_collision` and the fast relation path
-falls back to the legacy object path whenever it is set.
+falls back to the occurrence path (eager pairs) whenever it is set.
 
 Graph membership is tracked with boolean *presence* flags (interning is
 append-only; deletes only clear flags), letting the relation builder

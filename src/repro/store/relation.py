@@ -1,11 +1,9 @@
 """Sensitive K-relations carried as participant-index matrices.
 
-The legacy path materializes, for every occurrence, an
-:class:`~repro.subgraphs.matching.Occurrence` plus an ``And``-of-``Var``
-annotation tree, then walks each tree during LP encoding.  For a pure
-conjunctive relation (all subgraph counting) that object soup carries no
-information beyond *which participants each occurrence conjoins, in
-which order* — exactly one ``(N, width)`` integer matrix.
+For a pure conjunctive relation (all subgraph counting) the
+per-occurrence ``And``-of-``Var`` annotation trees carry no information
+beyond *which participants each occurrence conjoins, in which order* —
+exactly one ``(N, width)`` integer matrix.
 
 :class:`ConjunctiveKRelation` stores that matrix (plus the name-sorted
 participant list the LP encoding is defined over) and hands it to
@@ -13,22 +11,26 @@ participant list the LP encoding is defined over) and hands it to
 emits the COO triplets of the compiled program with array ops — no
 per-occurrence Python objects on the hot path.  It subclasses
 :class:`~repro.core.sensitive.SensitiveKRelation` with *lazy* pair
-materialization, so every legacy consumer (baselines, ``world``,
-``withdraw``, equivalence tests) still works, just without the fast
-path.
+materialization, so every pairs consumer (baselines, ``world``,
+``withdraw``, custom query weights) still works.
 
-:func:`conjunctive_relation` builds one from a columnar occurrence
-backend.  Parity contract (pinned by ``tests/test_store.py``): the
-participant order, matrix row order (canonical occurrence order), and
-matrix column order (annotation children order — repr order of the
-node/edge objects) reproduce the legacy
-:func:`~repro.subgraphs.annotate.subgraph_krelation` +
-tree-walk encoding float-for-float.
+Two functions build one:
+:func:`~repro.subgraphs.annotate.subgraph_krelation` (rows in
+enumeration order) and :func:`conjunctive_relation` over a columnar
+occurrence backend (rows in the store's canonical occurrence order).
+Both put participants in name order and each row's columns in
+annotation children order (repr order of the node/edge objects), so the
+two relations of one graph hold the same participants and the same
+multiset of rows — one is a row permutation of the other (pinned by
+``tests/test_store.py``).  Encoding is float-identical only for the
+same row order: a permutation reorders the LP's rows and columns, which
+can move the last bits of a solver's answer.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from functools import partial
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -52,14 +54,14 @@ class ConjunctiveKRelation(SensitiveKRelation):
     matrix:
         ``(N, width)`` int array; row ``r`` lists the participant
         indices occurrence ``r`` conjoins, columns in annotation
-        children order.  Rows are in canonical occurrence order.
-    node_ids / edge_ids:
-        ``(N, k)`` / ``(N, m)`` interned-id matrices (canonical row
-        order) used only to materialize legacy ``(tuple, annotation)``
+        children order (repr order of the conjoined nodes/edges).
+    privacy:
+        ``"node"`` or ``"edge"``.
+    occurrences:
+        The occurrences behind the matrix rows, in row order — a
+        sequence, or a zero-argument callable returning one (called at
+        most once).  Used only to materialize the ``(tuple, annotation)``
         pairs on demand.
-    interner:
-        The intern table resolving ids back to labels (append-only, so
-        late materialization stays safe after further graph updates).
     """
 
     def __init__(
@@ -67,40 +69,29 @@ class ConjunctiveKRelation(SensitiveKRelation):
         sorted_participants: List[str],
         matrix: np.ndarray,
         privacy: str,
-        node_ids: np.ndarray,
-        edge_ids: np.ndarray,
-        interner: InternTable,
+        occurrences: Union[Sequence[Occurrence], Callable[[], Sequence[Occurrence]]],
     ):
         # deliberately no super().__init__() — pairs materialize lazily
         self.participants = frozenset(sorted_participants)
         self.sorted_participants = list(sorted_participants)
         self.matrix = np.ascontiguousarray(matrix, dtype=np.int64)
         self.privacy = privacy
-        self._node_ids = node_ids
-        self._edge_ids = edge_ids
-        self._interner = interner
+        self._occurrences = occurrences
         self._pairs_cache: Optional[Tuple] = None
 
-    # -- lazy legacy view ---------------------------------------------------------
+    # -- lazy pairs view ------------------------------------------------------------
     @property
     def _pairs(self):
         if self._pairs_cache is None:
-            interner = self._interner
+            occurrences = self._occurrences
+            if callable(occurrences):
+                occurrences = occurrences()
             names = self.sorted_participants
-            pairs = []
-            for row in range(self.matrix.shape[0]):
-                occurrence = Occurrence(
-                    nodes=frozenset(
-                        interner.node_label(i) for i in self._node_ids[row].tolist()
-                    ),
-                    edges=frozenset(
-                        interner.edge_label_pair(i)
-                        for i in self._edge_ids[row].tolist()
-                    ),
-                )
-                annotation = And(Var(names[i]) for i in self.matrix[row].tolist())
-                pairs.append((occurrence, annotation))
-            self._pairs_cache = tuple(pairs)
+            self._pairs_cache = tuple(
+                (occurrence, And(Var(names[i]) for i in row))
+                for occurrence, row in zip(occurrences, self.matrix.tolist())
+            )
+            self._occurrences = None  # the pairs hold them from here on
         return self._pairs_cache
 
     # -- cheap overrides (no materialization) ---------------------------------------
@@ -136,24 +127,27 @@ def conjunctive_relation(
 
     Returns ``None`` when participant names collide (two labels
     stringify to the same variable name — e.g. ``1`` vs ``"1"``); the
-    caller then falls back to the legacy object path, which reports the
-    collision exactly as before.
+    caller then builds the relation from the occurrences with
+    :func:`~repro.subgraphs.annotate.subgraph_krelation`, whose eager
+    pairs handle the collision exactly as before.
     """
     interner = backend.interner
     table = backend.table
     rows = backend.canonical_rows()
+    node_ids = table.node_columns(rows)
+    edge_ids = table.edge_columns(rows)
     if privacy == "edge":
         ids = interner.present_edge_ids()
         names = interner.edge_names(ids)
         ranks = interner.edge_ranks()
         id_count = interner.num_interned_edges
-        columns = table.edge_columns(rows)
+        columns = edge_ids
     else:
         ids = interner.present_node_ids()
         names = interner.node_names(ids)
         ranks = interner.node_ranks()
         id_count = interner.num_interned_nodes
-        columns = table.node_columns(rows)
+        columns = node_ids
     order, unique = _sorted_unique_names(names)
     if not unique:
         return None
@@ -173,7 +167,21 @@ def conjunctive_relation(
         sorted_names,
         matrix,
         privacy,
-        node_ids=table.node_columns(rows),
-        edge_ids=table.edge_columns(rows),
-        interner=interner,
+        partial(_resolved_occurrences, interner, node_ids, edge_ids),
     )
+
+
+def _resolved_occurrences(
+    interner: InternTable, node_ids: np.ndarray, edge_ids: np.ndarray
+) -> List[Occurrence]:
+    """The occurrences behind interned-id rows (the intern table is
+    append-only, so resolving ids late stays safe after further graph
+    updates)."""
+    node_label, edge_pair = interner.node_label, interner.edge_label_pair
+    return [
+        Occurrence(
+            nodes=frozenset(map(node_label, node_row)),
+            edges=frozenset(map(edge_pair, edge_row)),
+        )
+        for node_row, edge_row in zip(node_ids.tolist(), edge_ids.tolist())
+    ]

@@ -11,11 +11,20 @@ sensitivity of the count (Sec. 5.2).
 Isolated nodes still count as participants under node privacy (a
 participant whose withdrawal changes nothing is still a participant);
 under edge privacy every edge is a participant.
+
+Because every annotation is such a conjunction, the relation is built in
+index form — one row of participant indices per occurrence
+(:class:`~repro.store.relation.ConjunctiveKRelation`) — and the
+``And``-of-``Var`` trees exist only if a consumer asks for the pairs.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from itertools import chain
+from operator import attrgetter
+from typing import Iterable, Optional
+
+import numpy as np
 
 from ..boolexpr.expr import And, Var
 from ..core.sensitive import SensitiveKRelation
@@ -92,24 +101,77 @@ def subgraph_krelation(
     occurrences:
         Pre-enumerated occurrences (skips enumeration when provided —
         useful when the same match list feeds several mechanisms).
+
+    The relation comes back in index form
+    (:class:`~repro.store.relation.ConjunctiveKRelation`): one row of
+    participant indices per occurrence, in the order of ``occurrences``,
+    with the ``And``-of-``Var`` pairs built only if something asks for
+    them.  When two participant names or two node/edge reprs collide
+    (e.g. nodes ``1`` and ``"1"``) the orders that form is defined by are
+    ambiguous, and the pairs are built eagerly instead.
     """
     if privacy not in ("node", "edge"):
         raise PatternError(f"privacy must be 'node' or 'edge', got {privacy!r}")
     if occurrences is None:
         occurrences = occurrences_for_pattern(graph, pattern)
-    pairs: List[Tuple[object, object]] = []
+    occurrences = list(occurrences)
     if privacy == "node":
-        participants = [node_var(node) for node in graph.nodes()]
-        for occurrence in occurrences:
-            annotation = And(
-                Var(node_var(node)) for node in sorted(occurrence.nodes, key=repr)
-            )
-            pairs.append((occurrence, annotation))
+        objects = graph.nodes()
+        names = [node_var(node) for node in objects]
+        children, var = attrgetter("nodes"), node_var
+        width = pattern.graph.num_nodes
     else:
-        participants = [edge_var(u, v) for u, v in graph.edges()]
-        for occurrence in occurrences:
-            annotation = And(
-                Var(edge_var(u, v)) for u, v in sorted(occurrence.edges, key=repr)
-            )
-            pairs.append((occurrence, annotation))
-    return SensitiveKRelation(participants, pairs)
+        objects = [Occurrence.normalize_edge(u, v) for u, v in graph.edges()]
+        names = [edge_var(u, v) for u, v in objects]
+        children, var = attrgetter("edges"), lambda edge: edge_var(*edge)
+        width = pattern.graph.num_edges
+    if occurrences:
+        width = len(children(occurrences[0]))
+    matrix = _index_rows(objects, names, occurrences, children, width)
+    if matrix is not None:
+        from ..store.relation import ConjunctiveKRelation
+
+        return ConjunctiveKRelation(sorted(names), matrix, privacy, occurrences)
+    pairs = [
+        (occurrence, And(Var(var(c)) for c in sorted(children(occurrence), key=repr)))
+        for occurrence in occurrences
+    ]
+    return SensitiveKRelation(names, pairs)
+
+
+def _index_rows(objects, names, occurrences, children, width):
+    """The ``(N, width)`` participant-index matrix, or ``None``.
+
+    Participant ``j`` is the ``j``-th name in sorted order; row ``r``
+    holds occurrence ``r``'s participants in repr order of its nodes
+    (normalized edges) — the children order of the eager annotation.
+    ``None`` when two names or two reprs collide (the orders are then
+    ambiguous) or the occurrences are not rectangular over ``objects``
+    (a node/edge outside the graph, varying or zero widths); the eager
+    pairs then report or encode them as before.
+    """
+    reprs = [repr(obj) for obj in objects]
+    if len(set(reprs)) != len(reprs) or len(set(names)) != len(names):
+        return None
+    if occurrences and (
+        width == 0 or any(len(children(occ)) != width for occ in occurrences)
+    ):
+        return None
+    positions = range(len(objects))
+    by_repr = sorted(positions, key=reprs.__getitem__)
+    name_index = np.empty(len(objects), dtype=np.int64)
+    name_index[sorted(positions, key=names.__getitem__)] = positions
+    rank = {objects[i]: r for r, i in enumerate(by_repr)}
+    try:
+        ranks = np.fromiter(
+            chain.from_iterable(
+                map(rank.__getitem__, children(occ)) for occ in occurrences
+            ),
+            dtype=np.int64,
+            count=len(occurrences) * width,
+        )
+    except KeyError:
+        return None
+    ranks = ranks.reshape(len(occurrences), width)
+    ranks.sort(axis=1)
+    return name_index[by_repr][ranks]

@@ -34,7 +34,13 @@ from repro.errors import LPError
 from repro.lp import LPSolution
 from repro.lp.backends import SolverBackend
 
-__all__ = ["SimplexBackend", "reference_h", "reference_g", "reference_x"]
+__all__ = [
+    "SimplexBackend",
+    "reference_h",
+    "reference_g",
+    "reference_x",
+    "stacked_g_overlay",
+]
 
 _EPS = 1e-9
 
@@ -397,3 +403,61 @@ def reference_x(encoded, delta_hat: float, backend=None) -> Tuple[float, float]:
         objective_constant=encoded._constant_weight + p * delta_hat,
     )
     return solution.objective, float(np.sum(solution.x[:p]))
+
+
+def stacked_g_overlay(program) -> dict:
+    """The G overlay of a ``CompiledProgram``, assembled block by block.
+
+    The construction ``CompiledProgram._build_g_overlay`` replaced: the
+    min-max rows as their own CSR block from a Python triple loop, the
+    ``z`` column, the base rows padded by ``hstack``, the mass row taken
+    densely from the H model's mass block and masked to the participants
+    some row uses, all joined by ``vstack``.  The production assembly
+    must hand the backend the same matrix (after ``tocsc()``), bounds and
+    costs.
+    """
+    n = program.num_variables
+    a_ub = program._a_ub
+    num_ub = a_ub.shape[0]
+    maps = program._g_row_maps
+    num_g = len(maps)
+    rows, cols, vals = [], [], []
+    for row_index, row_map in enumerate(maps):
+        for var, coeff in row_map.items():
+            rows.append(row_index)
+            cols.append(var)
+            vals.append(float(coeff))
+    g_matrix = sparse.csr_matrix((vals, (rows, cols)), shape=(num_g, n))
+    used = sparse.vstack([a_ub, g_matrix], format="csc")
+    idle = np.zeros(n, dtype=bool)
+    idle[: program.num_participants] = (
+        np.diff(used.indptr)[: program.num_participants] == 0
+    )
+    z_column = sparse.csr_matrix(
+        (
+            np.full(num_g, -1.0),
+            (np.arange(num_g, dtype=np.int64), np.zeros(num_g, dtype=np.int64)),
+        ),
+        shape=(num_g, 1),
+    )
+    padded = sparse.hstack([a_ub, sparse.csr_matrix((num_ub, 2))], format="csr")
+    g_block = sparse.hstack(
+        [g_matrix, sparse.csr_matrix((num_g, 1)), z_column], format="csr"
+    )
+    mass_coeffs = np.append(program._a_mass.toarray()[0] * ~idle, [1.0, 0.0])
+    mass = sparse.csr_matrix(mass_coeffs[np.newaxis, :])
+    costs = np.zeros(n + 2)
+    costs[n + 1] = 1.0
+    bounds = program._bounds
+    return {
+        "matrix": sparse.vstack([padded, g_block, mass], format="csr"),
+        "col_costs": costs,
+        "col_lower": np.append(bounds[:, 0], [0.0, 0.0]),
+        "col_upper": np.append(
+            np.where(idle, 0.0, bounds[:, 1]), [float(idle.sum()), np.inf]
+        ),
+        "row_lower": np.concatenate(
+            [np.full(num_ub, -np.inf), np.full(num_g, -np.inf), [0.0]]
+        ),
+        "row_upper": np.concatenate([program._b_ub, np.zeros(num_g), [0.0]]),
+    }

@@ -14,17 +14,28 @@ same equivalence contract.
 
 import random
 
+import numpy as np
 import pytest
-from lp_oracle import SimplexBackend, reference_g, reference_h, reference_x
+from lp_oracle import (
+    SimplexBackend,
+    reference_g,
+    reference_h,
+    reference_x,
+    stacked_g_overlay,
+)
+from test_delta_walk import COMBOS
 
+from repro.boolexpr import parse
 from repro.boolexpr.expr import And, Or, Var
 from repro.core import (
     EfficientRecursiveMechanism,
     RecursiveMechanismParams,
     SensitiveKRelation,
 )
+from repro.graphs import random_graph_with_avg_degree
 from repro.lp import ScipyBackend
 from repro.relax.encode import EncodedRelation
+from repro.subgraphs import subgraph_krelation
 
 
 def random_expression(rng: random.Random, names, depth: int):
@@ -140,3 +151,44 @@ def test_mechanism_intermediates_agree_across_paths(seed, bounding, lp_backend):
         x_slow = slow._compute_x(delta_hat)
         # X itself is unique (a minimum); its argmin may not be
         assert x_fast[0] == pytest.approx(x_slow[0], abs=1e-6)
+
+
+def _overlay_relations():
+    """``(id, relation)``: the walk combos at two sizes, random
+    expression relations, one with idle participants, one with no G rows."""
+    for name, pattern, privacy, nodes in COMBOS:
+        for size in (nodes, 3 * nodes):
+            graph = random_graph_with_avg_degree(size, 5, rng=size)
+            yield f"{name}@{size}", subgraph_krelation(graph, pattern(), privacy)
+    for seed in range(6):
+        names, annotated = random_relation(300 + seed)
+        yield f"random{seed}", SensitiveKRelation(
+            names, [(f"t{k}", expr) for k, (expr, _) in enumerate(annotated)]
+        )
+    yield "idle", SensitiveKRelation(
+        list("abcdefg"),
+        [("t1", parse("a & b")), ("t2", parse("b & c")), ("t3", parse("a"))],
+    )
+    yield "no-g-rows", SensitiveKRelation(["a", "b", "c"], [])
+
+
+@pytest.mark.parametrize(
+    "relation",
+    [r for _, r in _overlay_relations()],
+    ids=[name for name, _ in _overlay_relations()],
+)
+def test_g_overlay_equals_the_stacked_block_assembly(relation):
+    """The one-pass COO assembly of the G overlay hands the backend the
+    same CSC arrays, bounds and costs as the block-by-block construction."""
+    program = EfficientRecursiveMechanism(relation)._encoded._compiled
+    built = program._build_g_overlay()
+    oracle = stacked_g_overlay(program)
+    assert set(built) == set(oracle)
+    matrix, expected = built["matrix"].tocsc(), oracle["matrix"].tocsc()
+    assert matrix.shape == expected.shape
+    for part in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(
+            getattr(matrix, part), getattr(expected, part), err_msg=part
+        )
+    for key in ("col_costs", "col_lower", "col_upper", "row_lower", "row_upper"):
+        np.testing.assert_array_equal(built[key], oracle[key], err_msg=key)

@@ -26,7 +26,13 @@ from repro.relax.encode import EncodedRelation
 from repro.store import ConjunctiveKRelation
 from repro.store.columnar import ColumnarOccurrenceTable
 from repro.store.interning import InternTable
-from repro.subgraphs import k_star, path_pattern, triangle
+from repro.subgraphs import (
+    k_star,
+    k_triangle,
+    path_pattern,
+    subgraph_krelation,
+    triangle,
+)
 from repro.subgraphs.patterns import cycle_pattern
 
 #: The four seed patterns of the parity pin, plus a 5-node pattern that
@@ -172,6 +178,31 @@ class TestEncoderIdentity:
         assert fast._g_rows == legacy._g_rows
         assert fast.total_weight == legacy.total_weight
         assert fast.max_phi_sensitivity == legacy.max_phi_sensitivity
+
+    @pytest.mark.parametrize("privacy", ["node", "edge"])
+    @pytest.mark.parametrize(
+        "pattern", SEED_PATTERNS + [k_triangle(2)], ids=lambda p: p.name
+    )
+    def test_store_relation_is_a_row_permutation_of_the_plain_one(
+        self, pattern, privacy
+    ):
+        """The store's relation (canonical row order) and the plain
+        graph's (enumeration order) hold the same participants and the
+        same rows — and so the same pairs — possibly in another order."""
+        for seed in range(3):
+            base = random_graph_with_avg_degree(30, 5, rng=seed)
+            plain = subgraph_krelation(base, pattern, privacy)
+            graph = VersionedGraph(base.copy())
+            graph.maintainer.register(pattern)
+            stored = graph.relation_for(pattern, privacy)
+            assert isinstance(plain, ConjunctiveKRelation)
+            assert isinstance(stored, ConjunctiveKRelation)
+            assert stored.sorted_participants == plain.sorted_participants
+            assert stored.matrix.shape == plain.matrix.shape
+            assert sorted(map(tuple, stored.matrix.tolist())) == sorted(
+                map(tuple, plain.matrix.tolist())
+            )
+            assert set(stored.items()) == set(plain.items())
 
     def test_duplicate_participants_rejected(self):
         backend = lp_backends.resolve(None)
