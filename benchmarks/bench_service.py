@@ -1,7 +1,8 @@
 """Service latency/throughput microbench: the wire's overhead over warm
 in-process serving.
 
-Starts a :class:`~repro.service.BackgroundService` on an ephemeral port,
+Runs a one-dataset :class:`~repro.service.ServiceRouter` in a
+:class:`~repro.service.BackgroundService` on an ephemeral port,
 drives it with a blocking :class:`~repro.service.ServiceClient`, and
 measures cold (compile) latency, warm per-request latency, sequential
 throughput, and the audit-replay round trip.  Emits ``BENCH_service.json``
@@ -18,7 +19,7 @@ from pathlib import Path
 from repro import PrivateSession, random_graph_with_avg_degree
 from repro.experiments import format_table
 from repro.obs import quantile_from_counts
-from repro.service import BackgroundService, ServiceClient
+from repro.service import BackgroundService, ServiceClient, ServiceRouter
 from repro.session import HierarchicalAccountant, SharedCompiledCache
 
 WARM_QUERIES = 25
@@ -58,7 +59,9 @@ def test_service_latency_throughput(scale, record_figure, results_dir):
         accountant=HierarchicalAccountant(None, default_user_budget=None),
         cache=SharedCompiledCache(maxsize=16),
     )
-    with BackgroundService(session, seed=7) as bg:
+    router = ServiceRouter(seed=7)
+    router.add_dataset("default", session)
+    with BackgroundService(router) as bg:
         with ServiceClient(bg.address, user="bench") as client:
             start = time.perf_counter()
             client.query("triangle", epsilon=1.0, privacy="node")
@@ -113,7 +116,7 @@ def test_service_latency_throughput(scale, record_figure, results_dir):
                 "requests_per_second",
                 "audit_replay_seconds",
             ],
-            title=f"PrivateQueryService wire latency/throughput "
+            title=f"one-dataset ServiceRouter wire latency/throughput "
             f"(triangle/node, scale={scale.name})",
         ),
     )

@@ -19,7 +19,7 @@ Run:  python examples/dynamic_updates.py
 """
 
 from repro import PrivateSession, VersionedGraph, random_graph_with_avg_degree
-from repro.service import BackgroundService, ServiceClient
+from repro.service import BackgroundService, ServiceClient, ServiceRouter
 from repro.session import HierarchicalAccountant, SharedCompiledCache
 
 
@@ -68,9 +68,9 @@ def main():
         cache=SharedCompiledCache(maxsize=16),
         name="dynamic-wire",
     )
-    with BackgroundService(
-        session, seed=2026, updates=True, update_token="demo-token"
-    ) as bg:
+    router = ServiceRouter(seed=2026)
+    router.add_dataset("default", session, updates=True, writer_token="demo-token")
+    with BackgroundService(router) as bg:
         with ServiceClient(bg.address, user="alice") as client:
             first = client.query("triangle", epsilon=0.5, privacy="node")
             print(f"wire v{first['version']}: answer {first['answer']:.2f}")

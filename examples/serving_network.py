@@ -2,9 +2,11 @@
 
 The deployable shape of the serving stack (:mod:`repro.service`):
 
-1. one :class:`repro.service.PrivateQueryService` fronts a
-   :class:`repro.PrivateSession` behind a newline-delimited JSON wire
-   protocol (stdlib asyncio TCP — here on an ephemeral localhost port);
+1. a :class:`repro.service.ServiceRouter` mounts a
+   :class:`repro.PrivateSession` as its one dataset and serves it behind
+   a newline-delimited JSON wire protocol (stdlib asyncio TCP — here on
+   an ephemeral localhost port, run in-process by
+   :class:`repro.service.BackgroundService`);
 2. a :class:`repro.session.HierarchicalAccountant` partitions the global
    ε cap into per-user sub-budgets — a tenant that exhausts their quota
    is refused *by name* while others keep querying;
@@ -20,7 +22,7 @@ Run:  python examples/serving_network.py
 """
 
 from repro import PrivateSession, random_graph_with_avg_degree
-from repro.service import BackgroundService, ServiceClient
+from repro.service import BackgroundService, ServiceClient, ServiceRouter
 from repro.session import (
     BudgetExhausted,
     HierarchicalAccountant,
@@ -38,7 +40,9 @@ def main():
         graph, rng=7, accountant=accountant, cache=cache, name="network-demo"
     )
 
-    with BackgroundService(session, seed=2026) as bg:
+    router = ServiceRouter(seed=2026)
+    router.add_dataset("default", session)
+    with BackgroundService(router) as bg:
         host, port = bg.address
         print(
             f"serving {graph.num_nodes}-node graph on {host}:{port} "

@@ -343,7 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         default=[],
         metavar="USER=EPS",
-        help="explicit sub-budget for one tenant (repeatable)",
+        help="explicit sub-budget for one tenant (repeatable; under "
+        "--datasets, the default of datasets without 'user_budgets')",
     )
     serve.add_argument(
         "--seed",
@@ -381,14 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="shared secret the 'update' op must present "
         "(with --updates; default: gated only by "
         "--updates)",
-    )
-    serve.add_argument(
-        "--dataset-name",
-        default=None,
-        metavar="NAME",
-        help="name the single-graph deployment mounts its "
-        "dataset under (default: 'default'; ignored "
-        "with --datasets)",
     )
     serve.add_argument(
         "--announce",
@@ -529,16 +522,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_count(args) -> int:
     from .experiments.mechanisms import parse_query
-    from .graphs import load_dataset, random_graph_with_avg_degree, read_edge_list
     from .parallel import resolve_workers
     from . import private_subgraph_count
 
-    if args.edge_list:
-        graph = read_edge_list(args.edge_list, strict=not args.lenient_edge_list)
-    elif args.dataset:
-        graph = load_dataset(args.dataset, scale=args.dataset_scale)
-    else:
-        graph = random_graph_with_avg_degree(args.nodes, args.avgdeg, rng=args.seed)
+    graph = _graph_from_spec(_flag_graph_spec(args, args.edge_list, args.seed))
     _apply_lp_backend(args)
     print(f"graph: {graph.num_nodes} nodes, {graph.num_edges} edges")
     result = private_subgraph_count(
@@ -602,11 +589,23 @@ def _cmd_ingest(args) -> int:
     return 0
 
 
-def _graph_from_spec(spec: dict):
-    """Build the workload's graph from the spec's ``graph`` object."""
+def _flag_graph_spec(args, edge_list, seed) -> dict:
+    """The ``graph`` spec object the single-graph flags describe: the
+    edge-list file, else ``--dataset``, else a random graph from
+    ``--nodes``/``--avgdeg`` and ``seed``."""
+    if edge_list:
+        return {"edge_list": edge_list, "lenient": args.lenient_edge_list}
+    if args.dataset:
+        return {"dataset": args.dataset, "scale": args.dataset_scale}
+    return {"nodes": args.nodes, "avgdeg": args.avgdeg, "seed": seed}
+
+
+def _graph_from_spec(graph_spec: Optional[dict]):
+    """Build a graph from a ``graph`` spec object (batch spec, dataset
+    config entry, or :func:`_flag_graph_spec`)."""
     from .graphs import load_dataset, random_graph_with_avg_degree, read_edge_list
 
-    graph_spec = spec.get("graph") or {}
+    graph_spec = graph_spec or {}
     if "edge_list" in graph_spec:
         return read_edge_list(
             graph_spec["edge_list"], strict=not graph_spec.get("lenient", False)
@@ -835,7 +834,7 @@ def _cmd_batch(args) -> int:
         )
         return 2
 
-    graph = _graph_from_spec(spec)
+    graph = _graph_from_spec(spec.get("graph"))
     has_updates = any(isinstance(item, dict) and "update" in item for item in queries)
     if has_updates:
         from .dynamic import VersionedGraph
@@ -944,22 +943,22 @@ def _cmd_batch(args) -> int:
     return 1 if failed else 0
 
 
-def _parse_user_budgets(pairs, flag: str = "--user-budget"):
-    """``USER=EPS`` pairs → dict, or an error string (caller prints it)."""
+def _parse_user_budgets(pairs):
+    """``--user-budget USER=EPS`` pairs → dict; ``ValueError`` names a bad pair."""
     from .validation import validate_epsilon
 
     user_budgets = {}
     for pair in pairs:
         user, sep, eps = pair.partition("=")
         if not sep or not user:
-            return None, f"{flag} wants USER=EPS, got {pair!r}"
+            raise ValueError(f"--user-budget wants USER=EPS, got {pair!r}")
         try:
-            user_budgets[user] = validate_epsilon(float(eps), f"{flag} {user}")
+            user_budgets[user] = validate_epsilon(float(eps), f"--user-budget {user}")
         except ValueError:
-            return None, (
-                f"{flag} {pair!r}: {eps!r} is not a positive " "finite number"
-            )
-    return user_budgets, None
+            raise ValueError(
+                f"--user-budget {pair!r}: {eps!r} is not a positive finite number"
+            ) from None
+    return user_budgets
 
 
 def _announce(path, host, port) -> None:
@@ -969,60 +968,95 @@ def _announce(path, host, port) -> None:
             handle.write(f"{host}:{port}\n")
 
 
-def _dataset_session(name, config, *, args, cache):
-    """One dataset's session from its ``--datasets`` config object."""
-    from .session import HierarchicalAccountant, PrivateSession
+def _served_session(args, name, graph, user_budgets, config=None):
+    """The session behind one served dataset ``name``.
 
-    graph = _graph_from_spec(config)
-    updates = bool(config.get("updates", False))
-    if updates:
-        from .dynamic import VersionedGraph
+    Every session ``repro serve`` mounts and ``repro replica`` bootstraps
+    is built here: a :class:`~repro.session.HierarchicalAccountant`, the
+    dataset's namespace of the process-wide compiled cache, the seed,
+    the LP backend and the worker count.  The ``budget``,
+    ``user_epsilon``, ``user_budgets`` and ``seed`` keys of a
+    ``--datasets`` entry (``config``) win over ``--epsilon``,
+    ``--user-epsilon``, ``--user-budget`` (parsed into ``user_budgets``)
+    and ``--seed``.
+    """
+    from .session import HierarchicalAccountant, PrivateSession, shared_cache
 
-        graph = VersionedGraph(graph)
+    config = config or {}
     accountant = HierarchicalAccountant(
         config.get("budget", args.epsilon),
         default_user_budget=config.get("user_epsilon", args.user_epsilon),
-        user_budgets=config.get("user_budgets") or {},
+        user_budgets=config.get("user_budgets") or user_budgets,
     )
-    seed = config.get("seed", args.seed)
-    session = PrivateSession(
+    return PrivateSession(
         graph,
         workers=args.workers,
-        rng=seed,
+        rng=config.get("seed", args.seed),
         backend=args.lp_backend,
         accountant=accountant,
-        cache=cache.namespaced(name),
-        name=f"serve[{name}]",
+        cache=shared_cache().namespaced(name),
+        name=f"{args.command}[{name}]",
     )
-    return session, updates, config.get("writer_token"), seed
+
+
+def _serve_config(args) -> dict:
+    """The datasets config ``repro serve`` mounts: the ``--datasets``
+    file, or the single-graph flags as one dataset named ``default``."""
+    import json
+
+    if args.datasets:
+        if args.updates or args.update_token is not None:
+            raise ValueError(
+                "--updates/--update-token are per-dataset keys of the "
+                "--datasets config ('updates', 'writer_token')"
+            )
+        with open(args.datasets) as handle:
+            config = json.load(handle)
+        if not isinstance(config, dict) or not isinstance(
+            config.get("datasets"), dict
+        ) or not config["datasets"]:
+            raise ValueError(
+                f"{args.datasets}: expected {{'datasets': {{name: {{...}}}}}} "
+                "with at least one dataset"
+            )
+        default = config.get("default")
+        if default is not None and default not in config["datasets"]:
+            raise ValueError(
+                f"{args.datasets}: default dataset {default!r} is not in "
+                f"'datasets' ({sorted(config['datasets'])})"
+            )
+        return config
+    if args.update_token is not None and not args.updates:
+        raise ValueError(
+            "--update-token only makes sense with --updates (as given, "
+            "updates would stay disabled and the token ignored)"
+        )
+    from .service import DEFAULT_DATASET
+
+    return {
+        "datasets": {
+            DEFAULT_DATASET: {
+                "graph": _flag_graph_spec(args, args.graph, args.graph_seed),
+                "updates": args.updates,
+                "writer_token": args.update_token,
+            }
+        }
+    }
 
 
 def _build_router(args):
-    """The ``--datasets`` multi-dataset router (and its sessions)."""
-    import json
+    """The router ``repro serve`` runs (and its sessions).
 
+    ``ValueError`` (or ``OSError`` reading ``--datasets``) reports a bad
+    invocation before anything is served.
+    """
     from .service import ServiceRouter
-
-    with open(args.datasets) as handle:
-        config = json.load(handle)
-    if not isinstance(config, dict) or not isinstance(
-        config.get("datasets"), dict
-    ) or not config["datasets"]:
-        raise ValueError(
-            f"{args.datasets}: expected {{'datasets': {{name: {{...}}}}}} "
-            "with at least one dataset"
-        )
-    default = config.get("default")
-    if default is not None and default not in config["datasets"]:
-        raise ValueError(
-            f"{args.datasets}: default dataset {default!r} is not in "
-            f"'datasets' ({sorted(config['datasets'])})"
-        )
     from .session import shared_cache
 
-    cache = shared_cache()
+    config = _serve_config(args)
+    user_budgets = _parse_user_budgets(args.user_budget)
     if args.cache_size is not None:
-        cache.resize(args.cache_size)
+        shared_cache().resize(args.cache_size)
     router = ServiceRouter(
         host=args.host,
         port=args.port,
@@ -1030,18 +1064,22 @@ def _build_router(args):
         seed=args.seed,
     )
     sessions = []
-    for name, dataset_config in config["datasets"].items():
-        session, updates, token, seed = _dataset_session(
-            name, dataset_config, args=args, cache=cache
-        )
+    for name, entry in config["datasets"].items():
+        graph = _graph_from_spec(entry.get("graph"))
+        updates = bool(entry.get("updates", False))
+        if updates:
+            from .dynamic import VersionedGraph
+
+            graph = VersionedGraph(graph)
+        session = _served_session(args, name, graph, user_budgets, entry)
         sessions.append(session)
         router.add_dataset(
             name,
             session,
             updates=updates,
-            writer_token=token,
-            seed=seed,
-            default=(name == default),
+            writer_token=entry.get("writer_token"),
+            seed=entry.get("seed", args.seed),
+            default=(name == config.get("default")),
         )
     return router, sessions
 
@@ -1067,144 +1105,50 @@ def _run_service(service, sessions, args, banner) -> int:
 
 
 def _cmd_serve(args) -> int:
-    from .graphs import load_dataset, random_graph_with_avg_degree, read_edge_list
-    from .service import DEFAULT_DATASET, PROTOCOL_VERSION, PrivateQueryService
-    from .session import HierarchicalAccountant, PrivateSession, shared_cache
+    from .service import PROTOCOL_VERSION
 
     _apply_lp_backend(args)
     _apply_obs(args)
-    if args.datasets:
-        if args.updates or args.update_token is not None:
-            print(
-                "--updates/--update-token are per-dataset keys of the "
-                "--datasets config ('updates', 'writer_token')",
-                file=sys.stderr,
-            )
-            return 2
-        try:
-            router, sessions = _build_router(args)
-        except (OSError, ValueError) as error:
-            print(error, file=sys.stderr)
-            return 2
-
-        def banner(host, port):
-            rows = ", ".join(
-                f"{lane.name}({lane.session.data.num_nodes}n/"
-                f"{lane.session.data.num_edges}e"
-                + (",dynamic" if lane.updates_enabled else "") + ")"
-                for lane in (router.lane(name) for name in router.datasets)
-            )
-            return (
-                f"serving {len(router.datasets)} datasets on "
-                f"{host}:{port} (protocol v{PROTOCOL_VERSION}, default "
-                f"{router.default_dataset!r}): {rows}"
-            )
-
-        return _run_service(router, sessions, args, banner)
-
-    if args.graph:
-        graph = read_edge_list(args.graph, strict=not args.lenient_edge_list)
-    elif args.dataset:
-        graph = load_dataset(args.dataset, scale=args.dataset_scale)
-    else:
-        graph = random_graph_with_avg_degree(
-            args.nodes, args.avgdeg, rng=args.graph_seed
-        )
-    user_budgets, error = _parse_user_budgets(args.user_budget)
-    if error:
+    try:
+        router, sessions = _build_router(args)
+    except (OSError, ValueError) as error:
         print(error, file=sys.stderr)
         return 2
-    if args.update_token is not None and not args.updates:
-        print(
-            "--update-token only makes sense with --updates (as given, "
-            "updates would stay disabled and the token ignored)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.updates:
-        from .dynamic import VersionedGraph
-
-        graph = VersionedGraph(graph)
-    accountant = HierarchicalAccountant(
-        args.epsilon,
-        default_user_budget=args.user_epsilon,
-        user_budgets=user_budgets,
-    )
-    cache = shared_cache()
-    if args.cache_size is not None:
-        cache.resize(args.cache_size)
-    session = PrivateSession(
-        graph,
-        workers=args.workers,
-        rng=args.seed,
-        backend=args.lp_backend,
-        accountant=accountant,
-        cache=cache,
-        name="serve",
-    )
-    service = PrivateQueryService(
-        session,
-        host=args.host,
-        port=args.port,
-        max_pending=args.max_pending,
-        seed=args.seed,
-        updates=args.updates,
-        update_token=args.update_token,
-        dataset=args.dataset_name or DEFAULT_DATASET,
-    )
 
     def banner(host, port):
-        updates_mode = "disabled"
-        if args.updates:
-            updates_mode = (
-                "token-gated" if args.update_token is not None else "enabled"
+        rows = []
+        for name in router.datasets:
+            lane = router.lane(name)
+            data, cap = lane.session.data, lane.session.accountant.budget
+            rows.append(
+                f"{name}({data.num_nodes}n/{data.num_edges}e,budget "
+                f"{'unlimited' if cap is None else f'{cap:g}'}"
+                + (",dynamic" if lane.updates_enabled else "") + ")"
             )
         return (
-            f"graph: {graph.num_nodes} nodes, {graph.num_edges} edges\n"
-            f"serving on {host}:{port} (protocol v{PROTOCOL_VERSION}, "
-            f"budget "
-            f"{'unlimited' if args.epsilon is None else args.epsilon}, "
-            f"per-user "
-            f"{'uncapped' if args.user_epsilon is None else args.user_epsilon}, "
-            f"updates {updates_mode})"
+            f"serving {len(rows)} dataset(s) on {host}:{port} (protocol "
+            f"v{PROTOCOL_VERSION}, default {router.default_dataset!r}): "
+            + ", ".join(rows)
         )
 
-    return _run_service(service, [session], args, banner)
+    return _run_service(router, sessions, args, banner)
 
 
 def _cmd_replica(args) -> int:
     from .service import PROTOCOL_VERSION, ReplicaService, parse_address
-    from .session import HierarchicalAccountant, PrivateSession, shared_cache
 
     try:
         parse_address(args.primary)
+        user_budgets = _parse_user_budgets(args.user_budget)
     except Exception as error:
-        print(error, file=sys.stderr)
-        return 2
-    user_budgets, error = _parse_user_budgets(args.user_budget)
-    if error:
         print(error, file=sys.stderr)
         return 2
     _apply_lp_backend(args)
     _apply_obs(args)
-    cache = shared_cache()
     sessions = []
 
     def session_factory(graph):
-        accountant = HierarchicalAccountant(
-            args.epsilon,
-            default_user_budget=args.user_epsilon,
-            user_budgets=user_budgets,
-        )
-        session = PrivateSession(
-            graph,
-            workers=args.workers,
-            rng=args.seed,
-            backend=args.lp_backend,
-            accountant=accountant,
-            cache=cache.namespaced(args.dataset),
-            name=f"replica[{args.dataset}]",
-        )
+        session = _served_session(args, args.dataset, graph, user_budgets)
         sessions.append(session)
         return session
 

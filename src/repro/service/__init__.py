@@ -10,9 +10,9 @@ per-dataset compiled-relation cache namespaces
 writer authorization, bounded-queue backpressure, streaming audit, and a
 replication feed (``snapshot`` + ``log``) that
 :class:`~repro.service.replication.ReplicaService` read replicas tail.
-:class:`~repro.service.service.PrivateQueryService` is the classic
-single-dataset shape (a router with one lane).  ``python -m repro
+A single-dataset server is a router with one lane.  ``python -m repro
 serve`` / ``repro replica`` start them from the command line;
+:class:`BackgroundService` runs one in-process on a thread, and
 :class:`ServiceClient` is the blocking client (``python -m repro batch
 --remote`` rides on it).
 """
@@ -29,12 +29,11 @@ from .protocol import (
 )
 from .replication import PrimaryLink, ReplicaService
 from .router import DatasetLane, ServiceRouter
-from .service import DEFAULT_DATASET, BackgroundService, PrivateQueryService
+from .service import DEFAULT_DATASET, BackgroundService
 
 __all__ = [
     "ServiceRouter",
     "DatasetLane",
-    "PrivateQueryService",
     "BackgroundService",
     "ReplicaService",
     "PrimaryLink",

@@ -6,9 +6,8 @@ datasets: each mounted dataset gets a :class:`DatasetLane` — its own
 cache namespace, worker pool), its own admission/seed state, and its own
 writer authorization — and every request frame is routed to the lane its
 ``dataset`` field names.  Frames without a ``dataset`` (every protocol-v1
-client) route to the configurable *default* lane, which is how the
-single-dataset :class:`~repro.service.service.PrivateQueryService` of
-PRs 4–6 is now just a router with one mounted lane.
+client) route to the configurable *default* lane, so a single-dataset
+server is just a router with one mounted lane.
 
 Per-lane isolation is the point of the design:
 

@@ -1,41 +1,10 @@
-"""The single-dataset serving front-end: :class:`PrivateQueryService`.
+"""In-process serving: :class:`BackgroundService` runs a router on a thread.
 
-Since PR 7 the connection handling, admission ordering, and every wire
-op live in :class:`~repro.service.router.ServiceRouter`, which serves
-*many* datasets behind one listener.  :class:`PrivateQueryService` is
-the original PR-4 surface kept intact: a router with exactly one mounted
-dataset (the default lane), so one service fronts one
-:class:`~repro.session.PrivateSession` exactly as before —
-
-* **admission in arrival order** — requests are validated
-  (:func:`repro.validation.validate_service_request`) and admitted on the
-  event-loop thread, so privacy-budget reservations happen in a single
-  deterministic order no matter how many connections race;
-* **multi-tenant budgets** — each query names a ``user``; with a
-  :class:`~repro.session.HierarchicalAccountant` mounted on the session,
-  the global ε cap is partitioned into per-user sub-budgets and a refusal
-  names the binding tenant;
-* **backpressure** — at most ``max_pending`` queries may be in flight;
-  excess requests are refused immediately with an ``overloaded`` error
-  (the 429 of this protocol) instead of queueing unboundedly;
-* **deterministic seeds** — a request may pin its seed explicitly;
-  otherwise the service derives one from its seed root as a pure function
-  of (tenant, that tenant's granted-request index), so per-tenant answer
-  streams never depend on cross-tenant interleaving;
-* **live updates** — over a dynamic session, the writer-gated ``update``
-  op mutates the served graph behind a drain barrier, so every query
-  deterministically sees exactly one graph version (echoed in its
-  result frame).
-
-Because the lane state (granted counters, in-flight count, barrier) is
-identical whether a dataset is mounted alone or beside others, a v2
-multi-dataset router answers the default dataset byte-for-byte like this
-single-dataset service at the same seeds — the compatibility contract
-the v1-compat tests pin.
-
-``python -m repro serve`` wires this to a graph and prints the bound
-address; :class:`repro.service.client.ServiceClient` is the matching
-blocking client.
+The wire contract (admission order, per-user budgets, backpressure,
+deterministic seeds, live updates) is
+:class:`~repro.service.router.ServiceRouter`'s; ``python -m repro
+serve`` builds one from a ``--datasets`` config or the single-graph
+flags (mounted as :data:`DEFAULT_DATASET`).
 """
 
 from __future__ import annotations
@@ -44,84 +13,13 @@ import asyncio
 import threading
 from typing import Optional, Tuple
 
-from ..session import PrivateSession
 from .router import ServiceRouter
 
-__all__ = ["PrivateQueryService", "BackgroundService", "DEFAULT_DATASET"]
+__all__ = ["BackgroundService", "DEFAULT_DATASET"]
 
-#: The dataset name a bare ``PrivateQueryService(session)`` mounts its
-#: one session under (and therefore what v1 clients implicitly query).
+#: The dataset name ``repro serve`` mounts its single-graph flags under
+#: (and therefore what v1 clients of such a server implicitly query).
 DEFAULT_DATASET = "default"
-
-
-class PrivateQueryService(ServiceRouter):
-    """Serve private queries from one session over the wire protocol.
-
-    Parameters
-    ----------
-    session:
-        The :class:`~repro.session.PrivateSession` to serve.  Mount a
-        :class:`~repro.session.HierarchicalAccountant` on it for per-user
-        sub-budgets, and the process-wide
-        :func:`~repro.session.shared_cache` for cross-session
-        compiled-relation reuse (``repro serve`` does both).
-    host / port:
-        Bind address; ``port=0`` picks an ephemeral port (read it back
-        from :attr:`address` after :meth:`start`).
-    max_pending:
-        Backpressure bound: queries in flight beyond this are refused
-        with ``overloaded`` before any budget is reserved.  ``0`` refuses
-        every query (drain mode).
-    seed:
-        Entropy for server-assigned request seeds (requests that do not
-        pin their own).  A seeded service + seeded session is end-to-end
-        reproducible; ``None`` draws fresh entropy.
-    name:
-        Label reported by the ``hello`` op.
-    updates:
-        Enable the writer-gated ``update`` op (requires a dynamic session
-        — one over a :class:`~repro.dynamic.VersionedGraph`).  Disabled
-        by default: a static deployment refuses updates with
-        ``forbidden``.
-    update_token:
-        Writer secret the ``update`` op must present (``token`` field)
-        when set.  ``None`` leaves the op gated only by ``updates=``.
-        (On a multi-dataset :class:`~repro.service.router.ServiceRouter`
-        this generalizes to one writer token per dataset.)
-    dataset:
-        The name the session is mounted under (v2 clients may address it
-        explicitly; v1 clients route to it implicitly as the default).
-    """
-
-    def __init__(
-        self,
-        session: PrivateSession,
-        *,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        max_pending: int = 64,
-        seed: Optional[int] = None,
-        name: str = "repro-service",
-        updates: bool = False,
-        update_token: Optional[str] = None,
-        dataset: str = DEFAULT_DATASET,
-    ):
-        if not isinstance(session, PrivateSession):
-            raise TypeError(
-                f"PrivateQueryService fronts a PrivateSession, got "
-                f"{type(session).__name__}"
-            )
-        super().__init__(
-            host=host, port=port, max_pending=max_pending, seed=seed, name=name
-        )
-        self.add_dataset(
-            dataset, session, updates=updates, writer_token=update_token, default=True
-        )
-
-    @property
-    def session(self) -> PrivateSession:
-        """The session being served."""
-        return self.lane().session
 
 
 class BackgroundService:
@@ -130,28 +28,22 @@ class BackgroundService:
     The in-process deployment used by tests, examples, and the service
     benchmark: the asyncio event loop runs on its own thread, the caller
     talks to it through a blocking
-    :class:`~repro.service.client.ServiceClient`.  Pass a
-    :class:`~repro.session.PrivateSession` (plus
-    :class:`PrivateQueryService` keyword arguments) for the classic
-    single-dataset shape, or an already-assembled
-    :class:`~repro.service.router.ServiceRouter` /
-    :class:`~repro.service.replication.ReplicaService` to run any
-    topology in-process.
+    :class:`~repro.service.client.ServiceClient`.  Any assembled
+    :class:`~repro.service.router.ServiceRouter` (or
+    :class:`~repro.service.replication.ReplicaService`) runs this way.
 
-    >>> # with BackgroundService(session) as bg:         # doctest: +SKIP
+    >>> # router = ServiceRouter(seed=7)                 # doctest: +SKIP
+    ... # router.add_dataset("default", session)
+    ... # with BackgroundService(router) as bg:
     ... #     client = ServiceClient(bg.address)
     """
 
-    def __init__(self, session, **kwargs):
-        if isinstance(session, ServiceRouter):
-            if kwargs:
-                raise TypeError(
-                    "BackgroundService(router) takes no extra keyword "
-                    f"arguments, got {sorted(kwargs)}"
-                )
-            self._service = session
-        else:
-            self._service = PrivateQueryService(session, **kwargs)
+    def __init__(self, router: ServiceRouter):
+        if not isinstance(router, ServiceRouter):
+            raise TypeError(
+                f"BackgroundService runs a ServiceRouter, got {type(router).__name__}"
+            )
+        self._service = router
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
         self._ready = threading.Event()

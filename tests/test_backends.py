@@ -304,10 +304,11 @@ class TestSessionIdentity:
 
 class TestServiceIdentity:
     def test_hello_frame_reports_backend(self, graph):
-        from repro.service.service import PrivateQueryService
+        from repro.service import ServiceRouter
 
-        service = PrivateQueryService(
-            PrivateSession(graph, backend="scipy", name="svc")
+        service = ServiceRouter()
+        service.add_dataset(
+            "default", PrivateSession(graph, backend="scipy", name="svc")
         )
         frame = service._op_hello({})
         assert frame["lp_backend"] == "scipy"

@@ -27,7 +27,7 @@ from repro.errors import (
     SessionError,
 )
 from repro.graphs import Graph
-from repro.service import BackgroundService, ServiceClient
+from repro.service import BackgroundService, ServiceClient, ServiceRouter
 from repro.session import (
     HierarchicalAccountant,
     SharedCompiledCache,
@@ -504,9 +504,18 @@ class TestServiceUpdates:
             cache=SharedCompiledCache(maxsize=8),
         )
 
+    @staticmethod
+    def _serve(session, *, seed=None, updates=False, writer_token=None):
+        """``session`` as the one lane of a router, run in-process."""
+        router = ServiceRouter(seed=seed)
+        router.add_dataset(
+            "default", session, updates=updates, writer_token=writer_token
+        )
+        return BackgroundService(router)
+
     def test_update_op_end_to_end_with_versions(self):
         session = self._session()
-        with BackgroundService(session, seed=42, updates=True) as bg:
+        with self._serve(session, seed=42, updates=True) as bg:
             with ServiceClient(bg.address) as client:
                 hello = client.hello()
                 assert hello["updates"] is True
@@ -536,7 +545,7 @@ class TestServiceUpdates:
 
     def test_updates_disabled_by_default(self):
         session = self._session(seed=2)
-        with BackgroundService(session) as bg:
+        with self._serve(session) as bg:
             with ServiceClient(bg.address) as client:
                 assert client.hello()["updates"] is False
                 with pytest.raises(ServiceForbidden, match="disabled"):
@@ -547,7 +556,7 @@ class TestServiceUpdates:
 
     def test_update_token_gate(self):
         session = self._session(seed=3)
-        with BackgroundService(session, updates=True, update_token="hunter2") as bg:
+        with self._serve(session, updates=True, writer_token="hunter2") as bg:
             with ServiceClient(bg.address) as client:
                 with pytest.raises(ServiceForbidden, match="token"):
                     client.update([{"action": "add_node", "node": 99}])
@@ -562,12 +571,12 @@ class TestServiceUpdates:
     def test_update_requires_dynamic_session(self):
         static = PrivateSession(random_graph_with_avg_degree(20, 4.0, rng=1))
         with pytest.raises(ValueError, match="dynamic session"):
-            BackgroundService(static, updates=True)
+            ServiceRouter().add_dataset("d", static, updates=True)
         static.close()
 
     def test_invalid_update_actions_are_bad_requests(self):
         session = self._session(seed=4)
-        with BackgroundService(session, updates=True) as bg:
+        with self._serve(session, updates=True) as bg:
             with ServiceClient(bg.address) as client:
                 with pytest.raises(ValueError, match="actions"):
                     client.update([])
@@ -609,7 +618,7 @@ class TestServiceUpdates:
             except Exception as error:  # pragma: no cover - fail loudly
                 errors.append(error)
 
-        with BackgroundService(session, updates=True, seed=3) as bg:
+        with self._serve(session, updates=True, seed=3) as bg:
             address = bg.address
             threads = [
                 threading.Thread(target=hammer, args=(address, f"user{i}"))
@@ -740,11 +749,18 @@ class TestBatchCLIWithUpdates:
         args = build_parser().parse_args(["batch", "spec.json", "--update-token", "t"])
         assert args.update_token == "t"
 
-    def test_serve_rejects_token_without_updates(self, capsys):
+    def test_serve_rejects_token_without_updates(self, tmp_path, capsys):
+        import json
+
         from repro.cli import main
 
         assert main(["serve", "--nodes", "10", "--update-token", "t"]) == 2
         assert "--updates" in capsys.readouterr().err
+        # under --datasets the flags are per-dataset config keys instead
+        path = tmp_path / "datasets.json"
+        path.write_text(json.dumps({"datasets": {"a": {}}}))
+        assert main(["serve", "--datasets", str(path), "--updates"]) == 2
+        assert "per-dataset" in capsys.readouterr().err
 
     def test_lenient_edge_list_flag_loads_snap_style_files(self, tmp_path, capsys):
         from repro.cli import main

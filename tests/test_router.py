@@ -3,8 +3,9 @@
 The acceptance pins:
 
 * a v1 client (raw ``v: 1`` frames, no ``dataset`` field) against a v2
-  router gets **byte-identical** answers to the classic single-dataset
-  service at the same seed — the default-dataset compatibility contract;
+  router gets **byte-identical** answers to a one-lane router serving
+  that dataset alone at the same seed — the default-dataset
+  compatibility contract;
 * explicit and default routing to the same dataset agree; routing to a
   different dataset answers over that dataset's graph;
 * per-dataset writer tokens, per-dataset cache/stats counters, and the
@@ -27,7 +28,6 @@ from repro.service import (
     PROTOCOL_VERSION,
     SUPPORTED_VERSIONS,
     BackgroundService,
-    PrivateQueryService,
     ResultFrame,
     ServiceClient,
     ServiceRouter,
@@ -191,9 +191,11 @@ class TestRouting:
 
 class TestV1Compatibility:
     def test_v1_frames_route_to_default_and_match_classic_service(self, alpha_graph):
-        """A v1 client against the v2 router == the classic service."""
+        """A v1 client against the two-lane router == a one-lane router."""
         classic_session = _session(alpha_graph)
-        with BackgroundService(classic_session, seed=ROUTER_SEED) as bg:
+        one_lane = ServiceRouter(seed=ROUTER_SEED)
+        one_lane.add_dataset("default", classic_session)
+        with BackgroundService(one_lane) as bg:
             with ServiceClient(bg.address) as client:
                 classic = client.query("triangle", epsilon=0.3, privacy="edge")
         classic_session.close()
@@ -226,13 +228,6 @@ class TestV1Compatibility:
         assert frame["result"]["dataset"] == "alpha"
         assert frame["result"]["answer"] == classic["answer"]
         _close_all(sessions)
-
-    def test_classic_service_is_a_single_lane_router(self, alpha_graph):
-        session = _session(alpha_graph)
-        service = PrivateQueryService(session)
-        assert isinstance(service, ServiceRouter)
-        assert list(service.datasets) == ["default"]
-        session.close()
 
 
 class TestResultFrame:
@@ -390,7 +385,9 @@ class TestClientSurface:
 
     def test_connect_context_manager(self, alpha_graph):
         session = _session(alpha_graph)
-        with BackgroundService(session) as bg:
+        router = ServiceRouter()
+        router.add_dataset("alpha", session)
+        with BackgroundService(router) as bg:
             host, port = bg.address
             with ServiceClient(f"{host}:{port}").connect() as client:
                 assert client.ping()["pong"] is True

@@ -22,13 +22,20 @@ import numpy as np
 import pytest
 
 from repro import PrivateSession, random_graph_with_avg_degree
-from repro.errors import ProtocolError, ServiceError, ServiceOverloaded
+from repro.cli import _build_router, _served_session, build_parser, main
+from repro.dynamic import VersionedGraph
+from repro.errors import (
+    ProtocolError,
+    ServiceError,
+    ServiceForbidden,
+    ServiceOverloaded,
+)
 from repro.service import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     BackgroundService,
-    PrivateQueryService,
     ServiceClient,
+    ServiceRouter,
     parse_address,
     request_seed,
     seed_from_wire,
@@ -59,6 +66,13 @@ def _service_session(graph, budget=None, default_user_budget=None, workers=1, rn
         accountant=accountant,
         cache=SharedCompiledCache(maxsize=8),
     )
+
+
+def _serve(session, **router_kwargs):
+    """``session`` as the one lane of a router, run in-process."""
+    router = ServiceRouter(**router_kwargs)
+    router.add_dataset("default", session)
+    return BackgroundService(router)
 
 
 class TestProtocol:
@@ -152,7 +166,7 @@ class TestServiceEndToEnd:
         ]
         session = _service_session(graph, budget=4.0)
         remote = {}
-        with BackgroundService(session, seed=SERVICE_SEED) as bg:
+        with _serve(session, seed=SERVICE_SEED) as bg:
             with ServiceClient(bg.address) as client:
                 for i, (user, query, privacy, eps) in enumerate(workload):
                     result = client.query(
@@ -179,7 +193,7 @@ class TestServiceEndToEnd:
 
     def test_explicit_int_seed_matches_in_process(self, graph):
         session = _service_session(graph)
-        with BackgroundService(session) as bg:
+        with _serve(session) as bg:
             with ServiceClient(bg.address) as client:
                 result = client.query(
                     "triangle", epsilon=0.5, privacy="edge", seed=1234
@@ -192,7 +206,7 @@ class TestServiceEndToEnd:
 
     def test_per_user_sub_budgets_enforced_with_tenant_in_error(self, graph):
         session = _service_session(graph, budget=5.0, default_user_budget=0.7)
-        with BackgroundService(session) as bg:
+        with _serve(session) as bg:
             with ServiceClient(bg.address, user="alice") as client:
                 client.query("triangle", epsilon=0.5, privacy="edge")
                 with pytest.raises(BudgetExhausted) as excinfo:
@@ -208,7 +222,7 @@ class TestServiceEndToEnd:
 
     def test_budget_and_hello_and_ping(self, graph):
         session = _service_session(graph, budget=1.0)
-        with BackgroundService(session, name="t") as bg:
+        with _serve(session, name="t") as bg:
             with ServiceClient(bg.address) as client:
                 hello = client.hello()
                 assert hello["protocol"] == PROTOCOL_VERSION
@@ -224,7 +238,7 @@ class TestServiceEndToEnd:
 
     def test_overload_refusal_is_429_like(self, graph):
         session = _service_session(graph)
-        with BackgroundService(session, max_pending=0) as bg:
+        with _serve(session, max_pending=0) as bg:
             with ServiceClient(bg.address) as client:
                 with pytest.raises(ServiceOverloaded):
                     client.query("triangle", epsilon=0.5, privacy="edge")
@@ -236,7 +250,7 @@ class TestServiceEndToEnd:
 
     def test_bad_requests_do_not_kill_the_connection(self, graph):
         session = _service_session(graph)
-        with BackgroundService(session) as bg:
+        with _serve(session) as bg:
             with ServiceClient(bg.address) as client:
                 with pytest.raises(ValueError, match="unknown mechanism"):
                     client.query(
@@ -262,7 +276,7 @@ class TestServiceEndToEnd:
 
     def test_unsupported_version_and_malformed_frames(self, graph):
         session = _service_session(graph)
-        with BackgroundService(session) as bg:
+        with _serve(session) as bg:
             host, port = bg.address
             with socket.create_connection((host, port), timeout=10) as sock:
                 file = sock.makefile("rb")
@@ -284,7 +298,7 @@ class TestServiceEndToEnd:
     def test_global_cap_refusal_carries_no_tenant(self, graph):
         """A refusal by the *shared* cap must not blame the requester."""
         session = _service_session(graph, budget=0.5)
-        with BackgroundService(session) as bg:
+        with _serve(session) as bg:
             with ServiceClient(bg.address, user="alice") as client:
                 client.query("triangle", epsilon=0.4, privacy="edge")
                 with pytest.raises(BudgetExhausted) as excinfo:
@@ -296,7 +310,7 @@ class TestServiceEndToEnd:
         """Frames over asyncio's 64 KiB default (but under the protocol's
         1 MiB bound) must be answered, not dropped."""
         session = _service_session(graph)
-        with BackgroundService(session) as bg:
+        with _serve(session) as bg:
             with ServiceClient(bg.address) as client:
                 big = "x" * (100 * 1024)
                 with pytest.raises(ValueError, match="label"):
@@ -310,7 +324,7 @@ class TestServiceEndToEnd:
 
     def test_oversized_frame_is_refused_and_connection_dropped(self, graph):
         session = _service_session(graph)
-        with BackgroundService(session) as bg:
+        with _serve(session) as bg:
             host, port = bg.address
             with socket.create_connection((host, port), timeout=30) as sock:
                 file = sock.makefile("rb")
@@ -323,7 +337,7 @@ class TestServiceEndToEnd:
 
     def test_audit_stream_replays_ledger(self, graph):
         session = _service_session(graph, budget=2.0)
-        with BackgroundService(session, seed=3) as bg:
+        with _serve(session, seed=3) as bg:
             with ServiceClient(bg.address, user="alice") as client:
                 client.query("triangle", epsilon=0.5, privacy="edge")
                 client.query("triangle", epsilon=0.25, privacy="edge", user="bob")
@@ -367,7 +381,7 @@ class TestConcurrentClients:
         )
         outcomes = {user: [] for user in self.USERS}
         errors: list = []
-        with BackgroundService(session, seed=SERVICE_SEED) as bg:
+        with _serve(session, seed=SERVICE_SEED) as bg:
             threads = [
                 threading.Thread(
                     target=self._hammer, args=(bg.address, user, outcomes, errors)
@@ -499,7 +513,7 @@ class TestRemoteBatchCLI:
         local_out = capsys.readouterr().out
 
         session = _service_session(graph, budget=1.0, rng=11)
-        with BackgroundService(session) as bg:
+        with _serve(session) as bg:
             host, port = bg.address
             remote_path = tmp_path / "remote_spec.json"
             remote_path.write_text(json.dumps(self.SPEC))
@@ -526,19 +540,19 @@ class TestRemoteBatchCLI:
 
 
 class TestServiceConstruction:
-    def test_rejects_non_session(self):
+    def test_rejects_non_session(self, graph):
         with pytest.raises(TypeError):
-            PrivateQueryService(object())
-
-    def test_rejects_bad_max_pending(self, graph):
+            ServiceRouter().add_dataset("d", object())
         session = PrivateSession(graph)
-        with pytest.raises(ValueError):
-            PrivateQueryService(session, max_pending=-1)
+        with pytest.raises(TypeError, match="ServiceRouter"):
+            BackgroundService(session)
         session.close()
 
-    def test_serve_parser_flags(self):
-        from repro.cli import build_parser
+    def test_rejects_bad_max_pending(self):
+        with pytest.raises(ValueError):
+            ServiceRouter(max_pending=-1)
 
+    def test_serve_parser_flags(self):
         args = build_parser().parse_args([
             "serve", "--nodes", "40", "--epsilon", "2.0",
             "--user-epsilon", "0.5", "--port", "0",
@@ -549,3 +563,127 @@ class TestServiceConstruction:
         assert args.user_budget == ["alice=1.0"]
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--epsilon", "-1"])
+
+
+class TestServeBuilder:
+    """``repro serve``/``repro replica`` build their sessions in one place
+    (:func:`repro.cli._served_session`, mounted by ``_build_router``)."""
+
+    # (user, query, privacy, epsilon): alice's third and bob's third
+    # query overrun the 1.0 per-user cap; the rest fit under 2.0 globally.
+    WORKLOAD = [
+        ("alice", "triangle", "node", 0.4),
+        ("bob", "triangle", "edge", 0.3),
+        ("alice", "2-star", "edge", 0.4),
+        ("bob", "triangle", "node", 0.5),
+        ("alice", "triangle", "edge", 0.4),
+        ("bob", "2-star", "edge", 0.3),
+        ("bob", "triangle", "edge", 0.1),
+        ("alice", "triangle", "node", 0.1),
+    ]
+    BUDGET_FLAGS = ["--epsilon", "2.0", "--user-epsilon", "1.0", "--seed", "7"]
+
+    def _wire_outcomes(self, argv):
+        router, sessions = _build_router(build_parser().parse_args(argv))
+        outcomes = []
+        try:
+            with BackgroundService(router) as bg, ServiceClient(bg.address) as client:
+                for user, query, privacy, eps in self.WORKLOAD:
+                    try:
+                        result = client.query(
+                            query, epsilon=eps, privacy=privacy, user=user
+                        )
+                        outcomes.append(result["answer"])
+                    except BudgetExhausted as refusal:
+                        outcomes.append(("refused", refusal.user))
+        finally:
+            for session in sessions:
+                session.close()
+        return router, outcomes
+
+    def test_single_graph_flags_answer_like_the_one_entry_config(
+        self, graph, tmp_path
+    ):
+        flags_router, from_flags = self._wire_outcomes(
+            ["serve", "--nodes", "30", "--avgdeg", "5", "--graph-seed", "1"]
+            + self.BUDGET_FLAGS
+        )
+        path = tmp_path / "datasets.json"
+        path.write_text(json.dumps({"datasets": {
+            "default": {"graph": {"nodes": 30, "avgdeg": 5, "seed": 1}},
+        }}))
+        config_router, from_config = self._wire_outcomes(
+            ["serve", "--datasets", str(path)] + self.BUDGET_FLAGS
+        )
+        assert flags_router.datasets == config_router.datasets == ("default",)
+        assert flags_router.lane().session.name == "serve[default]"
+        assert repr(from_flags) == repr(from_config)
+        refused = [i for i, o in enumerate(from_flags) if isinstance(o, tuple)]
+        assert refused == [4, 5]
+        assert from_flags[4] == ("refused", "alice")
+        # every granted answer is the in-process release at the server's
+        # derived per-tenant seed
+        reference = PrivateSession(graph, workers=1)
+        granted: dict = {}
+        for (user, query, privacy, eps), outcome in zip(self.WORKLOAD, from_flags):
+            if isinstance(outcome, tuple):
+                continue
+            index = granted.get(user, 0)
+            granted[user] = index + 1
+            expected = reference.query(
+                query, epsilon=eps, privacy=privacy,
+                rng=request_seed(7, user, index),
+            )
+            assert outcome == expected.answer
+        reference.close()
+
+    def test_user_budget_is_every_datasets_default(self, tmp_path, capsys):
+        path = tmp_path / "datasets.json"
+        path.write_text(json.dumps({"datasets": {
+            "alpha": {"graph": {"nodes": 12, "avgdeg": 3, "seed": 1}},
+            "beta": {"graph": {"nodes": 12, "avgdeg": 3, "seed": 2},
+                     "user_budgets": {"alice": 0.5}},
+        }}))
+        argv = ["serve", "--datasets", str(path), "--user-budget", "alice=0.1"]
+        router, sessions = _build_router(build_parser().parse_args(argv))
+        for session in sessions:
+            session.close()
+        assert router.lane("alpha").session.accountant.user_budget("alice") == 0.1
+        # a dataset's own user_budgets win over the flag
+        assert router.lane("beta").session.accountant.user_budget("alice") == 0.5
+        with pytest.raises(ValueError, match="USER=EPS"):
+            _build_router(build_parser().parse_args(
+                argv + ["--user-budget", "garbage"]
+            ))
+        assert main(["serve", "--nodes", "10", "--user-budget", "bob=-1"]) == 2
+        assert "not a positive finite number" in capsys.readouterr().err
+
+    def test_updates_flags_mount_a_token_gated_dynamic_lane(self):
+        router, sessions = _build_router(build_parser().parse_args([
+            "serve", "--nodes", "20", "--avgdeg", "4", "--seed", "3",
+            "--updates", "--update-token", "t",
+        ]))
+        lane = router.lane()
+        assert lane.updates_enabled and lane.session.dynamic
+        with BackgroundService(router) as bg, ServiceClient(bg.address) as client:
+            with pytest.raises(ServiceForbidden, match="token"):
+                client.update([{"action": "add_node", "node": 99}])
+            outcome = client.update([{"action": "add_node", "node": 99}], token="t")
+        assert outcome["version"] == 1
+        for session in sessions:
+            session.close()
+
+    def test_replica_session_carries_its_epsilon_cap(self):
+        args = build_parser().parse_args([
+            "replica", "--primary", "127.0.0.1:1", "--dataset", "alpha",
+            "--epsilon", "0.7", "--seed", "5",
+        ])
+        graph = VersionedGraph(random_graph_with_avg_degree(12, 3.0, rng=1))
+        session = _served_session(args, args.dataset, graph, {})
+        assert session.name == "replica[alpha]"
+        assert session.accountant.budget == 0.7
+        with pytest.raises(BudgetExhausted):
+            session.query("triangle", epsilon=0.8, privacy="edge")
+        session.query("triangle", epsilon=0.5, privacy="edge")
+        assert session.accountant.spent == 0.5
+        session.close()
