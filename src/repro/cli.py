@@ -1004,6 +1004,8 @@ def _serve_config(args) -> dict:
     file, or the single-graph flags as one dataset named ``default``."""
     import json
 
+    from .validation import validate_serve_config
+
     if args.datasets:
         if args.updates or args.update_token is not None:
             raise ValueError(
@@ -1012,20 +1014,10 @@ def _serve_config(args) -> dict:
             )
         with open(args.datasets) as handle:
             config = json.load(handle)
-        if not isinstance(config, dict) or not isinstance(
-            config.get("datasets"), dict
-        ) or not config["datasets"]:
-            raise ValueError(
-                f"{args.datasets}: expected {{'datasets': {{name: {{...}}}}}} "
-                "with at least one dataset"
-            )
-        default = config.get("default")
-        if default is not None and default not in config["datasets"]:
-            raise ValueError(
-                f"{args.datasets}: default dataset {default!r} is not in "
-                f"'datasets' ({sorted(config['datasets'])})"
-            )
-        return config
+        try:
+            return validate_serve_config(config)
+        except ValueError as error:
+            raise ValueError(f"{args.datasets}: {error}") from None
     if args.update_token is not None and not args.updates:
         raise ValueError(
             "--update-token only makes sense with --updates (as given, "

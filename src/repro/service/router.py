@@ -39,6 +39,7 @@ view counters of :meth:`repro.session.cache.SharedCompiledCache
 from __future__ import annotations
 
 import asyncio
+import collections
 import hmac
 import itertools
 import time
@@ -85,54 +86,10 @@ CAPABILITIES = (
 )
 
 #: Process-unique lane ordinals for registry labels.  Two routers in one
-#: process may mount the *same* dataset name; keying lane counters by
-#: ``(dataset, lane)`` keeps their granted-request (seed) streams apart.
+#: process may mount the *same* dataset name; labelling lane metrics by
+#: ``(dataset, lane)`` keeps their registry series apart.  The registry is
+#: only written: the seed streams and in-flight counts live on the lane.
 _LANE_IDS = itertools.count(1)
-
-
-class _GrantedView:
-    """``lane.granted`` as a live view over per-tenant registry counters.
-
-    Keeps the ``defaultdict[user] -> int`` interface the admission path
-    uses (read the granted index, advance it on grant) while the counts
-    themselves live in the process metrics registry as
-    ``repro_lane_granted_total{dataset=...,lane=...,user=...}``.  The
-    view holds direct metric references, so a test calling
-    ``metrics().reset()`` detaches the lane from future snapshots without
-    corrupting its seed stream.
-    """
-
-    __slots__ = ("_labels", "_counters")
-
-    def __init__(self, labels: Dict[str, str]) -> None:
-        self._labels = dict(labels)
-        self._counters: Dict[Optional[str], object] = {}
-
-    def _counter(self, user: Optional[str]):
-        counter = self._counters.get(user)
-        if counter is None:
-            counter = obs_metrics().counter(
-                "repro_lane_granted_total",
-                user="" if user is None else str(user),
-                **self._labels,
-            )
-            self._counters[user] = counter
-        return counter
-
-    def __getitem__(self, user: Optional[str]) -> int:
-        counter = self._counters.get(user)
-        return 0 if counter is None else int(counter.value)
-
-    def __setitem__(self, user: Optional[str], value) -> None:
-        counter = self._counter(user)
-        delta = int(value) - int(counter.value)
-        if delta < 0:
-            raise ValueError("granted-request counters never decrease")
-        if delta:
-            counter.inc(delta)
-
-    def values(self) -> List[int]:
-        return [int(counter.value) for counter in self._counters.values()]
 
 
 class DatasetLane:
@@ -141,8 +98,9 @@ class DatasetLane:
     Owns the session plus everything v1's single-dataset service kept as
     service-level state: the per-tenant granted-request counters feeding
     :func:`~repro.service.protocol.request_seed`, the in-flight count,
-    the update drain barrier, and the writer token.  All coroutine-side
-    state is touched from the event-loop thread only.
+    the update drain barrier, and the writer token.  The counters are
+    plain lane state that the metrics registry only mirrors.  All
+    coroutine-side state is touched from the event-loop thread only.
     """
 
     def __init__(
@@ -181,11 +139,13 @@ class DatasetLane:
             # tests/test_router.py::test_per_dataset_seed_streams_are_independent
             np.random.SeedSequence().entropy if entropy is None else int(entropy)
         )
-        #: Registry-backed views (satellite of the one metrics registry):
-        #: ``granted`` is the per-tenant seed-stream index, ``inflight``
-        #: the lane's in-flight gauge — ``describe()`` reads both back.
+        #: ``granted`` is each tenant's seed-stream index, ``inflight`` the
+        #: lane's in-flight count.  Both are plain lane state, mirrored
+        #: into the metrics registry but never read back from it, so a
+        #: merged metrics payload cannot shift a seed or refuse a query.
+        self.granted: Dict[Optional[str], int] = collections.defaultdict(int)
+        self.inflight = 0
         self._obs_labels = {"dataset": name, "lane": str(next(_LANE_IDS))}
-        self.granted = _GrantedView(self._obs_labels)
         self._inflight_gauge = obs_metrics().gauge(
             "repro_lane_inflight", **self._obs_labels
         )
@@ -203,17 +163,23 @@ class DatasetLane:
         while self.update_barrier is not None:
             await self.update_barrier
 
-    @property
-    def inflight(self) -> int:
-        """Queries in flight on this lane (a registry gauge view)."""
-        return int(self._inflight_gauge.value)
+    def grant(self, user: Optional[str]) -> None:
+        """Advance ``user``'s seed-stream index (one more granted query)."""
+        self.granted[user] += 1
+        obs_metrics().counter(
+            "repro_lane_granted_total",
+            user="" if user is None else str(user),
+            **self._obs_labels,
+        ).inc()
 
     def enter_flight(self) -> None:
-        """Count a query into the lane's in-flight gauge."""
+        """Count a query into the lane's in-flight count."""
+        self.inflight += 1
         self._inflight_gauge.inc()
 
     def exit_flight(self) -> None:
         """Count a query out; resolves the drain barrier at zero."""
+        self.inflight -= 1
         self._inflight_gauge.dec()
         if (
             self.inflight == 0 and self.drained is not None and not self.drained.done()
@@ -760,7 +726,7 @@ class ServiceRouter:
         if explicit_seed is None:
             # Only *granted* requests advance the tenant's seed stream, so
             # refusals never shift later answers.
-            lane.granted[user] += 1
+            lane.grant(user)
         entry = future.entry
         lane.enter_flight()
         try:

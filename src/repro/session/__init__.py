@@ -6,7 +6,10 @@ synchronously (:meth:`~PrivateSession.query`) or as futures fanned over a
 shared fork-after-compile worker pool (:meth:`~PrivateSession.submit`) —
 with every release charged to a hard privacy-budget cap, logged in a
 replayable ledger, and served from a compiled-relation cache so repeated
-queries skip the re-encode/re-compile entirely.
+queries skip the re-encode/re-compile entirely.  The cache is one store,
+:class:`SharedCompiledCache`: a private unbounded instance per session by
+default, or the process-wide :func:`shared_cache` (one
+:class:`DatasetCacheView` namespace per served dataset).
 
 >>> from repro import PrivateSession, random_graph_with_avg_degree
 >>> g = random_graph_with_avg_degree(40, 6, rng=7)
@@ -26,7 +29,7 @@ from .accountant import (
 )
 from .cache import (
     CacheInfo,
-    CompiledRelationCache,
+    DatasetCacheView,
     SharedCompiledCache,
     shared_cache,
 )
@@ -43,7 +46,7 @@ __all__ = [
     "BudgetExhausted",
     "LedgerEntry",
     "CacheInfo",
-    "CompiledRelationCache",
+    "DatasetCacheView",
     "SharedCompiledCache",
     "shared_cache",
 ]

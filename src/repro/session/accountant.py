@@ -24,14 +24,18 @@ each user's releases compose sequentially against that user's own cap
 *and* the shared global cap, and a refusal says which of the two was hit
 (:attr:`BudgetExhausted.user` carries the tenant).
 
-The spent totals are computed with :func:`math.fsum` over the ledger, so
-sequential composition sums exactly (no drift from incremental ``+=``).
+The spent totals are running exact sums (:class:`fractions.Fraction`)
+kept as entries are appended, globally and per user, so reading them is
+O(1) and sequential composition sums exactly: ``float()`` of the exact
+sum is correctly rounded, bit-identical to :func:`math.fsum` over the
+ledger (no drift from incremental float ``+=``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import PrivacyParameterError
@@ -196,12 +200,15 @@ class BudgetAccountant:
         self.budget = None if budget is None else validate_epsilon(budget, "budget")
         self._ledger: List[LedgerEntry] = []
         self._reservations: List[Reservation] = []
+        #: Exact running ε totals over the ledger, globally and per user.
+        self._spent = Fraction(0)
+        self._user_spent: Dict[Optional[str], Fraction] = {}
 
     # -- bookkeeping -----------------------------------------------------------
     @property
     def spent(self) -> float:
-        """Exact (``math.fsum``) total ε charged so far."""
-        return math.fsum(entry.epsilon for entry in self._ledger)
+        """Exact total ε charged so far (the ``math.fsum`` of the ledger)."""
+        return float(self._spent)
 
     @property
     def reserved(self) -> float:
@@ -309,6 +316,9 @@ class BudgetAccountant:
     def _append(self, entry: LedgerEntry) -> LedgerEntry:
         entry.index = len(self._ledger)
         self._ledger.append(entry)
+        charge = Fraction(float(entry.epsilon))
+        self._spent += charge
+        self._user_spent[entry.user] = self._user_spent.get(entry.user, 0) + charge
         return entry
 
     # -- per-user introspection (trivial in the single-tenant base) ------------
@@ -318,7 +328,7 @@ class BudgetAccountant:
 
     def user_spent(self, user: Optional[str]) -> float:
         """Exact total ε charged to ``user`` so far."""
-        return math.fsum(entry.epsilon for entry in self._ledger if entry.user == user)
+        return float(self._user_spent.get(user, 0))
 
     def user_remaining(self, user: Optional[str]) -> Optional[float]:
         """ε left in ``user``'s sub-budget (``None`` = uncapped)."""
@@ -326,7 +336,7 @@ class BudgetAccountant:
 
     def users(self) -> Tuple[str, ...]:
         """Every tenant that appears in the ledger or holds a reservation."""
-        seen = {e.user for e in self._ledger} | {r.user for r in self._reservations}
+        seen = set(self._user_spent) | {r.user for r in self._reservations}
         return tuple(sorted(user for user in seen if user is not None))
 
     def audit_log(self) -> List[Dict[str, Any]]:
@@ -404,7 +414,7 @@ class HierarchicalAccountant(BudgetAccountant):
         return cap - math.fsum([self.user_spent(user), self.user_reserved(user)])
 
     def users(self) -> Tuple[str, ...]:
-        seen = set(self._user_budgets) | {e.user for e in self._ledger} | {
+        seen = set(self._user_budgets) | set(self._user_spent) | {
             r.user for r in self._reservations
         }
         return tuple(sorted(user for user in seen if user is not None))

@@ -3,19 +3,20 @@
 Preparing a query is the expensive part of every release — enumerating
 pattern occurrences, building the sensitive K-relation, and compiling the
 φ-epigraph LP into CSR blocks.  A release from an already-prepared query
-is just an overlay solve plus noise.  :class:`CompiledRelationCache` maps
+is just an overlay solve plus noise.  :class:`SharedCompiledCache` maps
 :meth:`repro.mechanisms.QuerySpec.cache_key`-style keys to the prepared
 objects so repeated (or concurrent) queries reuse them, and counts
 hits/misses so callers can *assert* the reuse (the instrumentation the
 acceptance tests and ``benchmarks/bench_session.py`` read).
 
-:class:`SharedCompiledCache` lifts the same store to *cross-session*
-scope: thread-safe, LRU-ordered, and size-bounded, so a long-lived
-serving process (many sessions, many tenants) reuses one compiled
-``CompiledProgram`` — with its warm H/G entry caches — for every tenant
-querying the same pattern, while old entries age out instead of growing
-without bound.  :func:`shared_cache` hands out the process-wide instance
-(the one ``repro serve`` mounts by default).
+It is the one store: every session owns a private unbounded instance
+by default, while a long-lived serving process (many sessions, many
+tenants) mounts one thread-safe, LRU-bounded instance across sessions,
+so every tenant querying the same pattern reuses one compiled
+``CompiledProgram`` — with its warm H/G entry caches — while old entries
+age out instead of growing without bound.  :func:`shared_cache` hands
+out the process-wide instance, and :class:`DatasetCacheView` is one
+dataset's namespace on it (the view ``repro serve`` mounts per dataset).
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from typing import Callable, Dict, Optional, Tuple
 
 __all__ = [
     "CacheInfo",
-    "CompiledRelationCache",
     "DatasetCacheView",
     "SharedCompiledCache",
     "shared_cache",
@@ -88,69 +88,11 @@ class CacheInfo:
     invalidations: int = 0
 
 
-class CompiledRelationCache:
-    """Keyed store of prepared (compiled) queries with hit/miss counters.
+class SharedCompiledCache:
+    """Keyed store of prepared (compiled) queries: thread-safe, LRU, bounded.
 
-    Not thread-safe by itself; the session serializes access (queries are
-    prepared from the submitting thread only).
-    """
-
-    def __init__(self):
-        self._entries: Dict[tuple, object] = {}
-        self._hits = 0
-        self._misses = 0
-        self._invalidations = 0
-
-    def get_or_build(self, key: tuple, build: Callable[[], object]):
-        """Return ``(value, hit)`` — building and storing on first use."""
-        if key in self._entries:
-            self._hits += 1
-            return self._entries[key], True
-        self._misses += 1
-        value = build()
-        self._entries[key] = value
-        return value, False
-
-    def invalidate(self, predicate: Callable[[tuple], bool]) -> int:
-        """Drop every entry whose key satisfies ``predicate``.
-
-        The dynamic-graph hook: after an update has superseded a graph
-        version, the session can invalidate that version's compiled
-        relations explicitly (they are never *served* to new queries
-        either way — the version lives in the key — but invalidation
-        frees the memory and forecloses replay reuse).  Returns the
-        number of entries removed.
-        """
-        removed = [key for key in self._entries if predicate(key)]
-        for key in removed:
-            del self._entries[key]
-        self._invalidations += len(removed)
-        return len(removed)
-
-    def info(self) -> CacheInfo:
-        """Current hit/miss/size counters."""
-        return CacheInfo(
-            hits=self._hits,
-            misses=self._misses,
-            size=len(self._entries),
-            invalidations=self._invalidations,
-        )
-
-    def clear(self) -> None:
-        """Drop every cached entry (counters are kept)."""
-        self._entries.clear()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key) -> bool:
-        return key in self._entries
-
-
-class SharedCompiledCache(CompiledRelationCache):
-    """A process-wide compiled-relation cache: thread-safe, LRU, bounded.
-
-    Many sessions (one per tenant, or one per connection) can mount the
+    A session owns a private unbounded instance unless it is handed one;
+    many sessions (one per tenant, or one per connection) can mount the
     same instance, so the expensive enumerate/encode/compile work for a
     given ``(mechanism, options, pattern, privacy, weight)`` key is paid
     once per *process* instead of once per session — and the cached
@@ -165,18 +107,15 @@ class SharedCompiledCache(CompiledRelationCache):
     """
 
     def __init__(self, maxsize: Optional[int] = None):
-        super().__init__()
-        if maxsize is not None and (
-            not isinstance(maxsize, int) or isinstance(maxsize, bool) or maxsize < 1
-        ):
-            raise ValueError(
-                f"maxsize must be a positive integer or None, got {maxsize!r}"
-            )
         self._entries: "OrderedDict[tuple, object]" = OrderedDict()
-        self._maxsize = maxsize
+        self._hits = 0
+        self._misses = 0
         self._evictions = 0
+        self._invalidations = 0
+        self._maxsize: Optional[int] = None
         self._lock = threading.RLock()
         self._views: Dict[str, "DatasetCacheView"] = {}
+        self.resize(maxsize)
 
     @property
     def maxsize(self) -> Optional[int]:
@@ -184,6 +123,7 @@ class SharedCompiledCache(CompiledRelationCache):
         return self._maxsize
 
     def get_or_build(self, key: tuple, build: Callable[[], object]):
+        """Return ``(value, hit)`` — building and storing on first use."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
@@ -193,14 +133,25 @@ class SharedCompiledCache(CompiledRelationCache):
             self._misses += 1
             value = build()
             self._entries[key] = value
-            while self._maxsize is not None and len(self._entries) > self._maxsize:
-                self._entries.popitem(last=False)
-                self._evictions += 1
+            self._trim()
             return value, False
 
     def invalidate(self, predicate: Callable[[tuple], bool]) -> int:
+        """Drop every entry whose key satisfies ``predicate``.
+
+        The dynamic-graph hook: after an update has superseded a graph
+        version, the session can invalidate that version's compiled
+        relations explicitly (they are never *served* to new queries
+        either way — the version lives in the key — but invalidation
+        frees the memory and forecloses replay reuse).  Returns the
+        number of entries removed.
+        """
         with self._lock:
-            return super().invalidate(predicate)
+            removed = [key for key in self._entries if predicate(key)]
+            for key in removed:
+                del self._entries[key]
+            self._invalidations += len(removed)
+            return len(removed)
 
     def resize(self, maxsize: Optional[int]) -> None:
         """Change the bound, evicting LRU entries if now over it."""
@@ -209,14 +160,19 @@ class SharedCompiledCache(CompiledRelationCache):
                 not isinstance(maxsize, int) or isinstance(maxsize, bool) or maxsize < 1
             ):
                 raise ValueError(
-                    f"maxsize must be a positive integer or None, " f"got {maxsize!r}"
+                    f"maxsize must be a positive integer or None, got {maxsize!r}"
                 )
             self._maxsize = maxsize
-            while maxsize is not None and len(self._entries) > maxsize:
-                self._entries.popitem(last=False)
-                self._evictions += 1
+            self._trim()
+
+    def _trim(self) -> None:
+        """Evict least-recently-used entries down to the bound."""
+        while self._maxsize is not None and len(self._entries) > self._maxsize:
+            self._entries.popitem(last=False)
+            self._evictions += 1
 
     def info(self) -> CacheInfo:
+        """Current hit/miss/size/eviction counters."""
         with self._lock:
             return CacheInfo(
                 hits=self._hits,
@@ -227,9 +183,11 @@ class SharedCompiledCache(CompiledRelationCache):
                 invalidations=self._invalidations,
             )
 
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __contains__(self, key) -> bool:
+        return key in self._entries
 
     def namespaced(self, dataset: str) -> "DatasetCacheView":
         """A per-dataset view of this cache (storage shared, counters not).
@@ -251,7 +209,7 @@ class SharedCompiledCache(CompiledRelationCache):
             return view
 
 
-class DatasetCacheView(CompiledRelationCache):
+class DatasetCacheView:
     """One dataset's window onto a :class:`SharedCompiledCache`.
 
     Keys are prefixed with ``("dataset", name)`` before touching the
@@ -262,10 +220,12 @@ class DatasetCacheView(CompiledRelationCache):
     """
 
     def __init__(self, parent: SharedCompiledCache, dataset: str):
-        super().__init__()
         self._parent = parent
         self._dataset = dataset
         self._prefix = ("dataset", dataset)
+        self._hits = 0
+        self._misses = 0
+        self._invalidations = 0
 
     @property
     def dataset(self) -> str:
@@ -273,6 +233,7 @@ class DatasetCacheView(CompiledRelationCache):
         return self._dataset
 
     def get_or_build(self, key: tuple, build: Callable[[], object]):
+        """Return ``(value, hit)`` from the parent store, counted here."""
         value, hit = self._parent.get_or_build((self._prefix,) + key, build)
         if hit:
             self._hits += 1
@@ -281,6 +242,9 @@ class DatasetCacheView(CompiledRelationCache):
         return value, hit
 
     def invalidate(self, predicate: Callable[[tuple], bool]) -> int:
+        """Drop this dataset's entries whose (unprefixed) key satisfies
+        ``predicate``; returns the number removed."""
+
         def namespaced_predicate(key: tuple) -> bool:
             return (len(key) > 0 and key[0] == self._prefix and predicate(key[1:]))
 
@@ -288,28 +252,19 @@ class DatasetCacheView(CompiledRelationCache):
         self._invalidations += removed
         return removed
 
-    def _keys(self):
-        with self._parent._lock:
-            return [
-                key
-                for key in self._parent._entries
-                if len(key) > 0 and key[0] == self._prefix
-            ]
-
     def info(self) -> CacheInfo:
+        """This dataset's hit/miss/invalidation counters and entry count."""
         return CacheInfo(
             hits=self._hits,
             misses=self._misses,
-            size=len(self._keys()),
+            size=len(self),
             maxsize=self._parent.maxsize,
             invalidations=self._invalidations,
         )
 
-    def clear(self) -> None:
-        self._parent.invalidate(lambda key: len(key) > 0 and key[0] == self._prefix)
-
     def __len__(self) -> int:
-        return len(self._keys())
+        with self._parent._lock:
+            return sum(1 for key in self._parent._entries if key[:1] == (self._prefix,))
 
     def __contains__(self, key) -> bool:
         with self._parent._lock:

@@ -7,11 +7,12 @@ queries from it:
 
 * a **budget accountant** (:mod:`repro.session.accountant`) enforces a
   hard ε cap by sequential composition and keeps a replayable audit log;
-* a **compiled-relation cache** (:mod:`repro.session.cache`) reuses the
-  expensive prepared state (K-relation encoding, compiled φ-epigraph LP,
-  warm H/G entry caches) across repeated or concurrent queries — a warm
-  query pays one overlay solve plus noise instead of a re-encode and
-  re-compile;
+* a **compiled-relation cache** (a
+  :class:`~repro.session.cache.SharedCompiledCache`, private and
+  unbounded unless one is passed in) reuses the expensive prepared state
+  (K-relation encoding, compiled φ-epigraph LP, warm H/G entry caches)
+  across repeated or concurrent queries — a warm query pays one overlay
+  solve plus noise instead of a re-encode and re-compile;
 * a **mechanism registry** dispatch (:mod:`repro.mechanisms`): every
   query names its mechanism (``"recursive"`` by default) and all results
   share :class:`~repro.results.ResultBase`;
@@ -24,13 +25,22 @@ Determinism: with a seeded session (``rng=...``), every release the
 session itself seeds draws from a pre-spawned ``SeedSequence`` child
 assigned in submission order, so answers depend only on the session seed
 and call order — never on worker count or scheduling.
+
+One release path: :meth:`~PrivateSession.query` and
+:meth:`~PrivateSession.submit` share their admission checks and build
+the release's :class:`~repro.session.accountant.LedgerEntry` in one
+place, and the worker pool runs the entry's recorded task — the same
+task :meth:`~PrivateSession.replay` re-runs.  They differ only in their
+failure policy: ``query`` rolls the reservation back and spends nothing,
+``submit`` charges at admission and marks the entry ``"failed"``.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -47,7 +57,13 @@ from ..parallel.pool import WorkerPool, fork_available, resolve_workers
 from ..results import ResultBase
 from ..validation import validate_epsilon, validate_workers
 from .accountant import BudgetAccountant, LedgerEntry
-from .cache import CacheInfo, CompiledRelationCache, data_token, options_token
+from .cache import (
+    CacheInfo,
+    DatasetCacheView,
+    SharedCompiledCache,
+    data_token,
+    options_token,
+)
 
 __all__ = ["PrivateSession", "QueryFuture", "ReplayRecord", "UpdateResult"]
 
@@ -55,17 +71,16 @@ __all__ = ["PrivateSession", "QueryFuture", "ReplayRecord", "UpdateResult"]
 def _run_session_task(session: "PrivateSession", task) -> ResultBase:
     """Worker-side execution of one submitted query.
 
-    The session object is inherited through the fork (copy-on-write), so
-    any query prepared before the pool was created is answered from the
-    shared compiled state; new specs compile lazily in the worker.
+    ``task`` is ``(ledger task, seed, graph version)``: the pool runs
+    exactly what :meth:`PrivateSession.replay` re-runs.  The session
+    object is inherited through the fork (copy-on-write), so any query
+    prepared before the pool was created is answered from the shared
+    compiled state; new specs compile lazily in the worker.
     """
-    query, privacy, mechanism, options, epsilon, params, seed, version = task
-    prepared, _, _, _ = session._prepare_query(
-        query, privacy, mechanism, None, options, version=version
-    )
+    release = session._recorded_release(*task)
     tick = time.perf_counter()
     with obs_tracer().span("session.release", pooled=True):
-        result = prepared.release(epsilon, np.random.default_rng(seed), params=params)
+        result = release()
     obs_metrics().histogram("repro_release_seconds").observe(time.perf_counter() - tick)
     return result
 
@@ -178,11 +193,12 @@ class PrivateSession:
         partitioning the cap into per-user sub-budgets (the network
         service's mode).  Mutually exclusive with ``budget``.
     cache:
-        A prebuilt compiled-relation cache to serve prepared queries from
-        — e.g. the process-wide
+        A prebuilt :class:`~repro.session.cache.SharedCompiledCache` (or
+        one dataset's :class:`~repro.session.cache.DatasetCacheView` of
+        one) to serve prepared queries from — e.g. the process-wide
         :func:`~repro.session.cache.shared_cache`, so several sessions
         reuse one compiled program per distinct query.  Default: a
-        private per-session cache.
+        private unbounded per-session store.
 
     >>> from repro import PrivateSession, random_graph_with_avg_degree
     >>> g = random_graph_with_avg_degree(40, 6, rng=7)
@@ -203,7 +219,7 @@ class PrivateSession:
         rng=None,
         name: str = "session",
         accountant: Optional[BudgetAccountant] = None,
-        cache: Optional[CompiledRelationCache] = None,
+        cache: Optional[Union[SharedCompiledCache, DatasetCacheView]] = None,
     ):
         if not isinstance(data, (Graph, SensitiveKRelation)):
             raise SessionError(
@@ -220,9 +236,12 @@ class PrivateSession:
                     "accountant must be a BudgetAccountant, got "
                     f"{type(accountant).__name__}"
                 )
-        if cache is not None and not isinstance(cache, CompiledRelationCache):
+        if cache is not None and not isinstance(
+            cache, (SharedCompiledCache, DatasetCacheView)
+        ):
             raise SessionError(
-                "cache must be a CompiledRelationCache, got " f"{type(cache).__name__}"
+                "cache must be a SharedCompiledCache or a DatasetCacheView, "
+                f"got {type(cache).__name__}"
             )
         self._data = data
         self._dynamic = isinstance(data, VersionedGraph)
@@ -237,7 +256,7 @@ class PrivateSession:
         self.accountant = (
             accountant if accountant is not None else BudgetAccountant(budget)
         )
-        self._cache = cache if cache is not None else CompiledRelationCache()
+        self._cache = cache if cache is not None else SharedCompiledCache()
         self._seed_root = self._seed_sequence_from(rng)
         self._pool: Optional[WorkerPool] = None
         self._pool_version: Optional[int] = None
@@ -338,19 +357,6 @@ class PrivateSession:
     def _default_privacy(self) -> str:
         return "node" if isinstance(self._data, Graph) else "edge"
 
-    def _version_token(self, version: Optional[int] = None):
-        """The graph-version component of cache keys (``None`` if static).
-
-        Over a :class:`~repro.dynamic.VersionedGraph`, every cache key
-        carries the version the query was admitted at — a compiled LP
-        from a superseded version can therefore never be served to a new
-        query, while still-warm entries keep their identity (and stay
-        reusable for replay) until explicitly invalidated or evicted.
-        """
-        if not self._dynamic:
-            return None
-        return version_token(self._data.version if version is None else version)
-
     def _resolve_spec(
         self, query, privacy, mechanism, weight, options, version: Optional[int] = None
     ):
@@ -364,13 +370,17 @@ class PrivateSession:
             opts.setdefault("backend", self._backend)
             opts.setdefault("workers", self._workers)
         # The data token keeps sessions over *different* datasets apart
-        # on a shared (process-wide) cache; the version token keeps
-        # different states of *one* dynamic dataset apart.
+        # on a shared (process-wide) cache.  The version token (None over
+        # static data) keeps different states of *one* dynamic dataset
+        # apart: a compiled LP of a superseded version is never served to
+        # a new query, while still-warm entries stay reusable for replay
+        # until invalidated or evicted.
+        if self._dynamic:
+            token = version_token(self._data.version if version is None else version)
+        else:
+            token = None
         key = (
-            data_token(self._data),
-            self._version_token(version),
-            cls.name,
-            options_token(opts),
+            data_token(self._data), token, cls.name, options_token(opts)
         ) + spec.cache_key()
         return cls, spec, opts, key
 
@@ -408,36 +418,92 @@ class PrivateSession:
         )
         return prepared, hit, cls.name, spec
 
-    def _resolve_at_version(self, at_version) -> Optional[int]:
-        """Validate an ``at_version=`` argument (historical queries)."""
-        if at_version is None:
-            return None
-        if not self._dynamic:
-            raise SessionError(
-                "at_version= needs a dynamic session (wrap the graph in "
-                "repro.dynamic.VersionedGraph)"
-            )
-        if (not isinstance(at_version, (int, np.integer))
-                or isinstance(at_version, bool) or at_version < 0):
-            raise SessionError(
-                f"at_version must be a non-negative integer, got " f"{at_version!r}"
-            )
-        at_version = int(at_version)
-        if at_version > self._data.version:
-            raise SessionError(
-                f"at_version={at_version} is ahead of the live graph "
-                f"(version {self._data.version})"
-            )
-        return at_version
-
-    def _charged_epsilon(self, epsilon, params) -> float:
-        """The ε this release spends (params override wins, as in the
-        one-shot wrappers)."""
+    def _admission(self, epsilon, params, at_version, label):
+        """``(charged ε, at_version, label)`` of one release, validated
+        before any budget is held.  The params override wins, as in the
+        one-shot wrappers; ``at_version`` (historical queries) needs a
+        dynamic session and a version the live graph has reached."""
+        self._ensure_open()
         if params is not None:
-            return float(params.epsilon)
-        if epsilon is None:
+            charged = float(params.epsilon)
+        elif epsilon is None:
             raise SessionError("pass epsilon= (or params=) to every query")
-        return validate_epsilon(epsilon)
+        else:
+            charged = validate_epsilon(epsilon)
+        if at_version is not None:
+            if not self._dynamic:
+                raise SessionError(
+                    "at_version= needs a dynamic session (wrap the graph in "
+                    "repro.dynamic.VersionedGraph)"
+                )
+            if (not isinstance(at_version, (int, np.integer))
+                    or isinstance(at_version, bool) or at_version < 0):
+                raise SessionError(
+                    f"at_version must be a non-negative integer, got {at_version!r}"
+                )
+            at_version = int(at_version)
+            if at_version > self._data.version:
+                raise SessionError(
+                    f"at_version={at_version} is ahead of the live graph "
+                    f"(version {self._data.version})"
+                )
+        label = label if label is not None else f"q{len(self.accountant)}"
+        return charged, at_version, label
+
+    def _release_entry(
+        self, label, user, charged, seed, hit, spec, mechanism, at_version,
+        query, weight, options, epsilon, params,
+    ) -> LedgerEntry:
+        """The ledger entry of one release, ``"pending"`` until it completes.
+
+        Its ``task`` extra — ``(query, weight, privacy, mechanism, options,
+        epsilon, params)`` — is what :meth:`_recorded_release` re-runs: the
+        worker pool for a pooled submission, and :meth:`replay` for every
+        entry.
+        """
+        entry = LedgerEntry(
+            index=0,
+            label=label,
+            mechanism=mechanism,
+            query=spec.describe(),
+            epsilon=charged,
+            seed=seed,
+            status="pending",
+            cache_hit=hit,
+            user=user,
+        )
+        entry.extra["task"] = (
+            query, weight, spec.privacy, mechanism, dict(options), epsilon, params
+        )
+        if mechanism == "recursive":
+            entry.extra["lp_backend"] = self.lp_backend
+        if self._dynamic:
+            entry.extra["version"] = (
+                self._data.version if at_version is None else at_version
+            )
+        return entry
+
+    @staticmethod
+    def _settle(entry: LedgerEntry, start: float, result=None) -> None:
+        """Complete an entry: ``"released"`` with ``result``'s answer, or
+        ``"failed"`` without one."""
+        entry.seconds = time.perf_counter() - start
+        if result is None:
+            entry.status = "failed"
+        else:
+            entry.answer = float(result.answer)
+            entry.status = "released"
+
+    def _recorded_release(self, task, seed, version):
+        """Prepare a ledger task at its graph version; returns the
+        zero-argument release that draws its noise from ``seed``."""
+        query, weight, privacy, mechanism, options, epsilon, params = task
+        prepared, _, _, _ = self._prepare_query(
+            query, privacy, mechanism, weight, options, version=version
+        )
+        return functools.partial(
+            prepared.release, epsilon, np.random.default_rng(seed), params=params
+        )
 
     def _generator_for(self, rng):
         """``(generator, replayable seed token)`` for one release."""
@@ -512,10 +578,9 @@ class PrivateSession:
         succeeds — a failed release rolls the reservation back and spends
         nothing.
         """
-        self._ensure_open()
-        charged = self._charged_epsilon(epsilon, params)
-        at_version = self._resolve_at_version(at_version)
-        label = label if label is not None else f"q{len(self.accountant)}"
+        charged, at_version, label = self._admission(
+            epsilon, params, at_version, label
+        )
         reservation = self.accountant.reserve(charged, label=label, user=user)
         obs_metrics().counter("repro_budget_reserved_total").inc()
         try:
@@ -535,30 +600,12 @@ class PrivateSession:
             reservation.rollback()
             obs_metrics().counter("repro_budget_rolled_back_total").inc()
             raise
-        elapsed = time.perf_counter() - start
-        obs_metrics().histogram("repro_release_seconds").observe(elapsed)
-        entry = LedgerEntry(
-            index=0,
-            label=label,
-            mechanism=mech_name,
-            query=spec.describe(),
-            epsilon=charged,
-            seed=seed_token,
-            answer=float(result.answer),
-            status="released",
-            cache_hit=hit,
-            seconds=elapsed,
-            user=user,
+        entry = self._release_entry(
+            label, user, charged, seed_token, hit, spec, mech_name, at_version,
+            query, weight, options, epsilon, params,
         )
-        entry.extra["task"] = (
-            query, weight, spec.privacy, mech_name, dict(options), epsilon, params
-        )
-        if mech_name == "recursive":
-            entry.extra["lp_backend"] = self.lp_backend
-        if self._dynamic:
-            entry.extra["version"] = (
-                self._data.version if at_version is None else at_version
-            )
+        self._settle(entry, start, result)
+        obs_metrics().histogram("repro_release_seconds").observe(entry.seconds)
         reservation.commit(entry)
         obs_metrics().counter("repro_budget_committed_total").inc()
         return result
@@ -597,10 +644,9 @@ class PrivateSession:
         instead.  ``at_version`` answers against a historical graph
         version (dynamic sessions), exactly as in :meth:`query`.
         """
-        self._ensure_open()
-        charged = self._charged_epsilon(epsilon, params)
-        at_version = self._resolve_at_version(at_version)
-        label = label if label is not None else f"q{len(self.accountant)}"
+        charged, at_version, label = self._admission(
+            epsilon, params, at_version, label
+        )
         if rng is not None and not isinstance(
             rng, (int, np.integer, np.random.SeedSequence)
         ):
@@ -614,14 +660,19 @@ class PrivateSession:
         try:
             workers = resolve_workers(self._workers)
             pooled = workers > 1 and fork_available()
-            if pooled:
+            if pooled and self._pool_version != self.graph_version:
                 # A pool forked before a graph mutation must never serve
                 # a newer version: apply_update() retires it, but direct
                 # VersionedGraph mutation bypasses that — retire (or
                 # refuse, if futures are still in flight) here instead
                 # of silently answering from the stale forked state.
-                self._retire_stale_pool()
-            cls, spec, opts, key = self._resolve_spec(
+                self._retire_pool(
+                    "the graph was mutated while submitted queries were in "
+                    "flight on the worker pool; collect their futures before "
+                    "submitting more (or mutate via apply_update(), which "
+                    "enforces this)"
+                )
+            cls, spec, _, key = self._resolve_spec(
                 query, privacy, mechanism, None, options, version=at_version
             )
             # Prepare parent-side only where the compiled state will
@@ -632,12 +683,7 @@ class PrivateSession:
             # pool would repeat.
             if not pooled or self._pool is None or key in self._cache:
                 prepared, hit, _, _ = self._prepare_query(
-                    query,
-                    privacy,
-                    mechanism,
-                    None,
-                    options,
-                    version=at_version,
+                    query, privacy, mechanism, None, options, version=at_version
                 )
             else:
                 prepared, hit = None, False
@@ -646,27 +692,10 @@ class PrivateSession:
             reservation.rollback()
             obs_metrics().counter("repro_budget_rolled_back_total").inc()
             raise
-        entry = LedgerEntry(
-            index=0,
-            label=label,
-            mechanism=cls.name,
-            query=spec.describe(),
-            epsilon=charged,
-            seed=seed,
-            answer=None,
-            status="pending",
-            cache_hit=hit,
-            user=user,
+        entry = self._release_entry(
+            label, user, charged, seed, hit, spec, cls.name, at_version,
+            query, None, options, epsilon, params,
         )
-        entry.extra["task"] = (
-            query, None, spec.privacy, cls.name, dict(options), epsilon, params
-        )
-        if cls.name == "recursive":
-            entry.extra["lp_backend"] = self.lp_backend
-        if self._dynamic:
-            entry.extra["version"] = (
-                self._data.version if at_version is None else at_version
-            )
         # Charged at submission: the noisy answer *will* exist (refusing
         # to pay on a crash would itself be a side channel).
         reservation.commit(entry)
@@ -686,34 +715,16 @@ class PrivateSession:
                         epsilon, np.random.default_rng(seed), params=params
                     )
             except Exception as error:
-                entry.status = "failed"
-                entry.seconds = time.perf_counter() - start
+                self._settle(entry, start)
                 return QueryFuture(entry, error=error)
-            entry.answer = float(result.answer)
-            entry.status = "released"
-            entry.seconds = time.perf_counter() - start
+            self._settle(entry, start, result)
             obs_metrics().histogram("repro_release_seconds").observe(entry.seconds)
             return QueryFuture(entry, value=result)
 
-        def _on_done(result: ResultBase) -> None:
-            entry.answer = float(result.answer)
-            entry.status = "released"
-            entry.seconds = time.perf_counter() - start
-
         def _on_error(_error: BaseException) -> None:
-            entry.status = "failed"
-            entry.seconds = time.perf_counter() - start
+            self._settle(entry, start)
 
-        task = (
-            query,
-            spec.privacy,
-            cls.name,
-            dict(options),
-            epsilon,
-            params,
-            seed,
-            at_version,
-        )
+        task = (entry.extra["task"], seed, entry.extra.get("version"))
         # The span brackets dispatch only (the release itself is timed
         # worker-side); entering it installs the request's deterministic
         # trace context so pool.submit() ships it across the fork.
@@ -725,7 +736,9 @@ class PrivateSession:
             pooled=True,
         ):
             async_result = self._ensure_pool(workers).submit(
-                task, callback=_on_done, error_callback=_on_error
+                task,
+                callback=functools.partial(self._settle, entry, start),
+                error_callback=_on_error,
             )
         return QueryFuture(entry, async_result=async_result)
 
@@ -736,18 +749,13 @@ class PrivateSession:
             self._pool_version = self.graph_version
         return self._pool
 
-    def _retire_stale_pool(self) -> None:
-        """Close a pool whose forked graph state is behind the live one."""
-        if (self._pool is None or not self._dynamic
-                or self._pool_version == self._data.version):
+    def _retire_pool(self, busy: str) -> None:
+        """Close the worker pool, refusing with ``busy`` while submitted
+        queries are still in flight on it."""
+        if self._pool is None:
             return
         if self._pool.inflight():
-            raise SessionError(
-                "the graph was mutated while submitted queries were in "
-                "flight on the worker pool; collect their futures before "
-                "submitting more (or mutate via apply_update(), which "
-                "enforces this)"
-            )
+            raise SessionError(busy)
         self._pool.close()
         self._pool = None
 
@@ -794,14 +802,10 @@ class PrivateSession:
                 "apply_update() needs a session over a dynamic graph; "
                 "wrap it in repro.dynamic.VersionedGraph first"
             )
-        if self._pool is not None:
-            if self._pool.inflight():
-                raise SessionError(
-                    "apply_update() with submitted queries still in "
-                    "flight; collect their futures first"
-                )
-            self._pool.close()
-            self._pool = None
+        self._retire_pool(
+            "apply_update() with submitted queries still in flight; collect "
+            "their futures first"
+        )
         label = label if label is not None else f"u{len(self.accountant)}"
         old_version = self._data.version
         start = time.perf_counter()
@@ -864,20 +868,9 @@ class PrivateSession:
             if not entry.replayable or entry.answer is None:
                 records.append(ReplayRecord(entry, None, None))
                 continue
-            query, weight, privacy, mech_name, options, epsilon, params = (
-                entry.extra["task"]
-            )
-            prepared, _, _, _ = self._prepare_query(
-                query,
-                privacy,
-                mech_name,
-                weight,
-                options,
-                version=entry.extra.get("version"),
-            )
-            result = prepared.release(
-                epsilon, np.random.default_rng(entry.seed), params=params
-            )
+            result = self._recorded_release(
+                entry.extra["task"], entry.seed, entry.extra.get("version")
+            )()
             records.append(
                 ReplayRecord(
                     entry, float(result.answer), float(result.answer) == entry.answer

@@ -10,11 +10,12 @@ instead of surfacing later as a NaN answer or a cryptic LP failure.
 so either ``except`` style catches it.)
 
 The structured-input validators live here too: the ``repro batch`` JSON
-workload spec (:func:`validate_batch_spec`) and the network service's wire
-requests (:func:`validate_service_request`) are checked field by field —
-unknown keys and wrong types are rejected with the offending field's path
-in the message, never a deep traceback from the middle of the mechanism
-stack.
+workload spec (:func:`validate_batch_spec`), the ``repro serve
+--datasets`` config (:func:`validate_serve_config`) and the network
+service's wire requests (:func:`validate_service_request`) are checked
+field by field — unknown keys and wrong types are rejected with the
+offending field's path in the message, never a deep traceback from the
+middle of the mechanism stack.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ __all__ = [
     "validate_epsilon",
     "validate_workers",
     "validate_batch_spec",
+    "validate_serve_config",
     "validate_service_request",
 ]
 
@@ -96,6 +98,10 @@ def _is_positive_number(value) -> bool:
     return _is_number(value) and math.isfinite(float(value)) and float(value) > 0
 
 
+def _is_positive_or_null(value) -> bool:
+    return value is None or _is_positive_number(value)
+
+
 def _check_fields(
     obj: Dict, path: str, fields: Dict[str, tuple], errors: List[str]
 ) -> None:
@@ -111,6 +117,13 @@ def _check_fields(
     for key, (predicate, expectation) in fields.items():
         if key in obj and not predicate(obj[key]):
             errors.append(f"{path}{key}: must be {expectation}, got {obj[key]!r}")
+
+
+def _check_graph(graph, path: str, errors: List[str]) -> None:
+    """Validate one ``graph`` spec object (batch spec or dataset entry)."""
+    _check_fields(graph, path + ".", _GRAPH_FIELDS, errors)
+    if "edge_list" in graph and "dataset" in graph:
+        errors.append(f"{path}: pass either edge_list or dataset, not both")
 
 
 _GRAPH_FIELDS = {
@@ -281,9 +294,7 @@ def validate_batch_spec(spec: Any) -> Dict:
     _check_fields(spec, "", _BATCH_TOP_FIELDS, errors)
     graph = spec.get("graph")
     if isinstance(graph, dict):
-        _check_fields(graph, "graph.", _GRAPH_FIELDS, errors)
-        if "edge_list" in graph and "dataset" in graph:
-            errors.append("graph: pass either edge_list or dataset, not both")
+        _check_graph(graph, "graph", errors)
     if "queries" not in spec:
         errors.append("queries: required")
     elif isinstance(spec["queries"], list):
@@ -292,6 +303,69 @@ def validate_batch_spec(spec: Any) -> Dict:
     if errors:
         raise ValueError("invalid batch spec:\n  " + "\n  ".join(errors))
     return spec
+
+
+_SERVE_TOP_FIELDS = {
+    "datasets": (
+        lambda v: isinstance(v, dict) and len(v) > 0,
+        "a non-empty object of {name: dataset entry}",
+    ),
+    "default": (lambda v: isinstance(v, str), "a dataset-name string"),
+}
+
+#: The keys of one ``--datasets`` entry (what ``repro serve`` reads).
+_SERVE_DATASET_FIELDS = {
+    "graph": (lambda v: isinstance(v, dict), "a graph object"),
+    "updates": (lambda v: isinstance(v, bool), "a boolean"),
+    "writer_token": (lambda v: v is None or isinstance(v, str), "a string"),
+    "budget": (_is_positive_or_null, "a positive number (null: unlimited)"),
+    "user_epsilon": (_is_positive_or_null, "a positive number (null: uncapped)"),
+    "user_budgets": (
+        lambda v: isinstance(v, dict) and all(
+            isinstance(user, str) and _is_positive_number(cap)
+            for user, cap in v.items()
+        ),
+        "an object of {user: positive number}",
+    ),
+    "seed": (lambda v: v is None or _is_int(v), "an integer"),
+}
+
+
+def validate_serve_config(config: Any) -> Dict:
+    """Validate a ``repro serve --datasets`` JSON config, entry by entry.
+
+    Returns the config unchanged when valid.  Raises :class:`ValueError`
+    listing every offending field with its path — an unknown key or a
+    non-object entry names its dataset (``datasets.<name>.<key>``), so a
+    typo can never silently drop a budget cap.
+    """
+    if not isinstance(config, dict):
+        raise ValueError(
+            f"datasets config must be a JSON object, got {type(config).__name__}"
+        )
+    errors: List[str] = []
+    _check_fields(config, "", _SERVE_TOP_FIELDS, errors)
+    datasets = config.get("datasets")
+    if datasets is None:
+        errors.append("datasets: required")
+    elif isinstance(datasets, dict):
+        for name, entry in datasets.items():
+            path = f"datasets.{name}"
+            if not isinstance(entry, dict):
+                errors.append(f"{path}: must be an object, got {entry!r}")
+                continue
+            _check_fields(entry, path + ".", _SERVE_DATASET_FIELDS, errors)
+            if isinstance(entry.get("graph"), dict):
+                _check_graph(entry["graph"], path + ".graph", errors)
+        default = config.get("default")
+        if isinstance(default, str) and default not in datasets:
+            errors.append(
+                f"default: dataset {default!r} is not in 'datasets' "
+                f"({sorted(datasets)})"
+            )
+    if errors:
+        raise ValueError("invalid datasets config:\n  " + "\n  ".join(errors))
+    return config
 
 
 #: Wire-protocol operations the service understands.  ``stats``,

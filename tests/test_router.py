@@ -24,6 +24,7 @@ import pytest
 from repro import PrivateSession, random_graph_with_avg_degree
 from repro.dynamic import VersionedGraph
 from repro.errors import RemoteServiceError, ServiceForbidden
+from repro.obs import metrics
 from repro.service import (
     PROTOCOL_VERSION,
     SUPPORTED_VERSIONS,
@@ -184,6 +185,38 @@ class TestRouting:
                 rng=request_seed(ROUTER_SEED, "alice", index),
             )
             # the beta query in between must not shift alpha's stream
+            assert result["answer"] == expected.answer
+        reference.close()
+        _close_all(sessions)
+
+    def test_merged_metrics_never_move_lane_state(self, alpha_graph, beta_graph):
+        """Seed indices and in-flight counts are lane state, not telemetry:
+        merging a payload that carries the lane's own labels (as a worker
+        envelope or a scraped snapshot can) changes neither."""
+        router, sessions = _two_dataset_router(alpha_graph, beta_graph)
+        lane = router.lane("alpha")
+        labels = dict(lane._obs_labels)
+        with BackgroundService(router) as bg:
+            with ServiceClient(bg.address, user="alice") as client:
+                a0 = client.query("triangle", epsilon=0.2, privacy="edge")
+                metrics().merge({"metrics": [
+                    {"name": "repro_lane_granted_total", "kind": "counter",
+                     "labels": dict(labels, user="alice"), "value": 3.0},
+                    {"name": "repro_lane_inflight", "kind": "gauge",
+                     "labels": labels, "value": 64.0},
+                ]})
+                assert lane.granted["alice"] == 1
+                assert lane.inflight == 0
+                # admitted (not "overloaded"), at alice's second seed
+                a1 = client.query("triangle", epsilon=0.2, privacy="edge")
+        reference = PrivateSession(alpha_graph, workers=1)
+        for index, result in enumerate((a0, a1)):
+            expected = reference.query(
+                "triangle",
+                privacy="edge",
+                epsilon=0.2,
+                rng=request_seed(ROUTER_SEED, "alice", index),
+            )
             assert result["answer"] == expected.answer
         reference.close()
         _close_all(sessions)

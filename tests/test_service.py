@@ -658,6 +658,25 @@ class TestServeBuilder:
         assert main(["serve", "--nodes", "10", "--user-budget", "bob=-1"]) == 2
         assert "not a positive finite number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry, named", [
+        # a typo'd key must not mount alpha with no cap and carol uncapped
+        ({"user_budget": {"carol": 0.1}, "budgt": 1.0},
+         ["datasets.alpha.user_budget", "datasets.alpha.budgt"]),
+        (5, ["datasets.alpha: must be an object"]),
+    ], ids=["typo", "non-object"])
+    def test_datasets_config_names_the_bad_entry(
+        self, tmp_path, capsys, entry, named
+    ):
+        path = tmp_path / "datasets.json"
+        path.write_text(json.dumps({"datasets": {"alpha": entry}}))
+        argv = ["serve", "--datasets", str(path)]
+        with pytest.raises(ValueError) as excinfo:
+            _build_router(build_parser().parse_args(argv))
+        for fragment in named:
+            assert fragment in str(excinfo.value)
+        assert main(argv) == 2
+        assert named[0] in capsys.readouterr().err
+
     def test_updates_flags_mount_a_token_gated_dynamic_lane(self):
         router, sessions = _build_router(build_parser().parse_args([
             "serve", "--nodes", "20", "--avgdeg", "4", "--seed", "3",

@@ -1,6 +1,7 @@
 """Tests for the session serving layer: accountant, cache, futures, replay."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from repro import (
 )
 from repro.core import EfficientRecursiveMechanism
 from repro.core.queries import WeightedQuery
+from repro.dynamic import VersionedGraph
 from repro.errors import PrivacyParameterError, SessionError
 from repro.session import (
     BudgetAccountant,
@@ -46,6 +48,30 @@ class TestBudgetAccountant:
         assert accountant.spent == 1.0
         assert accountant.remaining == 0.0
         assert len(accountant) == 4
+
+        # Thousands of mixed-magnitude charges across users: every total
+        # is bit-identical to math.fsum over the ledger.
+        rng = np.random.default_rng(2)
+        users = ["alice", "bob", "carol", None]
+        accountant = HierarchicalAccountant(1e9)
+        charges = []
+        for i in range(3000):
+            epsilon = float(10.0 ** rng.uniform(-12, 3))
+            user = users[int(rng.integers(len(users)))]
+            charges.append(epsilon)
+            accountant.charge(LedgerEntry(0, f"q{i}", "m", "t", epsilon, user=user))
+            if i % 250 == 0 or i == 2999:
+                ledger = accountant.ledger
+                total = math.fsum(entry.epsilon for entry in ledger)
+                assert accountant.spent == total
+                assert accountant.remaining == 1e9 - total
+                for name in users:
+                    assert accountant.user_spent(name) == math.fsum(
+                        entry.epsilon for entry in ledger if entry.user == name
+                    )
+        # the input has teeth: a float running sum drifts on it
+        assert sum(charges) != math.fsum(charges)
+        assert accountant.users() == ("alice", "bob", "carol")
 
     def test_exhausted_at_cap(self):
         accountant = BudgetAccountant(1.0)
@@ -441,6 +467,57 @@ class TestSubmitFutures:
             future.result()
         assert session.verify_ledger()
         session.close()
+
+
+def _release_path_run(how, workers, dynamic):
+    """One scripted workload through ``query`` or ``submit``: its answers,
+    audit rows without ``seconds``, and replayed answers."""
+    data = random_graph_with_avg_degree(30, 6, rng=1)
+    session = PrivateSession(VersionedGraph(data) if dynamic else data, workers=workers)
+    if how == "query":
+        release = session.query
+    else:
+        def release(*args, **kwargs):
+            return session.submit(*args, **kwargs).result()
+    answers = [release(triangle(), privacy="edge", epsilon=0.5, rng=3).answer]
+    if dynamic:
+        session.apply_update([{"action": "remove_node", "node": 3}])
+    # a cache hit (historical at version 0 on the dynamic session)
+    at_version = {"at_version": 0} if dynamic else {}
+    answers.append(
+        release(triangle(), privacy="edge", epsilon=0.5, rng=17, **at_version).answer
+    )
+    answers.append(release(k_star(2), privacy="edge", epsilon=0.25, rng=5).answer)
+    rows = [
+        {key: value for key, value in row.items() if key != "seconds"}
+        for row in session.audit_log()
+    ]
+    replayed = [
+        record.replayed_answer
+        for record in session.replay()
+        if record.entry.status == "released"
+    ]
+    session.close()
+    return answers, rows, replayed
+
+
+class TestOneReleasePath:
+    """``query`` and ``submit`` admit and ledger a release the same way,
+    and the worker pool runs exactly the task the ledger records."""
+
+    @pytest.mark.parametrize("dynamic", [False, True], ids=["static", "dynamic"])
+    def test_query_and_submit_ledger_rows_differ_only_in_seconds(self, dynamic):
+        answers, rows, replayed = _release_path_run("query", 1, dynamic)
+        assert [row["cache_hit"] for row in rows if row["status"] == "released"] == [
+            False, True, False
+        ]
+        assert replayed == answers
+        for workers in (1, 2):
+            submitted = _release_path_run("submit", workers, dynamic)
+            assert submitted[0] == answers
+            assert submitted[1] == rows
+            # pooled answers are what replay() re-derives from the ledger
+            assert submitted[2] == submitted[0]
 
 
 class TestSessionContextManager:
