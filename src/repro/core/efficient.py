@@ -8,7 +8,11 @@ earlier releases of the same mechanism bracket it
 (:meth:`~repro.core.framework.RecursiveMechanismBase.x_step`).  Only when
 they do not does it solve the continuous relaxation Eq. 20 as a single LP
 and use convexity of ``H`` (Lemma 10) to restrict the integer argmin to
-``{⌊i'⌋, ⌈i'⌉}``.
+``{⌊i'⌋, ⌈i'⌉}``.  Those H-entries come off that LP too: an integral
+``i'`` is read off its optimum, a fractional one's neighbours are resumed
+from its basis, each value certified and snapped to a small rational
+(:mod:`repro.lp.certify`), and only one that does not snap takes a cold
+H solve.
 
 Overall cost is a polynomial of the total annotation length ``L`` — this is
 the mechanism that makes node-differentially-private subgraph counting
@@ -21,6 +25,7 @@ import math
 from typing import Dict, Optional, Tuple
 
 from ..errors import MechanismError
+from ..lp.certify import UNIT_ROUNDOFF
 from ..obs import metrics as obs_metrics
 from ..relax.encode import EncodedRelation
 from ..rng import RngLike
@@ -298,36 +303,48 @@ class EfficientRecursiveMechanism(RecursiveMechanismBase):
         return self._encoded.true_answer()
 
     def _compute_x(self, delta_hat: float) -> Tuple[float, float]:
-        """Eq. 12 via Eq. 20: one LP plus at most two cached H-entries.
+        """Eq. 12 via Eq. 20: one LP, and the H-entries it brackets.
 
         The fallback route of :meth:`x_step`, taken only when earlier
-        decisions do not already bracket the argmin at ``delta_hat``.
+        decisions do not already bracket the argmin at ``delta_hat``.  The
+        relaxation's optimum ``i'`` restricts the integer argmin to
+        ``{⌊i'⌋, ⌈i'⌉}`` (Lemma 10).  Their H-entries come off the X LP
+        while its step is open (:meth:`EncodedRelation.solve_h_many`): an
+        integral ``i'`` is read off the optimum itself, a fractional one's
+        neighbours are resumed from its basis, and only an entry whose
+        certificate does not snap is solved cold.
         """
         n = self.num_participants
         relaxed_value, i_prime = self._encoded.solve_x_relaxation(delta_hat)
-        candidates = sorted(
-            {
-                max(0, min(n, int(math.floor(i_prime)))),
-                max(0, min(n, int(math.ceil(i_prime)))),
-                max(0, min(n, int(round(i_prime)))),
-            }
-        )
+        try:
+            candidates = sorted(
+                {
+                    max(0, min(n, int(math.floor(i_prime)))),
+                    max(0, min(n, int(math.ceil(i_prime)))),
+                    max(0, min(n, int(round(i_prime)))),
+                }
+            )
+            values = self.h_entries(candidates)
+            lower, upper = self._encoded.x_interval()
+        finally:
+            self._encoded.end_x_step()
         best_value = math.inf
         best_index = float(candidates[0])
-        for i, h_value in zip(candidates, self.h_entries(candidates)):
+        for i, h_value in zip(candidates, values):
             value = h_value + (n - i) * delta_hat
             if value < best_value:
-                best_value = value
-                best_index = float(i)
-        # The integer optimum can never beat the continuous relaxation.
-        # The slack term scales with |P|: solver feasibility tolerance
-        # (~1e-7 per coefficient) accumulates across the n-term mass row,
-        # so million-participant LPs legitimately over-shoot by ~1e-4.
-        slack = 1e-6 * max(1.0, abs(relaxed_value)) + 1e-9 * n
-        if best_value < relaxed_value - slack:
+                best_value, best_index, best_h = value, float(i), h_value
+        # The integer optimum can never beat the continuous relaxation's
+        # certified lower bound, up to the float rounding of
+        # H_k + (n − k)·Δ̂; and the solver's relaxed value must not exceed
+        # what its own point is worth.
+        shift = (n - best_index) * delta_hat
+        rounding = 4.0 * UNIT_ROUNDOFF * (abs(best_h) + shift + abs(best_value))
+        if best_value + rounding < lower or relaxed_value > upper:
             raise MechanismError(
                 "convexity violation in X computation: integer value "
-                f"{best_value} below relaxed value {relaxed_value}"
+                f"{best_value} and relaxed value {relaxed_value} against "
+                f"the relaxation's certified interval [{lower}, {upper}]"
             )
         return best_value, best_index
 

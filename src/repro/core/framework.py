@@ -82,7 +82,7 @@ class RecursiveMechanismBase:
     Subclasses implement :meth:`_h_entry` and :meth:`_g_entry` (both are
     cached here) and may override :meth:`_compute_x` when they can do better
     than scanning every index (the efficient mechanism solves one LP and
-    two H-entries instead).
+    reads the at most two H-entries it needs off that LP instead).
     """
 
     def __init__(self):
@@ -238,7 +238,9 @@ class RecursiveMechanismBase:
         (or ``0`` / ``|P|`` when there is none) therefore bracket the
         argmin; when they agree it is fixed, and ``X`` is evaluated from
         the cached ``H_k`` by the same expression :meth:`_compute_x`
-        uses, so the released bytes do not depend on the route.  Each
+        uses.  The efficient mechanism's ``H_k`` has the same bits however
+        it was reached (a snapped rational, :mod:`repro.lp.certify`), so
+        the released bytes do not depend on the route.  Each
         decision counts once in ``repro_x_step_total{how}``:
         ``bracket`` or ``solve``.
         """

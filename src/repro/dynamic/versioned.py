@@ -41,8 +41,8 @@ def version_token(version: int) -> Tuple[str, int]:
     """The hashable cache-key component naming one graph version.
 
     The single source of the token's shape: compiled-relation cache keys
-    embed it, and the session's ``drop_stale`` invalidation matches on
-    it — both through this function, so the two can never drift apart.
+    embed it, and the session's eviction of superseded versions matches
+    on it — both through this function, so the two can never drift apart.
     """
     return ("version", version)
 

@@ -80,7 +80,8 @@ class PersistentModel:
       without the caller knowing the backend's native option names.
 
     Subclasses implement :meth:`set_row_bounds`, :meth:`set_col_costs`
-    and :meth:`solve`.
+    and :meth:`solve`; a model that can grow a row in place and resume
+    from its basis also implements :meth:`add_row` and :meth:`delete_row`.
     """
 
     #: backend name carried into error messages (set by the builder)
@@ -107,6 +108,16 @@ class PersistentModel:
 
     def set_col_costs(self, indices, values) -> None:
         """Overwrite the objective coefficients of the given columns."""
+        raise NotImplementedError
+
+    def add_row(self, indices, values, lower: float, upper: float):
+        """Append the row ``lower <= Σ values·x[indices] <= upper`` in place,
+        keeping the last solve's basis; returns the row's index, or None
+        when the model cannot grow a row without a rebuild (the default)."""
+        return None
+
+    def delete_row(self, row: int) -> None:
+        """Delete a row :meth:`add_row` appended."""
         raise NotImplementedError
 
     def solve(self, resume: bool = False) -> LPSolution:

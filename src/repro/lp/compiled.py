@@ -14,7 +14,9 @@ only a tiny per-call overlay:
   it from probe to probe, re-solving each one from the previous
   probe's basis;
 * the ``X`` step (Eq. 20): a rank-one perturbation of the objective by
-  ``-Δ̂`` on the participant columns.
+  ``-Δ̂`` on the participant columns; the H entries next to its optimum
+  are resumed from its basis with the mass row appended
+  (:meth:`CompiledProgram.solve_h_on_x`).
 
 This is the only way the φ-epigraph LP is solved.  A
 :class:`CompiledProgram` performs the assembly exactly once and loads
@@ -192,11 +194,14 @@ class CompiledProgram:
             reset()
 
     # -- shared helpers ------------------------------------------------------
-    def _num_ub_rows(self) -> int:
+    @property
+    def num_ub_rows(self) -> int:
+        """Rows of the base ``A_ub x <= b_ub`` block (the H and X models'
+        mass row, when present, comes right after them)."""
         return self._a_ub.shape[0]
 
     def _ub_row_lower(self) -> np.ndarray:
-        return np.full(self._num_ub_rows(), -_INF)
+        return np.full(self.num_ub_rows, -_INF)
 
     def _with_constant(self, solution: LPSolution, constant: float) -> LPSolution:
         if solution.is_optimal and constant:
@@ -220,7 +225,7 @@ class CompiledProgram:
         """``H_i`` with only the mass-row RHS rebound per call."""
         tick = time.perf_counter()
         model = self._ensure_h_model()
-        model.set_row_bounds(self._num_ub_rows(), float(i), float(i))
+        model.set_row_bounds(self.num_ub_rows, float(i), float(i))
         solution = self._with_constant(model.solve(), self._constant)
         _observe_solve("h", self.backend, time.perf_counter() - tick, model)
         return solution
@@ -284,7 +289,7 @@ class CompiledProgram:
 
     def _g_mass_row(self) -> int:
         """The G model's mass row: after the epigraph and min-max rows."""
-        return self._num_ub_rows() + len(self._g_row_maps)
+        return self.num_ub_rows + len(self._g_row_maps)
 
     def _ensure_g_model(self) -> PersistentModel:
         if self._g_model is None:
@@ -399,10 +404,42 @@ class CompiledProgram:
         _observe_solve("x", self.backend, time.perf_counter() - tick, self._x_model)
         return solution
 
+    def solve_h_on_x(self, indices: Sequence[float]) -> Optional[List[LPSolution]]:
+        """``H`` at each index, resumed from the X model's optimal basis.
+
+        Appends the mass row ``Σ_p f_p = i`` to the X model, which leaves
+        the last X solve's optimal basis dual feasible (the row's slack
+        enters it), re-solves each index in turn by dual simplex from the
+        previous one's basis, as the Δ-search walk does, and deletes the
+        row again, so the X model is the same program afterwards.  The X
+        objective differs from the H objective by ``-Δ̂·Σf``, a constant on
+        the slice, so each solution is optimal for ``H_i``; its objective
+        is not ``H_i`` and is not read.  Returns None when there is no X
+        model or the backend cannot add a row to it (an array model,
+        whose solves are cold anyway).
+        """
+        model = self._x_model
+        if model is None:
+            return None
+        p = self.num_participants
+        row = model.add_row(np.arange(p), np.ones(p), 0.0, 0.0)
+        if row is None:
+            return None
+        solutions = []
+        try:
+            for i in indices:
+                tick = time.perf_counter()
+                model.set_row_bounds(row, float(i), float(i))
+                solutions.append(model.solve(resume=True))
+                _observe_solve("h", self.backend, time.perf_counter() - tick, model)
+        finally:
+            model.delete_row(row)
+        return solutions
+
     def __repr__(self) -> str:
         return (
             f"CompiledProgram(num_variables={self.num_variables}, "
-            f"num_ub_rows={self._num_ub_rows()}, "
+            f"num_ub_rows={self.num_ub_rows}, "
             f"num_g_rows={len(self._g_row_maps)}, "
             f"backend={self.backend.name!r})"
         )

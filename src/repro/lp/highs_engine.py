@@ -11,17 +11,21 @@ that change between solves (a row's bounds, a few objective entries).
 A solve starts from a cleared solver state (``clearSolver``), i.e. cold
 with presolve and the size-chosen method (HiGHS's ``choose``, or IPM
 above :data:`~repro.lp.scipy_backend.IPM_THRESHOLD` columns), unless the
-caller resumes.  H solves and the X relaxation stay cold: a warm H walk
-is faster but changes H values in their last bits, and released answers
-must not depend on the solve route (a warm release rarely solves the X
-relaxation at all — see ``RecursiveMechanismBase.x_step``).  The Δ
-search is different: it seeds one G model cold at mass RHS ``|P|`` or
+caller resumes.  The X relaxation and the H solves outside an X step
+are cold.  The Δ search seeds one G model cold at mass RHS ``|P|`` or
 0, where presolve leaves nothing to solve, and then moves only its mass
 row between probes, which leaves the previous optimal basis dual
 feasible, so ``solve(resume=True)`` re-solves from that basis with dual
-simplex (see ``CompiledProgram.solve_g_decide``).  Every optimal
-solution carries its row duals, which the Δ search reads as subgradients
-of ``G``.
+simplex (see ``CompiledProgram.solve_g_decide``).  The X step resumes
+the same way: :meth:`PersistentLP.add_row` appends a mass row to the X
+model, whose optimal basis stays dual feasible, and the H entries next
+to a fractional optimum are resumed from it
+(``CompiledProgram.solve_h_on_x``).  Resumed H values differ from cold
+ones in their last bits, so every H value is certified and snapped to a
+small rational before it is used (:mod:`repro.lp.certify`), and released
+answers do not depend on the route.  Every optimal solution carries its
+row duals: the Δ search reads them as subgradients of ``G``, the
+certificates as Lagrange multipliers.
 
 This is a private SciPy API, so :class:`HighsBackend` is gated behind a
 lazy, cached probe: :func:`engine_available` answers cheaply after the
@@ -180,12 +184,16 @@ class PersistentLP(PersistentModel):
 
         self.num_rows = num_rows
         self.num_cols = num_cols
-        self._solver = _core._Highs()
-        self._solver.setOptionValue("output_flag", False)
-        self._solver.setOptionValue("solver", solver)
         # a cold solve runs ``solver``; a resumed one switches to dual
         # simplex (see solve) and a later cold solve switches back
         self._cold_options = {"solver": solver, "simplex_strategy": 1}
+        self._load(lp)
+
+    def _load(self, lp) -> None:
+        """Pass ``lp`` to a new HiGHS instance set up for cold solves."""
+        self._solver = _core._Highs()
+        self._solver.setOptionValue("output_flag", False)
+        self._solver.setOptionValue("solver", self._cold_options["solver"])
         self._resumed = False
         if self._solver.passModel(lp) == _core.HighsStatus.kError:
             raise LPError(
@@ -203,6 +211,33 @@ class PersistentLP(PersistentModel):
         self._assert_owner()
         idx = np.asarray(indices, dtype=np.int32)
         self._solver.changeColsCost(len(idx), idx, np.asarray(values, dtype=float))
+
+    def add_row(self, indices, values, lower: float, upper: float) -> int:
+        """Append one row; HiGHS extends a valid basis with its slack."""
+        self._assert_owner()
+        idx = np.asarray(indices, dtype=np.int32)
+        status = self._solver.addRow(
+            float(lower), float(upper), len(idx), idx, np.asarray(values, dtype=float)
+        )
+        if status == _core.HighsStatus.kError:
+            raise LPError(f"[lp-backend {self.backend_name}] HiGHS rejected a row")
+        self.num_rows += 1
+        return self.num_rows - 1
+
+    def delete_row(self, row: int) -> None:
+        """Delete a row :meth:`add_row` appended.
+
+        A model whose cold solves run IPM then moves to a fresh HiGHS
+        instance: a solve resumed on it built a whole simplex instance
+        from the crossover basis (3.6 MB on the 3,817-column 2-star/edge
+        program of a 200-node graph), which the model would otherwise
+        keep for as long as it is cached.
+        """
+        self._assert_owner()
+        self._solver.deleteRows(1, np.array([row], dtype=np.int32))
+        self.num_rows -= 1
+        if self._cold_options["solver"] == "ipm":
+            self._load(self._solver.getLp())
 
     # -- solving -------------------------------------------------------------
     def solve(self, resume: bool = False) -> LPSolution:

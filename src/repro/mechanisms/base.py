@@ -22,6 +22,7 @@ handle the recursive mechanism and every baseline identically.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Type
@@ -53,23 +54,31 @@ def resolve_pattern(query) -> Pattern:
     """Coerce a query argument to a :class:`Pattern`.
 
     Accepts a :class:`Pattern` unchanged, or one of the paper's query
-    names: ``"triangle"``, ``"<k>-star"``, ``"<k>-triangle"``.
+    names: ``"triangle"``, ``"<k>-star"``, ``"<k>-triangle"``, each
+    resolved to one shared pattern object (every release of a served
+    query resolves its name, in the submitting process and again in the
+    worker that runs it).
     """
     if isinstance(query, Pattern):
         return query
     if isinstance(query, str):
-        if query == "triangle":
-            return triangle()
-        match = re.fullmatch(r"(\d+)-star", query)
-        if match:
-            return k_star(int(match.group(1)))
-        match = re.fullmatch(r"(\d+)-triangle", query)
-        if match:
-            return k_triangle(int(match.group(1)))
-        raise MechanismError(f"unknown query {query!r}")
+        return _named_pattern(query)
     raise MechanismError(
         f"query must be a Pattern or a query name string, got {query!r}"
     )
+
+
+@functools.lru_cache(maxsize=64)
+def _named_pattern(query: str) -> Pattern:
+    if query == "triangle":
+        return triangle()
+    match = re.fullmatch(r"(\d+)-star", query)
+    if match:
+        return k_star(int(match.group(1)))
+    match = re.fullmatch(r"(\d+)-triangle", query)
+    if match:
+        return k_triangle(int(match.group(1)))
+    raise MechanismError(f"unknown query {query!r}")
 
 
 def _weight_token(weight: Optional[LinearQuery]):

@@ -22,6 +22,13 @@ drives every node variable down to its exact φ value (simple induction), so
 are each a single linear program with ``O(L)`` variables, where ``L`` is the
 total annotation length (Sec. 5.3).
 
+Every ``H`` value is certified and snapped to a small rational
+(:mod:`repro.lp.certify`) before it is returned, whichever solve produced
+it, so the route does not show in its bits.  While an X step is open
+(:meth:`EncodedRelation.solve_x_relaxation` until
+:meth:`EncodedRelation.end_x_step`), ``H`` entries are read off the X
+relaxation's own optimum or resumed from its basis before any cold solve.
+
 Encoding emits COO triplets straight into growable arrays, freezes them
 into NumPy buffers, and compiles them once into a
 :class:`~repro.lp.compiled.CompiledProgram`; every ``H``/``G``/``X`` solve
@@ -31,6 +38,7 @@ builds once per overlay.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -38,10 +46,23 @@ import numpy as np
 from ..boolexpr.expr import And, Expr, Or, Var, _Const
 from ..boolexpr.sensitivity import phi_sensitivities
 from ..errors import ExpressionError, LPError
+from ..lp.certify import MAX_DENOMINATOR, UNIT_ROUNDOFF, Certificate, gamma
 from ..lp.compiled import CompiledProgram
 from ..lp.model import LPSolution
+from ..obs import metrics as obs_metrics
+from .phi import _phi_columns
 
 __all__ = ["EncodedRelation", "encode_relation"]
+
+
+def _count_h(how: str, entries: int = 1) -> None:
+    """Count ``H`` entries by the route that produced them."""
+    obs_metrics().counter("repro_h_entries_total", how=how).inc(entries)
+
+
+def _count_unsnapped() -> None:
+    """Count one ``H`` whose certified interval isolated no rational."""
+    obs_metrics().counter("repro_h_unsnapped_total").inc()
 
 
 class EncodedRelation:
@@ -95,6 +116,10 @@ class EncodedRelation:
         self._g_rows: Dict[str, Dict[int, float]] = {}
         #: S̄ = max_{t,p} S_{R(t),p} over all (weight > 0) annotations
         self.max_phi_sensitivity = 0
+        # the encoded annotations, re-evaluated by H certificates, and a
+        # bound on the float error of evaluating them (see _objective_upper)
+        self._annotations: Optional[List[Tuple[Expr, float]]] = []
+        self._phi_error = 0.0
 
         for expr, weight in annotated:
             weight = float(weight)
@@ -120,6 +145,12 @@ class EncodedRelation:
             root = self._encode_node(expr)
             root_vars.append(root)
             root_weights.append(weight)
+            self._annotations.append((expr, weight))
+            # φ of an expression of s nodes sums at most s values in
+            # [0, 1] per node, each sum off by γ_s ≈ s·u of its terms, and
+            # the errors of s nodes add up: at most 2·s³·u
+            size = expr.node_count()
+            self._phi_error += weight * 2.0 * size * size * size * UNIT_ROUNDOFF
             for pname, s_value in phi_sensitivities(expr).items():
                 if s_value <= 0:
                     continue
@@ -141,6 +172,8 @@ class EncodedRelation:
 
     def _finalize(self) -> None:
         """Compile the frozen arrays into the program every solve uses."""
+        # the open X step's (Δ̂, solution, certificate), while one is open
+        self._x_step: Optional[Tuple[float, LPSolution, Certificate]] = None
         self._compiled = CompiledProgram(
             num_variables=self._num_structural,
             num_participants=len(self.participants),
@@ -195,6 +228,9 @@ class EncodedRelation:
         self.total_weight = float(n)
         self.max_phi_sensitivity = 1 if n else 0
         self._next_var = num_participants
+        # node values are re-evaluated from the epigraph rows themselves
+        self._annotations = None
+        self._phi_error = 0.0
 
         if n == 0 or width == 1:
             self._ub_rows = np.empty(0, dtype=np.int64)
@@ -348,35 +384,156 @@ class EncodedRelation:
     def solve_h(self, i: float) -> float:
         """``H_i`` (Eq. 16) for integer or fractional ``i ∈ [0, |P|]``.
 
-        The endpoints are exact closed forms, no LP (:meth:`h_closed_form`).
+        The endpoints are exact closed forms, no LP (:meth:`h_closed_form`);
+        otherwise one cold solve, snapped (:meth:`_cold_h`).
         """
         closed = self.h_closed_form(i)
         if closed is not None:
+            _count_h("closed_form")
             return closed
-        solution = self._compiled.solve_h(float(i))
-        self._check(solution, f"H_{i}")
-        return max(0.0, float(solution.objective))
+        return self._cold_h(i, self._compiled.solve_h(float(i)))
 
     def solve_h_many(
         self, indices: Sequence[float], workers: Optional[int] = 1
     ) -> List[float]:
-        """``H_i`` for several indices, optionally fanned across workers.
+        """``H_i`` for several indices, each by the cheapest route.
 
-        Closed-form endpoints are answered in-process; the remaining
-        indices go through :meth:`CompiledProgram.solve_many`, which forks
-        workers after compilation when ``workers > 1`` (and falls back to
-        a sequential loop otherwise — results are identical either way).
+        Each entry counts once in ``repro_h_entries_total{how}``:
+        ``closed_form`` for the endpoints; ``x_lp`` or ``resumed`` while
+        an X step is open (:meth:`_h_from_x`); ``cold`` for the rest,
+        which go through :meth:`CompiledProgram.solve_many` — forked
+        workers when ``workers > 1``, a sequential loop otherwise — and
+        are snapped here in the parent.  Every route stores the same bits.
         """
         indices = list(indices)
         values: List[Optional[float]] = [self.h_closed_form(i) for i in indices]
-        lp_positions = [pos for pos, value in enumerate(values) if value is None]
-        if lp_positions:
-            tasks = [("h", float(indices[pos])) for pos in lp_positions]
+        pending = [pos for pos, value in enumerate(values) if value is None]
+        if len(pending) < len(indices):
+            _count_h("closed_form", len(indices) - len(pending))
+        if pending and self._x_step is not None:
+            pending = self._h_from_x(indices, values, pending)
+        if pending:
+            tasks = [("h", float(indices[pos])) for pos in pending]
             solutions = self._compiled.solve_many(tasks, workers=workers)
-            for pos, solution in zip(lp_positions, solutions):
-                self._check(solution, f"H_{indices[pos]}")
-                values[pos] = max(0.0, float(solution.objective))
+            for pos, solution in zip(pending, solutions):
+                values[pos] = self._cold_h(indices[pos], solution)
         return values
+
+    def _certificate(self, solution: LPSolution, multiplier: float):
+        """The :class:`~repro.lp.certify.Certificate` of an optimal
+        H-shaped solution, or None when it carries no values."""
+        if len(solution.x) < self._num_structural:
+            return None
+        return Certificate(
+            self._compiled,
+            solution.x,
+            solution.row_dual,
+            multiplier,
+            self._objective_upper,
+        )
+
+    def _cold_h(self, i: float, solution: LPSolution) -> float:
+        """A cold H solve's value: snapped when its certificate isolates a
+        rational, else as the solver reports it (counted unsnapped)."""
+        self._check(solution, f"H_{i}")
+        _count_h("cold")
+        value = None
+        if solution.row_dual is not None:
+            mass_row = self._compiled.num_ub_rows
+            certificate = self._certificate(solution, solution.row_dual[mass_row])
+            if certificate is not None:
+                value = certificate.snapped(i)
+        if value is None:
+            _count_unsnapped()
+            value = float(solution.objective)
+        return max(0.0, value)
+
+    def _h_from_x(self, indices, values, pending) -> List[int]:
+        """Fill ``values[pos]`` from the open X step; return the positions
+        left for the cold route.
+
+        The X relaxation's optimum has mass ``i'``, so where ``i'`` lies
+        within the snapping width of an index ``k`` (the interior
+        integral case), that optimum is also optimal on the slice
+        ``Σf = k``: its duals with mass multiplier ``Δ̂`` certify ``H_k``
+        from below, its own point from above (``x_lp``).  Every other
+        index is solved by moving only a mass row off the X model's
+        optimal basis and resuming dual simplex
+        (:meth:`CompiledProgram.solve_h_on_x`), certified by that solve's
+        duals (``resumed``).  A model that cannot add a row sends those
+        indices to the cold route; so does a resumed certificate that does
+        not snap, counted in ``repro_h_unsnapped_total``.
+        """
+        delta_hat, _, certificate = self._x_step
+        rest = []
+        for pos in pending:
+            k = indices[pos]
+            value = None
+            if abs(certificate.mass - k) < 0.5 / MAX_DENOMINATOR**2:
+                value = certificate.snapped(k)
+            if value is None:
+                rest.append(pos)
+            else:
+                values[pos] = max(0.0, value)
+                _count_h("x_lp")
+        solutions = None
+        if rest:
+            solutions = self._compiled.solve_h_on_x(
+                [float(indices[pos]) for pos in rest]
+            )
+        if solutions is None:
+            return rest
+        left = []
+        mass_row = self._compiled.num_ub_rows
+        for pos, solution in zip(rest, solutions):
+            value = None
+            if solution.is_optimal and solution.row_dual is not None:
+                resumed = self._certificate(
+                    solution, delta_hat + solution.row_dual[mass_row]
+                )
+                if resumed is not None:
+                    value = resumed.snapped(indices[pos])
+            if value is None:
+                _count_unsnapped()
+                left.append(pos)
+            else:
+                values[pos] = max(0.0, value)
+                _count_h("resumed")
+        return left
+
+    def _objective_upper(self, f: np.ndarray) -> float:
+        """An upper bound on ``Σ_t q(t)·φ_t(f) + constant`` at participant
+        values ``f ∈ [0, 1]^P``, every node value recomputed bottom-up.
+
+        Conjunctions are evaluated as one vectorized pass over the
+        participant-index matrix the epigraph rows were built from (a view
+        of their column triplets); other annotations through
+        :func:`~repro.relax.phi._phi_columns`.  The float error of the
+        evaluation is added on top.
+        """
+        if self._annotations is None:
+            n = self._root_vars.size
+            if self._ub_rhs.size == 0:  # width 1: the roots are participants
+                total, error = math.fsum(f[self._root_vars]), 0.0
+            else:
+                width = self._ub_cols.size // n - 1
+                children = self._ub_cols.reshape(n, width + 1)[:, 1:]
+                roots = np.maximum(0.0, f[children].sum(axis=1) - (width - 1))
+                total = math.fsum(roots)
+                # a row sums `width` values ≤ 1, then subtracts width − 1
+                error = n * 2.0 * width * width * UNIT_ROUNDOFF
+        else:
+            columns = {
+                name: f[index : index + 1]
+                for index, name in enumerate(self.participants)
+            }
+            total = math.fsum(
+                weight * float(_phi_columns(expr, columns, 1)[0])
+                for expr, weight in self._annotations
+            )
+            error = self._phi_error
+        total = math.fsum([total, self._constant_weight])
+        return total + 2.0 * (error + UNIT_ROUNDOFF * abs(total))
 
     def g_closed_form(self, i: float) -> Optional[float]:
         """The exact no-LP values of ``G_i``, or None when an LP is needed.
@@ -459,19 +616,51 @@ class EncodedRelation:
 
         Returns ``(value, i')`` where ``i' = |f*|`` at the optimum.  By
         Lemma 10 (convexity of ``H``) the integer minimizer of Eq. 12 lies
-        in ``{⌊i'⌋, ⌈i'⌉}``.
+        in ``{⌊i'⌋, ⌈i'⌉}``.  The solve opens an X step: until
+        :meth:`end_x_step`, :meth:`solve_h_many` reads ``H`` entries off
+        this optimum first, and :meth:`x_interval` certifies its value.
         """
         if delta_hat < 0:
             raise LPError(f"delta_hat must be nonnegative, got {delta_hat}")
         n = self.num_participants
+        self._x_step = None
         if self._root_vars.size == 0:
             # H is constant; X = H + (n - n)·Δ̂ at i' = n.
             return self._constant_weight, float(n)
         solution = self._compiled.solve_x(float(delta_hat))
         self._check(solution, "X relaxation")
         self._check_values(solution, "X relaxation")
+        certificate = self._certificate(solution, delta_hat)
+        self._x_step = (float(delta_hat), solution, certificate)
         mass = float(np.sum(solution.x[:n]))
         return float(solution.objective), min(max(mass, 0.0), float(n))
+
+    def x_interval(self) -> Tuple[float, float]:
+        """``[L, U]`` for the value the open X step's solver reported.
+
+        ``L`` is the Lagrangian bound of the relaxation's duals (``-inf``
+        without duals), a certified lower bound on its exact value.  ``U``
+        is its objective at the solver's own point with every node value
+        recomputed, plus the float error of the solver's own sum of
+        ``num_lp_variables`` objective terms: a reported value above ``U``
+        is not the value of the point reported with it.
+        """
+        if self._x_step is None:
+            return self._constant_weight, self._constant_weight
+        delta_hat, solution, certificate = self._x_step
+        lower, upper = certificate.relaxation_interval()
+        n = self.num_participants
+        terms = (
+            float(self._root_weights @ np.abs(solution.x[self._root_vars]))
+            + delta_hat * (float(np.sum(np.abs(solution.x[:n]))) + n)
+            + abs(self._constant_weight)
+        )
+        return lower, upper + 2.0 * gamma(self._num_structural + 2) * terms
+
+    def end_x_step(self) -> None:
+        """Close the X step: drop its solution, so no retained relation
+        keeps one and no later ``H`` entry is read off it."""
+        self._x_step = None
 
 
 def encode_relation(

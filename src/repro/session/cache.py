@@ -139,12 +139,12 @@ class SharedCompiledCache:
     def invalidate(self, predicate: Callable[[tuple], bool]) -> int:
         """Drop every entry whose key satisfies ``predicate``.
 
-        The dynamic-graph hook: after an update has superseded a graph
-        version, the session can invalidate that version's compiled
-        relations explicitly (they are never *served* to new queries
-        either way — the version lives in the key — but invalidation
-        frees the memory and forecloses replay reuse).  Returns the
-        number of entries removed.
+        The dynamic-graph hook: after every update the session
+        invalidates the compiled relations of the versions before the one
+        the update superseded (they are
+        never *served* to new queries either way — the version lives in
+        the key — but invalidation frees the memory; replay rebuilds
+        them).  Returns the number of entries removed.
         """
         with self._lock:
             removed = [key for key in self._entries if predicate(key)]

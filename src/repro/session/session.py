@@ -384,18 +384,15 @@ class PrivateSession:
         ) + spec.cache_key()
         return cls, spec, opts, key
 
-    def _prepare_query(
-        self, query, privacy, mechanism, weight, options, version: Optional[int] = None
-    ):
-        """Resolve, cache-key, and (re)use the prepared query state.
+    def _prepare_query(self, resolved, version: Optional[int] = None):
+        """(Re)use the prepared query state of a :meth:`_resolve_spec` result.
 
         ``version`` (dynamic sessions only) prepares against a historical
-        graph version — the replay path.  The checkout is lazy: a warm
-        cache hit never materializes the old graph.
+        graph version — the replay path; ``resolved`` must have been
+        resolved at the same version.  The checkout is lazy: a warm cache
+        hit never materializes the old graph.
         """
-        cls, spec, opts, key = self._resolve_spec(
-            query, privacy, mechanism, weight, options, version=version
-        )
+        cls, spec, opts, key = resolved
 
         def build():
             data = self._data
@@ -499,7 +496,10 @@ class PrivateSession:
         zero-argument release that draws its noise from ``seed``."""
         query, weight, privacy, mechanism, options, epsilon, params = task
         prepared, _, _, _ = self._prepare_query(
-            query, privacy, mechanism, weight, options, version=version
+            self._resolve_spec(
+                query, privacy, mechanism, weight, options, version=version
+            ),
+            version=version,
         )
         return functools.partial(
             prepared.release, epsilon, np.random.default_rng(seed), params=params
@@ -507,15 +507,20 @@ class PrivateSession:
 
     def _generator_for(self, rng):
         """``(generator, replayable seed token)`` for one release."""
-        if rng is None:
-            seed = self._seed_root.spawn(1)[0]
-            return np.random.default_rng(seed), seed
-        if isinstance(rng, (int, np.integer)):
-            return np.random.default_rng(int(rng)), int(rng)
-        if isinstance(rng, np.random.SeedSequence):
-            return np.random.default_rng(rng), rng
         if isinstance(rng, np.random.Generator):
             return rng, None  # in-flight stream: budgeted but not replayable
+        seed = self._seed_for(rng)
+        return np.random.default_rng(seed), seed
+
+    def _seed_for(self, rng):
+        """The replayable seed token of one release: the next session seed
+        for ``None``, else the int seed or ``SeedSequence`` itself."""
+        if rng is None:
+            return self._seed_root.spawn(1)[0]
+        if isinstance(rng, (int, np.integer)):
+            return int(rng)
+        if isinstance(rng, np.random.SeedSequence):
+            return rng
         raise SessionError(f"cannot build a generator from {rng!r}")
 
     # -- the serving API --------------------------------------------------------
@@ -537,7 +542,7 @@ class PrivateSession:
         """
         self._ensure_open()
         prepared, _, _, _ = self._prepare_query(
-            query, privacy, mechanism, weight, options
+            self._resolve_spec(query, privacy, mechanism, weight, options)
         )
         return prepared
 
@@ -585,7 +590,10 @@ class PrivateSession:
         obs_metrics().counter("repro_budget_reserved_total").inc()
         try:
             prepared, hit, mech_name, spec = self._prepare_query(
-                query, privacy, mechanism, weight, options, version=at_version
+                self._resolve_spec(
+                    query, privacy, mechanism, weight, options, version=at_version
+                ),
+                version=at_version,
             )
             generator, seed_token = self._generator_for(rng)
             start = time.perf_counter()
@@ -672,9 +680,10 @@ class PrivateSession:
                     "submitting more (or mutate via apply_update(), which "
                     "enforces this)"
                 )
-            cls, spec, _, key = self._resolve_spec(
+            resolved = self._resolve_spec(
                 query, privacy, mechanism, None, options, version=at_version
             )
+            cls, spec, _, key = resolved
             # Prepare parent-side only where the compiled state will
             # actually be shared: eagerly for in-process execution, and
             # before the first fork so workers inherit it copy-on-write.
@@ -683,11 +692,11 @@ class PrivateSession:
             # pool would repeat.
             if not pooled or self._pool is None or key in self._cache:
                 prepared, hit, _, _ = self._prepare_query(
-                    query, privacy, mechanism, None, options, version=at_version
+                    resolved, version=at_version
                 )
             else:
                 prepared, hit = None, False
-            _, seed = self._generator_for(rng)
+            seed = self._seed_for(rng)
         except BaseException:
             reservation.rollback()
             obs_metrics().counter("repro_budget_rolled_back_total").inc()
@@ -766,7 +775,6 @@ class PrivateSession:
         *,
         label: Optional[str] = None,
         user: Optional[str] = None,
-        drop_stale: bool = False,
     ) -> UpdateResult:
         """Mutate the session's graph and bump its version.
 
@@ -779,13 +787,14 @@ class PrivateSession:
         budget), so :meth:`replay` can reproduce every answer against
         the exact version it was released at.
 
-        Queries prepared before the update keep their compiled state
-        (version-tagged cache keys); queries admitted after it recompile
-        against the new version, reusing the incrementally maintained
-        occurrence relation instead of re-enumerating.  With
-        ``drop_stale=True``, compiled relations of superseded versions
-        are also evicted from the cache (reclaims memory; replay of
-        pre-update entries then rebuilds from a snapshot).
+        Queries admitted after the update recompile against the new
+        version, reusing the incrementally maintained occurrence relation
+        instead of re-enumerating.  Compiled relations of every version
+        older than the one this update supersedes are evicted from the
+        cache (version-tagged cache keys), so at most the live version and
+        the one just before it stay compiled: no new query can use older
+        ones, and a replay of an older entry rebuilds its relation from a
+        snapshot, bit for bit.
 
         The shared worker pool (if any) is retired so later submissions
         fork workers that see the new state — collect every pending
@@ -832,17 +841,16 @@ class PrivateSession:
         entry.extra["update"] = [delta.to_dict() for delta in applied]
         entry.extra["version"] = new_version
         self.accountant.record(entry)
-        if drop_stale:
-            token = data_token(self._data)
-            current = version_token(new_version)
-            self._cache.invalidate(
-                lambda key: (
-                    len(key) >= 2
-                    and key[0] == token
-                    and key[1] is not None
-                    and key[1] != current
-                )
+        token = data_token(self._data)
+        kept = {version_token(old_version), version_token(new_version)}
+        self._cache.invalidate(
+            lambda key: (
+                len(key) >= 2
+                and key[0] == token
+                and key[1] is not None
+                and key[1] not in kept
             )
+        )
         if failure is not None:
             raise failure
         return UpdateResult(version=new_version, deltas=tuple(applied))

@@ -60,6 +60,8 @@ class Pattern:
         for u, v in self.edge_constraints:
             if not self.graph.has_edge(u, v):
                 raise PatternError(f"constraint on unknown pattern edge ({u},{v})")
+        # computed on first use (a pattern is not changed once built)
+        self._cache_token = None
 
     @staticmethod
     def _norm_edge(edge: Tuple[int, int]) -> Tuple[int, int]:
@@ -99,10 +101,13 @@ class Pattern:
         identity only — the same *object* re-queried hits, two equal-
         looking constructions do not (conservative, never wrong).
         """
-        edges = tuple(sorted(self._norm_edge(e) for e in self.graph.edges()))
-        if self.node_constraints or self.edge_constraints:
-            return ("pattern", self.name, edges, "constrained", id(self))
-        return ("pattern", self.name, edges)
+        if self._cache_token is None:
+            edges = tuple(sorted(self._norm_edge(e) for e in self.graph.edges()))
+            token = ("pattern", self.name, edges)
+            if self.node_constraints or self.edge_constraints:
+                token += ("constrained", id(self))
+            self._cache_token = token
+        return self._cache_token
 
     def __repr__(self) -> str:
         return (

@@ -8,7 +8,8 @@ Two independent checks on the one production solve path
   implements ``solve_arrays`` and inherits the default ``ArrayModel``, so
   it can be passed anywhere a backend is accepted and runs through
   ``CompiledProgram``, giving an auditable solver to cross-check HiGHS on
-  small programs.
+  small programs.  With ``exact=True`` it pivots in ``Fraction``
+  arithmetic and reports the exact optimum (:func:`exact_h`).
 * :func:`reference_h` / :func:`reference_g` / :func:`reference_x` — the
   ``H_i`` (Eq. 16), ``G_i`` (Eq. 19) and X-step (Eq. 20) programs rebuilt
   from an :class:`~repro.relax.encode.EncodedRelation`'s frozen COO
@@ -25,6 +26,7 @@ variables.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -39,6 +41,7 @@ __all__ = [
     "reference_h",
     "reference_g",
     "reference_x",
+    "exact_h",
     "stacked_g_overlay",
 ]
 
@@ -58,12 +61,18 @@ def _dense(matrix) -> Optional[np.ndarray]:
 
 
 class SimplexBackend(SolverBackend):
-    """Dense two-phase primal simplex with Bland's anti-cycling rule."""
+    """Dense two-phase primal simplex with Bland's anti-cycling rule.
+
+    ``exact=True`` runs the same pivots on ``Fraction`` entries, so the
+    optimum (objective and ``x``) is exact; meant for programs of a few
+    dozen variables.
+    """
 
     name = "simplex"
 
-    def __init__(self, max_iterations: int = 100_000):
+    def __init__(self, max_iterations: int = 100_000, exact: bool = False):
         self.max_iterations = max_iterations
+        self.exact = exact
 
     def solve_arrays(
         self,
@@ -83,15 +92,17 @@ class SimplexBackend(SolverBackend):
         raises :class:`~repro.errors.LPError`.
         """
         c = np.asarray(c, dtype=float)
+        if self.exact:
+            c = np.array([Fraction(value) for value in c], dtype=object)
         n = len(c)
         if n == 0:
             return LPSolution("optimal", float(objective_constant), np.zeros(0))
-        lower = np.empty(n)
+        lower = np.empty(n, dtype=c.dtype)
         upper: List[Optional[float]] = []
         for index, (lb, ub) in enumerate(bounds):
             if lb is None or not np.isfinite(lb):
                 raise LPError("the simplex oracle needs finite lower bounds")
-            lower[index] = float(lb)
+            lower[index] = Fraction(lb) if self.exact else float(lb)
             upper.append(None if ub is None or not np.isfinite(ub) else float(ub))
 
         # Rows: the given constraints (rhs adjusted for the lb shift) plus
@@ -125,6 +136,9 @@ class SimplexBackend(SolverBackend):
         worst = max(float(np.max(gap, initial=0.0)) for gap in gaps)
         if worst > 1e-6:
             raise LPError(f"simplex oracle lost feasibility (violation {worst:.2e})")
+        if self.exact:
+            constant = Fraction(objective_constant)
+            return LPSolution("optimal", objective + c @ lower + constant, x)
         return LPSolution(
             "optimal", objective + float(c @ lower) + float(objective_constant), x
         )
@@ -155,8 +169,10 @@ class SimplexBackend(SolverBackend):
             norm_rows.append((row, sense, rhs))
 
         num_slack = sum(1 for _, sense, _ in norm_rows if sense != "==")
-        a = np.zeros((m, n + num_slack))
-        b = np.zeros(m)
+        dtype = object if self.exact else float
+        a = np.zeros((m, n + num_slack), dtype=dtype)
+        b = np.zeros(m, dtype=dtype)
+
         needs_artificial = []
         slack_col = n
         for i, (row, sense, rhs) in enumerate(norm_rows):
@@ -176,7 +192,7 @@ class SimplexBackend(SolverBackend):
         artificial_cols = []
         extra = sum(needs_artificial)
         if extra:
-            art = np.zeros((m, extra))
+            art = np.zeros((m, extra), dtype=dtype)
             j = 0
             for i, needed in enumerate(needs_artificial):
                 if needed:
@@ -199,11 +215,12 @@ class SimplexBackend(SolverBackend):
                     slack_col += 1
                 basis[i] = next(art_iter)
 
-        tableau = np.hstack([a, b.reshape(-1, 1)])
+        tableau = self._cast(np.hstack([a, b.reshape(-1, 1)]))
 
         if artificial_cols:
-            phase1_cost = np.zeros(total)
+            phase1_cost = np.zeros(total, dtype=dtype)
             phase1_cost[artificial_cols] = 1.0
+            phase1_cost = self._cast(phase1_cost)
             status = self._run_simplex(tableau, basis, phase1_cost)
             if status == "unbounded":  # cannot happen in phase 1
                 raise LPError("phase 1 unbounded — internal error")
@@ -211,21 +228,30 @@ class SimplexBackend(SolverBackend):
                 return None  # infeasible
             self._drive_out_artificials(tableau, basis, set(artificial_cols))
 
-        full_cost = np.zeros(total)
+        full_cost = np.zeros(total, dtype=dtype)
         full_cost[:n] = c
+        full_cost = self._cast(full_cost)
         blocked = set(artificial_cols)
         status = self._run_simplex(tableau, basis, full_cost, blocked_columns=blocked)
-        x = np.zeros(total)
+        x = np.zeros(total, dtype=dtype)
         for i, col in enumerate(basis):
             if col >= 0:
                 x[col] = tableau[i, -1]
         if status == "unbounded":
             return ("unbounded", x[:n], float("nan"))
-        return ("optimal", x[:n], float(full_cost @ x))
+        value = full_cost @ x
+        return ("optimal", x[:n], value if self.exact else float(value))
+
+    def _cast(self, array: np.ndarray) -> np.ndarray:
+        """``array`` with ``Fraction`` entries in exact mode (a float
+        entry would turn every product it meets back into a float)."""
+        if not self.exact:
+            return array
+        return np.vectorize(Fraction, otypes=[object])(array)
 
     def _objective_value(self, tableau, basis, cost) -> float:
         total = tableau.shape[1] - 1
-        x = np.zeros(total)
+        x = np.zeros(total, dtype=tableau.dtype)
         for i, col in enumerate(basis):
             if col >= 0:
                 x[col] = tableau[i, -1]
@@ -281,7 +307,7 @@ class SimplexBackend(SolverBackend):
         # eliminate every other row, tiny entries too, so no residue
         # survives to be amplified by later pivots
         factors = tableau[:, col].copy()
-        factors[row] = 0.0
+        factors[row] = 0
         tableau -= np.outer(factors, tableau[row])
 
     def _drive_out_artificials(self, tableau, basis, artificial_cols) -> None:
@@ -358,6 +384,13 @@ def reference_h(encoded, i: float, backend=None) -> float:
         objective_constant=encoded._constant_weight,
     )
     return max(0.0, solution.objective)
+
+
+def exact_h(encoded, i: int) -> Fraction:
+    """``H_i`` exactly: :func:`reference_h`'s program, solved in
+    ``Fraction`` arithmetic (finite for the small weights of counting
+    queries; every float input converts exactly)."""
+    return reference_h(encoded, i, backend=SimplexBackend(exact=True))
 
 
 def reference_g(encoded, i: float, backend=None) -> float:

@@ -333,7 +333,7 @@ class TestDynamicSession:
             assert s.verify_ledger()
             # ... even when superseded compiled relations were dropped
             # (forces rebuild from log snapshots)
-            s.apply_update([{"action": "add_node", "node": 90}], drop_stale=True)
+            s.apply_update([{"action": "add_node", "node": 90}])
             assert s.cache_info().invalidations > 0
             assert s.verify_ledger()
 
