@@ -6,15 +6,41 @@ cache counters) and its latency must be well under the cold query's —
 a warm release pays one overlay LP solve plus a noise draw, while the
 cold path enumerates occurrences, builds the K-relation, and compiles
 the φ-epigraph LP.
+
+It also reports pooled warm-release latency per class: the cheap specs
+and the heavy 2-star/edge spec of a 200-node graph, each with one and
+with two releases in flight on a two-worker pool; the mean shows the
+few heavy releases that solve an X LP.  A mix's median hides
+how the classes move: while one client waits on a heavy release, the
+other's cheap releases run with one in flight and finish sooner, so a
+faster heavy class can raise the mix's median.
 """
 
+import math
 import statistics
+import threading
 import time
+
+import numpy as np
 
 from repro import PrivateSession, random_graph_with_avg_degree, triangle
 from repro.experiments import format_table
 
 WARM_QUERIES = 10
+
+#: The pooled classes: (name, (query, privacy) specs cycled through).
+POOLED_CLASSES = (
+    (
+        "cheap",
+        (
+            ("triangle", "node"),
+            ("triangle", "edge"),
+            ("2-triangle", "node"),
+            ("2-triangle", "edge"),
+        ),
+    ),
+    ("2-star/edge", (("2-star", "edge"),)),
+)
 
 
 def test_session_warm_vs_cold(scale, record_figure):
@@ -68,4 +94,85 @@ def test_session_warm_vs_cold(scale, record_figure):
     # compile-and-release by a wide margin, not just edge it out.
     assert warm_median < cold_seconds / 3, (
         f"warm median {warm_median:.4f}s not well under cold " f"{cold_seconds:.4f}s"
+    )
+
+
+def _pooled_seconds(session, specs, in_flight, releases, first_seed):
+    """Client-observed seconds of ``releases`` pooled releases cycling
+    through ``specs``: ``in_flight`` client threads, each a closed loop
+    of submit then wait, as ``perfbench``'s pool-fanout runs them."""
+    seconds = [None] * releases
+    lock = threading.Lock()
+    cursor = iter(range(releases))
+
+    def client():
+        while True:
+            with lock:
+                index = next(cursor, None)
+            if index is None:
+                return
+            query, privacy = specs[index % len(specs)]
+            start = time.perf_counter()
+            with lock:
+                future = session.submit(
+                    query, privacy=privacy, epsilon=1.0, rng=first_seed + index
+                )
+            assert math.isfinite(future.result(timeout=300).answer)
+            seconds[index] = time.perf_counter() - start
+
+    threads = [threading.Thread(target=client) for _ in range(in_flight)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert None not in seconds
+    return seconds
+
+
+def _warm_pooled_session(graph, specs):
+    """A ``workers=2`` session whose specs are compiled before the pool
+    forks and whose workers have each built their solver models."""
+    session = PrivateSession(graph, workers=2, rng=7)
+    for query, privacy in specs:
+        session.query(query, privacy=privacy, epsilon=1.0, rng=0)
+    for query, privacy in specs:
+        futures = [
+            session.submit(query, privacy=privacy, epsilon=1.0, rng=seed)
+            for seed in (1, 2)
+        ]
+        for future in futures:
+            future.result(timeout=300)
+    return session
+
+
+def test_pooled_latency_per_class(scale, record_figure):
+    graph = random_graph_with_avg_degree(200, 6.0, rng=1)
+    releases = 10 * scale.trials
+    rows = []
+    for name, specs in POOLED_CLASSES:
+        for in_flight in (1, 2):
+            # a fresh session per cell: every cell starts from the same
+            # warm state, not from the H entries an earlier cell added
+            session = _warm_pooled_session(graph, specs)
+            seconds = _pooled_seconds(session, specs, in_flight, releases, 100)
+            assert all(entry.status == "released" for entry in session.ledger)
+            session.close()
+            rows.append(
+                {
+                    "class": name,
+                    "in_flight": in_flight,
+                    "releases": releases,
+                    "p50_ms": 1e3 * float(np.percentile(seconds, 50)),
+                    "p90_ms": 1e3 * float(np.percentile(seconds, 90)),
+                    "mean_ms": 1e3 * statistics.fmean(seconds),
+                }
+            )
+    record_figure(
+        "session_pooled_classes",
+        format_table(
+            rows,
+            ["class", "in_flight", "releases", "p50_ms", "p90_ms", "mean_ms"],
+            title="PrivateSession.submit warm latency per class, workers=2 "
+            f"(200 nodes, scale={scale.name})",
+        ),
     )

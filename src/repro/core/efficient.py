@@ -8,11 +8,13 @@ earlier releases of the same mechanism bracket it
 (:meth:`~repro.core.framework.RecursiveMechanismBase.x_step`).  Only when
 they do not does it solve the continuous relaxation Eq. 20 as a single LP
 and use convexity of ``H`` (Lemma 10) to restrict the integer argmin to
-``{⌊i'⌋, ⌈i'⌉}``.  Those H-entries come off that LP too: an integral
-``i'`` is read off its optimum, a fractional one's neighbours are resumed
-from its basis, each value certified and snapped to a small rational
-(:mod:`repro.lp.certify`), and only one that does not snap takes a cold
-H solve.
+``{⌊i'⌋, ⌈i'⌉}``.  That LP is solved cold only the first time: later
+X steps of the same mechanism resume from the last X optimum's basis,
+since only the participant costs ``c − Δ̂`` differ.  Those H-entries come
+off that LP too: an integral ``i'`` is read off its optimum, a
+fractional one's neighbours are each resumed from its basis, each value
+certified and snapped to a small rational (:mod:`repro.lp.certify`), and
+only one that does not snap takes a cold H solve.
 
 Overall cost is a polynomial of the total annotation length ``L`` — this is
 the mechanism that makes node-differentially-private subgraph counting

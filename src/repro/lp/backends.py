@@ -81,7 +81,8 @@ class PersistentModel:
 
     Subclasses implement :meth:`set_row_bounds`, :meth:`set_col_costs`
     and :meth:`solve`; a model that can grow a row in place and resume
-    from its basis also implements :meth:`add_row` and :meth:`delete_row`.
+    from its basis also implements :meth:`add_row`, :meth:`delete_row`,
+    :meth:`get_basis` and :meth:`set_basis`.
     """
 
     #: backend name carried into error messages (set by the builder)
@@ -118,6 +119,16 @@ class PersistentModel:
 
     def delete_row(self, row: int) -> None:
         """Delete a row :meth:`add_row` appended."""
+        raise NotImplementedError
+
+    def get_basis(self):
+        """The model's current basis as an opaque handle for
+        :meth:`set_basis`, or None when it keeps none (the default)."""
+        return None
+
+    def set_basis(self, basis) -> None:
+        """Make ``basis`` (from :meth:`get_basis` on a model of the same
+        shape) the start of the next resumed solve."""
         raise NotImplementedError
 
     def solve(self, resume: bool = False) -> LPSolution:

@@ -14,8 +14,9 @@ only a tiny per-call overlay:
   it from probe to probe, re-solving each one from the previous
   probe's basis;
 * the ``X`` step (Eq. 20): a rank-one perturbation of the objective by
-  ``-Δ̂`` on the participant columns; the H entries next to its optimum
-  are resumed from its basis with the mass row appended
+  ``-Δ̂`` on the participant columns, re-solved from the X model's last
+  optimal basis (:meth:`CompiledProgram.solve_x`); the H entries next to
+  its optimum are resumed from that basis with the mass row appended
   (:meth:`CompiledProgram.solve_h_on_x`).
 
 This is the only way the φ-epigraph LP is solved.  A
@@ -165,6 +166,8 @@ class CompiledProgram:
         self._h_model: Optional[PersistentModel] = None
         self._g_model: Optional[PersistentModel] = None
         self._x_model: Optional[PersistentModel] = None
+        #: the X model's last optimal basis, where the next X solve resumes
+        self._x_basis = None
         # Forked workers inherit the CSR blocks copy-on-write but must
         # re-instantiate the per-process persistent models lazily.
         register_fork_reset(self)
@@ -189,6 +192,7 @@ class CompiledProgram:
         self._h_model = None
         self._g_model = None
         self._x_model = None
+        self._x_basis = None
         reset = getattr(self.backend, "fork_reset", None)
         if reset is not None:
             reset()
@@ -384,7 +388,16 @@ class CompiledProgram:
 
     # -- X -------------------------------------------------------------------
     def solve_x(self, delta_hat: float) -> LPSolution:
-        """Eq. 20: the base program with a ``-Δ̂`` objective perturbation."""
+        """Eq. 20: the base program with a ``-Δ̂`` objective perturbation.
+
+        The first solve on a model is cold.  Every later one resumes from
+        the model's last optimal X basis (:attr:`_x_basis`): only the
+        participant costs ``c − Δ̂`` change between X solves, which leaves
+        that basis primal feasible, so a few simplex pivots restore
+        optimality where a cold solve of an IPM-size program would run
+        IPM and crossover again.  A solve that is not optimal drops the
+        basis, and the next one is cold.
+        """
         constant = self._constant + self.num_participants * float(delta_hat)
         tick = time.perf_counter()
         if self._x_model is None:
@@ -396,12 +409,15 @@ class CompiledProgram:
                 row_lower=self._ub_row_lower(),
                 row_upper=self._b_ub,
             )
-        self._x_model.set_col_costs(
+        model = self._x_model
+        model.set_col_costs(
             np.arange(self.num_participants),
             self._c[: self.num_participants] - float(delta_hat),
         )
-        solution = self._with_constant(self._x_model.solve(), constant)
-        _observe_solve("x", self.backend, time.perf_counter() - tick, self._x_model)
+        solution = model.solve(resume=self._x_basis is not None)
+        self._x_basis = model.get_basis() if solution.is_optimal else None
+        solution = self._with_constant(solution, constant)
+        _observe_solve("x", self.backend, time.perf_counter() - tick, model)
         return solution
 
     def solve_h_on_x(self, indices: Sequence[float]) -> Optional[List[LPSolution]]:
@@ -409,31 +425,37 @@ class CompiledProgram:
 
         Appends the mass row ``Σ_p f_p = i`` to the X model, which leaves
         the last X solve's optimal basis dual feasible (the row's slack
-        enters it), re-solves each index in turn by dual simplex from the
-        previous one's basis, as the Δ-search walk does, and deletes the
-        row again, so the X model is the same program afterwards.  The X
-        objective differs from the H objective by ``-Δ̂·Σf``, a constant on
-        the slice, so each solution is optimal for ``H_i``; its objective
-        is not ``H_i`` and is not read.  Returns None when there is no X
-        model or the backend cannot add a row to it (an array model,
-        whose solves are cold anyway).
+        enters it), re-solves each index by dual simplex from that basis,
+        and deletes the row again.  The X basis is then loaded back, so
+        the X model is the same program at the same basis afterwards and
+        the next X solve resumes from the X optimum, not from the last
+        index's.  The X objective differs from the H objective by
+        ``-Δ̂·Σf``, a constant on the slice, so each solution is optimal
+        for ``H_i``; its objective is not ``H_i`` and is not read.
+        Returns None when there is no optimal X basis or the backend
+        cannot add a row to the model (an array model, whose solves are
+        cold anyway).
         """
         model = self._x_model
-        if model is None:
+        if model is None or self._x_basis is None:
             return None
         p = self.num_participants
         row = model.add_row(np.arange(p), np.ones(p), 0.0, 0.0)
         if row is None:
             return None
+        start = model.get_basis()
         solutions = []
         try:
             for i in indices:
                 tick = time.perf_counter()
+                if solutions:
+                    model.set_basis(start)
                 model.set_row_bounds(row, float(i), float(i))
                 solutions.append(model.solve(resume=True))
                 _observe_solve("h", self.backend, time.perf_counter() - tick, model)
         finally:
             model.delete_row(row)
+            model.set_basis(self._x_basis)
         return solutions
 
     def __repr__(self) -> str:

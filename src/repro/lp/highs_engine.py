@@ -11,21 +11,26 @@ that change between solves (a row's bounds, a few objective entries).
 A solve starts from a cleared solver state (``clearSolver``), i.e. cold
 with presolve and the size-chosen method (HiGHS's ``choose``, or IPM
 above :data:`~repro.lp.scipy_backend.IPM_THRESHOLD` columns), unless the
-caller resumes.  The X relaxation and the H solves outside an X step
-are cold.  The Δ search seeds one G model cold at mass RHS ``|P|`` or
-0, where presolve leaves nothing to solve, and then moves only its mass
-row between probes, which leaves the previous optimal basis dual
-feasible, so ``solve(resume=True)`` re-solves from that basis with dual
-simplex (see ``CompiledProgram.solve_g_decide``).  The X step resumes
-the same way: :meth:`PersistentLP.add_row` appends a mass row to the X
-model, whose optimal basis stays dual feasible, and the H entries next
-to a fractional optimum are resumed from it
-(``CompiledProgram.solve_h_on_x``).  Resumed H values differ from cold
-ones in their last bits, so every H value is certified and snapped to a
-small rational before it is used (:mod:`repro.lp.certify`), and released
-answers do not depend on the route.  Every optimal solution carries its
-row duals: the Δ search reads them as subgradients of ``G``, the
-certificates as Lagrange multipliers.
+caller resumes.  Only the H solves outside an X step and the first
+solve of each model are cold.  The Δ search seeds one G model cold at
+mass RHS ``|P|`` or 0, where presolve leaves nothing to solve, and then
+moves only its mass row between probes, which leaves the previous
+optimal basis dual feasible, so ``solve(resume=True)`` re-solves from
+that basis with dual simplex (see ``CompiledProgram.solve_g_decide``).
+The X relaxation resumes from the X model's last optimal basis, which
+a change of the participant costs leaves primal feasible
+(``CompiledProgram.solve_x``).  The H entries next to a fractional X
+optimum resume from that basis too: :meth:`PersistentLP.add_row`
+appends a mass row to the X model, whose optimal basis stays dual
+feasible; ``getBasis`` / ``setBasis`` start each entry at the X basis
+and put it back once the row is deleted
+(``CompiledProgram.solve_h_on_x``).  Resumed values
+differ from cold ones in their last bits, so every H value is certified
+and snapped to a small rational before it is used
+(:mod:`repro.lp.certify`), and released answers do not depend on the
+route.  Every optimal solution carries its row duals: the Δ search
+reads them as subgradients of ``G``, the certificates as Lagrange
+multipliers.
 
 This is a private SciPy API, so :class:`HighsBackend` is gated behind a
 lazy, cached probe: :func:`engine_available` answers cheaply after the
@@ -187,14 +192,10 @@ class PersistentLP(PersistentModel):
         # a cold solve runs ``solver``; a resumed one switches to dual
         # simplex (see solve) and a later cold solve switches back
         self._cold_options = {"solver": solver, "simplex_strategy": 1}
-        self._load(lp)
-
-    def _load(self, lp) -> None:
-        """Pass ``lp`` to a new HiGHS instance set up for cold solves."""
+        self._resumed = False
         self._solver = _core._Highs()
         self._solver.setOptionValue("output_flag", False)
-        self._solver.setOptionValue("solver", self._cold_options["solver"])
-        self._resumed = False
+        self._solver.setOptionValue("solver", solver)
         if self._solver.passModel(lp) == _core.HighsStatus.kError:
             raise LPError(
                 f"[lp-backend {self.backend_name}] HiGHS rejected the " "compiled model"
@@ -227,17 +228,26 @@ class PersistentLP(PersistentModel):
     def delete_row(self, row: int) -> None:
         """Delete a row :meth:`add_row` appended.
 
-        A model whose cold solves run IPM then moves to a fresh HiGHS
-        instance: a solve resumed on it built a whole simplex instance
-        from the crossover basis (3.6 MB on the 3,817-column 2-star/edge
-        program of a 200-node graph), which the model would otherwise
-        keep for as long as it is cached.
+        The instance stays, simplex state included: the X model of a
+        program keeps its basis between X solves on purpose (see
+        ``CompiledProgram.solve_x``), and its owner restores that basis
+        with :meth:`set_basis` after the row is gone.
         """
         self._assert_owner()
         self._solver.deleteRows(1, np.array([row], dtype=np.int32))
         self.num_rows -= 1
-        if self._cold_options["solver"] == "ipm":
-            self._load(self._solver.getLp())
+
+    def get_basis(self):
+        """A copy of HiGHS's current basis (``getBasis``)."""
+        self._assert_owner()
+        return self._solver.getBasis()
+
+    def set_basis(self, basis) -> None:
+        """Load ``basis`` into HiGHS (``setBasis``); the next resumed
+        solve starts from it."""
+        self._assert_owner()
+        if self._solver.setBasis(basis) == _core.HighsStatus.kError:
+            raise LPError(f"[lp-backend {self.backend_name}] HiGHS rejected a basis")
 
     # -- solving -------------------------------------------------------------
     def solve(self, resume: bool = False) -> LPSolution:
@@ -248,6 +258,10 @@ class PersistentLP(PersistentModel):
         and re-solves with dual simplex: after a row-bound change that
         basis stays dual feasible, so a few dual pivots restore primal
         feasibility, where HiGHS's ``choose`` could re-run IPM instead.
+        After a cost change (the X relaxation) it stays primal feasible
+        instead; dual simplex from it still took fewer pivots than
+        primal simplex on the 3,817-column 2-star/edge program of a
+        200-node graph.
         """
         self._assert_owner()
         if resume != self._resumed:

@@ -15,7 +15,9 @@ repo's determinism and serving contracts:
   :meth:`MetricsRegistry.drain_delta` payload alongside every task result
   (see :mod:`repro.parallel.pool`), and the parent folds it back in with
   :meth:`MetricsRegistry.merge`.  Deltas are JSON-able, so the same shape
-  rides the wire ``metrics`` op.
+  rides the wire ``metrics`` op.  Every metric adds itself to its
+  registry's set of metrics changed since the last drain (a set add by
+  identity), so a drain walks only those, not every metric.
 
 Histograms use **fixed log-spaced bucket boundaries** chosen at creation
 time (four buckets per decade for latencies, powers of two for sizes and
@@ -93,12 +95,25 @@ def quantile_from_counts(
     return float(bounds[-1])  # pragma: no cover - cumulative == total above
 
 
-class Counter:
+class _Metric:
+    """What every metric shares: its registry key and the registry's set
+    of metrics changed since the last drain, which it joins on every
+    change.  A metric built outside a registry gets a set of its own."""
+
+    __slots__ = ("_key", "_changed")
+
+    def __init__(self, key=None, changed: Optional[set] = None) -> None:
+        self._key = key
+        self._changed = set() if changed is None else changed
+
+
+class Counter(_Metric):
     """A monotonically increasing count (float-valued, exact for ints)."""
 
     __slots__ = ("_value", "_drained")
 
-    def __init__(self) -> None:
+    def __init__(self, key=None, changed: Optional[set] = None) -> None:
+        super().__init__(key, changed)
         self._value = 0.0
         self._drained = 0.0
 
@@ -107,30 +122,31 @@ class Counter:
         if amount < 0:
             raise ValueError(f"counters only go up, got inc({amount!r})")
         self._value += amount
+        self._changed.add(self)
 
     @property
     def value(self) -> float:
         return self._value
 
 
-class Gauge:
+class Gauge(_Metric):
     """A point-in-time value (in-flight counts, versions, utilization)."""
 
-    __slots__ = ("_value", "_dirty")
+    __slots__ = ("_value",)
 
-    def __init__(self) -> None:
+    def __init__(self, key=None, changed: Optional[set] = None) -> None:
+        super().__init__(key, changed)
         self._value = 0.0
-        self._dirty = False
 
     def set(self, value: float) -> None:
         """Replace the gauge's value."""
         self._value = float(value)
-        self._dirty = True
+        self._changed.add(self)
 
     def inc(self, amount: float = 1.0) -> None:
         """Move the gauge up by ``amount`` (down when negative)."""
         self._value += amount
-        self._dirty = True
+        self._changed.add(self)
 
     def dec(self, amount: float = 1.0) -> None:
         """Move the gauge down by ``amount``."""
@@ -141,13 +157,19 @@ class Gauge:
         return self._value
 
 
-class Histogram:
+class Histogram(_Metric):
     """Fixed log-bucket histogram (value goes to the first bucket whose
     upper boundary is ``>=`` it; the last bucket is unbounded)."""
 
     __slots__ = ("bounds", "_counts", "_sum", "_drained_counts", "_drained_sum")
 
-    def __init__(self, bounds: Optional[Sequence[float]] = None) -> None:
+    def __init__(
+        self,
+        bounds: Optional[Sequence[float]] = None,
+        key=None,
+        changed: Optional[set] = None,
+    ) -> None:
+        super().__init__(key, changed)
         chosen = tuple(float(b) for b in (time_buckets() if bounds is None else bounds))
         if not chosen or any(b <= a for a, b in zip(chosen, chosen[1:])):
             raise ValueError(
@@ -164,6 +186,7 @@ class Histogram:
         """Record one sample into its covering bucket."""
         self._counts[bisect_left(self.bounds, value)] += 1
         self._sum += value
+        self._changed.add(self)
 
     @property
     def count(self) -> int:
@@ -200,10 +223,15 @@ class Histogram:
         for index, count in enumerate(counts):
             self._counts[index] += count
         self._sum += total
+        self._changed.add(self)
 
 
 def _label_key(labels: Dict[str, object]) -> Tuple[Tuple[str, str], ...]:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
+
+
+def _metric_key(metric: _Metric):
+    return metric._key
 
 
 class MetricsRegistry:
@@ -213,6 +241,8 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         #: (name, ((label, value), ...)) -> metric object
         self._metrics: Dict[Tuple[str, Tuple[Tuple[str, str], ...]], object] = {}
+        #: metrics changed since the last drain (each adds itself)
+        self._changed: set = set()
 
     # -- get-or-create --------------------------------------------------------
     def counter(self, name: str, **labels) -> Counter:
@@ -243,7 +273,7 @@ class MetricsRegistry:
             with self._lock:
                 metric = self._metrics.get(key)
                 if metric is None:
-                    metric = factory(*args)
+                    metric = factory(*args, key=key, changed=self._changed)
                     self._metrics[key] = metric
         if not isinstance(metric, factory):
             raise ValueError(
@@ -254,10 +284,23 @@ class MetricsRegistry:
 
     # -- snapshot / delta / merge ---------------------------------------------
     def _rows(self, delta: bool) -> List[Dict]:
+        """One row per metric in key order: every metric, or (``delta``)
+        those changed since the last drain, as changes, marked drained.
+
+        A metric leaves the changed set before its value is read, so a
+        change racing the drain either ships now or re-enters the set
+        and ships next time.
+        """
         rows: List[Dict] = []
-        with self._lock:
-            items = sorted(self._metrics.items())
-        for (name, labels), metric in items:
+        if delta:
+            changed = list(self._changed)
+            self._changed.difference_update(changed)
+            metrics = sorted(changed, key=_metric_key)
+        else:
+            with self._lock:
+                metrics = [metric for _, metric in sorted(self._metrics.items())]
+        for metric in metrics:
+            name, labels = metric._key
             row: Dict = {"name": name, "labels": dict(labels)}
             if isinstance(metric, Counter):
                 current = metric._value
@@ -268,10 +311,6 @@ class MetricsRegistry:
                         continue
                 row.update(kind="counter", value=value)
             elif isinstance(metric, Gauge):
-                if delta:
-                    if not metric._dirty:
-                        continue
-                    metric._dirty = False
                 row.update(kind="gauge", value=metric._value)
             else:
                 full = metric.counts()
@@ -349,6 +388,7 @@ class MetricsRegistry:
         """Drop every metric (test isolation)."""
         with self._lock:
             self._metrics.clear()
+            self._changed.clear()
 
 
 #: The process-wide registry.  Forked workers inherit it (and rebaseline

@@ -136,6 +136,17 @@ class SharedCompiledCache:
             self._trim()
             return value, False
 
+    def touch(self, key: tuple) -> bool:
+        """Whether ``key`` is stored, without building it: a stored key
+        counts as a hit and becomes the most recently used, as in
+        :meth:`get_or_build`; an absent one counts nothing."""
+        with self._lock:
+            if key not in self._entries:
+                return False
+            self._hits += 1
+            self._entries.move_to_end(key)
+            return True
+
     def invalidate(self, predicate: Callable[[tuple], bool]) -> int:
         """Drop every entry whose key satisfies ``predicate``.
 
@@ -240,6 +251,14 @@ class DatasetCacheView:
         else:
             self._misses += 1
         return value, hit
+
+    def touch(self, key: tuple) -> bool:
+        """:meth:`SharedCompiledCache.touch` on the parent store, counted
+        here."""
+        hit = self._parent.touch((self._prefix,) + key)
+        if hit:
+            self._hits += 1
+        return hit
 
     def invalidate(self, predicate: Callable[[tuple], bool]) -> int:
         """Drop this dataset's entries whose (unprefixed) key satisfies

@@ -687,15 +687,16 @@ class PrivateSession:
             # Prepare parent-side only where the compiled state will
             # actually be shared: eagerly for in-process execution, and
             # before the first fork so workers inherit it copy-on-write.
-            # Once the pool exists, a *new* spec compiles lazily in the
-            # workers instead of blocking the submitter on a compile the
-            # pool would repeat.
-            if not pooled or self._pool is None or key in self._cache:
+            # Once the pool exists, only the worker prepares (compiling a
+            # new spec lazily instead of blocking the submitter on a
+            # compile the pool would repeat); the parent's cache just
+            # records whether it holds the spec, for the ledger.
+            if not pooled or self._pool is None:
                 prepared, hit, _, _ = self._prepare_query(
                     resolved, version=at_version
                 )
             else:
-                prepared, hit = None, False
+                prepared, hit = None, self._cache.touch(key)
             seed = self._seed_for(rng)
         except BaseException:
             reservation.rollback()

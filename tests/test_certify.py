@@ -169,7 +169,7 @@ def test_routes_store_bit_identical_h(size, lp_backend):
 )
 def test_resumed_solves_leave_the_x_model_as_it_was(nodes, degree):
     # 2-star/edge on 90 nodes has 3,894 columns: its cold solves run IPM,
-    # and the model moves to a fresh instance after a resume
+    # and the model keeps the simplex state of its resumes
     relation = subgraph_krelation(
         random_graph_with_avg_degree(nodes, degree, rng=7002), k_star(2), "edge"
     )
@@ -183,6 +183,41 @@ def test_resumed_solves_leave_the_x_model_as_it_was(nodes, degree):
         assert used._encoded.solve_x_relaxation(delta_hat) == (
             fresh._encoded.solve_x_relaxation(delta_hat)
         )
+
+
+@pytest.mark.skipif(not engine_available(), reason="scipy HiGHS bindings unavailable")
+@pytest.mark.parametrize(
+    "nodes, degree", [(44, 6), (90, 8)], ids=["simplex", "ipm-size"]
+)
+def test_resumed_x_solves_release_what_fresh_ones_do(nodes, degree):
+    relation = subgraph_krelation(
+        random_graph_with_avg_degree(nodes, degree, rng=7002), k_star(2), "edge"
+    )
+    used = EfficientRecursiveMechanism(relation, backend="highs")
+    program = used._encoded._compiled
+    solve_x = program.solve_x
+    ipm_iterations = []
+
+    def recorded(delta_hat):
+        solution = solve_x(delta_hat)
+        info = program._x_model._solver.getInfo()
+        ipm_iterations.append(int(info.ipm_iteration_count))
+        return solution
+
+    program.solve_x = recorded
+    indices = set()
+    for delta_hat in DELTAS:
+        x_value, x_index = used._compute_x(delta_hat)
+        fresh = EfficientRecursiveMechanism(relation, backend="highs")
+        assert fresh._compute_x(delta_hat) == (x_value, x_index)
+        assert fresh._h_cache == {k: used._h_cache[k] for k in fresh._h_cache}
+        indices.add(x_index)
+    assert len(indices) >= 3
+    assert len(ipm_iterations) == len(DELTAS)
+    # every X solve after the first resumes from the last X basis
+    assert ipm_iterations[1:] == [0] * (len(DELTAS) - 1)
+    if nodes == 90:
+        assert ipm_iterations[0] > 0
 
 
 def test_too_wide_an_interval_takes_the_cold_route(monkeypatch, lp_backend):

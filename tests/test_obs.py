@@ -22,6 +22,7 @@ import json
 
 import numpy as np
 import pytest
+from registry_oracle import FullWalkRegistry
 
 from repro import PrivateSession, random_graph_with_avg_degree
 from repro.obs import (
@@ -206,6 +207,103 @@ class TestSnapshotDeltaMerge:
         # The full snapshot still reports cumulative state.
         snap = {row["name"]: row for row in registry.snapshot()["metrics"]}
         assert snap["repro_x_total"]["value"] == 5
+
+    def test_drain_walks_only_changed_metrics_like_the_full_walk(self):
+        """Over a random sequence of creations, changes, merges and
+        drains, each drain emits the rows of the full walk over every
+        metric (``tests/registry_oracle.py``), in the same order."""
+        rng = np.random.default_rng(11)
+        registry = MetricsRegistry()
+        oracle = FullWalkRegistry()
+        source = MetricsRegistry()  # another process's deltas to merge
+        names = ["repro_a_total", "repro_b", "repro_c_seconds"]
+        bounds = [0.5, 1.0, 2.0, 4.0]
+        drains = 0
+        for _ in range(3000):
+            name = names[int(rng.integers(3))]
+            labels = {"k": str(int(rng.integers(4)))} if rng.random() < 0.7 else {}
+            action = rng.random()
+            if action < 0.05:
+                assert registry.drain_delta()["metrics"] == oracle.drain_delta()
+                drains += 1
+            elif action < 0.08:
+                payload = source.drain_delta()
+                registry.merge(payload)
+                oracle.merge(payload)
+            elif action < 0.3:
+                source.counter("repro_a_total", **labels).inc(float(rng.integers(3)))
+                source.gauge("repro_b", **labels).set(float(rng.integers(5)))
+                source.histogram("repro_c_seconds", buckets=bounds, **labels).observe(
+                    float(rng.exponential(1.5))
+                )
+            elif name == "repro_a_total":
+                amount = float(rng.integers(3))  # inc(0) changes nothing
+                registry.counter(name, **labels).inc(amount)
+                oracle.inc(name, amount, **labels)
+            elif name == "repro_b":
+                gauge = registry.gauge(name, **labels)
+                if action < 0.6:
+                    gauge.set(float(rng.integers(5)))
+                else:
+                    gauge.inc(float(rng.integers(-2, 3)))
+                oracle.set(name, gauge.value, **labels)
+            elif action < 0.4:  # created, never changed
+                registry.histogram(name, buckets=bounds, **labels)
+                oracle._get(name, labels, "histogram", bounds)
+            else:
+                value = float(rng.exponential(1.5))
+                registry.histogram(name, buckets=bounds, **labels).observe(value)
+                oracle.observe(name, bounds, value, **labels)
+        assert registry.drain_delta()["metrics"] == oracle.drain_delta()
+        assert drains > 100
+        assert registry.drain_delta()["metrics"] == []
+
+    def test_drains_racing_updates_lose_nothing(self):
+        """Updates from several threads while another drains: every
+        increment and observation ships exactly once.  Each writer owns
+        its metrics (the registry does not lock a metric's own update)."""
+        import sys
+        import threading
+
+        registry = MetricsRegistry()
+        rounds, writers = 3000, 4
+        shipped = {"counter": 0.0, "histogram": 0}
+        done = threading.Event()
+
+        def drain():
+            for row in registry.drain_delta()["metrics"]:
+                if row["kind"] == "counter":
+                    shipped["counter"] += row["value"]
+                else:
+                    shipped["histogram"] += row["count"]
+
+        def write(index):
+            for step in range(rounds):
+                registry.counter("repro_x_total", k=str(step % 3), w=str(index)).inc()
+                registry.histogram("repro_h", buckets=[1.0], w=str(index)).observe(0.5)
+
+        def drainer():
+            while not done.is_set():
+                drain()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=write, args=(i,)) for i in range(writers)]
+            reader = threading.Thread(target=drainer)
+            reader.start()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            done.set()
+            reader.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not reader.is_alive()
+        assert not any(thread.is_alive() for thread in threads)
+        drain()
+        assert shipped == {"counter": rounds * writers, "histogram": rounds * writers}
 
     def test_rebaseline_discards_pending_deltas(self):
         registry = MetricsRegistry()

@@ -280,10 +280,12 @@ class TestForkSafety:
     def test_fork_reset_drops_models(self, mechanism):
         program = mechanism._encoded._compiled
         program.solve_h(mechanism.num_participants / 2.0)
+        program.solve_x(0.5)
         program.fork_reset()
         assert program._h_model is None
         assert program._g_model is None
         assert program._x_model is None
+        assert program._x_basis is None
 
 
 @needs_fork

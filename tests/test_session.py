@@ -17,6 +17,7 @@ from repro.core import EfficientRecursiveMechanism
 from repro.core.queries import WeightedQuery
 from repro.dynamic import VersionedGraph
 from repro.errors import PrivacyParameterError, SessionError
+from repro.obs import metrics
 from repro.session import (
     BudgetAccountant,
     BudgetExhausted,
@@ -224,6 +225,18 @@ class TestSharedCompiledCacheUnit:
         info = cache.info()
         assert (info.hits, info.misses, info.size, info.evictions,
                 info.maxsize) == (1, 3, 2, 1, 2)
+
+    def test_touch_is_a_hit_without_a_build(self):
+        cache = SharedCompiledCache(maxsize=2)
+        view = cache.namespaced("alpha")
+        view.get_or_build(("a",), lambda: "A")
+        view.get_or_build(("b",), lambda: "B")
+        assert view.touch(("a",)) is True  # refreshes a, as a hit does
+        assert view.touch(("z",)) is False  # absent: counts nothing
+        view.get_or_build(("c",), lambda: "C")  # evicts b (LRU)
+        assert ("b",) not in view and ("a",) in view
+        assert (view.info().hits, view.info().misses) == (1, 3)
+        assert (cache.info().hits, cache.info().misses) == (1, 3)
 
     def test_resize_evicts_down(self):
         cache = SharedCompiledCache(maxsize=None)
@@ -455,6 +468,28 @@ class TestSubmitFutures:
         assert session.cache_info().size == 1
         # ...and replay still reproduces both (compiling lazily on demand)
         assert session.verify_ledger()
+        session.close()
+
+    def test_pooled_release_looks_the_spec_up_once(self, graph):
+        """Once the pool exists, only the worker looks a spec up: the hit
+        counter rises by one per pooled release, and the ledger's
+        cache_hit and the session's cache counters still say whether the
+        parent holds the spec."""
+        hits = metrics().counter("repro_cache_requests_total", result="hit")
+        session = PrivateSession(graph, workers=2, rng=3)
+        session.submit(triangle(), privacy="edge", epsilon=0.25).result()
+        before, info = hits.value, session.cache_info()
+        futures = [
+            session.submit(triangle(), privacy="edge", epsilon=0.25) for _ in range(5)
+        ]
+        for future in futures:
+            future.result()
+        assert hits.value - before == 5
+        assert session.cache_info().hits - info.hits == 5
+        session.submit(k_star(2), privacy="edge", epsilon=0.25).result()
+        assert [entry.cache_hit for entry in session.ledger] == [False] + [True] * 5 + [
+            False
+        ]
         session.close()
 
     def test_pool_fanout_replay(self, graph):
