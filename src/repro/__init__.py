@@ -107,7 +107,6 @@ def private_subgraph_count(
     rng=None,
     params=None,
     backend=None,
-    workers=1,
 ) -> MechanismResult:
     """Differentially private subgraph count — the headline application.
 
@@ -132,11 +131,6 @@ def private_subgraph_count(
         Seed or :class:`numpy.random.Generator` for reproducibility.
     params / backend:
         Override the mechanism parameters or the LP backend.
-    workers:
-        Worker processes for batched H entries (the Δ search is one
-        in-process walk); ``1`` (default) stays in-process, ``None``
-        resolves ``$REPRO_WORKERS`` / CPU count.  The released answer is
-        byte-identical for any worker count at a fixed seed.
 
     Returns
     -------
@@ -144,7 +138,7 @@ def private_subgraph_count(
         ``result.answer`` is the ε-differentially private count;
         ``result.true_answer`` the exact count (diagnostic only).
     """
-    session = PrivateSession(graph, backend=backend, workers=workers)
+    session = PrivateSession(graph, backend=backend)
     return session.query(
         pattern, epsilon=epsilon, privacy=privacy, rng=rng, params=params
     )

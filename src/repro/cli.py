@@ -170,7 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     count = sub.add_parser("count", help="private subgraph count")
-    count.add_argument("--workers", type=_workers_arg, default=None, help=workers_help)
     add_lp_flags(count)
     count.add_argument(
         "--query",
@@ -522,7 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_count(args) -> int:
     from .experiments.mechanisms import parse_query
-    from .parallel import resolve_workers
     from . import private_subgraph_count
 
     graph = _graph_from_spec(_flag_graph_spec(args, args.edge_list, args.seed))
@@ -534,7 +532,6 @@ def _cmd_count(args) -> int:
         privacy=args.privacy,
         epsilon=args.epsilon,
         rng=args.seed,
-        workers=resolve_workers(args.workers),
         backend=args.lp_backend,
     )
     print(

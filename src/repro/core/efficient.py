@@ -125,13 +125,6 @@ class EfficientRecursiveMechanism(RecursiveMechanismBase):
         encoding (guarantees ``S ≤ 1`` and safe annotations for hand-built
         relations; algebra-produced annotations are already safe, and for
         subgraph-counting relations they are already DNF).
-    workers:
-        Worker processes for batched H entries, which fan across a pool
-        forked after compilation (the Δ search is one in-process walk
-        whatever the count).  The default ``1`` stays fully in-process;
-        ``None`` resolves ``$REPRO_WORKERS`` / CPU count
-        (:func:`repro.parallel.pool.resolve_workers`).  Released answers
-        are byte-identical for any worker count at a fixed seed.
     bounding:
         Which bounding sequence to use for the Δ computation:
 
@@ -154,12 +147,8 @@ class EfficientRecursiveMechanism(RecursiveMechanismBase):
         normalize: bool = False,
         bounding: str = "auto",
         s_bar=None,
-        workers: Optional[int] = 1,
     ):
         super().__init__()
-        from ..parallel.pool import resolve_workers
-
-        self.workers = resolve_workers(workers)
         if bounding not in ("paper", "uniform", "auto"):
             raise MechanismError(
                 f"bounding must be 'paper', 'uniform' or 'auto', got {bounding!r}"
@@ -227,9 +216,8 @@ class EfficientRecursiveMechanism(RecursiveMechanismBase):
 
     def _h_entries(self, indices) -> list:
         # route the framework's batched cache misses through the encoded
-        # relation's entry point; with workers > 1 the misses fan across
-        # a pool forked after compilation
-        return self._encoded.solve_h_many(indices, workers=self.workers)
+        # relation's entry point, which picks each entry's cheapest route
+        return self._encoded.solve_h_many(indices)
 
     def _g_entry(self, i: int) -> float:
         if self.bounding == "uniform":
@@ -365,13 +353,11 @@ def private_linear_query(
     rng: RngLike = None,
     backend=None,
     params: Optional[RecursiveMechanismParams] = None,
-    workers: Optional[int] = 1,
 ) -> MechanismResult:
     """One-call convenience wrapper: build the mechanism and run it once.
 
     Uses the paper's experimental parameter settings
     (:meth:`RecursiveMechanismParams.paper`) unless ``params`` is given.
-    ``workers`` is forwarded to :class:`EfficientRecursiveMechanism`.
 
     A thin wrapper over a one-query
     :class:`~repro.session.PrivateSession`; answers are byte-identical to
@@ -380,7 +366,7 @@ def private_linear_query(
     """
     from ..session import PrivateSession
 
-    session = PrivateSession(relation, backend=backend, workers=workers)
+    session = PrivateSession(relation, backend=backend)
     return session.query(
         query,
         epsilon=epsilon,

@@ -106,8 +106,9 @@ class RecursiveMechanismBase:
     def _h_entries(self, indices) -> list:
         """Batch hook for ``H``; the default evaluates pointwise.
 
-        An implementation whose solver offers a genuinely batched solve
-        can override this; today every backend solves sequentially."""
+        An implementation that can pick a cheaper route per entry
+        overrides this (the efficient mechanism reads entries off an open
+        X step); every entry is solved in-process either way."""
         return [self._h_entry(i) for i in indices]
 
     def _g_entry(self, i: int) -> float:

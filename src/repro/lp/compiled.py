@@ -45,7 +45,7 @@ from scipy import sparse
 from ..errors import LPError
 from ..obs import metrics as obs_metrics
 from ..obs import size_buckets
-from ..parallel.pool import map_tasks, register_fork_reset
+from ..parallel.pool import register_fork_reset
 from .backends import PersistentModel
 from .model import LPSolution
 
@@ -318,24 +318,15 @@ class CompiledProgram:
         _observe_solve("g", self.backend, time.perf_counter() - tick, model)
         return solution
 
-    # -- batched overlay solves ----------------------------------------------
-    def solve_many(
-        self, tasks: Sequence, workers: Optional[int] = None
-    ) -> List[LPSolution]:
-        """Batched overlay solves, fanned across workers.
+    # -- batched cold H solves ----------------------------------------------
+    def solve_many(self, indices: Sequence[float]) -> List[LPSolution]:
+        """Cold ``H_i`` solves for several indices, in order, in-process.
 
-        ``tasks`` is a sequence of ``("h", i)``, ``("g", i)`` or
-        ``("x", delta_hat)`` pairs; the result list matches task order and
-        carries the same :class:`LPSolution` objects the pointwise calls
-        return.  The tasks shard across workers forked after compilation:
-        workers inherit the compiled CSR blocks copy-on-write and lazily
-        build their own models (the parent's do not survive the fork).
-        ``workers`` resolves through
-        :func:`repro.parallel.pool.resolve_workers`; at ``workers=1`` the
-        same pointwise solves run sequentially in-process.
+        The same :meth:`solve_h` calls a caller would make one by one;
+        kept as one entry point so a batch of cold misses shows as one
+        call in profiles.
         """
-        task_list = [(str(kind), float(value)) for kind, value in tasks]
-        return map_tasks(_solve_overlay_task, task_list, payload=self, workers=workers)
+        return [self.solve_h(float(i)) for i in indices]
 
     # -- the Δ-search walk --------------------------------------------------
     def solve_g_decide(self, i: float, threshold: float):
@@ -465,15 +456,3 @@ class CompiledProgram:
             f"num_g_rows={len(self._g_row_maps)}, "
             f"backend={self.backend.name!r})"
         )
-
-
-def _solve_overlay_task(program: CompiledProgram, task) -> LPSolution:
-    """Worker-side dispatch for :meth:`CompiledProgram.solve_many`."""
-    kind, value = task
-    if kind == "h":
-        return program.solve_h(value)
-    if kind == "g":
-        return program.solve_g(value)
-    if kind == "x":
-        return program.solve_x(value)
-    raise LPError(f"unknown overlay task kind {kind!r}")

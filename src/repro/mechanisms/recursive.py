@@ -15,8 +15,6 @@ earlier release brackets the new ``Δ̂``.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..core.efficient import EfficientRecursiveMechanism
 from ..core.params import RecursiveMechanismParams
 from ..results import ResultBase
@@ -54,10 +52,11 @@ class RecursiveMechanism(Mechanism):
 
     Options (all optional): ``backend`` (a solver-backend registry name
     such as ``"scipy"``/``"highs"``, a backend instance, or ``None`` for
-    the auto-detected default), ``workers`` (worker processes for the
-    parallel solve paths), ``bounding`` (``"paper"``/``"uniform"``/
+    the auto-detected default), ``bounding`` (``"paper"``/``"uniform"``/
     ``"auto"``), ``normalize``, ``s_bar`` — forwarded to
-    :class:`~repro.core.efficient.EfficientRecursiveMechanism`.
+    :class:`~repro.core.efficient.EfficientRecursiveMechanism`.  Every
+    solve runs in-process; a session's ``workers`` fans whole releases
+    across its pool instead.
     """
 
     name = "recursive"
@@ -68,14 +67,12 @@ class RecursiveMechanism(Mechanism):
         self,
         data,
         backend=None,
-        workers: Optional[int] = 1,
         bounding: str = "auto",
         normalize: bool = False,
         s_bar=None,
     ):
         super().__init__(
-            data, backend=backend, workers=workers, bounding=bounding,
-            normalize=normalize, s_bar=s_bar,
+            data, backend=backend, bounding=bounding, normalize=normalize, s_bar=s_bar
         )
 
     def _prepare(self, spec: QuerySpec) -> PreparedRecursive:
@@ -87,6 +84,5 @@ class RecursiveMechanism(Mechanism):
             normalize=self.options["normalize"],
             bounding=self.options["bounding"],
             s_bar=self.options["s_bar"],
-            workers=self.options["workers"],
         )
         return PreparedRecursive(spec, mechanism)

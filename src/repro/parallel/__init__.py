@@ -1,18 +1,15 @@
 """Process-pool execution layer: compile once, fork, evaluate many.
 
-Two tiers of parallelism build on the same principle — pay the
-expensive one-time compilation once and let every worker inherit the
-compiled arrays, re-instantiating per-process solver state (persistent
-HiGHS models) lazily in each worker:
+There is one level of parallelism: whole releases or whole trials fan
+out, and every mechanism solves its own LPs in-process.  Two users build
+on the same principle — pay the expensive one-time compilation once and
+let every worker inherit the compiled arrays, re-instantiating
+per-process solver state (persistent HiGHS models) lazily in each
+worker:
 
-1. batch overlay solves
-   (:meth:`~repro.lp.compiled.CompiledProgram.solve_many`);
+1. session fan-out (:meth:`~repro.session.PrivateSession.submit`);
 2. experiment sharding
    (:class:`~repro.experiments.harness.ParallelHarness`).
-
-The Δ search is not among them: it is one sequential walk on a single
-G model seeded at a closed-form vertex
-(:meth:`~repro.lp.compiled.CompiledProgram.solve_g_decide`).
 
 One sharing scheme implements it: :class:`~repro.parallel.pool.WorkerPool`
 forks workers after the arrays exist, so they inherit them copy-on-write.

@@ -5,8 +5,8 @@ compilation of an :class:`~repro.relax.encode.EncodedRelation` into a
 :class:`~repro.lp.compiled.CompiledProgram` (CSR blocks, bounds, G rows).
 Forking worker processes *after* that compilation lets every worker
 inherit the base arrays through copy-on-write for free, so the marginal
-cost of answering one more overlay solve on an idle core is just the
-solve itself.  That is the same amortize-preprocessing-across-many-
+cost of answering one more release or trial on an idle core is just
+that work itself.  That is the same amortize-preprocessing-across-many-
 evaluations principle that drives compiled query answering under updates.
 
 Two things do **not** survive the fork:
@@ -111,10 +111,10 @@ def resolve_workers(workers: Optional[int] = None) -> int:
         return 1  # no fork start method: the in-process fallback
     if workers > 1 and multiprocessing.current_process().daemon:
         # Pool workers are daemonic and may not fork children of their
-        # own (e.g. a mechanism built with workers>=2 running inside a
-        # ParallelHarness shard) — demote to the in-process fallback
-        # instead of crashing on "daemonic processes are not allowed to
-        # have children".
+        # own (e.g. a task that asks for a pool of its own inside a
+        # ParallelHarness shard or a session worker) — demote to the
+        # in-process fallback instead of crashing on "daemonic processes
+        # are not allowed to have children".
         return 1
     return workers
 

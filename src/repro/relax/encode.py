@@ -393,17 +393,15 @@ class EncodedRelation:
             return closed
         return self._cold_h(i, self._compiled.solve_h(float(i)))
 
-    def solve_h_many(
-        self, indices: Sequence[float], workers: Optional[int] = 1
-    ) -> List[float]:
+    def solve_h_many(self, indices: Sequence[float]) -> List[float]:
         """``H_i`` for several indices, each by the cheapest route.
 
         Each entry counts once in ``repro_h_entries_total{how}``:
         ``closed_form`` for the endpoints; ``x_lp`` or ``resumed`` while
         an X step is open (:meth:`_h_from_x`); ``cold`` for the rest,
-        which go through :meth:`CompiledProgram.solve_many` — forked
-        workers when ``workers > 1``, a sequential loop otherwise — and
-        are snapped here in the parent.  Every route stores the same bits.
+        which :meth:`CompiledProgram.solve_many` solves in-process and
+        which are snapped here (:meth:`_cold_h`).  Every route stores the
+        same bits.
         """
         indices = list(indices)
         values: List[Optional[float]] = [self.h_closed_form(i) for i in indices]
@@ -413,8 +411,7 @@ class EncodedRelation:
         if pending and self._x_step is not None:
             pending = self._h_from_x(indices, values, pending)
         if pending:
-            tasks = [("h", float(indices[pos])) for pos in pending]
-            solutions = self._compiled.solve_many(tasks, workers=workers)
+            solutions = self._compiled.solve_many([indices[pos] for pos in pending])
             for pos, solution in zip(pending, solutions):
                 values[pos] = self._cold_h(indices[pos], solution)
         return values

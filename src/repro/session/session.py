@@ -169,9 +169,10 @@ class PrivateSession:
         Total ε cap across all releases (sequential composition);
         ``None`` = unlimited (still fully ledgered).
     workers:
-        Worker processes for :meth:`submit` fan-out and the mechanism's
-        internal parallel solve paths; ``1`` (default) stays in-process,
-        ``None`` resolves ``$REPRO_WORKERS`` / CPU count.
+        Worker processes for :meth:`submit` fan-out; ``1`` (default)
+        stays in-process, ``None`` resolves ``$REPRO_WORKERS`` / CPU
+        count.  Each release solves its LPs in one process whatever the
+        count, so the count is not part of any cache key.
     backend:
         LP backend forwarded to the recursive mechanism: ``None`` (the
         registry's auto-detected default, ``REPRO_LP_BACKEND``
@@ -368,7 +369,6 @@ class PrivateSession:
         opts = dict(options)
         if cls.name == "recursive":
             opts.setdefault("backend", self._backend)
-            opts.setdefault("workers", self._workers)
         # The data token keeps sessions over *different* datasets apart
         # on a shared (process-wide) cache.  The version token (None over
         # static data) keeps different states of *one* dynamic dataset
@@ -683,7 +683,7 @@ class PrivateSession:
             resolved = self._resolve_spec(
                 query, privacy, mechanism, None, options, version=at_version
             )
-            cls, spec, _, key = resolved
+            cls, spec, opts, key = resolved
             # Prepare parent-side only where the compiled state will
             # actually be shared: eagerly for in-process execution, and
             # before the first fork so workers inherit it copy-on-write.
@@ -697,6 +697,10 @@ class PrivateSession:
                 )
             else:
                 prepared, hit = None, self._cache.touch(key)
+                if not hit:
+                    # the worker builds the mechanism; an unknown option
+                    # must fail here, before the ε is committed
+                    cls(self._data, **opts)
             seed = self._seed_for(rng)
         except BaseException:
             reservation.rollback()

@@ -110,7 +110,7 @@ class TestCommands:
 
     def test_invalid_workers_rejected(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["count", "--workers", "0"])
+            build_parser().parse_args(["fig", "fig5", "--workers", "0"])
 
     def test_replica_rejects_out_of_range_primary_port(self, capsys):
         args = [

@@ -4,8 +4,8 @@ Pins the three guarantees of ``repro.parallel``:
 
 * **determinism** — released answers are byte-identical between serial
   (``workers=1``) and parallel (``workers=k``) execution at a fixed seed,
-  for trial sharding and sweep-grid sharding (the Δ search is one
-  in-process walk for any worker count);
+  for trial sharding and sweep-grid sharding (a mechanism solves its
+  LPs in-process for any worker count);
 * **fork-safety** — persistent HiGHS models never cross the fork: each
   worker re-instantiates its own lazily, and using a parent's model from
   a child raises instead of corrupting shared solver state;
@@ -89,6 +89,12 @@ class TestResolveWorkers:
         with pytest.raises(ValueError, match="REPRO_WORKERS"):
             resolve_workers(None)
 
+    @needs_fork
+    def test_nested_parallelism_demotes_in_daemonic_workers(self):
+        """Pool workers are daemonic and may not fork: a task that asks
+        for a pool of its own resolves to the in-process fallback."""
+        assert map_tasks(_resolved_workers, [2, 2], workers=2) == [1, 1]
+
     def test_forkless_platform_runs_in_process(self, monkeypatch):
         monkeypatch.setattr("repro.parallel.pool.fork_available", lambda: False)
         assert resolve_workers(4) == 1
@@ -105,6 +111,10 @@ class TestScaleSubsetEmpty:
 
 def _double(payload, task):
     return (payload or 0) + 2 * task
+
+
+def _resolved_workers(payload, task):
+    return resolve_workers(task)
 
 
 def _boom(payload, task):
@@ -288,57 +298,36 @@ class TestForkSafety:
         assert program._x_basis is None
 
 
-@needs_fork
-class TestSolveManyAndRace:
+class TestSolveMany:
     def test_solve_many_matches_pointwise(self, mechanism):
         program = mechanism._encoded._compiled
         n = mechanism.num_participants
-        tasks = [
-            ("h", n / 2.0),
-            ("h", n / 3.0),
-            ("g", n / 2.0),
-            ("x", 0.5),
-        ]
-        batched = program.solve_many(tasks, workers=2)
-        pointwise = [
-            program.solve_h(n / 2.0),
-            program.solve_h(n / 3.0),
-            program.solve_g(n / 2.0),
-            program.solve_x(0.5),
-        ]
+        indices = [n / 2.0, n / 3.0, 2 * n / 3.0]
+        batched = program.solve_many(indices)
+        pointwise = [program.solve_h(i) for i in indices]
         assert [s.objective for s in batched] == [s.objective for s in pointwise]
 
-    def test_walk_matches_cold_decision(self, small_graph):
-        """A workers=2 mechanism's Δ walk decides like cold solves."""
-        relation = subgraph_krelation(small_graph, triangle(), privacy="edge")
-        cold = EfficientRecursiveMechanism(relation)._encoded
-        walk = EfficientRecursiveMechanism(relation, workers=2)._encoded
-        n = cold.num_participants
-        full = cold.solve_g(n)
-        for i in (n // 3, n // 2, 2 * n // 3):
-            exact = cold.solve_g(float(i))
-            for threshold in (0.25 * full, 0.5 * full, 0.9 * full):
-                decided, value, _ = walk.g_decide(float(i), threshold)
-                assert decided == (exact <= threshold), (i, threshold)
-                assert value == pytest.approx(exact, rel=1e-9, abs=1e-9)
+    def test_in_process_release_never_forks(self, small_graph, monkeypatch):
+        """A mechanism solves in-process whatever the session's worker
+        count: neither a query() release nor a batch of cold H entries
+        outside an X step may start a pool."""
+        from repro import PrivateSession
+        from repro.parallel import pool
 
-    def test_nested_parallelism_demotes_in_daemonic_workers(self, small_graph):
-        """A workers>=2 mechanism must run inside a pool shard (where
-        daemonic workers may not fork children) by demoting to the
-        in-process fallback instead of crashing."""
-        relation = subgraph_krelation(small_graph, triangle(), privacy="edge")
-        mechanism = EfficientRecursiveMechanism(relation, workers=2)
-        params = RecursiveMechanismParams.paper(0.5)
-        nested = mechanism.sample_answers(params, 3, rng=0, workers=2)
-        flat = mechanism.sample_answers(params, 3, rng=0, workers=1)
-        assert [r.answer for r in nested] == [r.answer for r in flat]
+        def refuse(*args, **kwargs):
+            raise AssertionError("a mechanism solve started a worker pool")
 
-    def test_mechanism_with_workers_matches_serial(self, small_graph):
-        relation = subgraph_krelation(small_graph, triangle(), privacy="node")
-        params = RecursiveMechanismParams.paper(0.5, node_privacy=True)
-        serial = EfficientRecursiveMechanism(relation, workers=1)
-        parallel = EfficientRecursiveMechanism(relation, workers=2)
-        assert serial.run(params, 17).answer == parallel.run(params, 17).answer
+        monkeypatch.setattr(pool.WorkerPool, "__init__", refuse)
+        session = PrivateSession(small_graph, workers=2, rng=4)
+        session.query(triangle(), privacy="edge", epsilon=0.5)
+        mechanism = session.prepared(triangle(), privacy="edge").mechanism
+        assert mechanism._encoded._x_step is None
+        n = mechanism.num_participants
+        interior = [i for i in range(1, n) if i not in mechanism._h_cache]
+        assert mechanism.h_entries(interior) == [
+            EfficientRecursiveMechanism(mechanism.relation)._encoded.solve_h(i)
+            for i in interior
+        ]
 
 
 class TestCrossBackendIdentity:
@@ -379,9 +368,13 @@ class TestCrossBackendIdentity:
                 for i in (n // 3, n // 2, 2 * n // 3)
                 for threshold in (0.25 * full, 0.5 * full, 0.9 * full)
             ]
-            decisions[name] = tuple(encoded.g_decide(*probe)[0] for probe in probes)
-            expected = tuple(cold.solve_g(i) <= threshold for i, threshold in probes)
+            walked = [encoded.g_decide(*probe) for probe in probes]
+            exact = [cold.solve_g(i) for i, _ in probes]
+            decisions[name] = tuple(decided for decided, _, _ in walked)
+            expected = tuple(g <= t for g, (_, t) in zip(exact, probes))
             assert decisions[name] == expected, name
+            values = [value for _, value, _ in walked]
+            assert values == pytest.approx(exact, rel=1e-9, abs=1e-9), name
         assert len(set(decisions.values())) == 1, decisions
 
     def test_solve_many_identical(self, small_graph):
@@ -392,24 +385,28 @@ class TestCrossBackendIdentity:
                 relation, backend=name
             )._encoded._compiled
             n = program.num_participants
-            tasks = [("h", n / 4.0), ("h", n / 2.0), ("h", 3 * n / 4.0)]
-            # workers=1 + all-"h" triggers the one-call multi-RHS sweep on
-            # backends that support it; others run the pointwise loop
-            sweeps[name] = tuple(
-                s.objective for s in program.solve_many(tasks, workers=1)
-            )
+            indices = [n / 4.0, n / 2.0, 3 * n / 4.0]
+            sweeps[name] = tuple(s.objective for s in program.solve_many(indices))
         assert len(set(sweeps.values())) == 1, sweeps
 
 
 class TestCliWorkers:
-    def test_count_accepts_workers(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(["count", "--workers", "2"])
-        assert args.workers == 2
-
     def test_fig_accepts_workers(self):
         from repro.cli import build_parser
 
         args = build_parser().parse_args(["fig", "fig5", "--workers", "3"])
         assert args.workers == 3
+
+    def test_batch_and_serve_accept_workers(self):
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        assert parser.parse_args(["batch", "spec.json", "--workers", "2"]).workers == 2
+        assert parser.parse_args(["serve", "--workers", "2"]).workers == 2
+
+    def test_count_rejects_workers(self):
+        """A single release solves in-process: count has no --workers."""
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["count", "--workers", "2"])

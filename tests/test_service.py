@@ -274,6 +274,24 @@ class TestServiceEndToEnd:
         assert session.accountant.spent == 0.5
         session.close()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_workers_option_is_a_bad_request(self, graph, workers):
+        """Mechanisms take no worker count: options.workers is refused as
+        bad_request before any ε is reserved, pool or no pool."""
+        session = _service_session(graph, workers=workers)
+        with _serve(session) as bg:
+            with ServiceClient(bg.address) as client:
+                released = client.query("triangle", epsilon=0.5, privacy="edge")
+                assert released["status"] == "released"
+                for query in ("triangle", "2-star"):
+                    with pytest.raises(ValueError, match="workers"):
+                        client.query(
+                            query, epsilon=0.5, privacy="edge", options={"workers": 2}
+                        )
+        assert [e.status for e in session.accountant.ledger] == ["released"]
+        assert session.accountant.spent == 0.5
+        session.close()
+
     def test_unsupported_version_and_malformed_frames(self, graph):
         session = _service_session(graph)
         with _serve(session) as bg:

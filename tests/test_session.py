@@ -377,7 +377,40 @@ class TestValidation:
         with pytest.raises(ValueError):
             PrivateSession(graph, workers=0)
         with pytest.raises(ValueError):
-            private_subgraph_count(graph, triangle(), epsilon=1.0, workers=-2)
+            PrivateSession(graph, workers=-2)
+
+    def test_workers_is_not_a_mechanism_option(self, graph):
+        """Mechanisms solve in-process: workers= is no query option, and
+        a rejected query spends nothing and caches nothing."""
+        session = PrivateSession(graph, budget=1.0)
+        with pytest.raises(TypeError, match="workers"):
+            session.query(triangle(), privacy="edge", epsilon=0.5, workers=2)
+        with pytest.raises(TypeError, match="workers"):
+            private_subgraph_count(graph, triangle(), epsilon=1.0, workers=2)
+        assert session.spent == 0.0 and session.cache_info().size == 0
+
+    def test_worker_count_is_not_in_the_cache_key(self, graph):
+        """Sessions that differ only in their worker count share one
+        compiled entry per spec."""
+        from repro.session import shared_cache
+
+        view = shared_cache().namespaced("test-workers-not-in-key")
+        view.invalidate(lambda key: True)
+        for workers in (1, 2):
+            session = PrivateSession(graph, workers=workers, cache=view)
+            session.query(triangle(), privacy="edge", epsilon=0.5, rng=1)
+            session.close()
+        assert view.info().size == 1
+
+    def test_pooled_submit_rejects_unknown_option_before_charging(self, graph):
+        """Once the pool exists the parent does not prepare a new spec;
+        an unknown option must still fail before the ε is committed."""
+        session = PrivateSession(graph, budget=2.0, workers=2, rng=3)
+        session.submit(triangle(), privacy="edge", epsilon=0.5).result()
+        with pytest.raises(TypeError, match="workers"):
+            session.submit(k_star(2), privacy="edge", epsilon=0.5, workers=2)
+        assert session.spent == 0.5 and len(session.ledger) == 1
+        session.close()
 
 
 class TestLedgerAndReplay:
