@@ -298,7 +298,9 @@ class TestForkSafety:
         assert program._x_basis is None
 
 
-class TestSolveMany:
+class TestSolveManyAndRace:
+    """Batched H solves and the in-process Δ walk agree with cold solves."""
+
     def test_solve_many_matches_pointwise(self, mechanism):
         program = mechanism._encoded._compiled
         n = mechanism.num_participants
@@ -328,6 +330,22 @@ class TestSolveMany:
             EfficientRecursiveMechanism(mechanism.relation)._encoded.solve_h(i)
             for i in interior
         ]
+
+    def test_walk_matches_cold_decision(self, small_graph):
+        """A mechanism's Δ walk decides like cold solves, also when H
+        solves on the same in-process program run between its steps."""
+        relation = subgraph_krelation(small_graph, triangle(), privacy="edge")
+        cold = EfficientRecursiveMechanism(relation)._encoded
+        walk = EfficientRecursiveMechanism(relation)._encoded
+        n = cold.num_participants
+        full = cold.solve_g(n)
+        for i in (n // 3, n // 2, 2 * n // 3):
+            exact = cold.solve_g(float(i))
+            for threshold in (0.25 * full, 0.5 * full, 0.9 * full):
+                decided, value, _ = walk.g_decide(float(i), threshold)
+                assert decided == (exact <= threshold), (i, threshold)
+                assert value == pytest.approx(exact, rel=1e-9, abs=1e-9)
+                assert walk.solve_h(float(i)) == cold.solve_h(float(i))
 
 
 class TestCrossBackendIdentity:
@@ -368,13 +386,9 @@ class TestCrossBackendIdentity:
                 for i in (n // 3, n // 2, 2 * n // 3)
                 for threshold in (0.25 * full, 0.5 * full, 0.9 * full)
             ]
-            walked = [encoded.g_decide(*probe) for probe in probes]
-            exact = [cold.solve_g(i) for i, _ in probes]
-            decisions[name] = tuple(decided for decided, _, _ in walked)
-            expected = tuple(g <= t for g, (_, t) in zip(exact, probes))
+            decisions[name] = tuple(encoded.g_decide(*probe)[0] for probe in probes)
+            expected = tuple(cold.solve_g(i) <= threshold for i, threshold in probes)
             assert decisions[name] == expected, name
-            values = [value for _, value, _ in walked]
-            assert values == pytest.approx(exact, rel=1e-9, abs=1e-9), name
         assert len(set(decisions.values())) == 1, decisions
 
     def test_solve_many_identical(self, small_graph):
