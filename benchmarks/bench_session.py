@@ -10,7 +10,9 @@ the φ-epigraph LP.
 It also reports pooled warm-release latency per class: the cheap specs
 and the heavy 2-star/edge spec of a 200-node graph, each with one and
 with two releases in flight on a two-worker pool; the mean shows the
-few heavy releases that solve an X LP.  A mix's median hides
+few heavy releases that solve an X LP, and ``parent_cpu_ms`` the CPU the
+submitting process (client threads and the pool's reader thread) spends
+per pooled release.  A mix's median hides
 how the classes move: while one client waits on a heavy release, the
 other's cheap releases run with one in flight and finish sooner, so a
 faster heavy class can raise the mix's median.
@@ -154,7 +156,9 @@ def test_pooled_latency_per_class(scale, record_figure):
             # a fresh session per cell: every cell starts from the same
             # warm state, not from the H entries an earlier cell added
             session = _warm_pooled_session(graph, specs)
+            cpu = time.process_time()
             seconds = _pooled_seconds(session, specs, in_flight, releases, 100)
+            cpu = time.process_time() - cpu
             assert all(entry.status == "released" for entry in session.ledger)
             session.close()
             rows.append(
@@ -165,13 +169,22 @@ def test_pooled_latency_per_class(scale, record_figure):
                     "p50_ms": 1e3 * float(np.percentile(seconds, 50)),
                     "p90_ms": 1e3 * float(np.percentile(seconds, 90)),
                     "mean_ms": 1e3 * statistics.fmean(seconds),
+                    "parent_cpu_ms": 1e3 * cpu / releases,
                 }
             )
     record_figure(
         "session_pooled_classes",
         format_table(
             rows,
-            ["class", "in_flight", "releases", "p50_ms", "p90_ms", "mean_ms"],
+            [
+                "class",
+                "in_flight",
+                "releases",
+                "p50_ms",
+                "p90_ms",
+                "mean_ms",
+                "parent_cpu_ms",
+            ],
             title="PrivateSession.submit warm latency per class, workers=2 "
             f"(200 nodes, scale={scale.name})",
         ),

@@ -13,6 +13,9 @@ worker:
 
 One sharing scheme implements it: :class:`~repro.parallel.pool.WorkerPool`
 forks workers after the arrays exist, so they inherit them copy-on-write.
+Each worker serves one duplex pipe; one reader thread in the parent
+collects every result, and a worker that dies fails its task with
+:class:`~repro.errors.WorkerPoolError` and is replaced by a fresh fork.
 
 ``workers=1``, or a platform without the ``fork`` start method, takes an
 in-process fallback with byte-identical results; the worker count

@@ -27,6 +27,15 @@ per-process solver state call :func:`register_fork_reset` at construction
 time, and every worker runs :func:`run_fork_resets` immediately after the
 fork, before touching any task.
 
+:class:`WorkerPool` runs N forked workers, each on one duplex
+:func:`multiprocessing.Pipe`.  ``submit`` pickles a task in the caller's
+thread and writes it to an idle worker, or queues it in FIFO order; one
+reader thread waits on every pipe with
+:func:`multiprocessing.connection.wait`, resolves each result (merging
+the telemetry the worker shipped with it) and hands that worker its next
+queued task.  A worker that dies shows EOF on its pipe: its task fails
+with :class:`~repro.errors.WorkerPoolError` and a replacement is forked.
+
 Platforms without the ``fork`` start method (Windows, some embedded
 interpreters) and ``workers=1`` runs take a clean in-process fallback:
 the same task functions run sequentially in the parent, with identical
@@ -35,12 +44,19 @@ results.
 
 from __future__ import annotations
 
-import itertools
+import atexit
+import collections
 import multiprocessing
 import os
+import threading
+import traceback
 import weakref
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from multiprocessing.connection import wait
+from multiprocessing.pool import ExceptionWithTraceback
+from multiprocessing.reduction import ForkingPickler
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
+from ..errors import WorkerPoolError
 from ..obs import metrics as obs_metrics
 from ..obs import tracer as obs_tracer
 
@@ -60,14 +76,20 @@ WORKERS_ENV = "REPRO_WORKERS"
 #: children (weak references — registration must not leak programs).
 _FORK_RESETTABLE: "weakref.WeakSet" = weakref.WeakSet()
 
-#: Payloads of live pools, inherited by forked workers through fork
-#: (never pickled); keyed so concurrent pools do not clash.
-_PAYLOADS: Dict[int, Tuple[Callable, object]] = {}
-_PAYLOAD_KEYS = itertools.count(1)
+#: Pools not yet closed, closed at interpreter exit.
+_LIVE_POOLS: "weakref.WeakSet" = weakref.WeakSet()
 
-#: Set in each worker by the pool initializer: the key of the payload
-#: this worker serves.
-_ACTIVE_KEY: Optional[int] = None
+
+def _close_live_pools() -> None:
+    for pool in list(_LIVE_POOLS):
+        pool.close()
+
+
+# Registered after multiprocessing's own exit hook (``multiprocessing.util``
+# registers it, and ``multiprocessing.connection`` imported it above), so
+# this runs first: pools close before that hook terminates their daemonic
+# workers, whose EOFs a live reader would answer by forking replacements.
+atexit.register(_close_live_pools)
 
 
 def fork_available() -> bool:
@@ -135,10 +157,8 @@ def run_fork_resets() -> None:
         obj.fork_reset()
 
 
-def _worker_init(key: int) -> None:
-    """Pool initializer: runs in each worker right after the fork."""
-    global _ACTIVE_KEY
-    _ACTIVE_KEY = key
+def _worker_init() -> None:
+    """Runs in each worker right after the fork, before any task."""
     run_fork_resets()
     # Telemetry state inherited through the fork belongs to the parent:
     # re-baseline the metrics registry (so this worker only ever ships
@@ -184,10 +204,9 @@ def _absorb(envelope):
     return envelope.result
 
 
-def _invoke(task):
+def _invoke(fn, payload, task):
     """Run one task against the worker's inherited payload: activate the
     submitter's span context, run, and pack the telemetry it produced."""
-    fn, payload = _PAYLOADS[_ACTIVE_KEY]
     tracing = obs_tracer()
     if isinstance(task, _ObsTask):
         token = tracing.activate(task.context)
@@ -203,26 +222,118 @@ def _invoke(task):
 class _PoolResult:
     """Handle to one submitted task (``ready()`` / ``get(timeout)``).
 
-    Wraps the pool's ``AsyncResult`` so ``get()`` hands back the bare
-    worker result: the telemetry envelope was already merged by the
-    completion callback, which runs before the result becomes ready.
+    ``get()`` hands back the bare worker result.  By the time the handle
+    turns ready the telemetry envelope is merged and the task's callback
+    has run, so a caller woken by ``get()`` sees the callback's effects.
     """
 
-    __slots__ = ("_async",)
+    __slots__ = ("_done", "_outcome", "__weakref__")
 
-    def __init__(self, async_result):
-        self._async = async_result
+    def __init__(self):
+        self._done = threading.Event()
+        self._outcome: Tuple[bool, object] = (False, None)
 
     def ready(self) -> bool:
-        return self._async.ready()
+        return self._done.is_set()
 
     def get(self, timeout: Optional[float] = None):
-        value = self._async.get(timeout)
-        return value.result if isinstance(value, _ObsEnvelope) else value
+        """The task's result; re-raises its error, and raises
+        :class:`multiprocessing.TimeoutError` after ``timeout`` seconds."""
+        if not self._done.wait(timeout):
+            raise multiprocessing.TimeoutError
+        ok, value = self._outcome
+        if ok:
+            return value
+        raise value
+
+
+class _Job:
+    """The pool's side of one task: callbacks, in-flight gauge and a weak
+    reference to the caller's handle (an abandoned handle is not waited
+    on by :meth:`WorkerPool.inflight`)."""
+
+    __slots__ = ("handle", "callback", "error_callback", "gauge")
+
+    def __init__(self, handle, callback, error_callback, gauge):
+        self.handle = weakref.ref(handle)
+        self.callback = callback
+        self.error_callback = error_callback
+        self.gauge = gauge
+
+
+def _finish(job: _Job, ok: bool, value) -> None:
+    """Resolve one task: merge its telemetry, run its callback, then mark
+    its handle ready."""
+    job.gauge.dec()
+    if ok:
+        value = _absorb(value)
+    callback = job.callback if ok else job.error_callback
+    if callback is not None:
+        try:
+            callback(value)
+        except Exception:  # a failing callback must not stop the reader
+            traceback.print_exc()
+    handle = job.handle()
+    if handle is not None:
+        handle._outcome = (ok, value)
+        handle._done.set()
+
+
+def _abandoned() -> BaseException:
+    return WorkerPoolError(
+        "worker pool was shut down before this task completed; "
+        "its result was abandoned"
+    )
+
+
+def _worker_main(fn, payload, conn, inherited) -> None:
+    """Worker process body: run tasks from ``conn`` until its EOF.
+
+    ``fn`` and ``payload`` reach the child through the fork, never
+    pickled.  ``inherited`` are the parent-side pipe ends the child got
+    through the fork; closing them lets each worker see EOF once the
+    parent's copy of its pipe is gone.
+    """
+    for other in inherited:
+        other.close()
+    _worker_init()
+    while True:
+        try:
+            data = conn.recv_bytes()
+        except EOFError:
+            return
+        try:
+            reply = (True, _invoke(fn, payload, ForkingPickler.loads(data)))
+        except Exception as error:
+            reply = (False, ExceptionWithTraceback(error, error.__traceback__))
+        try:
+            conn.send(reply)
+        except Exception as error:  # the result (or error) does not pickle
+            conn.send(
+                (False, WorkerPoolError(f"task result could not be pickled: {error!r}"))
+            )
+
+
+class _Worker:
+    """One forked worker, the parent end of its pipe, and its task."""
+
+    __slots__ = ("process", "conn", "job")
+
+    def __init__(self, process, conn):
+        self.process = process
+        self.conn = conn
+        self.job: Optional[_Job] = None
 
 
 class WorkerPool:
     """A pool of processes forked after the payload was built.
+
+    Each worker serves one duplex pipe.  :meth:`submit` pickles the task
+    in the caller's thread and writes it to an idle worker, or queues it
+    in FIFO order.  One reader thread waits on every worker's pipe,
+    resolves each result and hands that worker its next queued task.  A
+    worker that dies shows EOF on its pipe: its task fails with
+    :class:`~repro.errors.WorkerPoolError` and a replacement is forked.
 
     Parameters
     ----------
@@ -245,26 +356,116 @@ class WorkerPool:
             raise ValueError(f"WorkerPool needs >= 2 workers, got {workers}")
         if not fork_available():
             raise RuntimeError("WorkerPool requires the 'fork' start method")
-        self._key = next(_PAYLOAD_KEYS)
-        _PAYLOADS[self._key] = (fn, payload)
-        #: Weak refs to every AsyncResult handed out by :meth:`submit`
-        #: that may still be in flight — close() fails them instead of
-        #: letting an abandoned ``.get()`` block forever.
-        self._pending: List["weakref.ref"] = []
-        context = multiprocessing.get_context("fork")
-        self._pool = context.Pool(
-            processes=workers,
-            initializer=_worker_init,
-            initargs=(
-                self._key,
-            ),
+        self._fn = fn
+        self._payload = payload
+        self._lock = threading.Lock()
+        self._closed = False
+        #: Pickled tasks waiting for a worker, oldest first.
+        self._queue: Deque[Tuple[bytes, _Job]] = collections.deque()
+        self._idle: List[_Worker] = []
+        #: Every live worker, by the parent end of its pipe.
+        self._workers: Dict[object, _Worker] = {}
+        #: close() writes here to wake the reader out of its wait.
+        self._wake, self._waker = multiprocessing.Pipe(duplex=False)
+        for _ in range(workers):
+            self._idle.append(self._fork())
+        self._reader = threading.Thread(
+            target=self._read, name="repro-pool-reader", daemon=True
         )
+        self._reader.start()
+        _LIVE_POOLS.add(self)
+
+    def _fork(self) -> _Worker:
+        """Fork one worker on a fresh duplex pipe."""
+        conn, child = multiprocessing.Pipe()
+        inherited = [conn, self._wake, self._waker, *self._workers]
+        process = multiprocessing.get_context("fork").Process(
+            target=_worker_main,
+            args=(self._fn, self._payload, child, inherited),
+            daemon=True,
+        )
+        process.start()
+        child.close()
+        worker = _Worker(process, conn)
+        self._workers[conn] = worker
+        return worker
+
+    @staticmethod
+    def _send(worker: _Worker, data, job: _Job) -> None:
+        """Hand ``worker`` one pickled task (under the lock)."""
+        worker.job = job
+        try:
+            worker.conn.send_bytes(data)
+        except OSError:
+            pass  # the worker died: the reader fails the job at its EOF
+
+    def _next_task(self, worker: _Worker) -> None:
+        """Hand a free ``worker`` the oldest queued task, or mark it idle
+        (under the lock)."""
+        if self._queue:
+            self._send(worker, *self._queue.popleft())
+        else:
+            self._idle.append(worker)
+
+    def _read(self) -> None:
+        """Reader thread: resolve each result as its pipe turns readable."""
+        while True:
+            with self._lock:
+                if self._closed:
+                    return
+                conns = [self._wake, *self._workers]
+            for conn in wait(conns):
+                # close() may have run while this thread waited (or in a
+                # callback): the pool's state is then no longer ours
+                with self._lock:
+                    if self._closed:
+                        return
+                self._collect(self._workers[conn])
+
+    def _collect(self, worker: _Worker) -> None:
+        """Resolve ``worker``'s task from its pipe and give it the next."""
+        try:
+            ok, value = worker.conn.recv()
+        except (EOFError, OSError):
+            self._replace(worker)
+            return
+        except Exception as error:  # a reply that does not unpickle
+            ok, value = False, error
+        with self._lock:
+            if self._closed:
+                return  # close() fails the job
+            job, worker.job = worker.job, None
+            self._next_task(worker)
+        _finish(job, ok, value)
+
+    def _replace(self, worker: _Worker) -> None:
+        """Fail a dead worker's task and fork its replacement."""
+        process = worker.process
+        process.terminate()  # a no-op unless it closed its pipe and lives
+        process.join()
+        with self._lock:
+            if self._closed:
+                return
+            job, worker.job = worker.job, None
+            del self._workers[worker.conn]
+            if worker in self._idle:
+                self._idle.remove(worker)
+            worker.conn.close()
+            self._next_task(self._fork())
+        if job is not None:
+            _finish(
+                job,
+                False,
+                WorkerPoolError(
+                    f"worker process {process.pid} died (exit code "
+                    f"{process.exitcode}) while running this task"
+                ),
+            )
 
     def map(self, tasks: Sequence) -> List:
         """Run every task; results come back in task order."""
-        tasks = [_wrap_task(task) for task in tasks]
-        obs_metrics().counter("repro_pool_tasks_total", mode="fork").inc(len(tasks))
-        return [_absorb(envelope) for envelope in self._pool.map(_invoke, tasks)]
+        handles = [self.submit(task) for task in tasks]
+        return [handle.get() for handle in handles]
 
     def submit(
         self,
@@ -277,44 +478,41 @@ class WorkerPool:
         The session layer's future-based fan-out: the returned handle's
         ``get()`` blocks for (and re-raises errors from) the worker-side
         run; ``ready()`` polls it.  ``callback`` / ``error_callback``
-        fire on the pool's result-handler thread when the task completes
-        — ``callback`` receives the bare result (the telemetry envelope
-        is unwrapped and merged first).
+        fire on the pool's reader thread when the task completes —
+        ``callback`` receives the bare result (the telemetry envelope is
+        unwrapped and merged first).  A task that does not pickle fails
+        its handle (``error_callback`` fires before ``submit`` returns);
+        a task whose worker dies fails with
+        :class:`~repro.errors.WorkerPoolError`.
         """
-        if self._pool is None:
+        if self._closed:
             raise RuntimeError("WorkerPool is closed")
         registry = obs_metrics()
         registry.counter("repro_pool_tasks_total", mode="fork").inc()
-        inflight_gauge = registry.gauge("repro_pool_inflight")
-        inflight_gauge.inc()
+        gauge = registry.gauge("repro_pool_inflight")
+        gauge.inc()
+        handle = _PoolResult()
+        job = _Job(handle, callback, error_callback, gauge)
+        try:
+            data = ForkingPickler.dumps(_wrap_task(task))
+        except Exception as error:  # the task cannot cross to a worker
+            _finish(job, False, error)
+            return handle
+        with self._lock:
+            if not self._closed:
+                if self._idle:
+                    self._send(self._idle.pop(), data, job)
+                else:
+                    self._queue.append((data, job))
+                return handle
+        _finish(job, False, _abandoned())  # close() ran since the check above
+        return handle
 
-        def _on_envelope(envelope) -> None:
-            inflight_gauge.dec()
-            value = _absorb(envelope)
-            if callback is not None:
-                callback(value)
-
-        def _on_failure(error: BaseException) -> None:
-            inflight_gauge.dec()
-            if error_callback is not None:
-                error_callback(error)
-
-        result = self._pool.apply_async(
-            _invoke,
-            (
-                _wrap_task(task),
-            ),
-            callback=_on_envelope,
-            error_callback=_on_failure,
-        )
-        still_pending = []
-        for ref in self._pending:
-            existing = ref()  # bind once: the target may be GC'd anytime
-            if existing is not None and not existing.ready():
-                still_pending.append(ref)
-        still_pending.append(weakref.ref(result))
-        self._pending = still_pending
-        return _PoolResult(result)
+    def _unfinished(self) -> List[_Job]:
+        """Every task sent to a worker or queued (under the lock)."""
+        jobs = [worker.job for worker in self._workers.values() if worker.job]
+        jobs.extend(job for _, job in self._queue)
+        return jobs
 
     def inflight(self) -> int:
         """Number of submitted tasks whose results are not yet ready.
@@ -324,51 +522,40 @@ class WorkerPool:
         does not block callers that need a drained pool (e.g.
         ``PrivateSession.apply_update``).
         """
-        count = 0
-        for ref in self._pending:
-            result = ref()
-            if result is not None and not result.ready():
-                count += 1
-        return count
+        with self._lock:
+            jobs = self._unfinished()
+        return sum(job.handle() is not None for job in jobs)
 
     def close(self) -> None:
-        """Terminate the workers and release the payload slot.
+        """Terminate the workers and release the payload.
 
-        Safe to call with submissions still in flight: the pool is
-        terminated without waiting for them, and every unconsumed
-        ``AsyncResult`` is failed with a
-        :class:`~repro.errors.WorkerPoolError` — an abandoned
-        ``result.get()`` raises promptly instead of deadlocking on a
-        result that can no longer arrive.
+        Safe to call with submissions still in flight: the workers are
+        terminated without waiting for them, and every unfinished task
+        fails with a :class:`~repro.errors.WorkerPoolError` (its
+        ``error_callback`` fires) — an abandoned ``result.get()`` raises
+        promptly instead of deadlocking on a result that can no longer
+        arrive.
         """
-        if self._pool is not None:
-            pool, self._pool = self._pool, None
-            pool.terminate()
-            pool.join()
-            self._fail_pending()
-        _PAYLOADS.pop(self._key, None)
-
-    def _fail_pending(self) -> None:
-        """Resolve abandoned in-flight submissions with a clear error."""
-        from ..errors import WorkerPoolError
-
-        error = WorkerPoolError(
-            "worker pool was shut down before this task completed; "
-            "its result was abandoned"
-        )
-        for ref in self._pending:
-            result = ref()
-            if result is None or result.ready():
-                continue
-            try:
-                # AsyncResult._set is the only way to resolve a result the
-                # terminated pool will never deliver; it marks the result
-                # ready and fires the error callback (stable across
-                # CPython 3.8-3.13).
-                result._set(0, (False, error))
-            except Exception:  # pragma: no cover - belt and braces
-                pass
-        self._pending = []
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            jobs = self._unfinished()
+            self._queue.clear()
+            self._waker.send_bytes(b"")
+        if threading.current_thread() is not self._reader:
+            self._reader.join()
+        for worker in self._workers.values():
+            worker.process.terminate()
+        for worker in self._workers.values():
+            worker.process.join()
+            worker.conn.close()
+        self._wake.close()
+        self._waker.close()
+        self._payload = None
+        _LIVE_POOLS.discard(self)
+        for job in jobs:
+            _finish(job, False, _abandoned())
 
     def __enter__(self) -> "WorkerPool":
         return self

@@ -649,8 +649,12 @@ class PrivateSession:
         ``int`` seed, or a ``SeedSequence`` — in-flight generators cannot
         cross the process boundary deterministically.  Tasks must pickle:
         constrained patterns and lambda weights need :meth:`query`
-        instead.  ``at_version`` answers against a historical graph
-        version (dynamic sessions), exactly as in :meth:`query`.
+        instead — a pooled task that does not pickle fails its future
+        (``PicklingError``).  A worker that dies mid-release fails its
+        future with :class:`~repro.errors.WorkerPoolError` and is
+        replaced.  Either way the ledger entry turns ``"failed"`` and the
+        ε stays charged.  ``at_version`` answers against a historical
+        graph version (dynamic sessions), exactly as in :meth:`query`.
         """
         charged, at_version, label = self._admission(
             epsilon, params, at_version, label

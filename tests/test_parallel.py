@@ -16,6 +16,7 @@ Pins the three guarantees of ``repro.parallel``:
 from __future__ import annotations
 
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -193,6 +194,88 @@ class TestWorkerPoolShutdown:
         pool.close()
         with pytest.raises(RuntimeError, match="closed"):
             pool.submit(0.0)
+
+
+    def test_close_stops_every_worker_and_the_reader(self):
+        import multiprocessing
+        import threading
+
+        from repro.parallel.pool import WorkerPool
+
+        children = set(multiprocessing.active_children())
+        threads = set(threading.enumerate())
+        pool = WorkerPool(2, _sleep_task)
+        pool.submit(60.0)
+        workers = set(multiprocessing.active_children()) - children
+        readers = set(threading.enumerate()) - threads
+        assert workers and readers
+        pool.close()
+        assert not workers & set(multiprocessing.active_children())
+        assert not any(thread.is_alive() for thread in readers)
+
+
+def _die_on(payload, task):
+    if task == "die":
+        os.kill(os.getpid(), signal.SIGKILL)
+    return task
+
+
+@needs_fork
+class TestWorkerPoolDispatch:
+    def test_concurrent_submitters_get_every_result_once(self):
+        """Threads submitting at once (more workers than cores, frequent
+        thread switches) each get their own result, every callback fires
+        once, and the pool drains to zero in flight."""
+        import sys
+        import threading
+
+        from repro.parallel.pool import WorkerPool
+
+        per_thread, callbacks, results = 60, [], {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with WorkerPool(4, _double, payload=1) as pool:
+
+                def submitter(base):
+                    handles = [
+                        (task, pool.submit(task, callback=callbacks.append))
+                        for task in range(base, base + per_thread)
+                    ]
+                    for task, handle in handles:
+                        results[task] = handle.get(timeout=60)
+
+                threads = [
+                    threading.Thread(target=submitter, args=(k * per_thread,))
+                    for k in range(4)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                assert not any(thread.is_alive() for thread in threads)
+                assert pool.inflight() == 0
+        finally:
+            sys.setswitchinterval(interval)
+        expected = {task: 1 + 2 * task for task in range(4 * per_thread)}
+        assert results == expected
+        assert sorted(callbacks) == sorted(expected.values())
+
+    def test_dead_worker_fails_its_task_and_is_replaced(self):
+        from repro.errors import WorkerPoolError
+        from repro.parallel.pool import WorkerPool
+
+        failures = []
+        with WorkerPool(2, _die_on) as pool:
+            # more deaths than workers: only replacements keep it serving
+            for _ in range(3):
+                doomed = pool.submit("die", error_callback=failures.append)
+                with pytest.raises(WorkerPoolError, match="died"):
+                    doomed.get(timeout=30)
+            assert len(failures) == 3
+            assert pool.inflight() == 0
+            assert pool.submit(7).get(timeout=30) == 7
+            assert pool.map(range(6)) == list(range(6))
 
 
 class TestSpawnSeedSequences:

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import pickle
+import signal
 
 import numpy as np
 import pytest
@@ -16,7 +19,8 @@ from repro import (
 from repro.core import EfficientRecursiveMechanism
 from repro.core.queries import WeightedQuery
 from repro.dynamic import VersionedGraph
-from repro.errors import PrivacyParameterError, SessionError
+from repro.errors import PrivacyParameterError, SessionError, WorkerPoolError
+from repro.mechanisms.base import PreparedQuery
 from repro.obs import metrics
 from repro.session import (
     BudgetAccountant,
@@ -25,7 +29,7 @@ from repro.session import (
     LedgerEntry,
     SharedCompiledCache,
 )
-from repro.subgraphs import k_star, subgraph_krelation
+from repro.subgraphs import Pattern, k_star, subgraph_krelation
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +39,12 @@ def graph():
 
 def _double_weight(_tup) -> float:
     return 2.0
+
+
+#: A triangle whose task cannot pickle (a module-level lambda constraint).
+_UNPICKLABLE_TRIANGLE = Pattern(
+    [(0, 1), (1, 2), (0, 2)], node_constraints={0: lambda data: True}
+)
 
 
 def _entry(label, epsilon):
@@ -524,6 +534,67 @@ class TestSubmitFutures:
             False
         ]
         session.close()
+
+    def test_unpicklable_pooled_task_fails_its_future(self, graph):
+        """A task that does not pickle fails its future and its ledger
+        entry (the ε stays charged); the pool keeps serving."""
+        session = PrivateSession(graph, workers=2, rng=3)
+        session.submit(triangle(), privacy="edge", epsilon=0.5).result(timeout=60)
+        future = session.submit(_UNPICKLABLE_TRIANGLE, privacy="edge", epsilon=0.5)
+        with pytest.raises(pickle.PicklingError):
+            future.result(timeout=30)
+        assert future.entry.status == "failed"
+        assert session.spent == pytest.approx(1.0)
+        after = session.submit(triangle(), privacy="edge", epsilon=0.5)
+        assert math.isfinite(after.result(timeout=60).answer)
+        session.close()
+
+    def test_worker_death_fails_the_entry_and_the_pool_keeps_serving(
+        self, monkeypatch
+    ):
+        """A release that kills its worker fails its future and ledger
+        entry (the ε stays charged); the worker is replaced, so
+        apply_update() proceeds and later pooled answers equal a
+        workers=1 session's at the same seeds."""
+        parent, release = os.getpid(), PreparedQuery.release
+
+        def release_or_die(self, epsilon, rng=None, params=None):
+            if epsilon == 0.125 and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return release(self, epsilon, rng, params=params)
+
+        # patched before the pool forks, so every worker inherits it
+        monkeypatch.setattr(PreparedQuery, "release", release_or_die)
+        update = [{"action": "remove_node", "node": 3}]
+
+        def answers(session, seeds):
+            futures = [
+                session.submit(triangle(), privacy="edge", epsilon=0.5, rng=seed)
+                for seed in seeds
+            ]
+            return [future.result(timeout=60).answer for future in futures]
+
+        session = PrivateSession(
+            VersionedGraph(random_graph_with_avg_degree(30, 6, rng=1)), workers=2
+        )
+        pooled = answers(session, [1])
+        doomed = session.submit(triangle(), privacy="edge", epsilon=0.125, rng=2)
+        with pytest.raises(WorkerPoolError, match="died"):
+            doomed.result(timeout=30)
+        assert doomed.entry.status == "failed"
+        assert session.spent == pytest.approx(0.625)
+        pooled += answers(session, [3, 4, 5])
+        session.apply_update(update)
+        pooled += answers(session, [6, 7])
+        session.close()
+
+        reference = PrivateSession(
+            VersionedGraph(random_graph_with_avg_degree(30, 6, rng=1)), workers=1
+        )
+        expected = answers(reference, [1, 3, 4, 5])
+        reference.apply_update(update)
+        expected += answers(reference, [6, 7])
+        assert pooled == expected
 
     def test_pool_fanout_replay(self, graph):
         """Replay also covers answers computed in forked workers."""
