@@ -165,14 +165,15 @@ class EfficientRecursiveMechanism(RecursiveMechanismBase):
                 and type(self.query) is CountQuery):
             # Subgraph relations (plain graphs and the columnar store)
             # arrive as a participant-index matrix; encode it without ever
-            # materializing per-occurrence annotation objects.  Every
-            # annotation is by construction a conjunction of distinct
-            # variables, so "auto" bounding is "paper" with no inspection
-            # pass.
+            # materializing per-occurrence annotation objects (or the
+            # names of participants in no row).  Every annotation is by
+            # construction a conjunction of distinct variables, so "auto"
+            # bounding is "paper" with no inspection pass.
             self._encoded = EncodedRelation.from_conjunctions(
                 relation.sorted_participants,
                 relation.matrix,
                 backend,
+                idle=relation.num_idle,
             )
             if bounding == "auto":
                 bounding = "paper"

@@ -3,7 +3,9 @@
 An H-shaped program is the φ-epigraph LP of a
 :class:`~repro.lp.compiled.CompiledProgram` with the mass row fixed:
 ``min c·x + constant`` s.t. ``A x ≤ b``, ``0 ≤ x ≤ 1`` and
-``Σ_{p<|P|} x_p = k``.  From one optimal solution of such a program (or of
+``Σ_{p<|P|} x_p = k``, where ``|P|`` counts the program's (active)
+participant columns and ``k`` is an index of the active program.  From
+one optimal solution of such a program (or of
 the X relaxation, whose optimum has mass ``i'``), :class:`Certificate`
 bounds the exact ``H_k`` on both sides, whatever the solver's
 tolerances:

@@ -8,8 +8,7 @@ only a tiny per-call overlay:
 * ``H_i``: one equality row ``Σ_p f_p = i`` whose RHS is the only thing
   that changes between calls;
 * ``G_i``: one extra column ``z`` and one ``z ≥ Σ_t q·S_{t,p}·v_root(t)``
-  row per participant (identical across calls) plus the same mass row,
-  where one slack column stands in for the participants no row uses;
+  row per participant (identical across calls) plus the same mass row;
   the Δ search seeds this model at ``i = |P|`` or ``i = 0`` and walks
   it from probe to probe, re-solving each one from the previous
   probe's basis;
@@ -18,6 +17,13 @@ only a tiny per-call overlay:
   optimal basis (:meth:`CompiledProgram.solve_x`); the H entries next to
   its optimum are resumed from that basis with the mass row appended
   (:meth:`CompiledProgram.solve_h_on_x`).
+
+The program has a participant column for each *active* participant
+only, one that some annotation names: an idle participant would enter
+every overlay through the mass row alone, so
+:class:`~repro.relax.encode.EncodedRelation` counts the idle ones and
+shifts the mass index by their number instead (``|P|`` and ``i`` here
+are the active program's).
 
 This is the only way the φ-epigraph LP is solved.  A
 :class:`CompiledProgram` performs the assembly exactly once and loads
@@ -59,7 +65,8 @@ _INF = float("inf")
 #: that must leave its upper bound, so that seed pays off only near
 #: ``|P|``; from ``f ≡ 0`` a walk costs about what a cold solve does.
 #: On the fig5 sweeps and perfbench's ``cold-release`` the crossover lies
-#: between 0.25 and 0.34 of ``|P|``.
+#: between 0.25 and 0.34 of ``|P|``.  ``|P|`` is the active participant
+#: count: the active columns are the ones the dual simplex pays for.
 _TOP_SEED_REACH = 0.3
 
 
@@ -89,7 +96,7 @@ class CompiledProgram:
     num_variables:
         Structural variable count (participants first, then node variables).
     num_participants:
-        Number of participant columns; these occupy indices
+        Number of (active) participant columns; these occupy indices
         ``0..num_participants-1`` and carry the mass row.
     ub_rows / ub_cols / ub_vals / ub_rhs:
         COO triplets of the base epigraph constraints, already normalized
@@ -238,16 +245,9 @@ class CompiledProgram:
     def _build_g_overlay(self) -> Dict:
         """Append the ``z`` column and per-participant min-max rows once.
 
-        A participant in no epigraph row and no min-max row appears only
-        in the mass row, so such participants together take any mass in
-        ``[0, their count]`` at no cost.  The G model fixes them at 0 and
-        gives that mass to one slack column bounded by their count: the
-        same LP, but its mass row no longer holds thousands of
-        interchangeable columns that every dual simplex pivot would price.
-
         The matrix is assembled from one set of COO triplets: the epigraph
         rows, the min-max rows (each map's entries in key order), their
-        ``-z`` entries, and the mass row.
+        ``-z`` entries, and the mass row over the participant columns.
         """
         n = self.num_variables
         p = self.num_participants
@@ -260,31 +260,23 @@ class CompiledProgram:
         g_vals = np.fromiter(
             chain.from_iterable(row.values() for row in maps), dtype=float, count=total
         )
-        used = np.zeros(n, dtype=bool)
-        used[ub.col] = True
-        used[g_cols] = True
-        idle = ~used[:p]
-        active = np.flatnonzero(used[:p])
         # rows: the epigraph rows, the min-max rows, the mass row;
-        # columns: the structural variables, the idle participants' slack, z
+        # columns: the structural variables, z
         g_rows = np.arange(ub.shape[0], ub.shape[0] + num_g, dtype=np.int64)
         mass_row = ub.shape[0] + num_g
-        mass_rows = np.full(active.size + 1, mass_row, dtype=np.int64)
-        rows = np.concatenate([ub.row, np.repeat(g_rows, lengths), g_rows, mass_rows])
-        cols = np.concatenate([ub.col, g_cols, np.full(num_g, n + 1), active, [n]])
-        vals = np.concatenate(
-            [ub.data, g_vals, np.full(num_g, -1.0), np.ones(active.size + 1)]
+        rows = np.concatenate(
+            [ub.row, np.repeat(g_rows, lengths), g_rows, np.full(p, mass_row)]
         )
-        matrix = sparse.csr_matrix((vals, (rows, cols)), shape=(mass_row + 1, n + 2))
-        col_upper = self._bounds[:, 1].copy()
-        col_upper[:p][idle] = 0.0
-        costs = np.zeros(n + 2)
-        costs[n + 1] = 1.0  # minimise z
+        cols = np.concatenate([ub.col, g_cols, np.full(num_g, n), np.arange(p)])
+        vals = np.concatenate([ub.data, g_vals, np.full(num_g, -1.0), np.ones(p)])
+        matrix = sparse.csr_matrix((vals, (rows, cols)), shape=(mass_row + 1, n + 1))
+        costs = np.zeros(n + 1)
+        costs[n] = 1.0  # minimise z
         return {
             "matrix": matrix,
             "col_costs": costs,
-            "col_lower": np.append(self._bounds[:, 0], [0.0, 0.0]),
-            "col_upper": np.append(col_upper, [float(idle.sum()), _INF]),
+            "col_lower": np.append(self._bounds[:, 0], 0.0),
+            "col_upper": np.append(self._bounds[:, 1], _INF),
             "row_lower": np.concatenate(
                 [self._ub_row_lower(), np.full(num_g, -_INF), [0.0]]
             ),

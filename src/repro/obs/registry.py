@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
+from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -220,8 +221,8 @@ class Histogram(_Metric):
                 f"cannot merge {len(counts)} buckets into "
                 f"{len(self._counts)} (boundary mismatch)"
             )
-        for index, count in enumerate(counts):
-            self._counts[index] += count
+        # one C-level pass, stored in place in one step
+        self._counts[:] = map(add, self._counts, counts)
         self._sum += total
         self._changed.add(self)
 
@@ -257,9 +258,15 @@ class MetricsRegistry:
         self, name: str, buckets: Optional[Sequence[float]] = None, **labels
     ) -> Histogram:
         """The :class:`Histogram` for ``(name, labels)`` (default
-        :func:`time_buckets` boundaries; ``buckets`` must match on reuse)."""
+        :func:`time_buckets` boundaries; ``buckets`` must match on reuse).
+
+        The match compares the boundaries as numbers in one tuple
+        comparison (``1 == 1.0``), without converting them one by one:
+        :meth:`merge` runs it for every histogram row a pooled release
+        ships home.
+        """
         metric = self._get(name, labels, Histogram, (buckets,))
-        if buckets is not None and metric.bounds != tuple(float(b) for b in buckets):
+        if buckets is not None and metric.bounds != tuple(buckets):
             raise ValueError(
                 f"histogram {name!r} already exists with different bucket "
                 "boundaries"

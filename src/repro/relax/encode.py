@@ -22,6 +22,17 @@ drives every node variable down to its exact φ value (simple induction), so
 are each a single linear program with ``O(L)`` variables, where ``L`` is the
 total annotation length (Sec. 5.3).
 
+A participant in no annotation (an *idle* one) enters these programs only
+through the mass row ``Σ_p f_p = i``, where it can hold any mass in
+``[0, 1]`` at no cost.  ``H`` and ``G`` are nondecreasing, so with ``m``
+idle participants ``H_i = H^act_{max(0, i−m)}`` and
+``G_i = G^act_{max(0, i−m)}``, and Eq. 20's optimum over the whole cube
+is the active program's with ``i' = i'_act + m``.  The LPs therefore have
+a column for each *active* participant only, and :class:`EncodedRelation`
+carries ``m`` as an integer: it answers every index ``i ≤ m`` in closed
+form and every other one at ``i − m`` on the active program.  Callers see
+full indices ``0..|P|`` throughout.
+
 Every ``H`` value is certified and snapped to a small rational
 (:mod:`repro.lp.certify`) before it is returned, whichever solve produced
 it, so the route does not show in its bits.  While an X step is open
@@ -72,14 +83,22 @@ class EncodedRelation:
     ----------
     participants:
         Ordered participant names — **all** participants of the sensitive
-        relation, including any that appear in no annotation (they still
-        absorb assignment mass in the minimizations, exactly as Eq. 16
-        ranges over all of ``[0,1]^P``).
+        relation.  Those that appear in no encoded annotation are idle:
+        they are counted in :attr:`num_idle` and get no LP column (see
+        the module docstring); the others keep their order as the LP's
+        participant columns (:attr:`participants`).
     annotated:
         Pairs ``(expression, weight)`` with nonnegative weights ``q(t)``;
         zero-weight tuples may be passed and are skipped.
     backend:
         An LP backend (see :mod:`repro.lp.backends`).
+
+    Attributes
+    ----------
+    participants:
+        The active participants' names, in LP column order.
+    num_idle:
+        How many participants appear in no encoded annotation.
     """
 
     def __init__(
@@ -88,10 +107,43 @@ class EncodedRelation:
         annotated: Sequence[Tuple[Expr, float]],
         backend,
     ):
-        self.participants: List[str] = list(participants)
+        names = list(participants)
         self.backend = backend
-        if len(set(self.participants)) != len(self.participants):
+        known = set(names)
+        if len(known) != len(names):
             raise LPError("duplicate participant names")
+        self._constant_weight = 0.0  # weight of TRUE-annotated tuples
+        self.total_weight = 0.0
+        # first pass: validate every annotation and collect the
+        # participants some encoded annotation names
+        encoded: List[Tuple[Expr, float]] = []
+        used = set()
+        for expr, weight in annotated:
+            weight = float(weight)
+            if weight < 0:
+                raise LPError(
+                    f"negative query weight {weight} — decompose the query first"
+                )
+            if weight == 0:
+                continue
+            variables = expr.variables()
+            unknown = [name for name in variables if name not in known]
+            if unknown:
+                raise LPError(
+                    f"annotation references unknown participants {sorted(unknown)}"
+                )
+            if isinstance(expr, _Const):
+                # FALSE-annotated tuples contribute nothing at any
+                # assignment — they must not count toward q(supp(R))
+                if expr.value:
+                    self._constant_weight += weight
+                    self.total_weight += weight
+                continue
+            self.total_weight += weight
+            used.update(variables)
+            encoded.append((expr, weight))
+        self.participants: List[str] = [name for name in names if name in used]
+        self.num_idle = len(names) - len(self.participants)
         self._pindex: Dict[str, int] = {
             name: index for index, name in enumerate(self.participants)
         }
@@ -110,8 +162,6 @@ class EncodedRelation:
         # of Python tuples
         root_vars: List[int] = []
         root_weights: List[float] = []
-        self._constant_weight = 0.0  # weight of TRUE-annotated tuples
-        self.total_weight = 0.0
         # per-participant accumulated (root var, q*S) coefficients for G rows
         self._g_rows: Dict[str, Dict[int, float]] = {}
         #: S̄ = max_{t,p} S_{R(t),p} over all (weight > 0) annotations
@@ -121,27 +171,7 @@ class EncodedRelation:
         self._annotations: Optional[List[Tuple[Expr, float]]] = []
         self._phi_error = 0.0
 
-        for expr, weight in annotated:
-            weight = float(weight)
-            if weight < 0:
-                raise LPError(
-                    f"negative query weight {weight} — decompose the query first"
-                )
-            if weight == 0:
-                continue
-            unknown = expr.variables() - set(self._pindex)
-            if unknown:
-                raise LPError(
-                    f"annotation references unknown participants {sorted(unknown)}"
-                )
-            if isinstance(expr, _Const):
-                # FALSE-annotated tuples contribute nothing at any
-                # assignment — they must not count toward q(supp(R))
-                if expr.value:
-                    self._constant_weight += weight
-                    self.total_weight += weight
-                continue
-            self.total_weight += weight
+        for expr, weight in encoded:
             root = self._encode_node(expr)
             root_vars.append(root)
             root_weights.append(weight)
@@ -193,17 +223,20 @@ class EncodedRelation:
         participants: Sequence[str],
         matrix: np.ndarray,
         backend,
+        idle: int = 0,
     ) -> "EncodedRelation":
         """Vectorized construction for conjunctions of distinct variables.
 
         ``matrix`` is the ``(N, width)`` participant-index matrix of a
         :class:`~repro.store.relation.ConjunctiveKRelation`: row ``r``
-        holds the (distinct) participant indices tuple ``r`` conjoins,
-        columns in annotation children order.  Every tuple has query
-        weight 1.0 (counting).
+        holds the (distinct) indices into ``participants`` that tuple
+        ``r`` conjoins, columns in annotation children order.
+        ``participants`` are the active participants, each in some row;
+        ``idle`` counts the relation's participants in no row.  Every
+        tuple has query weight 1.0 (counting).
 
         The emitted structure is **identical, element for element**, to
-        ``cls(participants, annotated, ...)`` over the equivalent
+        ``cls(all participants, annotated, ...)`` over the equivalent
         ``And``-of-``Var`` trees — same COO triplets in the same order,
         same root terms, same G-row dicts in the same first-encounter
         key order — so every downstream solve sees bit-equal inputs.
@@ -216,6 +249,7 @@ class EncodedRelation:
         self.backend = backend
         if len(set(self.participants)) != len(self.participants):
             raise LPError("duplicate participant names")
+        self.num_idle = int(idle)
         self._pindex = {name: index for index, name in enumerate(self.participants)}
         num_participants = len(self.participants)
         matrix = np.ascontiguousarray(matrix, dtype=np.int64)
@@ -259,11 +293,16 @@ class EncodedRelation:
         # first-encounter order (row-major over the matrix),
         # entries in ascending tuple order (stable grouping argsort)
         self._g_rows = {}
+        flat = matrix.ravel()
+        order = np.argsort(flat, kind="stable")
+        sorted_flat = flat[order]
+        starts = np.flatnonzero(np.r_[True, sorted_flat[1:] != sorted_flat[:-1]])
+        if (starts.size if flat.size else 0) != num_participants:
+            raise LPError(
+                "every participant of a conjunction matrix must occur in "
+                "some row — count the others as idle"
+            )
         if n:
-            flat = matrix.ravel()
-            order = np.argsort(flat, kind="stable")
-            sorted_flat = flat[order]
-            starts = np.flatnonzero(np.r_[True, sorted_flat[1:] != sorted_flat[:-1]])
             ends = np.r_[starts[1:], flat.size]
             uniq, first_pos = np.unique(flat, return_index=True)
             row_of = order // width
@@ -326,7 +365,8 @@ class EncodedRelation:
     # -- basic facts ------------------------------------------------------------
     @property
     def num_participants(self) -> int:
-        return len(self.participants)
+        """``|P|``: the active participants plus the idle ones."""
+        return len(self.participants) + self.num_idle
 
     @property
     def num_encoded_tuples(self) -> int:
@@ -364,18 +404,23 @@ class EncodedRelation:
         return solution
 
     # -- the three solves ---------------------------------------------------------
+    def _active_index(self, i: float) -> float:
+        """The active program's mass ``i − m`` behind the full index ``i``."""
+        return float(i) - self.num_idle
+
     def h_closed_form(self, i: float) -> Optional[float]:
         """The exact no-LP values of ``H_i``, or None when an LP is needed.
 
-        At ``i = 0`` every ``f_p = 0`` so only constant-``True`` tuples
-        contribute, and at ``i = |P|`` every ``f_p = 1`` forces ``φ = 1``
-        on every root (Theorem 3), giving the total weight.
+        Up to ``i = m`` the idle participants hold all the mass, every
+        active ``f_p = 0``, so only constant-``True`` tuples contribute;
+        at ``i = |P|`` every ``f_p = 1`` forces ``φ = 1`` on every root
+        (Theorem 3), giving the total weight.
         """
         if not 0.0 <= i <= self.num_participants + 1e-9:
             raise LPError(f"H index {i} outside [0, {self.num_participants}]")
         if self._root_vars.size == 0:
             return self._constant_weight
-        if i <= 1e-12:
+        if self._active_index(i) <= 1e-12:
             return self._constant_weight
         if i >= self.num_participants - 1e-12:
             return self.total_weight
@@ -384,14 +429,15 @@ class EncodedRelation:
     def solve_h(self, i: float) -> float:
         """``H_i`` (Eq. 16) for integer or fractional ``i ∈ [0, |P|]``.
 
-        The endpoints are exact closed forms, no LP (:meth:`h_closed_form`);
-        otherwise one cold solve, snapped (:meth:`_cold_h`).
+        The closed forms need no LP (:meth:`h_closed_form`); otherwise one
+        cold solve at ``i − m``, snapped (:meth:`_cold_h`).
         """
         closed = self.h_closed_form(i)
         if closed is not None:
             _count_h("closed_form")
             return closed
-        return self._cold_h(i, self._compiled.solve_h(float(i)))
+        active = self._active_index(i)
+        return self._cold_h(active, self._compiled.solve_h(active))
 
     def solve_h_many(self, indices: Sequence[float]) -> List[float]:
         """``H_i`` for several indices, each by the cheapest route.
@@ -401,19 +447,20 @@ class EncodedRelation:
         an X step is open (:meth:`_h_from_x`); ``cold`` for the rest,
         which :meth:`CompiledProgram.solve_many` solves in-process and
         which are snapped here (:meth:`_cold_h`).  Every route stores the
-        same bits.
+        same bits.  The LP routes work at the active indices ``i − m``.
         """
         indices = list(indices)
         values: List[Optional[float]] = [self.h_closed_form(i) for i in indices]
+        active = [self._active_index(i) for i in indices]
         pending = [pos for pos, value in enumerate(values) if value is None]
-        if len(pending) < len(indices):
-            _count_h("closed_form", len(indices) - len(pending))
+        if len(pending) < len(values):
+            _count_h("closed_form", len(values) - len(pending))
         if pending and self._x_step is not None:
-            pending = self._h_from_x(indices, values, pending)
+            pending = self._h_from_x(active, values, pending)
         if pending:
-            solutions = self._compiled.solve_many([indices[pos] for pos in pending])
+            solutions = self._compiled.solve_many([active[pos] for pos in pending])
             for pos, solution in zip(pending, solutions):
-                values[pos] = self._cold_h(indices[pos], solution)
+                values[pos] = self._cold_h(active[pos], solution)
         return values
 
     def _certificate(self, solution: LPSolution, multiplier: float):
@@ -429,17 +476,18 @@ class EncodedRelation:
             self._objective_upper,
         )
 
-    def _cold_h(self, i: float, solution: LPSolution) -> float:
-        """A cold H solve's value: snapped when its certificate isolates a
-        rational, else as the solver reports it (counted unsnapped)."""
-        self._check(solution, f"H_{i}")
+    def _cold_h(self, a: float, solution: LPSolution) -> float:
+        """A cold solve's value of the active ``H^act_a``: snapped when its
+        certificate isolates a rational, else as the solver reports it
+        (counted unsnapped)."""
+        self._check(solution, f"H_{a + self.num_idle}")
         _count_h("cold")
         value = None
         if solution.row_dual is not None:
             mass_row = self._compiled.num_ub_rows
             certificate = self._certificate(solution, solution.row_dual[mass_row])
             if certificate is not None:
-                value = certificate.snapped(i)
+                value = certificate.snapped(a)
         if value is None:
             _count_unsnapped()
             value = float(solution.objective)
@@ -447,7 +495,7 @@ class EncodedRelation:
 
     def _h_from_x(self, indices, values, pending) -> List[int]:
         """Fill ``values[pos]`` from the open X step; return the positions
-        left for the cold route.
+        left for the cold route.  ``indices`` are active indices.
 
         The X relaxation's optimum has mass ``i'``, so where ``i'`` lies
         within the snapping width of an index ``k`` (the interior
@@ -535,14 +583,16 @@ class EncodedRelation:
     def g_closed_form(self, i: float) -> Optional[float]:
         """The exact no-LP values of ``G_i``, or None when an LP is needed.
 
-        ``G_0 = 0`` (``f ≡ 0`` lets every node variable sit at 0), and at
-        ``i = |P|`` the mass row forces ``f ≡ 1``, which forces every node
-        variable to 1 (epigraph lower bounds meet the unit upper bounds),
-        so the min-max collapses to ``2·max_p Σ_t q·S_{t,p}``.
+        ``G_i = 0`` up to ``i = m`` (the idle participants hold the mass,
+        so every active ``f_p = 0`` and every node variable sits at 0),
+        and at ``i = |P|`` the mass row forces ``f ≡ 1``, which forces
+        every node variable to 1 (epigraph lower bounds meet the unit
+        upper bounds), so the min-max collapses to
+        ``2·max_p Σ_t q·S_{t,p}``.
         """
         if not 0.0 <= i <= self.num_participants + 1e-9:
             raise LPError(f"G index {i} outside [0, {self.num_participants}]")
-        if not self._g_rows or i <= 1e-12:
+        if not self._g_rows or self._active_index(i) <= 1e-12:
             return 0.0
         if i >= self.num_participants - 1e-12:
             return 2.0 * max(sum(row.values()) for row in self._g_rows.values())
@@ -551,12 +601,13 @@ class EncodedRelation:
     def solve_g(self, i: float) -> float:
         """``G_i`` (Eq. 19) — twice the min-max LP value.
 
-        The endpoints are exact closed forms, no LP (:meth:`g_closed_form`).
+        The closed forms need no LP (:meth:`g_closed_form`); otherwise one
+        cold solve at ``i − m``.
         """
         closed = self.g_closed_form(i)
         if closed is not None:
             return closed
-        solution = self._compiled.solve_g(float(i))
+        solution = self._compiled.solve_g(self._active_index(i))
         self._check(solution, f"G_{i}")
         return max(0.0, 2.0 * float(solution.objective))
 
@@ -566,7 +617,7 @@ class EncodedRelation:
         """The exact predicate ``G_i ≤ threshold`` as ``(bool, G_i, slope)``.
 
         A closed form needs no LP and has no slope (None); otherwise this
-        is one step of the Δ-search walk on the exact G model
+        is one step of the Δ-search walk on the exact G model at ``i − m``
         (``CompiledProgram.solve_g_decide``), ended by :meth:`end_g_walk`,
         and ``slope`` is a subgradient of ``G`` at ``i`` from the mass
         row's dual (None when the backend reports no duals).
@@ -574,7 +625,7 @@ class EncodedRelation:
         closed = self.g_closed_form(i)
         if closed is not None:
             return closed <= threshold, closed, None
-        return self._compiled.solve_g_decide(float(i), float(threshold))
+        return self._compiled.solve_g_decide(self._active_index(i), float(threshold))
 
     def end_g_walk(self) -> None:
         """Free the Δ-search walk's G model (``CompiledProgram.end_g_walk``)."""
@@ -613,24 +664,27 @@ class EncodedRelation:
 
         Returns ``(value, i')`` where ``i' = |f*|`` at the optimum.  By
         Lemma 10 (convexity of ``H``) the integer minimizer of Eq. 12 lies
-        in ``{⌊i'⌋, ⌈i'⌉}``.  The solve opens an X step: until
-        :meth:`end_x_step`, :meth:`solve_h_many` reads ``H`` entries off
-        this optimum first, and :meth:`x_interval` certifies its value.
+        in ``{⌊i'⌋, ⌈i'⌉}``.  The LP is the active program's, whose value
+        is the same (every idle ``f_p`` sits at 1 at the full optimum), and
+        ``i'`` is its optimal mass plus ``m``.  The solve opens an X step:
+        until :meth:`end_x_step`, :meth:`solve_h_many` reads ``H`` entries
+        off this optimum first, and :meth:`x_interval` certifies its value.
         """
         if delta_hat < 0:
             raise LPError(f"delta_hat must be nonnegative, got {delta_hat}")
-        n = self.num_participants
         self._x_step = None
         if self._root_vars.size == 0:
             # H is constant; X = H + (n - n)·Δ̂ at i' = n.
-            return self._constant_weight, float(n)
+            return self._constant_weight, float(self.num_participants)
+        n = len(self.participants)
         solution = self._compiled.solve_x(float(delta_hat))
         self._check(solution, "X relaxation")
         self._check_values(solution, "X relaxation")
         certificate = self._certificate(solution, delta_hat)
         self._x_step = (float(delta_hat), solution, certificate)
         mass = float(np.sum(solution.x[:n]))
-        return float(solution.objective), min(max(mass, 0.0), float(n))
+        mass = min(max(mass, 0.0), float(n)) + self.num_idle
+        return float(solution.objective), mass
 
     def x_interval(self) -> Tuple[float, float]:
         """``[L, U]`` for the value the open X step's solver reported.
@@ -646,7 +700,7 @@ class EncodedRelation:
             return self._constant_weight, self._constant_weight
         delta_hat, solution, certificate = self._x_step
         lower, upper = certificate.relaxation_interval()
-        n = self.num_participants
+        n = len(self.participants)
         terms = (
             float(self._root_weights @ np.abs(solution.x[self._root_vars]))
             + delta_hat * (float(np.sum(np.abs(solution.x[:n]))) + n)

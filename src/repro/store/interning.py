@@ -12,7 +12,11 @@ defined over:
 * the normalized edge tuple's ``repr`` (the maintainer's canonical
   occurrence sort key and annotation children order under edge privacy);
 * the participant variable names (``v:<node>`` / ``e:<a>-<b>``) that the
-  LP encoding sorts participants by.
+  LP encoding sorts participants by.  Two labels whose names coincide
+  (nodes ``1`` and ``"1"``) set :attr:`InternTable.has_name_collision`,
+  and the fast relation path falls back then too: it names only the
+  participants that occur in some occurrence, so it cannot see a clash
+  with one that does not.
 
 Repr-rank arrays (:meth:`InternTable.node_ranks` /
 :meth:`InternTable.edge_ranks`) assign **equal ranks to equal repr
@@ -69,6 +73,8 @@ class InternTable:
         "_num_nodes_present",
         "_repr_counts",
         "has_repr_collision",
+        "_names",
+        "has_name_collision",
         "_edge_ids",
         "_edge_codes",
         "_edge_endpoints",
@@ -91,6 +97,10 @@ class InternTable:
         #: Two distinct interned labels share a ``repr`` — string-keyed
         #: canonical orders are ambiguous, fast paths must fall back.
         self.has_repr_collision = False
+        # every participant name interned so far, nodes' and edges'
+        self._names: set = set()
+        #: Two distinct interned labels or edges share a participant name.
+        self.has_name_collision = False
 
         self._edge_ids: Dict[int, int] = {}  # packed code -> dense edge id
         self._edge_codes: List[int] = []
@@ -117,7 +127,7 @@ class InternTable:
         self._node_labels.append(label)
         text = repr(label)
         self._node_reprs.append(text)
-        self._node_names.append(f"v:{label}")
+        self._node_names.append(self._name(f"v:{label}"))
         count = self._repr_counts.get(text, 0) + 1
         self._repr_counts[text] = count
         if count == 2:
@@ -157,8 +167,15 @@ class InternTable:
         else:
             x, y, rx, ry = v, u, rv, ru
         self._edge_reprs.append(f"({rx}, {ry})")
-        self._edge_names.append(f"e:{x}-{y}")
+        self._edge_names.append(self._name(f"e:{x}-{y}"))
         return edge_id
+
+    def _name(self, name: str) -> str:
+        """Record one new participant name, flagging a repeat."""
+        if name in self._names:
+            self.has_name_collision = True
+        self._names.add(name)
+        return name
 
     def edge_id(self, u, v) -> Optional[int]:
         """The dense edge id of ``{u, v}``, or ``None`` if unknown."""

@@ -5,14 +5,18 @@ per-occurrence ``And``-of-``Var`` annotation trees carry no information
 beyond *which participants each occurrence conjoins, in which order* —
 exactly one ``(N, width)`` integer matrix.
 
-:class:`ConjunctiveKRelation` stores that matrix (plus the name-sorted
-participant list the LP encoding is defined over) and hands it to
-:meth:`repro.relax.encode.EncodedRelation.from_conjunctions`, which
+:class:`ConjunctiveKRelation` stores that matrix, the name-sorted list
+of the participants that occur in some row (the LP encoding's
+participant columns) and the count of all participants, and hands them
+to :meth:`repro.relax.encode.EncodedRelation.from_conjunctions`, which
 emits the COO triplets of the compiled program with array ops — no
-per-occurrence Python objects on the hot path.  It subclasses
-:class:`~repro.core.sensitive.SensitiveKRelation` with *lazy* pair
-materialization, so every pairs consumer (baselines, ``world``,
-``withdraw``, custom query weights) still works.
+per-occurrence Python objects on the hot path.  A participant in no row
+(an isolated node, an edge in no occurrence) is *idle*: the encoding
+counts it and gives it no column, so neither builder names or sorts
+those participants.  The relation subclasses
+:class:`~repro.core.sensitive.SensitiveKRelation` with *lazy* pair and
+participant-set materialization, so every consumer of those (baselines,
+``world``, ``withdraw``, custom query weights) still works.
 
 Two functions build one:
 :func:`~repro.subgraphs.annotate.subgraph_krelation` (rows in
@@ -30,7 +34,16 @@ can move the last bits of a solver's answer.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -49,12 +62,14 @@ class ConjunctiveKRelation(SensitiveKRelation):
     Parameters
     ----------
     sorted_participants:
-        All participant names, **already in sorted (name) order** — the
-        order the LP encoding assigns participant variables in.
+        The participants that occur in some row, **already in sorted
+        (name) order** — the order the LP encoding assigns participant
+        variables in.
     matrix:
-        ``(N, width)`` int array; row ``r`` lists the participant
-        indices occurrence ``r`` conjoins, columns in annotation
-        children order (repr order of the conjoined nodes/edges).
+        ``(N, width)`` int array; row ``r`` lists the indices into
+        ``sorted_participants`` occurrence ``r`` conjoins, columns in
+        annotation children order (repr order of the conjoined
+        nodes/edges).
     privacy:
         ``"node"`` or ``"edge"``.
     occurrences:
@@ -62,6 +77,12 @@ class ConjunctiveKRelation(SensitiveKRelation):
         sequence, or a zero-argument callable returning one (called at
         most once).  Used only to materialize the ``(tuple, annotation)``
         pairs on demand.
+    participants:
+        All participant names, those in no row included — a collection,
+        or a zero-argument callable returning one (called at most once,
+        when :attr:`participants` is first read).
+    num_participants:
+        ``|P|``, the size of ``participants``.
     """
 
     def __init__(
@@ -70,16 +91,29 @@ class ConjunctiveKRelation(SensitiveKRelation):
         matrix: np.ndarray,
         privacy: str,
         occurrences: Union[Sequence[Occurrence], Callable[[], Sequence[Occurrence]]],
+        participants: Union[Iterable[str], Callable[[], Iterable[str]]],
+        num_participants: int,
     ):
         # deliberately no super().__init__() — pairs materialize lazily
-        self.participants = frozenset(sorted_participants)
         self.sorted_participants = list(sorted_participants)
         self.matrix = np.ascontiguousarray(matrix, dtype=np.int64)
         self.privacy = privacy
         self._occurrences = occurrences
         self._pairs_cache: Optional[Tuple] = None
+        self._participants = participants
+        self._num_participants = int(num_participants)
 
-    # -- lazy pairs view ------------------------------------------------------------
+    # -- lazy views ---------------------------------------------------------------
+    @property
+    def participants(self) -> FrozenSet[str]:
+        """All participants ``P``, materialized on first read."""
+        everyone = self._participants
+        if not isinstance(everyone, frozenset):
+            if callable(everyone):
+                everyone = everyone()
+            everyone = self._participants = frozenset(everyone)
+        return everyone
+
     @property
     def _pairs(self):
         if self._pairs_cache is None:
@@ -95,6 +129,15 @@ class ConjunctiveKRelation(SensitiveKRelation):
         return self._pairs_cache
 
     # -- cheap overrides (no materialization) ---------------------------------------
+    @property
+    def num_participants(self) -> int:
+        return self._num_participants
+
+    @property
+    def num_idle(self) -> int:
+        """How many participants occur in no row."""
+        return self._num_participants - len(self.sorted_participants)
+
     def __len__(self) -> int:
         return int(self.matrix.shape[0])
 
@@ -103,21 +146,10 @@ class ConjunctiveKRelation(SensitiveKRelation):
 
     def __repr__(self) -> str:
         return (
-            f"ConjunctiveKRelation(|P|={len(self.participants)}, "
+            f"ConjunctiveKRelation(|P|={self.num_participants}, "
             f"|supp(R)|={len(self)}, width={self.matrix.shape[1]}, "
             f"privacy={self.privacy!r})"
         )
-
-
-def _sorted_unique_names(names: List[str]):
-    """``(order, ok)`` — argsort of the names, refusing duplicates."""
-    arr = np.asarray(names, dtype=object)
-    order = np.argsort(arr, kind="stable")
-    taken = arr[order]
-    for prev, cur in zip(taken, taken[1:]):
-        if prev == cur:
-            return order, False
-    return order, True
 
 
 def conjunctive_relation(
@@ -125,49 +157,57 @@ def conjunctive_relation(
 ) -> Optional[ConjunctiveKRelation]:
     """Build the index-form relation for one maintained pattern state.
 
+    Only the ids that occur in some row are named and sorted; the other
+    present nodes or edges are counted, and named only if something
+    reads :attr:`ConjunctiveKRelation.participants`.
+
     Returns ``None`` when participant names collide (two labels
-    stringify to the same variable name — e.g. ``1`` vs ``"1"``); the
+    stringify to the same variable name — e.g. ``1`` vs ``"1"``) or an
+    occurrence names a node/edge the presence flags say is absent; the
     caller then builds the relation from the occurrences with
     :func:`~repro.subgraphs.annotate.subgraph_krelation`, whose eager
     pairs handle the collision exactly as before.
     """
     interner = backend.interner
+    if interner.has_name_collision:
+        return None
     table = backend.table
     rows = backend.canonical_rows()
     node_ids = table.node_columns(rows)
     edge_ids = table.edge_columns(rows)
     if privacy == "edge":
-        ids = interner.present_edge_ids()
-        names = interner.edge_names(ids)
+        present = interner.present_edge_ids()
+        names_of = interner.edge_names
         ranks = interner.edge_ranks()
-        id_count = interner.num_interned_edges
         columns = edge_ids
     else:
-        ids = interner.present_node_ids()
-        names = interner.node_names(ids)
+        present = interner.present_node_ids()
+        names_of = interner.node_names
         ranks = interner.node_ranks()
-        id_count = interner.num_interned_nodes
         columns = node_ids
-    order, unique = _sorted_unique_names(names)
-    if not unique:
-        return None
-    sorted_names = [names[i] for i in order.tolist()]
-    pindex = np.full(id_count, -1, dtype=np.int64)
-    pindex[ids[order]] = np.arange(ids.size, dtype=np.int64)
     # annotation children order = repr order of the conjoined objects
     # (NOT name order): stable argsort over repr ranks per row
     within = np.argsort(ranks[columns], axis=1, kind="stable")
     children = np.take_along_axis(columns, within, axis=1)
-    matrix = pindex[children]
-    if matrix.size and matrix.min() < 0:
+    used, inverse = np.unique(children.ravel(), return_inverse=True)
+    at = np.searchsorted(present, used)
+    if used.size and (at[-1] == present.size or (present[at] != used).any()):
         # an occurrence references a node/edge the presence flags say is
         # absent — maintained state and graph disagree; fall back
         return None
+    names = names_of(used)
+    order = np.argsort(np.asarray(names, dtype=object), kind="stable")
+    position = np.empty(used.size, dtype=np.int64)
+    position[order] = np.arange(used.size, dtype=np.int64)
     return ConjunctiveKRelation(
-        sorted_names,
-        matrix,
+        [names[i] for i in order.tolist()],
+        position[inverse].reshape(children.shape),
         privacy,
         partial(_resolved_occurrences, interner, node_ids, edge_ids),
+        # ``present`` is a fresh array: later updates move the presence
+        # flags, not the participants of this version
+        participants=partial(names_of, present),
+        num_participants=present.size,
     )
 
 

@@ -14,8 +14,9 @@ under edge privacy every edge is a participant.
 
 Because every annotation is such a conjunction, the relation is built in
 index form — one row of participant indices per occurrence
-(:class:`~repro.store.relation.ConjunctiveKRelation`) — and the
-``And``-of-``Var`` trees exist only if a consumer asks for the pairs.
+(:class:`~repro.store.relation.ConjunctiveKRelation`), indexing only the
+participants that occur in some row — and the ``And``-of-``Var`` trees
+exist only if a consumer asks for the pairs.
 """
 
 from __future__ import annotations
@@ -131,7 +132,17 @@ def subgraph_krelation(
     if matrix is not None:
         from ..store.relation import ConjunctiveKRelation
 
-        return ConjunctiveKRelation(sorted(names), matrix, privacy, occurrences)
+        # keep only the participants some row names (the LP's columns)
+        used, inverse = np.unique(matrix.ravel(), return_inverse=True)
+        ordered = sorted(names)
+        return ConjunctiveKRelation(
+            [ordered[i] for i in used.tolist()],
+            inverse.reshape(matrix.shape),
+            privacy,
+            occurrences,
+            participants=names,
+            num_participants=len(names),
+        )
     pairs = [
         (occurrence, And(Var(var(c)) for c in sorted(children(occurrence), key=repr)))
         for occurrence in occurrences

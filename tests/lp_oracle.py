@@ -14,8 +14,11 @@ Two independent checks on the one production solve path
   ``H_i`` (Eq. 16), ``G_i`` (Eq. 19) and X-step (Eq. 20) programs rebuilt
   from an :class:`~repro.relax.encode.EncodedRelation`'s frozen COO
   triplets as dense rows, one program per call, and solved with the
-  simplex above.  They share no assembly code with ``CompiledProgram``
-  and take no closed-form shortcut at the endpoints.
+  simplex above.  They share no assembly code with ``CompiledProgram``,
+  take no closed-form shortcut at the endpoints, and are *unshifted*:
+  every one of the ``|P|`` participants has a column, the idle ones
+  (appended after the encoded columns) included, and ``i`` is the full
+  index.
 
 Standard-form conversion in the simplex: every variable ``lb <= x <= ub``
 is shifted to ``x' = x - lb >= 0`` (finite upper bounds become extra
@@ -333,9 +336,15 @@ class SimplexBackend(SolverBackend):
 # -- from-scratch reference programs ------------------------------------------
 
 
+def _width(encoded) -> int:
+    """Columns of the unshifted program: the encoded ones, then one per
+    idle participant."""
+    return encoded.num_lp_variables + encoded.num_idle
+
+
 def _epigraph_rows(encoded) -> Tuple[np.ndarray, np.ndarray]:
     """The base ``A x <= b`` rows, summing duplicate COO entries."""
-    a = np.zeros((len(encoded._ub_rhs), encoded.num_lp_variables))
+    a = np.zeros((len(encoded._ub_rhs), _width(encoded)))
     for row, col, value in zip(
         encoded._ub_rows.tolist(),
         encoded._ub_cols.tolist(),
@@ -347,7 +356,7 @@ def _epigraph_rows(encoded) -> Tuple[np.ndarray, np.ndarray]:
 
 def _root_objective(encoded) -> np.ndarray:
     """``Σ_t q(t)·v_root(t)`` as a dense cost vector."""
-    c = np.zeros(encoded.num_lp_variables)
+    c = np.zeros(_width(encoded))
     for var, weight in zip(
         encoded._root_vars.tolist(), encoded._root_weights.tolist()
     ):
@@ -355,10 +364,18 @@ def _root_objective(encoded) -> np.ndarray:
     return c
 
 
+def _participant_columns(encoded) -> np.ndarray:
+    """The columns of all ``|P|`` participants: the encoded ones first,
+    the idle ones last."""
+    active = np.arange(len(encoded.participants))
+    idle = np.arange(encoded.num_lp_variables, _width(encoded))
+    return np.concatenate([active, idle])
+
+
 def _mass_row(encoded, width: int) -> np.ndarray:
-    """``Σ_p f_p`` over the participant columns, padded to ``width``."""
+    """``Σ_p f_p`` over every participant column, padded to ``width``."""
     row = np.zeros((1, width))
-    row[0, : encoded.num_participants] = 1.0
+    row[0, _participant_columns(encoded)] = 1.0
     return row
 
 
@@ -372,7 +389,7 @@ def _solve(backend, **program) -> LPSolution:
 def reference_h(encoded, i: float, backend=None) -> float:
     """``H_i`` (Eq. 16): ``min Σ_t q·v_root`` over the slice ``Σ f = i``."""
     a, b = _epigraph_rows(encoded)
-    n = encoded.num_lp_variables
+    n = _width(encoded)
     solution = _solve(
         backend or SimplexBackend(),
         c=_root_objective(encoded),
@@ -396,7 +413,7 @@ def exact_h(encoded, i: int) -> Fraction:
 def reference_g(encoded, i: float, backend=None) -> float:
     """``G_i`` (Eq. 19): ``2·min z`` with ``z ≥ Σ_t q·S_{t,p}·v_root`` per p."""
     base, b = _epigraph_rows(encoded)
-    n = encoded.num_lp_variables
+    n = _width(encoded)
     rows = [np.append(row, 0.0) for row in base]
     for g_row in encoded._g_rows.values():
         row = np.zeros(n + 1)
@@ -421,10 +438,11 @@ def reference_g(encoded, i: float, backend=None) -> float:
 def reference_x(encoded, delta_hat: float, backend=None) -> Tuple[float, float]:
     """Eq. 20 over the whole cube: ``(value, Σ f_p at the optimum)``."""
     a, b = _epigraph_rows(encoded)
-    n = encoded.num_lp_variables
+    n = _width(encoded)
     p = encoded.num_participants
+    columns = _participant_columns(encoded)
     c = _root_objective(encoded)
-    c[:p] -= delta_hat
+    c[columns] -= delta_hat
     solution = _solve(
         backend or SimplexBackend(),
         c=c,
@@ -435,7 +453,7 @@ def reference_x(encoded, delta_hat: float, backend=None) -> Tuple[float, float]:
         bounds=[(0.0, 1.0)] * n,
         objective_constant=encoded._constant_weight + p * delta_hat,
     )
-    return solution.objective, float(np.sum(solution.x[:p]))
+    return solution.objective, float(np.sum(solution.x[columns]))
 
 
 def stacked_g_overlay(program) -> dict:
@@ -444,10 +462,9 @@ def stacked_g_overlay(program) -> dict:
     The construction ``CompiledProgram._build_g_overlay`` replaced: the
     min-max rows as their own CSR block from a Python triple loop, the
     ``z`` column, the base rows padded by ``hstack``, the mass row taken
-    densely from the H model's mass block and masked to the participants
-    some row uses, all joined by ``vstack``.  The production assembly
-    must hand the backend the same matrix (after ``tocsc()``), bounds and
-    costs.
+    densely from the H model's mass block, all joined by ``vstack``.  The
+    production assembly must hand the backend the same matrix (after
+    ``tocsc()``), bounds and costs.
     """
     n = program.num_variables
     a_ub = program._a_ub
@@ -461,11 +478,6 @@ def stacked_g_overlay(program) -> dict:
             cols.append(var)
             vals.append(float(coeff))
     g_matrix = sparse.csr_matrix((vals, (rows, cols)), shape=(num_g, n))
-    used = sparse.vstack([a_ub, g_matrix], format="csc")
-    idle = np.zeros(n, dtype=bool)
-    idle[: program.num_participants] = (
-        np.diff(used.indptr)[: program.num_participants] == 0
-    )
     z_column = sparse.csr_matrix(
         (
             np.full(num_g, -1.0),
@@ -473,22 +485,18 @@ def stacked_g_overlay(program) -> dict:
         ),
         shape=(num_g, 1),
     )
-    padded = sparse.hstack([a_ub, sparse.csr_matrix((num_ub, 2))], format="csr")
-    g_block = sparse.hstack(
-        [g_matrix, sparse.csr_matrix((num_g, 1)), z_column], format="csr"
-    )
-    mass_coeffs = np.append(program._a_mass.toarray()[0] * ~idle, [1.0, 0.0])
+    padded = sparse.hstack([a_ub, sparse.csr_matrix((num_ub, 1))], format="csr")
+    g_block = sparse.hstack([g_matrix, z_column], format="csr")
+    mass_coeffs = np.append(program._a_mass.toarray()[0], 0.0)
     mass = sparse.csr_matrix(mass_coeffs[np.newaxis, :])
-    costs = np.zeros(n + 2)
-    costs[n + 1] = 1.0
+    costs = np.zeros(n + 1)
+    costs[n] = 1.0
     bounds = program._bounds
     return {
         "matrix": sparse.vstack([padded, g_block, mass], format="csr"),
         "col_costs": costs,
-        "col_lower": np.append(bounds[:, 0], [0.0, 0.0]),
-        "col_upper": np.append(
-            np.where(idle, 0.0, bounds[:, 1]), [float(idle.sum()), np.inf]
-        ),
+        "col_lower": np.append(bounds[:, 0], 0.0),
+        "col_upper": np.append(bounds[:, 1], np.inf),
         "row_lower": np.concatenate(
             [np.full(num_ub, -np.inf), np.full(num_g, -np.inf), [0.0]]
         ),

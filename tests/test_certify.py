@@ -100,8 +100,9 @@ def _exact(name, encoded, k):
     return _EXACT[name, k]
 
 
-def _cold_certificate(encoded, k):
-    solution = encoded._compiled.solve_h(float(k))
+def _cold_certificate(encoded, a):
+    """The certificate of a cold solve of the active program at ``a``."""
+    solution = encoded._compiled.solve_h(float(a))
     assert solution.is_optimal
     mass_row = encoded._compiled.num_ub_rows
     return encoded._certificate(solution, solution.row_dual[mass_row])
@@ -113,15 +114,17 @@ def test_interval_holds_the_exact_value_and_snaps_to_it(name, lp_backend):
     n = encoded.num_participants
     for k in range(1, n):
         exact = _exact(name, encoded, k)
-        certificate = _cold_certificate(encoded, k)
-        lower, upper = certificate.interval(k)
+        # the active program's index: H_k = H^act_{max(0, k − m)}
+        a = max(0, k - encoded.num_idle)
+        certificate = _cold_certificate(encoded, a)
+        lower, upper = certificate.interval(a)
         assert Fraction(lower) <= exact <= Fraction(upper), (k, lower, upper)
         assert upper - lower < 1e-9
         assert snap(lower, upper) == float(exact)
         assert encoded.solve_h(k) == float(exact)
-        # past the solution's own mass, U raises f until Σf ≥ k + 1
+        # past the solution's own mass, U raises f until Σf ≥ a + 1
         above = _exact(name, encoded, k + 1) if k + 1 < n else encoded.solve_h(n)
-        assert Fraction(certificate.upper(k + 1)) >= above
+        assert Fraction(certificate.upper(a + 1)) >= above
 
 
 def _counts():
@@ -241,7 +244,9 @@ def test_too_wide_an_interval_takes_the_cold_route(monkeypatch, lp_backend):
     # the X step's own route where one was tried
     assert after["unsnapped"] - before["unsnapped"] >= len(entries)
     for k in entries:
-        solution = mechanism._encoded._compiled.solve_h(float(k))
+        solution = mechanism._encoded._compiled.solve_h(
+            float(k - mechanism._encoded.num_idle)
+        )
         assert mechanism._h_cache[k] == max(0.0, solution.objective)
         assert mechanism._h_cache[k] == pytest.approx(
             reference._encoded.solve_h(k), abs=1e-9

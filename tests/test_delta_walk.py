@@ -64,19 +64,24 @@ def test_walk_decisions_match_cold_solves_and_oracle(combo, lp_backend):
     walk.end_g_walk()
 
 
-def test_idle_participants_share_one_slack_in_the_g_model(lp_backend):
-    """Participants in no annotation only pad the mass row: the G model
-    hands their mass to one slack column, and G stays the reference G,
-    probed by the walk and solved cold, at integer and fractional masses."""
+def test_idle_participants_get_no_column_in_the_g_model(lp_backend):
+    """Participants in no annotation only pad the mass row, so they get
+    no column: the G model holds the active participants, the node
+    variables and ``z``, and its G is the unshifted reference G, probed
+    by the walk and solved cold, at integer and fractional masses, below
+    and above the idle count."""
     names = ["a", "b", "c", "d", "e", "f", "g"]
     relation = SensitiveKRelation(
         names, [("t1", parse("a & b")), ("t2", parse("b & c")), ("t3", parse("a"))]
     )
     walk = EfficientRecursiveMechanism(relation, backend=lp_backend)._encoded
     cold = EfficientRecursiveMechanism(relation, backend=lp_backend)._encoded
+    assert walk.participants == ["a", "b", "c"]  # d..g are idle
+    assert walk.num_idle == 4 and walk.num_participants == 7
     overlay = walk._compiled._build_g_overlay()
-    assert list(overlay["col_upper"][3:7]) == [0.0] * 4  # d..g are idle
-    assert overlay["col_upper"][-2] == 4.0  # their slack
+    # a, b, c, the two And nodes and z
+    assert overlay["matrix"].shape[1] == 3 + 2 + 1
+    assert list(overlay["col_upper"]) == [1.0] * 5 + [float("inf")]
     for i in (6.5, 1, 4.5, 3, 5, 0.5, 2):
         oracle = reference_g(walk, float(i))
         assert cold.solve_g(float(i)) == pytest.approx(oracle, abs=1e-6)

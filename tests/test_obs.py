@@ -125,6 +125,26 @@ class TestRegistry:
         registry.histogram("repro_h", buckets=[1.0, 2.0])
         with pytest.raises(ValueError, match="different bucket"):
             registry.histogram("repro_h", buckets=[1.0, 4.0])
+        # equal numbers match whatever their type or container
+        same = registry.histogram("repro_h", buckets=(1, 2))
+        assert same is registry.histogram("repro_h", buckets=[1.0, 2.0])
+
+    def test_merge_refuses_mismatched_histogram_bounds(self):
+        """A merged histogram row whose boundaries differ from the local
+        histogram's raises, and leaves the local counts as they were."""
+        source = MetricsRegistry()
+        source.histogram("repro_h", buckets=[1.0, 4.0]).observe(3.0)
+        registry = MetricsRegistry()
+        local = registry.histogram("repro_h", buckets=[1.0, 2.0])
+        local.observe(1.5)
+        with pytest.raises(ValueError, match="different bucket"):
+            registry.merge(source.drain_delta())
+        assert local.counts() == [0, 1, 0]
+        # the same shape with the same boundaries merges
+        source.histogram("repro_h", buckets=[1.0, 2.0], k="x").observe(3.0)
+        registry.merge(source.drain_delta())
+        merged = registry.histogram("repro_h", buckets=[1.0, 2.0], k="x")
+        assert merged.counts() == [0, 0, 1]
 
     def test_default_bucket_shapes(self):
         latencies = time_buckets()
@@ -768,7 +788,9 @@ class TestServingIntegration:
         relation = subgraph_krelation(identity_graph, triangle(), privacy="edge")
         mechanism = EfficientRecursiveMechanism(relation, backend=backend)
         n = mechanism.num_participants
-        lp_indices = [n // 4, n // 3, n // 2, 2 * n // 3]
+        # interior indices of the active program, past the idle count
+        m = mechanism._encoded.num_idle
+        lp_indices = [m + (n - m) * k // 12 for k in (3, 4, 6, 8)]
         assert all(mechanism._encoded.h_closed_form(i) is None for i in lp_indices)
         before = _histogram_count("repro_lp_solve_seconds", overlay="h")
         mechanism.h_entries([0, *lp_indices, n])

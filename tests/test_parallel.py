@@ -340,7 +340,7 @@ class TestForkSafety:
     def test_workers_reinstantiate_models(self, mechanism):
         program = mechanism._encoded._compiled
         assert program is not None
-        index = mechanism.num_participants / 2.0
+        index = program.num_participants / 2.0
         expected = float(program.solve_h(index).objective)
         results = map_tasks(
             _probe_worker_models, [index, index, index], payload=program, workers=2
@@ -360,7 +360,7 @@ class TestForkSafety:
         from repro.errors import LPError
 
         program = mechanism._encoded._compiled
-        program.solve_h(mechanism.num_participants / 2.0)
+        program.solve_h(program.num_participants / 2.0)
         model = program._h_model
         assert model is not None
         model._owner_pid = os.getpid() + 1  # simulate a forked child
@@ -372,7 +372,7 @@ class TestForkSafety:
 
     def test_fork_reset_drops_models(self, mechanism):
         program = mechanism._encoded._compiled
-        program.solve_h(mechanism.num_participants / 2.0)
+        program.solve_h(program.num_participants / 2.0)
         program.solve_x(0.5)
         program.fork_reset()
         assert program._h_model is None
@@ -386,7 +386,7 @@ class TestSolveManyAndRace:
 
     def test_solve_many_matches_pointwise(self, mechanism):
         program = mechanism._encoded._compiled
-        n = mechanism.num_participants
+        n = program.num_participants
         indices = [n / 2.0, n / 3.0, 2 * n / 3.0]
         batched = program.solve_many(indices)
         pointwise = [program.solve_h(i) for i in indices]
