@@ -27,7 +27,7 @@ from repro.core import (
 from repro.experiments import format_table
 from repro.graphs import Graph, random_graph_with_avg_degree
 from repro.krand import random_cnf_krelation
-from repro.lp import ScipyBackend
+from repro.lp import HIGHS
 from repro.subgraphs import subgraph_krelation, triangle
 
 
@@ -48,23 +48,21 @@ def test_ablation_lp_backend(benchmark, scale, record_figure):
         mech = EfficientRecursiveMechanism(relation, backend=backend)
         return [mech.h_entry(i) for i in range(0, mech.num_participants + 1, 7)]
 
-    scipy_values = benchmark.pedantic(
-        lambda: solve_with(ScipyBackend()), rounds=1, iterations=1
-    )
+    highs_values = benchmark.pedantic(lambda: solve_with(HIGHS), rounds=1, iterations=1)
     simplex_values = solve_with(_simplex_oracle())
     rows = [
-        {"index": i, "scipy": a, "simplex": b}
-        for i, (a, b) in enumerate(zip(scipy_values, simplex_values))
+        {"index": i, "highs": a, "simplex": b}
+        for i, (a, b) in enumerate(zip(highs_values, simplex_values))
     ]
     record_figure(
         "ablation_lp_backend",
         format_table(
             rows,
-            ["index", "scipy", "simplex"],
+            ["index", "highs", "simplex"],
             title="Ablation — H entries: HiGHS vs from-scratch simplex",
         ),
     )
-    for a, b in zip(scipy_values, simplex_values):
+    for a, b in zip(highs_values, simplex_values):
         assert math.isclose(a, b, abs_tol=1e-6)
 
 

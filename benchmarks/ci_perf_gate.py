@@ -50,7 +50,7 @@ from repro.core.params import RecursiveMechanismParams  # noqa: E402
 from repro.experiments.harness import resolve_scale  # noqa: E402
 from repro.experiments.runtime import fig5_runtime_sweep  # noqa: E402
 from repro.graphs import random_graph_with_avg_degree  # noqa: E402
-from repro.lp import backends as lp_backends  # noqa: E402
+from repro.lp import HIGHS  # noqa: E402
 from repro.parallel import fork_available, resolve_workers  # noqa: E402
 from repro.subgraphs import subgraph_krelation, triangle  # noqa: E402
 
@@ -74,31 +74,26 @@ def kernel_samples(repeats: int = 9) -> list:
     return [machine_kernel_seconds() for _ in range(repeats)]
 
 
-def backend_timings(repeats: int = 2):
-    """Best-of-``repeats`` solve seconds per available solver backend.
+def solve_timings(repeats: int = 2):
+    """Best-of-``repeats`` solve seconds of one fixed release.
 
-    Times one fixed edge-DP triangle release (compilation excluded — the
-    one-time encode/compile cost is backend-independent) for every
-    registered-and-available backend, plus the released answer so the
-    artifact doubles as a cross-backend determinism record.  Recorded
-    into ``BENCH_ci.json`` for trend tracking; not gated, because the
-    set of available backends varies across runners.
+    Times one edge-DP triangle release (compilation excluded) on the LP
+    solver, plus the released answer so the artifact doubles as a
+    determinism record.  Recorded into ``BENCH_ci.json`` for trend
+    tracking; not gated.
     """
     graph = random_graph_with_avg_degree(40, 8.0, rng=0)
     relation = subgraph_krelation(graph, triangle(), privacy="edge")
     params = RecursiveMechanismParams.paper(0.5)
-    timings = {}
-    for name in lp_backends.available():
-        best = float("inf")
-        answer = None
-        for _ in range(repeats):
-            mechanism = EfficientRecursiveMechanism(relation, backend=name)
-            start = time.perf_counter()
-            result = mechanism.run(params, 0)
-            best = min(best, time.perf_counter() - start)
-            answer = result.answer
-        timings[name] = {"solve_seconds": best, "answer": answer}
-    return timings
+    best = float("inf")
+    answer = None
+    for _ in range(repeats):
+        mechanism = EfficientRecursiveMechanism(relation)
+        start = time.perf_counter()
+        result = mechanism.run(params, 0)
+        best = min(best, time.perf_counter() - start)
+        answer = result.answer
+    return {"solve_seconds": best, "answer": answer}
 
 
 def run_sweep(scale, workers: int):
@@ -167,8 +162,8 @@ def main(argv=None) -> int:
         "workers": workers,
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
-        "lp_backend": lp_backends.default_backend().name,
-        "backend_seconds": backend_timings(),
+        "lp_backend": HIGHS.name,
+        "backend_seconds": {HIGHS.name: solve_timings()},
         "calibration_seconds": calibration,
         "serial_wall_seconds": serial_wall,
         "parallel_wall_seconds": parallel_wall,

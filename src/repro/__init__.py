@@ -106,7 +106,6 @@ def private_subgraph_count(
     epsilon: float = 0.5,
     rng=None,
     params=None,
-    backend=None,
 ) -> MechanismResult:
     """Differentially private subgraph count — the headline application.
 
@@ -129,8 +128,8 @@ def private_subgraph_count(
         Total privacy budget ``ε = ε1 + ε2``.
     rng:
         Seed or :class:`numpy.random.Generator` for reproducibility.
-    params / backend:
-        Override the mechanism parameters or the LP backend.
+    params:
+        Override the mechanism parameters.
 
     Returns
     -------
@@ -138,7 +137,7 @@ def private_subgraph_count(
         ``result.answer`` is the ε-differentially private count;
         ``result.true_answer`` the exact count (diagnostic only).
     """
-    session = PrivateSession(graph, backend=backend)
+    session = PrivateSession(graph)
     return session.query(
         pattern, epsilon=epsilon, privacy=privacy, rng=rng, params=params
     )

@@ -99,33 +99,6 @@ def _workers_arg(text: str) -> int:
         raise argparse.ArgumentTypeError(str(error)) from None
 
 
-def _lp_backend_arg(text: str) -> str:
-    """Argparse type for ``--lp-backend``: a registered backend name."""
-    from .errors import LPError
-    from .lp import backends
-
-    try:
-        return backends.get(text).name
-    except LPError as error:
-        raise argparse.ArgumentTypeError(str(error)) from None
-
-
-def _apply_lp_backend(args) -> None:
-    """Make ``--lp-backend`` the process default (wins over the env var).
-
-    Exported through ``REPRO_LP_BACKEND`` so every resolution point —
-    sessions, one-shot wrappers, figure sweeps, forked workers — picks
-    the same backend; an unavailable choice fails loudly at first
-    resolution with the registry's actionable error.
-    """
-    if getattr(args, "lp_backend", None) is not None:
-        import os
-
-        from .lp.backends import BACKEND_ENV
-
-        os.environ[BACKEND_ENV] = args.lp_backend
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser for all subcommands."""
     parser = argparse.ArgumentParser(
@@ -140,17 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: $REPRO_WORKERS, else all CPU cores; 1 = serial "
         "in-process — results are byte-identical either way at a fixed seed)"
     )
-    lp_backend_help = (
-        "LP solver backend (scipy | highs; default: "
-        "$REPRO_LP_BACKEND, else the best available — released answers "
-        "are byte-identical across backends at a fixed seed)"
-    )
-
-    def add_lp_flags(command) -> None:
-        command.add_argument(
-            "--lp-backend", type=_lp_backend_arg, default=None, help=lp_backend_help
-        )
-
     def add_obs_flags(command) -> None:
         command.add_argument(
             "--trace-log",
@@ -170,7 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     count = sub.add_parser("count", help="private subgraph count")
-    add_lp_flags(count)
     count.add_argument(
         "--query",
         default="triangle",
@@ -245,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument("spec", help="path to the JSON spec ('-' for stdin)")
     batch.add_argument("--workers", type=_workers_arg, default=None, help=workers_help)
-    add_lp_flags(batch)
     add_obs_flags(batch)
     batch.add_argument(
         "--seed", type=int, default=None, help="override the spec's session seed"
@@ -353,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
         "server is end-to-end reproducible)",
     )
     serve.add_argument("--workers", type=_workers_arg, default=1, help=workers_help)
-    add_lp_flags(serve)
     serve.add_argument(
         "--max-pending",
         type=int,
@@ -448,7 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
         "primary's to reproduce its answer stream)",
     )
     replica.add_argument("--workers", type=_workers_arg, default=1, help=workers_help)
-    add_lp_flags(replica)
     replica.add_argument(
         "--max-pending",
         type=int,
@@ -502,7 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
     fig.add_argument("--scale", default=None, help="smoke | default | full")
     fig.add_argument("--seed", type=int, default=2024)
     fig.add_argument("--workers", type=_workers_arg, default=None, help=workers_help)
-    add_lp_flags(fig)
 
     audit = sub.add_parser("audit", help="empirical privacy audit")
     audit.add_argument("--epsilon", type=_positive_float, default=1.0)
@@ -524,7 +481,6 @@ def _cmd_count(args) -> int:
     from . import private_subgraph_count
 
     graph = _graph_from_spec(_flag_graph_spec(args, args.edge_list, args.seed))
-    _apply_lp_backend(args)
     print(f"graph: {graph.num_nodes} nodes, {graph.num_edges} edges")
     result = private_subgraph_count(
         graph,
@@ -532,7 +488,6 @@ def _cmd_count(args) -> int:
         privacy=args.privacy,
         epsilon=args.epsilon,
         rng=args.seed,
-        backend=args.lp_backend,
     )
     print(
         f"{args.privacy}-DP {args.query} count (eps={args.epsilon}): "
@@ -849,9 +804,9 @@ def _cmd_batch(args) -> int:
 
     rows = []
     failed = 0
-    _apply_lp_backend(args)
-    with PrivateSession(graph, budget=budget, workers=workers, rng=seed,
-                        backend=args.lp_backend, name="batch") as session:
+    with PrivateSession(
+        graph, budget=budget, workers=workers, rng=seed, name="batch"
+    ) as session:
         pending = []
 
         def drain() -> int:
@@ -989,7 +944,6 @@ def _served_session(args, name, graph, user_budgets, config=None):
         graph,
         workers=args.workers,
         rng=config.get("seed", args.seed),
-        backend=args.lp_backend,
         accountant=accountant,
         cache=shared_cache().namespaced(name),
         name=f"{args.command}[{name}]",
@@ -1096,7 +1050,6 @@ def _run_service(service, sessions, args, banner) -> int:
 def _cmd_serve(args) -> int:
     from .service import PROTOCOL_VERSION
 
-    _apply_lp_backend(args)
     _apply_obs(args)
     try:
         router, sessions = _build_router(args)
@@ -1132,7 +1085,6 @@ def _cmd_replica(args) -> int:
     except Exception as error:
         print(error, file=sys.stderr)
         return 2
-    _apply_lp_backend(args)
     _apply_obs(args)
     sessions = []
 
@@ -1171,7 +1123,6 @@ def _cmd_fig(args) -> int:
     scale = resolve_scale(args.scale)
     name, seed = args.name, args.seed
     workers = resolve_workers(args.workers)
-    _apply_lp_backend(args)
     if name == "all":
         from .experiments.full_report import generate_report
 

@@ -28,6 +28,7 @@ from typing import Dict, Optional, Tuple
 
 from ..errors import MechanismError
 from ..lp.certify import UNIT_ROUNDOFF
+from ..lp.highs_engine import HIGHS
 from ..obs import metrics as obs_metrics
 from ..relax.encode import EncodedRelation
 from ..rng import RngLike
@@ -119,7 +120,9 @@ class EfficientRecursiveMechanism(RecursiveMechanismBase):
     query:
         The nonnegative per-tuple weight ``q+`` (default: counting).
     backend:
-        LP backend; defaults to SciPy/HiGHS.
+        LP backend; defaults to the persistent HiGHS solver
+        (:data:`~repro.lp.highs_engine.HIGHS`).  A test seam: the
+        simplex oracle and the failure-injection doubles go in here.
     normalize:
         If True, rewrite all annotations to canonical minimal DNF before
         encoding (guarantees ``S ≤ 1`` and safe annotations for hand-built
@@ -143,7 +146,7 @@ class EfficientRecursiveMechanism(RecursiveMechanismBase):
         self,
         relation: SensitiveKRelation,
         query: Optional[LinearQuery] = None,
-        backend=None,
+        backend=HIGHS,
         normalize: bool = False,
         bounding: str = "auto",
         s_bar=None,
@@ -157,10 +160,8 @@ class EfficientRecursiveMechanism(RecursiveMechanismBase):
             relation = relation.normalized()
         self.relation = relation
         self.query = query or CountQuery()
-        from ..lp.backends import resolve as resolve_backend
         from ..store.relation import ConjunctiveKRelation
 
-        backend = resolve_backend(backend)
         if (isinstance(relation, ConjunctiveKRelation)
                 and type(self.query) is CountQuery):
             # Subgraph relations (plain graphs and the columnar store)
@@ -352,7 +353,6 @@ def private_linear_query(
     query: Optional[LinearQuery] = None,
     node_privacy: bool = False,
     rng: RngLike = None,
-    backend=None,
     params: Optional[RecursiveMechanismParams] = None,
 ) -> MechanismResult:
     """One-call convenience wrapper: build the mechanism and run it once.
@@ -367,7 +367,7 @@ def private_linear_query(
     """
     from ..session import PrivateSession
 
-    session = PrivateSession(relation, backend=backend)
+    session = PrivateSession(relation)
     return session.query(
         query,
         epsilon=epsilon,

@@ -50,7 +50,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 from ..errors import GraphError
 from ..graphs.graph import Graph
 from ..obs import metrics as obs_metrics
-from ..obs import size_buckets
+from ..obs import SIZE_BUCKETS
 from ..store.backend import ColumnarOccurrenceBackend
 from ..store.interning import InternTable
 from ..subgraphs.annotate import occurrences_for_pattern
@@ -305,7 +305,7 @@ class IncrementalOccurrences:
             state.ball_max = state.ball_last
         obs_metrics().histogram(
             "repro_maintenance_ball_size",
-            buckets=size_buckets(),
+            buckets=SIZE_BUCKETS,
             pattern=pattern.name,
         ).observe(float(state.ball_last))
         neighborhood = self._graph.subgraph(ball)

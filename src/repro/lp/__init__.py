@@ -9,37 +9,29 @@ variables.  Every one of those programs is solved through a single path:
   for the ``H_i`` / ``G_i`` / ``X`` solves and the Δ-search predicate
   ``G_i ≤ τ``.  :class:`~repro.relax.encode.EncodedRelation` compiles one
   per relation.
-* :mod:`repro.lp.backends` — the solver-backend contract and registry.
-  ``CompiledProgram`` solves every overlay on a model the backend builds
-  (``build_persistent``); a backend implements ``solve_arrays`` (one-shot
-  array solves, wrapped in the default ``ArrayModel``) or overrides
-  ``build_persistent``.  ``backends.get(name)`` looks up a backend class,
-  ``backends.resolve(None | name | instance)`` normalises any backend
-  argument, ``backends.default_backend()`` picks the best available
-  solver (``REPRO_LP_BACKEND`` overrides the measured-preference order),
-  and ``backends.register`` adds an out-of-tree backend.
-* :class:`~repro.lp.scipy_backend.ScipyBackend` — the ``"scipy"``
-  backend: portable :func:`scipy.optimize.linprog` (HiGHS) on sparse
-  matrices; always available, no solver state kept between solves.
-* :class:`~repro.lp.highs_engine.HighsBackend` — the ``"highs"``
-  backend: persistent HiGHS models through SciPy's private bindings;
-  the measured winner here and the auto-detect default when available.
-* :class:`~repro.lp.model.LPSolution` — the solver-neutral result every
-  solve returns, with statuses from :mod:`repro.lp.status`.
+* :class:`~repro.lp.highs_engine.HighsBackend` — the solver: one
+  persistent HiGHS model per overlay through SciPy's bindings
+  (:class:`~repro.lp.highs_engine.PersistentLP`).
+  :data:`~repro.lp.highs_engine.HIGHS` is the instance every relation
+  uses unless a test hands in another backend.
+* :mod:`repro.lp.backends` — the contract that backend implements
+  (``build_persistent`` → a :class:`~repro.lp.backends.PersistentModel`),
+  kept as a seam for the test-side oracles.
+* :class:`~repro.lp.model.LPSolution` — the result every solve returns,
+  with statuses from :mod:`repro.lp.status`.
 """
 
 from . import backends, status
 from .backends import SolverBackend
 from .compiled import CompiledProgram
-from .highs_engine import HighsBackend
+from .highs_engine import HIGHS, HighsBackend
 from .model import LPSolution
-from .scipy_backend import ScipyBackend
 
 __all__ = [
     "LPSolution",
     "SolverBackend",
-    "ScipyBackend",
     "HighsBackend",
+    "HIGHS",
     "CompiledProgram",
     "backends",
     "status",

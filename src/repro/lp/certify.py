@@ -81,7 +81,7 @@ class Certificate:
         The solution's structural column values (participants first).
     row_dual:
         Its duals of the program's ``≤`` rows, in row order (the sign
-        convention of HiGHS and ``linprog``: ``≤ 0`` at a minimum).
+        convention of HiGHS: ``≤ 0`` at a minimum).
     multiplier:
         The mass row's multiplier ``μ``: the mass row's dual of an H solve,
         ``Δ̂`` for the X relaxation (whose objective is ``c − Δ̂`` on the

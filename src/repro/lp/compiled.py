@@ -28,15 +28,15 @@ are the active program's).
 This is the only way the φ-epigraph LP is solved.  A
 :class:`CompiledProgram` performs the assembly exactly once and loads
 each overlay into a model the backend builds
-(:meth:`~repro.lp.backends.SolverBackend.build_persistent`), so every
-solve is ``set_row_bounds`` / ``set_col_costs`` on that model and
-``solve``.  Whether the model is live solver state (``highs``) or arrays
-handed to a one-shot ``solve_arrays`` (``scipy``, the default
-:class:`~repro.lp.backends.ArrayModel`) is the backend's business.
+(:meth:`~repro.lp.backends.SolverBackend.build_persistent`; in
+production a persistent HiGHS model,
+:class:`~repro.lp.highs_engine.PersistentLP`), so every solve is
+``set_row_bounds`` / ``set_col_costs`` on that model and ``solve``.
 
-``tests/test_compiled_equivalence.py`` holds every available backend to
-a from-scratch reference that rebuilds each program from the encoded
-relation's triplets and solves it with a dense simplex.
+``tests/test_compiled_equivalence.py`` holds the HiGHS models and a
+test-side one-shot SciPy backend to a from-scratch reference that
+rebuilds each program from the encoded relation's triplets and solves it
+with a dense simplex.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from scipy import sparse
 
 from ..errors import LPError
 from ..obs import metrics as obs_metrics
-from ..obs import size_buckets
+from ..obs import SIZE_BUCKETS
 from ..parallel.pool import register_fork_reset
 from .backends import PersistentModel
 from .model import LPSolution
@@ -72,8 +72,7 @@ _TOP_SEED_REACH = 0.3
 
 def _observe_solve(overlay: str, backend, elapsed: float, model) -> None:
     """Record one overlay solve: latency always, solver iterations when
-    the model reports them (an :class:`~repro.lp.backends.ArrayModel`
-    reports none)."""
+    the model reports them."""
     registry = obs_metrics()
     registry.histogram(
         "repro_lp_solve_seconds", overlay=overlay, backend=backend.name
@@ -82,7 +81,7 @@ def _observe_solve(overlay: str, backend, elapsed: float, model) -> None:
     if iterations:
         registry.histogram(
             "repro_lp_iterations",
-            buckets=size_buckets(),
+            buckets=SIZE_BUCKETS,
             overlay=overlay,
             backend=backend.name,
         ).observe(float(iterations))
@@ -110,9 +109,10 @@ class CompiledProgram:
         Per-participant ``{root column: q·S}`` coefficient maps for the
         Eq. 19 min-max rows (only participants with positive sensitivity).
     backend:
-        Any :class:`~repro.lp.backends.SolverBackend`: one model per
-        overlay is built from the compiled blocks through its
-        ``build_persistent`` and mutated in place per call.
+        The :class:`~repro.lp.backends.SolverBackend` (in production
+        :data:`~repro.lp.highs_engine.HIGHS`): one model per overlay is
+        built from the compiled blocks through its ``build_persistent``
+        and mutated in place per call.
     """
 
     def __init__(
@@ -180,9 +180,9 @@ class CompiledProgram:
         register_fork_reset(self)
 
     def _err_prefix(self) -> str:
-        """The ``[lp-backend <name>]`` prefix of every LPError raised here."""
+        """The ``[lp-solver <name>]`` prefix of every LPError raised here."""
         name = getattr(self.backend, "name", None) or type(self.backend).__name__
-        return f"[lp-backend {name}]"
+        return f"[lp-solver {name}]"
 
     def fork_reset(self) -> None:
         """Drop per-process solver state (called in each forked worker).
@@ -192,17 +192,11 @@ class CompiledProgram:
         copy-on-write; only the persistent models — live solver state
         owned by the parent — are dropped, to be rebuilt lazily from the
         shared arrays on first use in the worker.
-        The backend's own :meth:`~repro.lp.backends.SolverBackend.
-        fork_reset` hook runs too, so backends holding process-wide
-        native state (e.g. a licensed solver environment) re-initialise it.
         """
         self._h_model = None
         self._g_model = None
         self._x_model = None
         self._x_basis = None
-        reset = getattr(self.backend, "fork_reset", None)
-        if reset is not None:
-            reset()
 
     # -- shared helpers ------------------------------------------------------
     @property
@@ -337,7 +331,8 @@ class CompiledProgram:
         dual simplex.  Each probe yields the exact value, which the caller
         keeps to tighten its convexity bounds, and ``slope``, twice the
         mass row's dual: a subgradient of the convex ``G`` at ``i`` (None
-        when the backend reports no duals).
+        when the model reports no duals, as the test-side simplex oracle
+        does not).
         :meth:`end_g_walk` drops the model when the search ends, so no
         search starts from another's basis.  A solve that is not optimal,
         the seed's included, raises :class:`~repro.errors.LPError` naming
@@ -415,9 +410,9 @@ class CompiledProgram:
         index's.  The X objective differs from the H objective by
         ``-Δ̂·Σf``, a constant on the slice, so each solution is optimal
         for ``H_i``; its objective is not ``H_i`` and is not read.
-        Returns None when there is no optimal X basis or the backend
-        cannot add a row to the model (an array model, whose solves are
-        cold anyway).
+        Returns None when there is no optimal X basis or the model cannot
+        add a row (the test-side array models, whose solves are cold
+        anyway).
         """
         model = self._x_model
         if model is None or self._x_basis is None:

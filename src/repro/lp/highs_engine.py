@@ -1,16 +1,15 @@
-"""The ``"highs"`` backend: persistent HiGHS models via SciPy's bindings.
+"""The LP solver: persistent HiGHS models via SciPy's bindings.
 
-:func:`scipy.optimize.linprog` rebuilds the HiGHS model object — CSC
-conversion, option validation, ``passModel`` — on **every** call, which for
-the small-to-medium φ-epigraph programs costs as much as the solve itself.
-SciPy ships the underlying highspy-style bindings as
-``scipy.optimize._highspy._core``; a :class:`PersistentLP` loads the model
-into a HiGHS instance **once** and then only mutates the handful of numbers
-that change between solves (a row's bounds, a few objective entries).
+Every φ-epigraph LP is solved here.  SciPy ships the HiGHS bindings as
+``scipy.optimize._highspy._core``; a :class:`PersistentLP` loads the
+model into a HiGHS instance **once** and then only mutates the handful
+of numbers that change between solves (a row's bounds, a few objective
+entries), where a one-shot solve would redo the CSC conversion, option
+validation and ``passModel`` on every call.
 
 A solve starts from a cleared solver state (``clearSolver``), i.e. cold
 with presolve and the size-chosen method (HiGHS's ``choose``, or IPM
-above :data:`~repro.lp.scipy_backend.IPM_THRESHOLD` columns), unless the
+above :data:`IPM_THRESHOLD` columns), unless the
 caller resumes.  Only the H solves outside an X step and the first
 solve of each model are cold.  The Δ search seeds one G model cold at
 mass RHS ``|P|`` or 0, where presolve leaves nothing to solve, and then
@@ -32,92 +31,84 @@ route.  Every optimal solution carries its row duals: the Δ search
 reads them as subgradients of ``G``, the certificates as Lagrange
 multipliers.
 
-This is a private SciPy API, so :class:`HighsBackend` is gated behind a
-lazy, cached probe: :func:`engine_available` answers cheaply after the
-first check, :func:`engine_unavailable_reason` records *why* the bindings
-are unusable, and :func:`require_engine` raises one actionable
-:class:`~repro.errors.LPError` naming the missing module and the fallback
-to take (``REPRO_LP_BACKEND=scipy``) instead of degrading silently.
+This is a private SciPy API, present from SciPy
+:data:`SCIPY_FLOOR` on, so the bindings are imported on the first model
+build: when they are missing, that build raises one
+:class:`~repro.errors.LPError` naming the module and the SciPy floor.
 """
 
 from __future__ import annotations
-
-from typing import Optional, Tuple
 
 import numpy as np
 
 from ..errors import LPError
 from . import status
-from .backends import PersistentModel, register
+from .backends import PersistentModel, SolverBackend
 from .model import LPSolution
-from .scipy_backend import ScipyBackend, resolve_method
 
 __all__ = [
-    "engine_available",
-    "engine_unavailable_reason",
-    "require_engine",
+    "IPM_THRESHOLD",
+    "SCIPY_FLOOR",
+    "cold_solver",
     "PersistentLP",
     "HighsBackend",
+    "HIGHS",
 ]
 
 #: The private SciPy module the persistent engine is built on.
 ENGINE_MODULE = "scipy.optimize._highspy._core"
 
+#: The first SciPy release that ships :data:`ENGINE_MODULE`.
+SCIPY_FLOOR = "1.15"
+
+#: Column count above which a cold solve runs the interior-point code
+#: instead of HiGHS's ``choose``: the φ-epigraph LPs of big K-relations
+#: are heavily degenerate, where simplex stalls (observed >10× slowdowns)
+#: while IPM stays stable.
+IPM_THRESHOLD = 3000
+
 _REQUIRED_NAMES = ("_Highs", "HighsLp", "MatrixFormat")
 
 _core = None
-_PROBE: Optional[Tuple[bool, str]] = None
 
 
-def _probe() -> Tuple[bool, str]:
-    """Import and validate the bindings once; cache ``(ok, reason)``."""
-    global _core, _PROBE
-    if _PROBE is None:
+def _engine():
+    """The HiGHS bindings, imported and checked on first use."""
+    global _core
+    if _core is None:
         try:
             import scipy.optimize._highspy._core as core
-        except Exception as exc:  # pragma: no cover - layout-dependent
-            _PROBE = (False, f"{ENGINE_MODULE} failed to import: {exc}")
-        else:
-            missing = [name for name in _REQUIRED_NAMES if not hasattr(core, name)]
-            if missing:  # pragma: no cover - layout-dependent
-                _PROBE = (
-                    False,
-                    f"{ENGINE_MODULE} lacks {', '.join(missing)}",
-                )
-            else:
-                _core = core
-                _PROBE = (True, "")
-    return _PROBE
+        except ImportError as exc:
+            raise LPError(
+                f"[lp-solver highs] {ENGINE_MODULE} failed to import ({exc}); "
+                f"the LP solver needs SciPy >= {SCIPY_FLOOR}"
+            ) from exc
+        missing = [name for name in _REQUIRED_NAMES if not hasattr(core, name)]
+        if missing:
+            raise LPError(
+                f"[lp-solver highs] {ENGINE_MODULE} lacks {', '.join(missing)}; "
+                f"the LP solver needs SciPy >= {SCIPY_FLOOR}"
+            )
+        _core = core
+    return _core
 
 
-def engine_available() -> bool:
-    """Whether SciPy exposes the bindings :class:`PersistentLP` needs."""
-    return _probe()[0]
-
-
-def engine_unavailable_reason() -> str:
-    """Why the bindings are unusable (empty string when available)."""
-    return _probe()[1]
-
-
-def require_engine(backend_name: str = "highs") -> None:
-    """Raise one actionable error when the bindings are missing.
-
-    Names the module that failed, the reason, and the fallback to take —
-    the single loud failure the registry surfaces instead of each call
-    site silently degrading to a different solver.
-    """
-    ok, reason = _probe()
-    if not ok:
-        raise LPError(
-            f"[lp-backend {backend_name}] persistent HiGHS engine "
-            f"unavailable: {reason}; fall back to the pure-linprog "
-            "backend with REPRO_LP_BACKEND=scipy (or --lp-backend scipy)"
-        )
+def cold_solver(num_cols: int) -> str:
+    """The HiGHS ``solver`` option of a cold solve on ``num_cols`` columns."""
+    return "ipm" if num_cols > IPM_THRESHOLD else "choose"
 
 
 def _status_name(model_status) -> str:
-    if model_status == _core.HighsModelStatus.kOptimal:
+    """The canonical status of a HiGHS model status.
+
+    HiGHS reports a model without columns as empty, whatever its row
+    bounds; the programs compiled here have no row without a column, so
+    an empty one is optimal at objective 0.
+    """
+    if model_status in (
+        _core.HighsModelStatus.kOptimal,
+        _core.HighsModelStatus.kModelEmpty,
+    ):
         return status.OPTIMAL
     if model_status == _core.HighsModelStatus.kInfeasible:
         return status.INFEASIBLE
@@ -163,7 +154,7 @@ class PersistentLP(PersistentModel):
         row_upper: np.ndarray,
         solver: str = "choose",
     ):
-        require_engine(self.backend_name)
+        _engine()
         # the owner-pid fork guard lives in PersistentModel: a persistent
         # model must not cross a fork (the C++ solver state would be
         # mutated through copy-on-write pages in several processes at
@@ -198,7 +189,7 @@ class PersistentLP(PersistentModel):
         self._solver.setOptionValue("solver", solver)
         if self._solver.passModel(lp) == _core.HighsStatus.kError:
             raise LPError(
-                f"[lp-backend {self.backend_name}] HiGHS rejected the " "compiled model"
+                f"[lp-solver {self.backend_name}] HiGHS rejected the " "compiled model"
             )
 
     # -- per-solve mutations -------------------------------------------------
@@ -221,7 +212,7 @@ class PersistentLP(PersistentModel):
             float(lower), float(upper), len(idx), idx, np.asarray(values, dtype=float)
         )
         if status == _core.HighsStatus.kError:
-            raise LPError(f"[lp-backend {self.backend_name}] HiGHS rejected a row")
+            raise LPError(f"[lp-solver {self.backend_name}] HiGHS rejected a row")
         self.num_rows += 1
         return self.num_rows - 1
 
@@ -247,7 +238,7 @@ class PersistentLP(PersistentModel):
         solve starts from it."""
         self._assert_owner()
         if self._solver.setBasis(basis) == _core.HighsStatus.kError:
-            raise LPError(f"[lp-backend {self.backend_name}] HiGHS rejected a basis")
+            raise LPError(f"[lp-solver {self.backend_name}] HiGHS rejected a basis")
 
     # -- solving -------------------------------------------------------------
     def solve(self, resume: bool = False) -> LPSolution:
@@ -296,33 +287,13 @@ class PersistentLP(PersistentModel):
         return f"PersistentLP(num_cols={self.num_cols}, num_rows={self.num_rows})"
 
 
-_SOLVER_BY_METHOD = {"highs": "choose", "highs-ipm": "ipm"}
-
-
-@register
-class HighsBackend(ScipyBackend):
-    """The persistent-model backend over SciPy's private HiGHS bindings.
-
-    Builds one :class:`PersistentLP` per overlay from the compiled CSR
+class HighsBackend(SolverBackend):
+    """Builds one :class:`PersistentLP` per overlay from the compiled CSR
     blocks, so per-call work shrinks to mutating one row's bounds and
-    re-running the solver.  It picks the same size-based method as
-    :class:`~repro.lp.scipy_backend.ScipyBackend`; the two are
-    numerically byte-identical on the epigraph workload, which the
-    cross-backend equivalence matrix pins.
-    """
+    re-running the solver; the cold method is chosen by size
+    (:func:`cold_solver`)."""
 
     name = "highs"
-    aliases = ("persistent", "highspy")
-    #: measured winner on this workload: model reuse beats per-call
-    #: linprog assembly ~2.6× on the fig5 sweep (see BENCH_backends.json)
-    preference = 30
-
-    def __init__(self):
-        require_engine(self.name)
-
-    @classmethod
-    def availability(cls) -> Tuple[bool, str]:
-        return _probe()
 
     def build_persistent(
         self,
@@ -333,6 +304,7 @@ class HighsBackend(ScipyBackend):
         row_lower: np.ndarray,
         row_upper: np.ndarray,
     ) -> PersistentLP:
+        """A :class:`PersistentLP` over the given blocks."""
         return PersistentLP(
             matrix,
             col_costs=col_costs,
@@ -340,5 +312,10 @@ class HighsBackend(ScipyBackend):
             col_upper=col_upper,
             row_lower=row_lower,
             row_upper=row_upper,
-            solver=_SOLVER_BY_METHOD[resolve_method(matrix.shape[1])],
+            solver=cold_solver(matrix.shape[1]),
         )
+
+
+#: The backend every relation and mechanism solves on unless a test hands
+#: in another through ``backend=``.
+HIGHS = HighsBackend()

@@ -195,12 +195,8 @@ class Mechanism:
     the uniform one-shot :meth:`run` signature
     ``run(query, epsilon, rng)``.
 
-    Solver-backed mechanisms take a ``backend`` option naming an entry in
-    the solver-backend registry (:mod:`repro.lp.backends`): ``None`` for
-    the auto-detected default, a registered name (``"scipy"``,
-    ``"highs"``), or a backend instance.  The resolved
-    backend's ``cache_token`` participates in the session cache key, so
-    prepared queries are never shared across solver backends.
+    Every solver-backed mechanism solves its LPs on the persistent HiGHS
+    models (:mod:`repro.lp.highs_engine`); the solver is not an option.
     """
 
     #: Registry key (e.g. ``"recursive"``).

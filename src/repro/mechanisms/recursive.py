@@ -50,13 +50,11 @@ class PreparedRecursive(PreparedQuery):
 class RecursiveMechanism(Mechanism):
     """Recursive mechanism (Chen & Zhou): node- or edge-DP, any linear query.
 
-    Options (all optional): ``backend`` (a solver-backend registry name
-    such as ``"scipy"``/``"highs"``, a backend instance, or ``None`` for
-    the auto-detected default), ``bounding`` (``"paper"``/``"uniform"``/
+    Options (all optional): ``bounding`` (``"paper"``/``"uniform"``/
     ``"auto"``), ``normalize``, ``s_bar`` — forwarded to
     :class:`~repro.core.efficient.EfficientRecursiveMechanism`.  Every
-    solve runs in-process; a session's ``workers`` fans whole releases
-    across its pool instead.
+    solve runs in-process on the persistent HiGHS models; a session's
+    ``workers`` fans whole releases across its pool instead.
     """
 
     name = "recursive"
@@ -66,21 +64,17 @@ class RecursiveMechanism(Mechanism):
     def __init__(
         self,
         data,
-        backend=None,
         bounding: str = "auto",
         normalize: bool = False,
         s_bar=None,
     ):
-        super().__init__(
-            data, backend=backend, bounding=bounding, normalize=normalize, s_bar=s_bar
-        )
+        super().__init__(data, bounding=bounding, normalize=normalize, s_bar=s_bar)
 
     def _prepare(self, spec: QuerySpec) -> PreparedRecursive:
         relation = self._relation_for(spec)
         mechanism = EfficientRecursiveMechanism(
             relation,
             query=spec.weight,
-            backend=self.options["backend"],
             normalize=self.options["normalize"],
             bounding=self.options["bounding"],
             s_bar=self.options["s_bar"],

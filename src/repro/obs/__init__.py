@@ -16,14 +16,14 @@ Three pieces, one package:
 from .exposition import json_payload, parse_prometheus_text, prometheus_text
 from .registry import (
     OBS_SCHEMA,
+    SIZE_BUCKETS,
+    TIME_BUCKETS,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
     metrics,
     quantile_from_counts,
-    size_buckets,
-    time_buckets,
 )
 from .trace import (
     JsonLinesSink,
@@ -43,8 +43,8 @@ __all__ = [
     "MetricsRegistry",
     "metrics",
     "quantile_from_counts",
-    "size_buckets",
-    "time_buckets",
+    "SIZE_BUCKETS",
+    "TIME_BUCKETS",
     "Tracer",
     "JsonLinesSink",
     "tracer",

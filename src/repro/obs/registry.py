@@ -47,8 +47,8 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "metrics",
-    "time_buckets",
-    "size_buckets",
+    "TIME_BUCKETS",
+    "SIZE_BUCKETS",
     "quantile_from_counts",
 ]
 
@@ -56,14 +56,11 @@ __all__ = [
 OBS_SCHEMA = 1
 
 
-def time_buckets() -> Tuple[float, ...]:
-    """Default latency boundaries: 1 µs … ~5600 s, four buckets/decade."""
-    return tuple(10.0 ** (k / 4.0 - 6.0) for k in range(40))
+#: Default latency boundaries: 1 µs … ~5600 s, four buckets/decade.
+TIME_BUCKETS: Tuple[float, ...] = tuple(10.0 ** (k / 4.0 - 6.0) for k in range(40))
 
-
-def size_buckets() -> Tuple[float, ...]:
-    """Default count/size boundaries: powers of two, 1 … 2^23."""
-    return tuple(float(2**k) for k in range(24))
+#: Default count/size boundaries: powers of two, 1 … 2^23.
+SIZE_BUCKETS: Tuple[float, ...] = tuple(float(2**k) for k in range(24))
 
 
 def quantile_from_counts(
@@ -171,7 +168,7 @@ class Histogram(_Metric):
         changed: Optional[set] = None,
     ) -> None:
         super().__init__(key, changed)
-        chosen = tuple(float(b) for b in (time_buckets() if bounds is None else bounds))
+        chosen = TIME_BUCKETS if bounds is None else tuple(map(float, bounds))
         if not chosen or any(b <= a for a, b in zip(chosen, chosen[1:])):
             raise ValueError(
                 "histogram bounds must be a non-empty strictly increasing "
@@ -258,7 +255,7 @@ class MetricsRegistry:
         self, name: str, buckets: Optional[Sequence[float]] = None, **labels
     ) -> Histogram:
         """The :class:`Histogram` for ``(name, labels)`` (default
-        :func:`time_buckets` boundaries; ``buckets`` must match on reuse).
+        :data:`TIME_BUCKETS` boundaries; ``buckets`` must match on reuse).
 
         The match compares the boundaries as numbers in one tuple
         comparison (``1 == 1.0``), without converting them one by one:

@@ -11,8 +11,8 @@ evaluations principle that drives compiled query answering under updates.
 
 Two things do **not** survive the fork:
 
-* persistent solver models (any :class:`~repro.lp.backends.PersistentModel`
-  — HiGHS or a third-party backend's) hold native solver state
+* persistent solver models (the HiGHS models of
+  :class:`~repro.lp.highs_engine.PersistentLP`) hold native solver state
   that must not be mutated concurrently from several processes sharing
   copy-on-write pages of bookkeeping — each worker lazily re-instantiates
   its own models from the (shared) arrays via the backend's

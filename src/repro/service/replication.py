@@ -163,7 +163,7 @@ class ReplicaService(ServiceRouter):
         Called once with the reconstructed
         :class:`~repro.dynamic.VersionedGraph` to build the replica's
         :class:`~repro.session.PrivateSession` — the deployment decides
-        the accountant, cache, workers, and LP backend.  Privacy budgets
+        the accountant, cache and workers.  Privacy budgets
         are **per replica instance**: each replica accounts its own
         releases (centralized accounting across replicas is future
         work — see the README's replica-lag notes).

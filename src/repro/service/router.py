@@ -577,8 +577,8 @@ class ServiceRouter:
             "budget": default.budget_summary(),
             "updates": default.updates_enabled,
             "graph_version": default.session.graph_version,
-            # which LP solver backend produces this server's answers —
-            # clients replaying audits must pin the same one
+            # the LP solver behind this server's answers (always
+            # "highs"; kept so v1/v2 clients and saved audits parse)
             "lp_backend": default.session.lp_backend,
             # the v2 routing table:
             "default_dataset": self._default,

@@ -118,8 +118,8 @@ class LedgerEntry:
             "version": self.extra.get("version"),
             # Update entries: the effective deltas, in action form.
             "update": self.extra.get("update"),
-            # LP-backed releases: which solver backend produced the
-            # answer, so replay verifies against the same one.
+            # LP-backed releases: the solver that produced the answer
+            # (always "highs"; kept so saved audit logs still parse).
             "lp_backend": self.extra.get("lp_backend"),
         }
 

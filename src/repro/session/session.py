@@ -48,6 +48,7 @@ from ..core.sensitive import SensitiveKRelation
 from ..dynamic import GraphDelta, VersionedGraph, version_token
 from ..errors import GraphError, SessionError
 from ..graphs.graph import Graph
+from ..lp.highs_engine import HIGHS
 from ..mechanisms import QuerySpec
 from ..mechanisms import get as get_mechanism
 from ..obs import metrics as obs_metrics
@@ -173,14 +174,6 @@ class PrivateSession:
         stays in-process, ``None`` resolves ``$REPRO_WORKERS`` / CPU
         count.  Each release solves its LPs in one process whatever the
         count, so the count is not part of any cache key.
-    backend:
-        LP backend forwarded to the recursive mechanism: ``None`` (the
-        registry's auto-detected default, ``REPRO_LP_BACKEND``
-        overriding), a registered name (``"scipy"`` / ``"highs"``), or a
-        backend instance.  Resolved once at
-        construction; the resolved identity is part of every compiled-
-        relation cache key and audit ledger entry, so replay verifies
-        against the backend that produced the answer.
     rng:
         Session seed: releases whose ``rng`` the caller leaves ``None``
         draw from ``SeedSequence`` children spawned in call order, so a
@@ -216,7 +209,6 @@ class PrivateSession:
         budget: Optional[float] = None,
         *,
         workers: Optional[int] = 1,
-        backend=None,
         rng=None,
         name: str = "session",
         accountant: Optional[BudgetAccountant] = None,
@@ -246,12 +238,6 @@ class PrivateSession:
             )
         self._data = data
         self._dynamic = isinstance(data, VersionedGraph)
-        # Resolve the LP backend eagerly: a misconfigured backend fails
-        # loudly here (one actionable error) instead of at first query,
-        # and the resolved identity lands in cache keys and the ledger.
-        from ..lp.backends import resolve as resolve_backend
-
-        self._backend = resolve_backend(backend)
         self._workers = validate_workers(workers)
         self.name = name
         self.accountant = (
@@ -300,14 +286,9 @@ class PrivateSession:
 
     @property
     def lp_backend(self) -> str:
-        """Name of the resolved LP backend (``"highs"``, ``"scipy"``, …).
-
-        Custom backend instances without a registry ``name`` report
-        their type name — the identity the ledger and the service
-        ``hello`` frame carry.
-        """
-        name = getattr(self._backend, "name", None)
-        return str(name) if name else type(self._backend).__name__
+        """Name of the LP solver behind every release (``"highs"``), the
+        identity the ledger and the service ``hello`` frame carry."""
+        return HIGHS.name
 
     @property
     def budget(self) -> Optional[float]:
@@ -367,8 +348,6 @@ class PrivateSession:
             privacy = self._default_privacy()
         spec = QuerySpec.of(query, privacy=privacy, weight=weight)
         opts = dict(options)
-        if cls.name == "recursive":
-            opts.setdefault("backend", self._backend)
         # The data token keeps sessions over *different* datasets apart
         # on a shared (process-wide) cache.  The version token (None over
         # static data) keeps different states of *one* dynamic dataset

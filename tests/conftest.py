@@ -4,17 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from lp_oracle import SimplexBackend
+from lp_oracle import LP_BACKENDS, SimplexBackend
 
 from repro.boolexpr import Var
 from repro.graphs import Graph
-from repro.lp import ScipyBackend
-from repro.lp import backends as lp_backends
-
-#: Every solver backend registered AND usable in this environment — scipy is
-#: always present; "highs" joins when the scipy HiGHS bindings expose the
-#: persistent engine.
-AVAILABLE_LP_BACKENDS = tuple(lp_backends.available())
 
 
 @pytest.fixture
@@ -22,18 +15,18 @@ def rng():
     return np.random.default_rng(12345)
 
 
-@pytest.fixture(params=AVAILABLE_LP_BACKENDS)
+@pytest.fixture(params=sorted(LP_BACKENDS))
 def lp_backend(request):
-    """Parametrized over every registered-and-available solver backend."""
-    return lp_backends.create(request.param)
+    """The persistent HiGHS solver, then the one-shot linprog oracle."""
+    return LP_BACKENDS[request.param]()
 
 
-@pytest.fixture(params=["scipy", "simplex"])
+@pytest.fixture(params=["highs", "scipy", "simplex"])
 def any_backend(request):
-    """The portable backend and the simplex oracle (conformance tests)."""
-    if request.param == "scipy":
-        return ScipyBackend()
-    return SimplexBackend()
+    """HiGHS, the linprog oracle and the simplex oracle (conformance tests)."""
+    if request.param == "simplex":
+        return SimplexBackend()
+    return LP_BACKENDS[request.param]()
 
 
 @pytest.fixture

@@ -1,14 +1,22 @@
-"""Test-side LP oracles: a dense simplex backend and a from-scratch reference.
+"""Test-side LP oracles: array backends and a from-scratch reference.
 
-Two independent checks on the one production solve path
-(:class:`~repro.lp.compiled.CompiledProgram`):
+Independent checks on the one production solve path
+(:class:`~repro.lp.compiled.CompiledProgram` on persistent HiGHS models):
 
+* :class:`ArrayModel` / :class:`ArrayBackend` — a model kept as arrays
+  that splits its rows back into ``A_ub`` / ``A_eq`` blocks and hands
+  them to the backend's one-shot ``solve_arrays`` on every solve (no
+  basis, no row growth, so ``resume`` is ignored and ``add_row`` declines).
+  Any ``solve_arrays`` backend passed as ``backend=`` runs through
+  ``CompiledProgram`` this way.
+* :class:`LinprogBackend` — ``"scipy"``: each solve one cold
+  :func:`scipy.optimize.linprog` call (HiGHS, the same size-based method
+  choice as production), with the row duals from linprog's marginals.
+  It shares HiGHS but none of the persistent model's assembly, option
+  handling or warm starts.
 * :class:`SimplexBackend` — a self-contained dense two-phase primal
-  simplex (classical tableau, Bland's rule, so it always terminates).  It
-  implements ``solve_arrays`` and inherits the default ``ArrayModel``, so
-  it can be passed anywhere a backend is accepted and runs through
-  ``CompiledProgram``, giving an auditable solver to cross-check HiGHS on
-  small programs.  With ``exact=True`` it pivots in ``Fraction``
+  simplex (classical tableau, Bland's rule, so it always terminates); it
+  reports no duals.  With ``exact=True`` it pivots in ``Fraction``
   arithmetic and reports the exact optimum (:func:`exact_h`).
 * :func:`reference_h` / :func:`reference_g` / :func:`reference_x` — the
   ``H_i`` (Eq. 16), ``G_i`` (Eq. 19) and X-step (Eq. 20) programs rebuilt
@@ -34,12 +42,18 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
+from scipy.optimize import linprog
 
 from repro.errors import LPError
-from repro.lp import LPSolution
-from repro.lp.backends import SolverBackend
+from repro.lp import HighsBackend, LPSolution, status
+from repro.lp.backends import PersistentModel, SolverBackend
+from repro.lp.highs_engine import IPM_THRESHOLD
 
 __all__ = [
+    "ArrayModel",
+    "ArrayBackend",
+    "LinprogBackend",
+    "LP_BACKENDS",
     "SimplexBackend",
     "reference_h",
     "reference_g",
@@ -54,6 +68,161 @@ _EPS = 1e-9
 #: barely above ``_EPS`` amplifies rounding until the basis is garbage.
 _PIVOT_TOL = 1e-7
 
+#: :func:`scipy.optimize.linprog` ``result.status`` codes → canonical names.
+_LINPROG_STATUS = {
+    0: status.OPTIMAL,
+    1: status.ITERATION_LIMIT,
+    2: status.INFEASIBLE,
+    3: status.UNBOUNDED,
+    4: status.ERROR,
+}
+
+
+class ArrayModel(PersistentModel):
+    """A compiled program kept as arrays and solved one-shot.
+
+    It holds the row bounds and column costs, and each :meth:`solve`
+    splits the rows back into ``A_ub`` rows (lower bound ``-inf``) and
+    ``A_eq`` rows (lower equals upper) for ``backend.solve_arrays``, and
+    puts the row duals it reports back in the model's row order.  A
+    one-shot solve has no basis to continue from, so ``resume`` is
+    ignored.
+    """
+
+    def __init__(
+        self,
+        backend: "ArrayBackend",
+        matrix,
+        col_costs: np.ndarray,
+        col_lower: np.ndarray,
+        col_upper: np.ndarray,
+        row_lower: np.ndarray,
+        row_upper: np.ndarray,
+    ):
+        super().__init__()
+        self.backend_name = backend.name
+        self._backend = backend
+        self._matrix = sparse.csr_matrix(matrix)
+        self._costs = np.array(col_costs, dtype=float)
+        self._bounds = np.column_stack([col_lower, col_upper]).astype(float)
+        self._row_lower = np.array(row_lower, dtype=float)
+        self._row_upper = np.array(row_upper, dtype=float)
+
+    def set_row_bounds(self, row: int, lower: float, upper: float) -> None:
+        self._assert_owner()
+        self._row_lower[row] = lower
+        self._row_upper[row] = upper
+
+    def set_col_costs(self, indices, values) -> None:
+        self._assert_owner()
+        self._costs[np.asarray(indices)] = values
+
+    def _rows(self, mask: np.ndarray):
+        """``(A, b)`` of the masked rows, or ``(None, None)`` for none."""
+        if not mask.any():
+            return None, None
+        return self._matrix[np.flatnonzero(mask)], self._row_upper[mask]
+
+    def solve(self, resume: bool = False) -> LPSolution:
+        self._assert_owner()
+        ub = self._row_lower == -np.inf
+        eq = self._row_lower == self._row_upper
+        if not np.all(ub | eq):
+            raise LPError(
+                f"[lp-solver {self.backend_name}] a row bounded on both "
+                "sides is neither A_ub nor A_eq"
+            )
+        a_ub, b_ub = self._rows(ub)
+        a_eq, b_eq = self._rows(eq)
+        solution = self._backend.solve_arrays(
+            c=self._costs,
+            a_ub=a_ub,
+            b_ub=b_ub,
+            a_eq=a_eq,
+            b_eq=b_eq,
+            bounds=self._bounds,
+        )
+        if solution.row_dual is not None:
+            # solve_arrays reports the A_ub rows' duals, then the A_eq rows'
+            order = np.concatenate([np.flatnonzero(ub), np.flatnonzero(eq)])
+            row_dual = np.empty(len(order))
+            row_dual[order] = solution.row_dual
+            solution.row_dual = row_dual
+        return solution
+
+
+class ArrayBackend(SolverBackend):
+    """A backend that solves one-shot through :meth:`solve_arrays`, each
+    compiled overlay kept as an :class:`ArrayModel`."""
+
+    def solve_arrays(
+        self,
+        c: np.ndarray,
+        a_ub,
+        b_ub: Optional[np.ndarray],
+        a_eq,
+        b_eq: Optional[np.ndarray],
+        bounds,
+        objective_constant: float = 0.0,
+    ) -> LPSolution:
+        """One-shot solve of a program already assembled as arrays."""
+        raise NotImplementedError
+
+    def build_persistent(
+        self, matrix, col_costs, col_lower, col_upper, row_lower, row_upper
+    ) -> ArrayModel:
+        return ArrayModel(
+            self, matrix, col_costs, col_lower, col_upper, row_lower, row_upper
+        )
+
+
+class LinprogBackend(ArrayBackend):
+    """Every solve one cold :func:`scipy.optimize.linprog` call."""
+
+    name = "scipy"
+
+    def solve_arrays(
+        self,
+        c: np.ndarray,
+        a_ub,
+        b_ub: Optional[np.ndarray],
+        a_eq,
+        b_eq: Optional[np.ndarray],
+        bounds,
+        objective_constant: float = 0.0,
+    ) -> LPSolution:
+        """Solve with HiGHS (``method="highs"``), or its IPM above
+        ``IPM_THRESHOLD`` columns; an optimal solution carries linprog's
+        ``ineqlin`` then ``eqlin`` marginals as its ``row_dual``."""
+        n = len(c)
+        if n == 0:
+            return LPSolution("optimal", float(objective_constant), np.zeros(0))
+        result = linprog(
+            c=c,
+            A_ub=a_ub,
+            b_ub=b_ub,
+            A_eq=a_eq,
+            b_eq=b_eq,
+            bounds=bounds,
+            method="highs-ipm" if n > IPM_THRESHOLD else "highs",
+        )
+        name = _LINPROG_STATUS.get(result.status, status.ERROR)
+        if name != status.OPTIMAL:
+            return LPSolution(name, float("nan"), np.zeros(0), message=result.message)
+        return LPSolution(
+            "optimal",
+            float(result.fun) + float(objective_constant),
+            np.asarray(result.x, dtype=float),
+            message=result.message,
+            row_dual=np.concatenate(
+                [result.ineqlin.marginals, result.eqlin.marginals]
+            ).astype(float),
+        )
+
+
+#: The production solver and the one-shot linprog oracle, by test id.
+LP_BACKENDS = {"highs": HighsBackend, "scipy": LinprogBackend}
+
 
 def _dense(matrix) -> Optional[np.ndarray]:
     if matrix is None:
@@ -63,7 +232,7 @@ def _dense(matrix) -> Optional[np.ndarray]:
     return np.asarray(matrix, dtype=float)
 
 
-class SimplexBackend(SolverBackend):
+class SimplexBackend(ArrayBackend):
     """Dense two-phase primal simplex with Bland's anti-cycling rule.
 
     ``exact=True`` runs the same pivots on ``Fraction`` entries, so the
@@ -91,7 +260,7 @@ class SimplexBackend(SolverBackend):
 
         ``bounds`` is an ``(n, 2)`` array or a sequence of ``(lb, ub)``
         pairs; ``ub`` may be ``None`` or ``inf``, ``lb`` must be finite.
-        Statuses mirror the SciPy backend's; exceeding ``max_iterations``
+        Statuses mirror :class:`LinprogBackend`'s; exceeding ``max_iterations``
         raises :class:`~repro.errors.LPError`.
         """
         c = np.asarray(c, dtype=float)

@@ -1,56 +1,39 @@
-"""The solver-backend registry: discovery, selection, and identity plumbing.
+"""The one LP solver: its failure modes, its identity, and the retired knob.
 
-Pins the registry contract introduced with the pluggable-backend refactor:
-
-* **registry** — ``backends.get``/``create``/``resolve`` honour names and
-  aliases, reject unknown names with the list of registered backends,
-  report unavailable backends (an out-of-tree backend missing its module)
-  with an actionable message naming the missing module and the fallback,
-  and refuse objects without ``build_persistent``;
-* **selection** — ``REPRO_LP_BACKEND`` overrides the static-preference
-  auto-detect order, and the CLI ``--lp-backend`` knob validates eagerly;
-* **identity** — the chosen backend's ``cache_token`` flows into session
-  cache keys, ``lp_backend`` into audit-ledger entries and the service
-  ``hello`` frame;
-* **statuses** — one canonical status vocabulary shared by every backend.
+* **bindings** — the HiGHS bindings are imported once, on the first model
+  build; when they are missing, that build raises one
+  :class:`~repro.errors.LPError` naming the module and the SciPy floor;
+* **contract** — a persistent model refuses to run in a process other
+  than the one that built it, ``CompiledProgram`` refuses an object
+  without ``build_persistent``, and the test-side ``ArrayModel`` hands a
+  one-shot backend the rows it holds;
+* **identity** — audit-ledger entries, result frames and the service
+  ``hello`` frame report ``lp_backend: "highs"``;
+* **no knob** — ``--lp-backend`` on any subcommand and a ``backend``
+  query option, local or over the wire, are refused.
 """
 
 from __future__ import annotations
 
+import os
+import sys
+
 import numpy as np
 import pytest
+from lp_oracle import ArrayBackend, LinprogBackend
 from scipy import sparse
 
+from repro import private_subgraph_count
 from repro.boolexpr import Var
+from repro.core import EfficientRecursiveMechanism, RecursiveMechanismParams
 from repro.errors import LPError
 from repro.graphs import random_graph_with_avg_degree
-from repro.lp import ScipyBackend, backends, status
-from repro.lp.backends import BACKEND_ENV, PersistentModel, SolverBackend
+from repro.lp import HIGHS, highs_engine
+from repro.lp.backends import PersistentModel, SolverBackend
 from repro.relax.encode import EncodedRelation
+from repro.service import BackgroundService, ServiceClient, ServiceRouter
 from repro.session import PrivateSession
-from repro.subgraphs import triangle
-
-AVAILABLE = tuple(backends.available())
-
-
-class MissingModuleBackend(SolverBackend):
-    """An out-of-tree backend whose solver module is not installed."""
-
-    name = "dummy-missing"
-    aliases = ("dummy-alias",)
-    preference = 99
-
-    @classmethod
-    def availability(cls):
-        return False, "No module named 'dummy_solver'"
-
-
-class PluginBackend(ScipyBackend):
-    """An out-of-tree backend that is available (it reuses linprog)."""
-
-    name = "dummy-plugin"
-    aliases = ()  # leave ScipyBackend's "linprog" alias with scipy
-    preference = 1
+from repro.subgraphs import subgraph_krelation, triangle
 
 
 class SolveOnlyBackend:
@@ -61,134 +44,39 @@ class SolveOnlyBackend:
 
 
 @pytest.fixture
-def scratch_registry(monkeypatch):
-    """Let a test register backends without leaking them to the suite."""
-    monkeypatch.setattr(backends, "_REGISTRY", dict(backends._REGISTRY))
-    monkeypatch.setattr(backends, "_INSTANCES", dict(backends._INSTANCES))
-    monkeypatch.delenv(BACKEND_ENV, raising=False)
-    return backends
-
-
-@pytest.fixture
 def graph():
     return random_graph_with_avg_degree(24, 4.0, rng=2)
 
 
-class TestRegistry:
-    def test_builtin_backends_registered(self):
-        assert backends.registered() == ["highs", "scipy"]
+def _tiny_model():
+    return HIGHS.build_persistent(
+        sparse.csr_matrix([[1.0]]),
+        np.ones(1),
+        np.zeros(1),
+        np.ones(1),
+        np.array([-np.inf]),
+        np.array([1.0]),
+    )
 
-    def test_scipy_always_available(self):
-        assert "scipy" in AVAILABLE
 
-    def test_get_resolves_aliases(self):
-        assert backends.get("linprog") is backends.get("scipy")
-        assert backends.get("persistent") is backends.get("highs")
-        assert backends.get("HIGHS") is backends.get("highs")  # case-blind
-
-    def test_unknown_name_lists_registry(self):
-        with pytest.raises(LPError, match="unknown LP backend 'nope'") as exc:
-            backends.get("nope")
-        message = str(exc.value)
-        for name in ("scipy", "highs"):
-            assert name in message
-
-    def test_resolve_caches_one_instance_per_name(self):
-        assert backends.resolve("scipy") is backends.resolve("scipy")
-        # create() stays uncached so callers can pass constructor kwargs
-        assert backends.create("scipy") is not backends.create("scipy")
-
-    def test_describe_rows_carry_capabilities(self):
-        rows = {row["name"]: row for row in backends.describe()}
-        assert rows["scipy"]["available"] is True
-        assert rows["scipy"]["aliases"] == ["linprog"]
-        assert rows["highs"]["preference"] > rows["scipy"]["preference"]
-        # sorted by preference, best-first
-        preferences = [row["preference"] for row in backends.describe()]
-        assert preferences == sorted(preferences, reverse=True)
-
-    def test_unavailable_backend_degrades_cleanly(self, scratch_registry):
-        scratch_registry.register(MissingModuleBackend)
-        assert scratch_registry.get("dummy-alias") is MissingModuleBackend
-        rows = {row["name"]: row for row in scratch_registry.describe()}
-        assert rows["dummy-missing"]["available"] is False
-        assert "dummy_solver" in rows["dummy-missing"]["reason"]
-        assert "dummy-missing" not in scratch_registry.available()
-        # the highest preference, but unavailable: never auto-detected
-        assert scratch_registry.default_backend().name != "dummy-missing"
-        with pytest.raises(LPError) as exc:
-            scratch_registry.create("dummy-missing")
-        message = str(exc.value)
-        assert "[lp-backend dummy-missing]" in message
-        assert "dummy_solver" in message  # names the missing module
-        assert BACKEND_ENV in message  # names the fallback knob
-
-    def test_out_of_tree_backend_registers_and_serves(self, scratch_registry, graph):
-        scratch_registry.register(PluginBackend)
-        assert "dummy-plugin" in scratch_registry.available()
-        plugin = PrivateSession(graph, backend="dummy-plugin")
-        assert plugin.lp_backend == "dummy-plugin"
-        reference = PrivateSession(graph, backend="scipy")
-        answers = {
-            session.query(triangle(), privacy="node", epsilon=0.5, rng=42).answer
-            for session in (plugin, reference)
-        }
-        assert len(answers) == 1
-
-    def test_resolve_refuses_backend_without_build_persistent(self):
-        with pytest.raises(LPError, match="build_persistent"):
-            backends.resolve(SolveOnlyBackend())
+class TestBackendContract:
+    def test_abstract_backend_refuses_to_solve(self):
+        with pytest.raises(LPError, match=r"\[lp-solver abstract\]"):
+            SolverBackend().build_persistent(
+                sparse.csr_matrix((0, 1)), [1.0], [0.0], [1.0], [], []
+            )
 
     def test_compiled_program_refuses_backend_without_build_persistent(self):
         with pytest.raises(LPError, match="must implement build_persistent"):
             EncodedRelation(["a"], [(Var("a"), 1.0)], SolveOnlyBackend())
 
-    def test_env_var_overrides_preference_order(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "scipy")
-        assert backends.default_backend().name == "scipy"
-        monkeypatch.setenv(BACKEND_ENV, "no-such-backend")
-        with pytest.raises(LPError, match="no-such-backend"):
-            backends.default_backend()
-
-    def test_default_backend_prefers_measured_order(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        default = backends.default_backend()
-        best = max(
-            (backends.get(name) for name in AVAILABLE),
-            key=lambda cls: cls.preference,
-        )
-        assert default.name == best.name
-
-    def test_resolve_accepts_none_name_and_instance(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        assert backends.resolve(None).name == backends.default_backend().name
-        assert backends.resolve("scipy").name == "scipy"
-        explicit = ScipyBackend()
-        assert backends.resolve(explicit) is explicit
-        with pytest.raises(LPError, match="not an LP backend"):
-            backends.resolve(object())
-
-    def test_cache_tokens_distinguish_backends(self):
-        tokens = {backends.create(name).cache_token for name in AVAILABLE}
-        assert len(tokens) == len(AVAILABLE)
-        assert ScipyBackend().cache_token == ("lp-backend", "scipy")
-
-
-class TestBackendContract:
-    def test_abstract_backend_refuses_to_solve(self):
-        model = SolverBackend().build_persistent(
-            sparse.csr_matrix((0, 1)), [1.0], [0.0], [1.0], [], []
-        )
-        with pytest.raises(LPError, match=r"\[lp-backend abstract\]"):
-            model.solve()
-
     def test_array_model_splits_rows_for_solve_arrays(self):
-        """The default model hands ``lower = -inf`` rows to ``A_ub`` and
+        """The array model hands ``lower = -inf`` rows to ``A_ub`` and
         ``lower = upper`` rows to ``A_eq``, with the current bounds and
         costs; it ignores ``resume``."""
         calls = []
 
-        class RecordingBackend(SolverBackend):
+        class RecordingBackend(ArrayBackend):
             name = "recording"
 
             def solve_arrays(
@@ -197,7 +85,7 @@ class TestBackendContract:
                 calls.append(
                     (c.copy(), a_ub.toarray(), b_ub, a_eq.toarray(), b_eq, bounds)
                 )
-                return ScipyBackend().solve_arrays(
+                return LinprogBackend().solve_arrays(
                     c, a_ub, b_ub, a_eq, b_eq, bounds, objective_constant
                 )
 
@@ -224,127 +112,140 @@ class TestBackendContract:
         assert solution.objective == pytest.approx(-0.5)
 
     def test_persistent_model_fork_guard(self):
-        import os
-
         model = PersistentModel.__new__(PersistentModel)
         model._owner_pid = os.getpid() + 1
         with pytest.raises(LPError, match="fork"):
             model._assert_owner()
 
-
-class TestStatusVocabulary:
-    def test_canonical_accepts_all_constants(self):
-        for name in status.CANONICAL_STATUSES:
-            assert status.canonical(name) == name
-
-    def test_canonical_rejects_foreign_spellings(self):
-        for bad in ("Optimal", "kOptimal", "solved", ""):
-            with pytest.raises(ValueError, match="status"):
-                status.canonical(bad)
-
-    def test_linprog_map_covers_scipy_codes(self):
-        assert status.LINPROG_STATUS[0] == status.OPTIMAL
-        assert status.LINPROG_STATUS[2] == status.INFEASIBLE
-        assert status.LINPROG_STATUS[3] == status.UNBOUNDED
-        assert set(status.LINPROG_STATUS.values()) <= set(status.CANONICAL_STATUSES)
+    def test_highs_model_refuses_another_process(self):
+        """Every mutating entry point of a HiGHS model checks its owner."""
+        model = _tiny_model()
+        model._owner_pid = os.getpid() + 1
+        for call in (
+            lambda: model.set_row_bounds(0, 0.0, 1.0),
+            lambda: model.set_col_costs([0], [2.0]),
+            model.solve,
+        ):
+            with pytest.raises(LPError, match=r"\[lp-solver highs\].*fork"):
+                call()
 
 
 class TestEngineProbeCaching:
     def test_probe_is_cached(self):
-        from repro.lp import highs_engine
-
-        assert highs_engine._probe() is highs_engine._probe()
+        assert highs_engine._engine() is highs_engine._engine()
 
     def test_require_engine_message_names_backend_and_fallback(self, monkeypatch):
-        from repro.lp import highs_engine
-
-        monkeypatch.setattr(
-            highs_engine, "_PROBE", (False, "No module named '_highspy'")
-        )
+        """Without the bindings the first model build fails with one error
+        naming the solver, the missing module and the SciPy to install."""
+        monkeypatch.setattr(highs_engine, "_core", None)
+        monkeypatch.setitem(sys.modules, highs_engine.ENGINE_MODULE, None)
         with pytest.raises(LPError) as exc:
-            highs_engine.require_engine("highs")
+            _tiny_model()
         message = str(exc.value)
-        assert "[lp-backend highs]" in message
-        assert "_highspy" in message
-        assert "REPRO_LP_BACKEND=scipy" in message
+        assert "[lp-solver highs]" in message
+        assert highs_engine.ENGINE_MODULE in message
+        assert f"SciPy >= {highs_engine.SCIPY_FLOOR}" in message
+
+    def test_bindings_without_a_required_name_are_refused(self, monkeypatch):
+        class Stripped:
+            """A bindings module that lacks ``_Highs``."""
+
+            HighsLp = MatrixFormat = object
+
+        import scipy.optimize._highspy as package
+
+        monkeypatch.setattr(highs_engine, "_core", None)
+        monkeypatch.setitem(sys.modules, highs_engine.ENGINE_MODULE, Stripped)
+        monkeypatch.setattr(package, "_core", Stripped)
+        with pytest.raises(LPError, match="lacks _Highs"):
+            _tiny_model()
 
 
 class TestSessionIdentity:
-    def test_session_resolves_backend_eagerly(self, graph):
-        session = PrivateSession(graph, backend="scipy")
-        assert session.lp_backend == "scipy"
-        default = PrivateSession(graph)
-        assert default.lp_backend in AVAILABLE
-
     def test_ledger_entries_record_backend(self, graph):
-        session = PrivateSession(graph, backend="scipy", budget=2.0)
+        session = PrivateSession(graph, budget=2.0)
+        assert session.lp_backend == "highs"
         session.query(triangle(), privacy="edge", epsilon=0.5, rng=1)
         entry = session.ledger[-1]
-        assert entry.extra["lp_backend"] == "scipy"
-        assert entry.to_dict()["lp_backend"] == "scipy"
-
-    def test_backend_identity_partitions_cache_keys(self, graph):
-        if len(AVAILABLE) < 2:
-            pytest.skip("only one backend available")
-        first, second = AVAILABLE[:2]
-        session_a = PrivateSession(graph, backend=first)
-        session_b = PrivateSession(graph, backend=second)
-        *_, key_a = session_a._resolve_spec(triangle(), "edge", "recursive", None, {})
-        *_, key_b = session_b._resolve_spec(triangle(), "edge", "recursive", None, {})
-        assert key_a != key_b
+        assert entry.extra["lp_backend"] == "highs"
+        assert entry.to_dict()["lp_backend"] == "highs"
 
     def test_cross_backend_released_answers_identical(self, graph):
-        answers = set()
-        for name in AVAILABLE:
-            session = PrivateSession(graph, backend=name)
-            result = session.query(triangle(), privacy="node", epsilon=0.5, rng=42)
-            answers.add(result.answer)
-        assert len(answers) == 1
+        """A session release on HiGHS equals the direct mechanism's on the
+        one-shot linprog oracle at the same seed."""
+        session = PrivateSession(graph)
+        served = session.query(triangle(), privacy="node", epsilon=0.5, rng=42)
+        relation = subgraph_krelation(graph, triangle(), "node")
+        direct = EfficientRecursiveMechanism(relation, backend=LinprogBackend()).run(
+            RecursiveMechanismParams.paper(0.5, node_privacy=True), 42
+        )
+        assert served.answer == direct.answer
+
+    def test_backend_is_no_session_or_query_argument(self, graph):
+        """The solver is not a choice: ``backend=`` is refused by the
+        session, the one-call wrapper and the recursive mechanism's
+        options, before any ε is spent."""
+        with pytest.raises(TypeError, match="backend"):
+            PrivateSession(graph, backend="highs")
+        with pytest.raises(TypeError, match="backend"):
+            private_subgraph_count(graph, triangle(), backend="highs")
+        session = PrivateSession(graph, budget=1.0)
+        with pytest.raises(TypeError, match="backend"):
+            session.query(triangle(), privacy="edge", epsilon=0.5, backend="highs")
+        assert session.spent == 0.0 and session.cache_info().size == 0
 
 
 class TestServiceIdentity:
     def test_hello_frame_reports_backend(self, graph):
-        from repro.service import ServiceRouter
-
         service = ServiceRouter()
-        service.add_dataset(
-            "default", PrivateSession(graph, backend="scipy", name="svc")
-        )
+        service.add_dataset("default", PrivateSession(graph, name="svc"))
         frame = service._op_hello({})
-        assert frame["lp_backend"] == "scipy"
+        assert frame["lp_backend"] == "highs"
+        assert frame["datasets"]["default"]["lp_backend"] == "highs"
+
+    def test_result_frames_report_backend_and_refuse_the_option(self, graph):
+        session = PrivateSession(graph, budget=1.0, rng=7)
+        router = ServiceRouter()
+        router.add_dataset("default", session)
+        with BackgroundService(router) as bg:
+            with ServiceClient(bg.address) as client:
+                released = client.query("triangle", epsilon=0.5, privacy="edge")
+                assert released["lp_backend"] == "highs"
+                with pytest.raises(ValueError, match="backend"):
+                    client.query(
+                        "triangle",
+                        epsilon=0.5,
+                        privacy="edge",
+                        options={"backend": "highs"},
+                    )
+        assert [e.status for e in session.accountant.ledger] == ["released"]
+        session.close()
 
 
 class TestCliKnob:
-    def test_count_accepts_lp_backend(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(["count", "--lp-backend", "scipy"])
-        assert args.lp_backend == "scipy"
-
     def test_unknown_backend_rejected_at_parse_time(self, capsys):
         from repro.cli import build_parser
 
         with pytest.raises(SystemExit):
             build_parser().parse_args(["count", "--lp-backend", "nope"])
-        assert "registered backends" in capsys.readouterr().err
+        assert "unrecognized arguments: --lp-backend" in capsys.readouterr().err
 
-    def test_batch_serve_fig_accept_lp_backend(self):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count"],
+            ["batch", "queries.json"],
+            ["serve"],
+            ["replica", "--primary", "127.0.0.1:1", "--dataset", "d", "--epsilon", "1"],
+            ["fig", "fig5"],
+        ],
+        ids=["count", "batch", "serve", "replica", "fig"],
+    )
+    def test_no_subcommand_takes_lp_backend(self, argv, capsys):
         from repro.cli import build_parser
 
         parser = build_parser()
-        assert (
-            parser.parse_args(
-                ["batch", "queries.json", "--lp-backend", "scipy"]
-            ).lp_backend
-            == "scipy"
-        )
-        assert (
-            parser.parse_args(["serve", "--lp-backend", "scipy"]).lp_backend == "scipy"
-        )
-        assert (
-            parser.parse_args(
-                ["fig", "fig5", "--lp-backend", "scipy"]
-            ).lp_backend
-            == "scipy"
-        )
-
+        parser.parse_args(argv)
+        with pytest.raises(SystemExit):
+            parser.parse_args([*argv, "--lp-backend", "highs"])
+        assert "--lp-backend" in capsys.readouterr().err

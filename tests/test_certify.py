@@ -5,7 +5,7 @@ Pinned here:
 * against exact values: on small conjunctive and disjunctive relations,
   ``tests/lp_oracle.py``'s simplex in ``Fraction`` arithmetic gives the
   exact ``H_k``; for every ``k`` the certificate of a cold solve brackets
-  it and the snapped value is its float, on every available backend;
+  it and the snapped value is its float, on HiGHS and the linprog oracle;
 * the routes: on cold-release-shaped graphs (40–50 nodes, the six query
   specs) the X step's ``x_lp``, ``resumed`` and ``cold`` routes — and
   the pooled cold route — store bit-identical H values, and none fails
@@ -27,8 +27,8 @@ from test_compiled_equivalence import random_expression
 from repro.boolexpr import parse
 from repro.core import EfficientRecursiveMechanism, SensitiveKRelation
 from repro.graphs import random_graph_with_avg_degree
+from repro.lp import HIGHS
 from repro.lp.certify import Certificate, snap
-from repro.lp.highs_engine import engine_available
 from repro.obs import metrics
 from repro.relax.encode import EncodedRelation
 from repro.subgraphs import k_star, k_triangle, subgraph_krelation, triangle
@@ -167,7 +167,6 @@ def test_routes_store_bit_identical_h(size, lp_backend):
         assert after["resumed"] == before["resumed"]
 
 
-@pytest.mark.skipif(not engine_available(), reason="scipy HiGHS bindings unavailable")
 @pytest.mark.parametrize(
     "nodes, degree", [(44, 6), (90, 8)], ids=["simplex", "ipm-size"]
 )
@@ -177,19 +176,18 @@ def test_resumed_solves_leave_the_x_model_as_it_was(nodes, degree):
     relation = subgraph_krelation(
         random_graph_with_avg_degree(nodes, degree, rng=7002), k_star(2), "edge"
     )
-    used = EfficientRecursiveMechanism(relation, backend="highs")
+    used = EfficientRecursiveMechanism(relation)
     before = _counts()
     for delta_hat in DELTAS:
         used._compute_x(delta_hat)
     assert _counts()["resumed"] > before["resumed"]
-    fresh = EfficientRecursiveMechanism(relation, backend="highs")
+    fresh = EfficientRecursiveMechanism(relation)
     for delta_hat in DELTAS:
         assert used._encoded.solve_x_relaxation(delta_hat) == (
             fresh._encoded.solve_x_relaxation(delta_hat)
         )
 
 
-@pytest.mark.skipif(not engine_available(), reason="scipy HiGHS bindings unavailable")
 @pytest.mark.parametrize(
     "nodes, degree", [(44, 6), (90, 8)], ids=["simplex", "ipm-size"]
 )
@@ -197,7 +195,7 @@ def test_resumed_x_solves_release_what_fresh_ones_do(nodes, degree):
     relation = subgraph_krelation(
         random_graph_with_avg_degree(nodes, degree, rng=7002), k_star(2), "edge"
     )
-    used = EfficientRecursiveMechanism(relation, backend="highs")
+    used = EfficientRecursiveMechanism(relation)
     program = used._encoded._compiled
     solve_x = program.solve_x
     ipm_iterations = []
@@ -212,7 +210,7 @@ def test_resumed_x_solves_release_what_fresh_ones_do(nodes, degree):
     indices = set()
     for delta_hat in DELTAS:
         x_value, x_index = used._compute_x(delta_hat)
-        fresh = EfficientRecursiveMechanism(relation, backend="highs")
+        fresh = EfficientRecursiveMechanism(relation)
         assert fresh._compute_x(delta_hat) == (x_value, x_index)
         assert fresh._h_cache == {k: used._h_cache[k] for k in fresh._h_cache}
         indices.add(x_index)
@@ -276,7 +274,7 @@ class TestSnap:
         assert snap(1000 / 1001 - 1e-12, 1000 / 1001 + 1e-12) is None
 
     def test_no_duals_no_lower_bound(self):
-        encoded = SMALL["triangle/node"](None)
+        encoded = SMALL["triangle/node"](HIGHS)
         solution = encoded._compiled.solve_h(3.0)
         solution.row_dual = None
         certificate = encoded._certificate(solution, 0.0)

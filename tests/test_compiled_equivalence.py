@@ -7,9 +7,9 @@ the relation's frozen triplets and solved by the dense simplex oracle
 (``tests/lp_oracle.py``) — within 1e-6.  The full mechanism (Δ and X, in
 both ``"paper"`` and ``"uniform"`` bounding modes) must agree on its
 deterministic intermediates when the oracle itself is the backend.  Both
-tests run once per registered-and-available solver backend (the
-``lp_backend`` fixture), so every backend in the registry is held to the
-same equivalence contract.
+tests run on the persistent HiGHS models and on the one-shot linprog
+oracle (the ``lp_backend`` fixture), so the live models' warm starts are
+held to the same equivalence contract as cold solves.
 """
 
 import random
@@ -17,6 +17,7 @@ import random
 import numpy as np
 import pytest
 from lp_oracle import (
+    LinprogBackend,
     SimplexBackend,
     reference_g,
     reference_h,
@@ -33,7 +34,6 @@ from repro.core import (
     SensitiveKRelation,
 )
 from repro.graphs import random_graph_with_avg_degree
-from repro.lp import ScipyBackend
 from repro.relax.encode import EncodedRelation
 from repro.subgraphs import subgraph_krelation
 
@@ -98,7 +98,7 @@ def test_reference_programs_agree_across_solvers(seed):
     """The reference rebuilds solve alike under the simplex and linprog,
     so an equivalence failure points at the compiled path, not the oracle."""
     names, annotated = random_relation(200 + seed)
-    scipy = ScipyBackend()
+    scipy = LinprogBackend()
     encoded = EncodedRelation(names, annotated, scipy)
     for i in (0, 0.5, 1, len(names) - 0.5, len(names)):
         assert reference_h(encoded, i) == pytest.approx(

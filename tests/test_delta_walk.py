@@ -13,7 +13,7 @@ finite difference on both backends.
 """
 
 import pytest
-from lp_oracle import SimplexBackend, reference_g
+from lp_oracle import LP_BACKENDS, SimplexBackend, reference_g
 
 from repro.boolexpr import parse
 from repro.core import (
@@ -23,7 +23,7 @@ from repro.core import (
     efficient,
 )
 from repro.graphs import random_graph_with_avg_degree
-from repro.lp.highs_engine import PersistentLP, engine_available
+from repro.lp.highs_engine import PersistentLP
 from repro.subgraphs import k_star, k_triangle, subgraph_krelation, triangle
 
 COMBOS = [
@@ -89,7 +89,6 @@ def test_idle_participants_get_no_column_in_the_g_model(lp_backend):
     walk.end_g_walk()
 
 
-@pytest.mark.skipif(not engine_available(), reason="scipy HiGHS bindings unavailable")
 def test_walk_resumes_after_a_cold_first_solve(monkeypatch):
     """A walk solves cold only at mass RHS ``|P|`` or 0 (its seed, chosen
     by how far below ``|P|`` its first probe lies) and every interior
@@ -109,7 +108,7 @@ def test_walk_resumes_after_a_cold_first_solve(monkeypatch):
     monkeypatch.setattr(PersistentLP, "set_row_bounds", recording_bounds)
     monkeypatch.setattr(PersistentLP, "solve", recording_solve)
     relation = _relation(lambda: k_star(2), "edge", 12)
-    mechanism = EfficientRecursiveMechanism(relation, backend="highs")
+    mechanism = EfficientRecursiveMechanism(relation)
     encoded = mechanism._encoded
     n = encoded.num_participants
     for i in (n - 1, n // 2, 3 * n // 4):
@@ -177,12 +176,11 @@ def test_tangent_decisions_match_cold_solves(combo, lp_backend, monkeypatch):
                 assert value + slope * (j - k) <= exact[j] + 1e-6, (k, j)
 
 
-@pytest.mark.skipif(not engine_available(), reason="scipy HiGHS bindings unavailable")
 def test_mass_row_dual_is_the_slope_of_g_on_both_backends():
     """Where ``G`` is smooth, the slope ``g_decide`` returns from the
     ``highs`` and ``scipy`` duals agrees and matches a finite difference."""
     relation = _relation(lambda: k_star(2), "edge", 12)
-    cold = EfficientRecursiveMechanism(relation, backend="highs")._encoded
+    cold = EfficientRecursiveMechanism(relation)._encoded
     n = cold.num_participants
 
     def forward(i, step):
@@ -197,7 +195,9 @@ def test_mass_row_dual_is_the_slope_of_g_on_both_backends():
     for i in smooth:
         slopes = {}
         for backend in ("highs", "scipy"):
-            encoded = EfficientRecursiveMechanism(relation, backend=backend)._encoded
+            encoded = EfficientRecursiveMechanism(
+                relation, backend=LP_BACKENDS[backend]()
+            )._encoded
             _, _, slopes[backend] = encoded.g_decide(float(i), 0.0)
             encoded.end_g_walk()
         assert slopes["highs"] == pytest.approx(slopes["scipy"], abs=1e-6)

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from lp_oracle import ArrayBackend, LinprogBackend
 
 from repro.boolexpr import parse
 from repro.core import (
@@ -19,19 +20,13 @@ from repro.core import (
 )
 from repro.errors import LPError, MechanismError
 from repro.graphs import random_graph_with_avg_degree
-from repro.lp import LPSolution, ScipyBackend
-from repro.lp.backends import SolverBackend
-from repro.lp.highs_engine import HighsBackend, engine_available
+from repro.lp import HighsBackend, LPSolution
 from repro.subgraphs import subgraph_krelation, triangle
 
 # Most doubles below implement only ``solve_arrays``, so each solve reaches
-# them through the default ``ArrayModel`` they inherit.
+# them through the test-side ``ArrayModel`` their base builds.
 # ``FailingWalkBackend`` instead wraps the HiGHS G model the Δ search
 # walks on.
-
-needs_engine = pytest.mark.skipif(
-    not engine_available(), reason="scipy HiGHS bindings unavailable"
-)
 
 
 def _is_g_program(c):
@@ -41,7 +36,7 @@ def _is_g_program(c):
     return c[-1] == 1.0 and not np.any(c[:-1])
 
 
-class FailingBackend(SolverBackend):
+class FailingBackend(ArrayBackend):
     """A backend that reports infeasibility for every program."""
 
     name = "failing"
@@ -50,7 +45,7 @@ class FailingBackend(SolverBackend):
         return LPSolution("infeasible", float("nan"), np.zeros(0), "injected")
 
 
-class IterationLimitedBackend(SolverBackend):
+class IterationLimitedBackend(ArrayBackend):
     """A backend whose every solve stops on the iteration limit."""
 
     name = "iteration-limited"
@@ -61,7 +56,7 @@ class IterationLimitedBackend(SolverBackend):
         )
 
 
-class TruncatedSolutionBackend(SolverBackend):
+class TruncatedSolutionBackend(ArrayBackend):
     """A backend that claims optimality but returns no variable values."""
 
     name = "truncated"
@@ -70,7 +65,7 @@ class TruncatedSolutionBackend(SolverBackend):
         return LPSolution("optimal", 1.0, np.zeros(0), "truncated")
 
 
-class CorruptingBackend(ScipyBackend):
+class CorruptingBackend(LinprogBackend):
     """Real solves, but a wrong (optimal-looking) X-step objective.
 
     The X overlay (Eq. 20) is the only program without the mass row, so
@@ -90,7 +85,7 @@ class CorruptingBackend(ScipyBackend):
         return solution
 
 
-class ErroringProbeBackend(ScipyBackend):
+class ErroringProbeBackend(LinprogBackend):
     """Exact solves, except that every G solve (each a cold Δ probe, as an
     array model ignores ``resume``) errors out."""
 
@@ -181,7 +176,6 @@ class TestSolverFailures:
         assert mechanism._encoded._compiled._g_model is None
         return caught.value
 
-    @needs_engine
     def test_errored_g_probe_raises_not_decides(self):
         """A Δ probe whose solver reports ``error`` — on the walk's cold
         first solve, on a resumed solve, or through an array model — must
@@ -195,7 +189,6 @@ class TestSolverFailures:
         assert "probe failed: error" in str(self._walk_failure(backend))
         assert backend.probes == 1
 
-    @needs_engine
     def test_iteration_limited_g_probe_names_the_status(self):
         for resumed in (False, True):
             backend = FailingWalkBackend("iteration_limit", resumed=resumed)

@@ -27,6 +27,8 @@ from registry_oracle import FullWalkRegistry
 from repro import PrivateSession, random_graph_with_avg_degree
 from repro.obs import (
     OBS_SCHEMA,
+    SIZE_BUCKETS,
+    TIME_BUCKETS,
     Histogram,
     MetricsRegistry,
     deterministic_trace_id,
@@ -36,8 +38,6 @@ from repro.obs import (
     prometheus_text,
     quantile_from_counts,
     seed_trace_id,
-    size_buckets,
-    time_buckets,
     tracer,
     validate_span_records,
 )
@@ -147,8 +147,8 @@ class TestRegistry:
         assert merged.counts() == [0, 0, 1]
 
     def test_default_bucket_shapes(self):
-        latencies = time_buckets()
-        sizes = size_buckets()
+        latencies = TIME_BUCKETS
+        sizes = SIZE_BUCKETS
         assert len(latencies) == 40
         assert latencies == tuple(sorted(latencies))
         assert latencies[0] == pytest.approx(1e-6)
@@ -160,7 +160,7 @@ class TestHistogramBuckets:
         """A value equal to a boundary lands in *that* bucket; one just
         above lands in the next — the Prometheus ``le`` contract, at
         every boundary of the default latency schedule."""
-        bounds = time_buckets()
+        bounds = TIME_BUCKETS
         for index, edge in enumerate(bounds):
             exact = Histogram(bounds)
             exact.observe(edge)
@@ -763,14 +763,12 @@ class TestServingIntegration:
 
     def test_lp_solve_histogram_observes_backend_solves(self):
         from repro.boolexpr.expr import And, Var
-        from repro.lp import backends as lp_backends
         from repro.relax.encode import EncodedRelation
 
         before = _histogram_count("repro_lp_solve_seconds", overlay="h")
         relation = EncodedRelation(
             ["p0", "p1", "p2"],
             [(And([Var("p0"), Var("p1")]), 2.0), (Var("p2"), 1.0)],
-            lp_backends.default_backend(),
         )
         relation._compiled.solve_h(1.0)
         after = _histogram_count("repro_lp_solve_seconds", overlay="h")
@@ -779,14 +777,15 @@ class TestServingIntegration:
     @pytest.mark.parametrize("backend", ["highs", "scipy"])
     def test_batched_h_solves_each_observed(self, identity_graph, backend):
         """A batched ``h_entries`` call records one solve per LP index."""
+        from lp_oracle import LP_BACKENDS
+
         from repro.core.efficient import EfficientRecursiveMechanism
-        from repro.lp import backends as lp_backends
         from repro.subgraphs import subgraph_krelation
 
-        if backend not in lp_backends.available():
-            pytest.skip(f"{backend} backend unavailable")
         relation = subgraph_krelation(identity_graph, triangle(), privacy="edge")
-        mechanism = EfficientRecursiveMechanism(relation, backend=backend)
+        mechanism = EfficientRecursiveMechanism(
+            relation, backend=LP_BACKENDS[backend]()
+        )
         n = mechanism.num_participants
         # interior indices of the active program, past the idle count
         m = mechanism._encoded.num_idle

@@ -20,6 +20,7 @@ import signal
 
 import numpy as np
 import pytest
+from lp_oracle import LP_BACKENDS
 
 from repro.core.efficient import EfficientRecursiveMechanism
 from repro.core.params import RecursiveMechanismParams
@@ -31,16 +32,12 @@ from repro.experiments.harness import (
 from repro.experiments.mechanisms import make_runner
 from repro.experiments.runtime import fig5_runtime_sweep
 from repro.graphs import random_graph_with_avg_degree
-from repro.lp.highs_engine import engine_available
 from repro.parallel import fork_available, map_tasks, resolve_workers
 from repro.rng import spawn_seed_sequences
 from repro.subgraphs import subgraph_krelation, triangle
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="platform has no fork start method"
-)
-needs_engine = pytest.mark.skipif(
-    not engine_available(), reason="scipy HiGHS bindings unavailable"
 )
 
 
@@ -51,7 +48,7 @@ def small_graph():
 
 @pytest.fixture()
 def mechanism(small_graph, lp_backend):
-    """The edge-DP triangle mechanism, once per available solver backend."""
+    """The edge-DP triangle mechanism, on HiGHS and on the linprog oracle."""
     relation = subgraph_krelation(small_graph, triangle(), privacy="edge")
     return EfficientRecursiveMechanism(relation, backend=lp_backend)
 
@@ -350,12 +347,11 @@ class TestForkSafety:
         first_by_pid = {}
         for pid, inherited_model, _ in results:
             first_by_pid.setdefault(pid, inherited_model)
-        assert set(first_by_pid.values()) == {False} or not engine_available()
+        assert set(first_by_pid.values()) == {False}
         assert all(value == expected for _, _, value in results)
         # the parent's model is untouched and still usable
         assert float(program.solve_h(index).objective) == expected
 
-    @needs_engine
     def test_persistent_lp_cross_fork_guard(self, mechanism):
         from repro.errors import LPError
 
@@ -432,25 +428,20 @@ class TestSolveManyAndRace:
 
 
 class TestCrossBackendIdentity:
-    """Released answers are byte-identical across every available backend.
+    """Released answers are byte-identical on the persistent HiGHS models
+    and on the one-shot linprog oracle.
 
-    The registry may route solves through pure ``linprog``, the persistent
-    HiGHS engine, or an out-of-tree backend — but at a fixed seed the
-    mechanism's noise and its deterministic intermediates (Δ-walk
-    decisions, batched ``solve_many`` objectives) must not depend on
-    which backend ran.
+    At a fixed seed the mechanism's noise and its deterministic
+    intermediates (Δ-walk decisions, batched ``solve_many`` objectives)
+    must not depend on whether each solve is resumed on a live model or
+    run cold through ``linprog``.
     """
-
-    def _backends(self):
-        from repro.lp import backends as lp_backends
-
-        return tuple(lp_backends.available())
 
     def test_released_answers_identical(self, small_graph):
         results = {}
-        for name in self._backends():
+        for name, backend in LP_BACKENDS.items():
             relation = subgraph_krelation(small_graph, triangle(), privacy="edge")
-            mech = EfficientRecursiveMechanism(relation, backend=name)
+            mech = EfficientRecursiveMechanism(relation, backend=backend())
             outcome = mech.run(RecursiveMechanismParams.paper(0.5), 17)
             results[name] = (outcome.answer, outcome.delta_hat)
         assert len(set(results.values())) == 1, results
@@ -459,9 +450,9 @@ class TestCrossBackendIdentity:
         """Every backend's Δ walk makes the decisions of cold solves."""
         relation = subgraph_krelation(small_graph, triangle(), privacy="edge")
         decisions = {}
-        for name in self._backends():
-            encoded = EfficientRecursiveMechanism(relation, backend=name)._encoded
-            cold = EfficientRecursiveMechanism(relation, backend=name)._encoded
+        for name, backend in LP_BACKENDS.items():
+            encoded = EfficientRecursiveMechanism(relation, backend=backend())._encoded
+            cold = EfficientRecursiveMechanism(relation, backend=backend())._encoded
             n = encoded.num_participants
             full = encoded.solve_g(n)
             probes = [
@@ -477,9 +468,9 @@ class TestCrossBackendIdentity:
     def test_solve_many_identical(self, small_graph):
         relation = subgraph_krelation(small_graph, triangle(), privacy="edge")
         sweeps = {}
-        for name in self._backends():
+        for name, backend in LP_BACKENDS.items():
             program = EfficientRecursiveMechanism(
-                relation, backend=name
+                relation, backend=backend()
             )._encoded._compiled
             n = program.num_participants
             indices = [n / 4.0, n / 2.0, 3 * n / 4.0]

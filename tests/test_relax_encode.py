@@ -9,11 +9,10 @@ import itertools
 
 import numpy as np
 import pytest
-from lp_oracle import SimplexBackend
+from lp_oracle import LinprogBackend, SimplexBackend
 
 from repro.boolexpr import And, Var, parse
 from repro.errors import LPError
-from repro.lp import ScipyBackend
 from repro.relax import encode_relation, phi
 from repro.relax.encode import EncodedRelation
 
@@ -250,7 +249,7 @@ class TestBackendAgreement:
             (parse("a & b"), 1.0),
             (parse("(a | c) & b"), 2.0),
         ]
-        enc_scipy = EncodedRelation(participants, annotated, ScipyBackend())
+        enc_scipy = EncodedRelation(participants, annotated, LinprogBackend())
         enc_simplex = EncodedRelation(participants, annotated, SimplexBackend())
         for i in range(4):
             assert enc_scipy.solve_h(i) == pytest.approx(

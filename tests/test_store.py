@@ -21,7 +21,6 @@ from store_oracle import tee_dict_oracle, use_dict_store
 from repro import PrivateSession, VersionedGraph, random_graph_with_avg_degree
 from repro.errors import LPError
 from repro.graphs import Graph
-from repro.lp import backends as lp_backends
 from repro.relax.encode import EncodedRelation
 from repro.store import ConjunctiveKRelation
 from repro.store.columnar import ColumnarOccurrenceTable
@@ -159,13 +158,11 @@ class TestEncoderIdentity:
         graph.maintainer.register(pattern)
         relation = graph.relation_for(pattern, privacy)
         assert isinstance(relation, ConjunctiveKRelation)
-        backend = lp_backends.resolve(None)
-
         fast = EncodedRelation.from_conjunctions(
-            relation.sorted_participants, relation.matrix, backend
+            relation.sorted_participants, relation.matrix
         )
         annotated = [(annotation, 1.0) for _, annotation in relation.items()]
-        legacy = EncodedRelation(sorted(relation.participants), annotated, backend)
+        legacy = EncodedRelation(sorted(relation.participants), annotated)
 
         assert fast.participants == legacy.participants
         for name in (
@@ -205,17 +202,15 @@ class TestEncoderIdentity:
             assert set(stored.items()) == set(plain.items())
 
     def test_duplicate_participants_rejected(self):
-        backend = lp_backends.resolve(None)
         with pytest.raises(LPError, match="duplicate participant names"):
             EncodedRelation.from_conjunctions(
-                ["a", "b", "a"], np.zeros((0, 2), dtype=np.int64), backend
+                ["a", "b", "a"], np.zeros((0, 2), dtype=np.int64)
             )
 
     def test_matrix_bounds_checked(self):
-        backend = lp_backends.resolve(None)
         with pytest.raises(LPError):
             EncodedRelation.from_conjunctions(
-                ["a", "b"], np.array([[0, 5]], dtype=np.int64), backend
+                ["a", "b"], np.array([[0, 5]], dtype=np.int64)
             )
 
 

@@ -7,7 +7,7 @@ argmins of earlier releases at ``Δ̂_a ≤ Δ̂ ≤ Δ̂_b`` agree.  Pinned her
   at the same ``Δ̂``, for ascending, descending and shuffled streams with
   exact repeats, on triangle/node, 2-star/edge, 2-triangle/node, a
   disjunctive relation under ``bounding="uniform"`` and the general
-  mechanism, on every available backend;
+  mechanism, on HiGHS and on the one-shot linprog oracle;
 * the one-sided ends (``k = 0`` and ``k = |P|``), the bound of
   ``2(|P|+1)`` kept decisions, and the ``repro_x_step_total{how}`` routes;
 * an LP error on the fallback route records nothing;
