@@ -17,6 +17,12 @@ release at any version also pays the Δ-search LP solves, which no
 occurrence maintenance can remove; a warm release reuses the compiled
 program's H/G entry caches).  The pattern is a generic-matcher cycle —
 the representative worst case, since no specialized enumerator exists.
+
+A second default-tier test gates the per-version relation build on a
+large graph: after a one-edge insert, ``relation_for`` must rank and
+name only what the occurrence rows use, so it stays in milliseconds
+however many nodes and edges are interned.
+
 Emits ``BENCH_dynamic.json`` (path from ``$REPRO_BENCH_DYNAMIC_OUT``,
 default ``benchmarks/results/``) for the CI ``dynamic-smoke`` job to
 archive.
@@ -34,7 +40,8 @@ import pytest
 
 from repro import PrivateSession, VersionedGraph, random_graph_with_avg_degree
 from repro.experiments import format_table
-from repro.store import ingest_edge_list
+from repro.graphs import gnm_random_graph
+from repro.store import ConjunctiveKRelation, ingest_edge_list
 from repro.subgraphs import triangle
 from repro.subgraphs.patterns import cycle_pattern
 
@@ -50,6 +57,17 @@ SCALE_TIERS = {
 }
 #: Live queries fired during the update stream (evenly spaced).
 SCALE_CHECKPOINTS = 4
+
+#: Relation-build gate: a seeded G(n, m), single-edge inserts, and the
+#: ceiling on the median ``relation_for`` after each (per privacy).
+GATE_NODES, GATE_EDGES, GATE_INSERTS = 25_000, 100_000, 20
+GATE_RELATION_MS = 10.0
+
+
+def _bench_json_path(results_dir):
+    return Path(
+        os.environ.get("REPRO_BENCH_DYNAMIC_OUT", results_dir / "BENCH_dynamic.json")
+    )
 
 
 def test_dynamic_cold_incremental_warm(scale, record_figure, results_dir):
@@ -137,9 +155,7 @@ def test_dynamic_cold_incremental_warm(scale, record_figure, results_dir):
             f"({pattern.name}/edge, scale={scale.name})",
         ),
     )
-    out_path = Path(
-        os.environ.get("REPRO_BENCH_DYNAMIC_OUT", results_dir / "BENCH_dynamic.json")
-    )
+    out_path = _bench_json_path(results_dir)
     payload = {
         "scale": scale.name,
         "warm_queries": WARM_QUERIES,
@@ -159,6 +175,59 @@ def test_dynamic_cold_incremental_warm(scale, record_figure, results_dir):
     )
     # End-to-end: a warm release must still beat the cold query.
     assert row["warm_query_median_seconds"] < cold_query
+
+
+def test_relation_build_after_single_insert(results_dir):
+    """Per-version relation build on a 10^5-edge graph, in milliseconds.
+
+    Each insert interns one new edge; the triangle relation at the new
+    version must cost what its rows cost, not a re-rank of every
+    interned repr or a pass over every adjacency list.  The numbers are
+    merged into ``BENCH_dynamic.json`` under ``relation_build``.
+    """
+    start = time.perf_counter()
+    graph = VersionedGraph(gnm_random_graph(GATE_NODES, GATE_EDGES, rng=17))
+    pattern = triangle()
+    graph.maintainer.register(pattern)
+    setup_seconds = time.perf_counter() - start
+
+    rng = np.random.default_rng(29)
+    samples = {"node": [], "edge": []}
+    while len(samples["edge"]) < GATE_INSERTS:
+        u, v = (int(x) for x in rng.integers(0, GATE_NODES, size=2))
+        if u == v or graph.has_edge(u, v):
+            continue
+        graph.add_edge(u, v)
+        for privacy, seconds in samples.items():
+            start = time.perf_counter()
+            relation = graph.relation_for(pattern, privacy)
+            seconds.append(time.perf_counter() - start)
+            assert isinstance(relation, ConjunctiveKRelation), \
+                f"triangle/{privacy} left the columnar relation path"
+
+    median_ms = {
+        privacy: 1e3 * statistics.median(seconds)
+        for privacy, seconds in samples.items()
+    }
+    out_path = _bench_json_path(results_dir)
+    payload = json.loads(out_path.read_text()) if out_path.exists() else {}
+    payload["relation_build"] = {
+        "nodes": graph.num_nodes,
+        "edges": graph.num_edges,
+        "occurrences": graph.maintainer.count(pattern),
+        "inserts": GATE_INSERTS,
+        "setup_seconds": setup_seconds,
+        "node_median_ms": median_ms["node"],
+        "edge_median_ms": median_ms["edge"],
+        "gate_ms": GATE_RELATION_MS,
+    }
+    out_path.write_text(json.dumps(payload, indent=2) + "\n")
+    print(f"[relation build {median_ms} ms written to {out_path}]")
+    for privacy, ms in median_ms.items():
+        assert ms < GATE_RELATION_MS, (
+            f"triangle/{privacy} relation build after one insert took "
+            f"{ms:.2f} ms (median), gate {GATE_RELATION_MS} ms"
+        )
 
 
 def _write_random_edge_list(path, num_edges, num_nodes, seed):

@@ -108,10 +108,12 @@ class VersionedGraph(Graph):
                 raise GraphError("pass either a base graph or nodes=/edges=, not both")
             super().__init__()
             self._adj = {node: set(adj) for node, adj in graph._adj.items()}
+            self._num_edges = graph._num_edges
         else:
             super().__init__(nodes=nodes, edges=edges)
         self._base = Graph()
         self._base._adj = {node: set(adj) for node, adj in self._adj.items()}
+        self._base._num_edges = self._num_edges
         self._recording = True
 
     # -- identity ---------------------------------------------------------------
@@ -277,6 +279,7 @@ class VersionedGraph(Graph):
         """The current state as an independent plain graph."""
         clone = Graph()
         clone._adj = {node: set(adj) for node, adj in self._adj.items()}
+        clone._num_edges = self._num_edges
         return clone
 
     def copy(self) -> "VersionedGraph":

@@ -30,6 +30,7 @@ class Graph:
 
     def __init__(self, nodes: Iterable[Node] = (), edges: Iterable[Edge] = ()):
         self._adj: Dict[Node, Set[Node]] = {}
+        self._num_edges = 0  # kept by every mutator, see num_edges
         for node in nodes:
             self.add_node(node)
         for u, v in edges:
@@ -46,8 +47,10 @@ class Graph:
             raise GraphError(f"self-loop on {u!r} not allowed in a simple graph")
         self.add_node(u)
         self.add_node(v)
-        self._adj[u].add(v)
-        self._adj[v].add(u)
+        if v not in self._adj[u]:
+            self._adj[u].add(v)
+            self._adj[v].add(u)
+            self._num_edges += 1
 
     def add_edges_from(self, edges: Iterable[Edge]) -> None:
         """Bulk edge insert — one pass, no per-edge method dispatch.
@@ -66,8 +69,10 @@ class Graph:
             seen_v = adj.get(v)
             if seen_v is None:
                 seen_v = adj[v] = set()
-            seen_u.add(v)
-            seen_v.add(u)
+            if v not in seen_u:
+                seen_u.add(v)
+                seen_v.add(u)
+                self._num_edges += 1
 
     def remove_node(self, node: Node) -> List[Edge]:
         """Remove ``node`` and all incident edges (the node-privacy change).
@@ -82,6 +87,7 @@ class Graph:
         for neighbor in neighbors:
             self._adj[neighbor].discard(node)
         del self._adj[node]
+        self._num_edges -= len(neighbors)
         return [(node, neighbor) for neighbor in neighbors]
 
     def remove_edge(self, u: Node, v: Node) -> None:
@@ -90,11 +96,13 @@ class Graph:
             raise GraphError(f"unknown edge ({u!r}, {v!r})")
         self._adj[u].discard(v)
         self._adj[v].discard(u)
+        self._num_edges -= 1
 
     def copy(self) -> "Graph":
         """An independent deep copy of the adjacency structure."""
         clone = Graph()
         clone._adj = {node: set(neighbors) for node, neighbors in self._adj.items()}
+        clone._num_edges = self._num_edges
         return clone
 
     # -- queries --------------------------------------------------------------------
@@ -104,7 +112,12 @@ class Graph:
 
     @property
     def num_edges(self) -> int:
-        return sum(len(neighbors) for neighbors in self._adj.values()) // 2
+        """``|E|`` in O(1): a counter that :meth:`add_edge`,
+        :meth:`add_edges_from` (new edges only), :meth:`remove_edge`,
+        :meth:`remove_node`, :meth:`copy` and :meth:`subgraph` keep.
+        Code that assigns ``_adj`` wholesale must set ``_num_edges``
+        too."""
+        return self._num_edges
 
     def nodes(self) -> List[Node]:
         """All nodes in deterministic (sorted-repr) order."""
@@ -180,10 +193,13 @@ class Graph:
         if unknown:
             raise GraphError(f"unknown nodes {sorted(map(repr, unknown))}")
         out = Graph(nodes=keep)
+        ends = 0
         for u in keep:
             for v in self._adj[u]:
                 if v in keep:
                     out._adj[u].add(v)
+                    ends += 1
+        out._num_edges = ends // 2
         return out
 
     def __contains__(self, node: Node) -> bool:

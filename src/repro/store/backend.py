@@ -18,6 +18,7 @@ insert/drop call sequence as the dict-of-frozensets oracle in
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
@@ -89,7 +90,9 @@ class ColumnarOccurrenceBackend:
 
     def canonical_rows(self) -> np.ndarray:
         """Alive rows in canonical order (the fast relation path's view)."""
-        return self.table.canonical_order(self.interner.edge_ranks())
+        return self.table.canonical_order(
+            partial(self.interner.repr_ranks, kind="edge")
+        )
 
     def sorted_occurrences(self) -> Tuple[Occurrence, ...]:
         """The canonically ordered occurrences, as a cached tuple."""

@@ -18,8 +18,8 @@ posting hits by the ``alive`` mask at read time.
 
 :meth:`ColumnarOccurrenceTable.canonical_order` reproduces the dict
 path's canonical occurrence sort (``tuple(sorted(map(repr, edges)))``,
-stable) as a pure integer computation: gather each row's edge repr
-ranks (equal reprs share a rank), sort within the row, then a stable
+stable) as a pure integer computation: rank the alive rows' edge ids
+by repr (equal reprs share a rank), sort within the row, then a stable
 ``np.lexsort`` across columns — ties fall back to row order, which is
 insertion order, exactly like the stable Python sort over dict values.
 """
@@ -293,14 +293,18 @@ class ColumnarOccurrenceTable:
         self.mutations += 1
 
     # -- canonical ordering -----------------------------------------------------------
-    def canonical_order(self, edge_ranks: np.ndarray) -> np.ndarray:
+    def canonical_order(self, rank_edges) -> np.ndarray:
         """Alive rows in the maintainer's canonical occurrence order.
 
-        ``edge_ranks`` maps edge id → repr-string rank (equal reprs share
-        a rank).  The result is cached until the next mutation; rank
-        renumbering caused by later interning never reorders existing
-        rows (ranks are order-isomorphic to the repr strings), so the
-        cache only needs to track table mutations.
+        ``rank_edges`` ranks edge ids by repr string (equal reprs share a
+        rank): either an array indexed by edge id, or a callable mapping
+        an edge-id matrix to its rank matrix
+        (:meth:`~repro.store.interning.InternTable.repr_ranks`), which
+        is only called when the cached order is stale — so only the
+        alive rows' edges are ranked, once per mutation.  Ranks are
+        order-isomorphic to the repr strings, so which other ids exist
+        never reorders the rows, and the cache only needs to track
+        table mutations.
         """
         if self._canonical is not None:
             return self._canonical
@@ -308,7 +312,8 @@ class ColumnarOccurrenceTable:
         if rows.size == 0:
             self._canonical = rows
             return rows
-        ranks = edge_ranks[self._rows["edges"][rows]]
+        ids = self._rows["edges"][rows]
+        ranks = rank_edges(ids) if callable(rank_edges) else rank_edges[ids]
         ranks.sort(axis=1)  # per-occurrence sorted repr tuple, as ranks
         keys = tuple(ranks[:, column] for column in range(ranks.shape[1] - 1, -1, -1))
         order = np.lexsort(keys)  # stable: ties keep insertion order

@@ -18,13 +18,17 @@ defined over:
   participants that occur in some occurrence, so it cannot see a clash
   with one that does not.
 
-Repr-rank arrays (:meth:`InternTable.node_ranks` /
-:meth:`InternTable.edge_ranks`) assign **equal ranks to equal repr
-strings**, so a stable integer lexsort over ranks reproduces the dict
-path's string sorts exactly, ties included.  Distinct labels sharing a
-``repr`` make several string-keyed orders ambiguous, so the table tracks
-:attr:`InternTable.has_repr_collision` and the fast relation path
-falls back to the occurrence path (eager pairs) whenever it is set.
+:meth:`InternTable.repr_ranks` ranks a given array of node or edge ids
+by their reprs, assigning **equal ranks to equal repr strings**, so a
+stable integer lexsort over ranks reproduces the dict path's string
+sorts exactly, ties included.  Only the ids passed in are ranked — a
+relation build ranks the ids its rows use, never every interned repr —
+and since a subset keeps its members' relative order and ties, the
+resulting sorts are the same whatever else has been interned.
+Distinct labels sharing a ``repr`` make several string-keyed orders
+ambiguous, so the table tracks :attr:`InternTable.has_repr_collision`
+and the fast relation path falls back to the occurrence path (eager
+pairs) whenever it is set.
 
 Graph membership is tracked with boolean *presence* flags (interning is
 append-only; deletes only clear flags), letting the relation builder
@@ -82,8 +86,6 @@ class InternTable:
         "_edge_names",
         "_edge_present",
         "_num_edges_present",
-        "_node_rank_cache",
-        "_edge_rank_cache",
     )
 
     def __init__(self):
@@ -109,10 +111,6 @@ class InternTable:
         self._edge_names: List[str] = []
         self._edge_present = np.zeros(0, dtype=bool)
         self._num_edges_present = 0
-
-        # (num entries ranked, rank array) — invalidated by new interns
-        self._node_rank_cache: Optional[Tuple[int, np.ndarray]] = None
-        self._edge_rank_cache: Optional[Tuple[int, np.ndarray]] = None
 
     # -- nodes --------------------------------------------------------------------
     def intern_node(self, label) -> int:
@@ -291,26 +289,17 @@ class InternTable:
         names = self._edge_names
         return [names[i] for i in edge_ids.tolist()]
 
-    def _ranks(self, reprs: List[str], cache: Optional[Tuple[int, np.ndarray]]):
-        if cache is not None and cache[0] == len(reprs):
-            return cache, cache[1]
-        text = np.asarray(reprs, dtype=object)
+    def repr_ranks(self, ids: np.ndarray, kind: str) -> np.ndarray:
+        """Repr-string ranks of node (``kind="node"``) or edge ids.
+
+        Same shape as ``ids``; edges rank by their normalized tuple's
+        repr.  Ranks are dense over the distinct ids given, and equal
+        reprs share a rank.
+        """
+        reprs = self._edge_reprs if kind == "edge" else self._node_reprs
+        distinct, back = np.unique(ids.ravel(), return_inverse=True)
+        text = np.asarray([reprs[i] for i in distinct.tolist()], dtype=object)
         # np.unique sorts with the labels' own str comparison and hands
         # equal strings the same inverse index — equal reprs, equal ranks
         _, ranks = np.unique(text, return_inverse=True)
-        ranks = ranks.astype(np.int64, copy=False)
-        return (len(reprs), ranks), ranks
-
-    def node_ranks(self) -> np.ndarray:
-        """Repr-string rank per node id (equal reprs share a rank)."""
-        self._node_rank_cache, ranks = self._ranks(
-            self._node_reprs, self._node_rank_cache
-        )
-        return ranks
-
-    def edge_ranks(self) -> np.ndarray:
-        """Normalized-tuple repr rank per edge id (ties share a rank)."""
-        self._edge_rank_cache, ranks = self._ranks(
-            self._edge_reprs, self._edge_rank_cache
-        )
-        return ranks
+        return ranks.astype(np.int64, copy=False)[back].reshape(ids.shape)

@@ -157,9 +157,12 @@ def conjunctive_relation(
 ) -> Optional[ConjunctiveKRelation]:
     """Build the index-form relation for one maintained pattern state.
 
-    Only the ids that occur in some row are named and sorted; the other
-    present nodes or edges are counted, and named only if something
-    reads :attr:`ConjunctiveKRelation.participants`.
+    Only the ids that occur in some row are ranked, named and sorted
+    (:meth:`~repro.store.interning.InternTable.repr_ranks` orders each
+    row's columns), so ranking and naming cost O(rows log rows), not a
+    pass over every interned repr.  The other present nodes or edges
+    are counted, and named only if something reads
+    :attr:`ConjunctiveKRelation.participants`.
 
     Returns ``None`` when participant names collide (two labels
     stringify to the same variable name — e.g. ``1`` vs ``"1"``) or an
@@ -178,16 +181,15 @@ def conjunctive_relation(
     if privacy == "edge":
         present = interner.present_edge_ids()
         names_of = interner.edge_names
-        ranks = interner.edge_ranks()
         columns = edge_ids
     else:
         present = interner.present_node_ids()
         names_of = interner.node_names
-        ranks = interner.node_ranks()
         columns = node_ids
     # annotation children order = repr order of the conjoined objects
     # (NOT name order): stable argsort over repr ranks per row
-    within = np.argsort(ranks[columns], axis=1, kind="stable")
+    ranks = interner.repr_ranks(columns, privacy)
+    within = np.argsort(ranks, axis=1, kind="stable")
     children = np.take_along_axis(columns, within, axis=1)
     used, inverse = np.unique(children.ravel(), return_inverse=True)
     at = np.searchsorted(present, used)

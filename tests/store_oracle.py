@@ -12,7 +12,11 @@ original dicts-of-frozensets representation as an independent reference:
 * :class:`TeeBackend` / :func:`tee_dict_oracle` — mirror every write of
   a columnar maintainer into a dict oracle, so one maintainer drives
   both stores with the identical insert/drop call sequence and a parity
-  check costs no second delta-join enumeration.
+  check costs no second delta-join enumeration;
+* :func:`global_repr_ranks` / :func:`oracle_canonical_rows` /
+  :func:`oracle_relation` — the columnar orders recomputed from ranks of
+  *every* interned repr, against which the store's ranking of only the
+  ids its rows use is pinned.
 
 Canonical order breaks ties by insertion order in both stores, so equal
 call sequences give elementwise equal ``sorted_occurrences()``.
@@ -20,7 +24,9 @@ call sequences give elementwise equal ``sorted_occurrences()``.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+
+import numpy as np
 
 from repro.subgraphs.matching import Occurrence
 
@@ -158,3 +164,45 @@ def tee_dict_oracle(graph) -> Dict[tuple, DictOccurrenceBackend]:
 
     maintainer._make_backend = make_backend
     return oracles
+
+
+def global_repr_ranks(interner, kind: str) -> np.ndarray:
+    """Rank of every interned node or edge id by repr (ties share a rank)."""
+    reprs = interner._edge_reprs if kind == "edge" else interner._node_reprs
+    _, ranks = np.unique(np.asarray(reprs, dtype=object), return_inverse=True)
+    return ranks.astype(np.int64)
+
+
+def oracle_canonical_rows(backend) -> np.ndarray:
+    """A columnar backend's alive rows, canonically ordered by global ranks."""
+    table = backend.table
+    rows = table.alive_rows()
+    ranks = global_repr_ranks(backend.interner, "edge")[table.edge_columns(rows)]
+    ranks.sort(axis=1)
+    # lexsort's last key is the primary one: the smallest repr first
+    return rows[np.lexsort(ranks.T[::-1])]
+
+
+def oracle_relation(backend, privacy: str) -> Tuple[List[str], np.ndarray]:
+    """``(sorted_participants, matrix)`` of the backend's relation.
+
+    Rows in :func:`oracle_canonical_rows` order, each row's columns in
+    repr order by global ranks, participants named and sorted in Python.
+    """
+    interner, table = backend.interner, backend.table
+    rows = oracle_canonical_rows(backend)
+    if privacy == "edge":
+        columns, name = table.edge_columns(rows), interner.edge_name
+    else:
+        columns, name = table.node_columns(rows), interner.node_name
+    ranks = global_repr_ranks(interner, privacy)[columns]
+    children = np.take_along_axis(
+        columns, np.argsort(ranks, axis=1, kind="stable"), axis=1
+    )
+    names = sorted({name(i) for i in children.ravel().tolist()})
+    index = {participant: i for i, participant in enumerate(names)}
+    matrix = np.array(
+        [[index[name(i)] for i in row] for row in children.tolist()],
+        dtype=np.int64,
+    ).reshape(children.shape)
+    return names, matrix

@@ -1,9 +1,13 @@
 """Tests for the graph substrate: Graph, generators, IO, datasets."""
 
 import math
+import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.dynamic import VersionedGraph
 from repro.errors import DatasetError, GraphError
 from repro.graphs import (
     DATASETS,
@@ -111,6 +115,24 @@ class TestGraph:
         assert g.max_common_neighbors() == 1
 
 
+_NODE = st.integers(0, 7)
+#: One graph operation: a name and its arguments.  Nodes come from a
+#: small universe so inserts repeat, removals hit and self-loops occur.
+_GRAPH_OPS = st.one_of(
+    st.tuples(st.just("add_edge"), _NODE, _NODE, st.integers(1, 3)),
+    st.tuples(
+        st.just("add_edges_from"), st.lists(st.tuples(_NODE, _NODE), max_size=8)
+    ),
+    st.tuples(st.just("remove_edge"), _NODE, _NODE),
+    st.tuples(st.just("remove_node"), _NODE),
+    st.tuples(st.just("copy")),
+    st.tuples(st.just("subgraph"), st.sets(_NODE)),
+    st.tuples(st.just("version")),
+    st.tuples(st.just("history"), st.integers(0, 60)),
+    st.tuples(st.just("pickle")),
+)
+
+
 class TestMutationConsistency:
     """Property tests: mutate, then re-query every derived structure.
 
@@ -168,6 +190,62 @@ class TestMutationConsistency:
                     ref_nodes.discard(n)
                     ref_edges = {e for e in ref_edges if n not in e}
                 self._assert_consistent(g, ref_nodes, ref_edges)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_GRAPH_OPS, max_size=30))
+    def test_edge_count_kept_by_every_op(self, ops):
+        g = Graph()
+        for op, *args in ops:
+            before = g.num_edges
+            if op == "add_edge":
+                u, v, times = args
+                for _ in range(times):
+                    if u == v:
+                        with pytest.raises(GraphError):
+                            g.add_edge(u, v)
+                    else:
+                        g.add_edge(u, v)
+            elif op == "add_edges_from":
+                (pairs,) = args
+                if any(u == v for u, v in pairs):
+                    # a self-loop raises after the pairs before it landed
+                    with pytest.raises(GraphError):
+                        g.add_edges_from(pairs)
+                else:
+                    g.add_edges_from(pairs)
+            elif op == "remove_edge":
+                u, v = args
+                if g.has_edge(u, v):
+                    g.remove_edge(u, v)
+                else:
+                    with pytest.raises(GraphError):
+                        g.remove_edge(u, v)
+                    assert g.num_edges == before
+            elif op == "remove_node":
+                (node,) = args
+                if g.has_node(node):
+                    g.remove_node(node)
+                else:
+                    with pytest.raises(GraphError):
+                        g.remove_node(node)
+            elif op == "copy":
+                g = g.copy()
+            elif op == "subgraph":
+                (keep,) = args
+                g = g.subgraph(keep & set(g.nodes()))
+            elif op == "version":
+                g = VersionedGraph(g)
+            elif op == "history" and isinstance(g, VersionedGraph):
+                (pick,) = args
+                version = pick % (g.version + 1)
+                past = g.at_version(version)
+                assert past.num_edges == len(past.edges())
+                g = g.checkout(version) if pick % 2 else g.copy()
+            elif op == "pickle":
+                g = pickle.loads(pickle.dumps(g))
+            assert g.num_edges == len(g.edges())
+            if isinstance(g, VersionedGraph):
+                assert g.as_graph().num_edges == g.num_edges
 
     def test_remove_node_returns_incident_edges_deterministically(self):
         g = Graph(edges=[(1, 5), (1, 3), (1, 9), (3, 5)])

@@ -16,7 +16,12 @@ import random
 
 import numpy as np
 import pytest
-from store_oracle import tee_dict_oracle, use_dict_store
+from store_oracle import (
+    oracle_canonical_rows,
+    oracle_relation,
+    tee_dict_oracle,
+    use_dict_store,
+)
 
 from repro import PrivateSession, VersionedGraph, random_graph_with_avg_degree
 from repro.errors import LPError
@@ -284,6 +289,39 @@ class TestColumnarTable:
         assert len(table) == 0 and table.info()["alive"] == 0
 
 
+class TestRankParity:
+    """Ranking only the ids in rows gives the orders of a global re-rank.
+
+    Int labels 0-120 sort differently as reprs than as numbers
+    (``'100' < '11' < '9'``), so a rank that leaked numeric order, or
+    depended on which other ids were interned, would reorder rows or
+    columns here.
+    """
+
+    @pytest.mark.parametrize("privacy", ["node", "edge"])
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_stream_matches_global_rank_oracle(self, privacy, seed):
+        graph = VersionedGraph(random_graph_with_avg_degree(121, 8, rng=seed))
+        patterns = [triangle(), k_star(2)]
+        rng = random.Random(seed)
+        for step in range(40):
+            u, v = rng.randrange(121), rng.randrange(121)
+            if step % 10 == 9 and graph.has_node(u):
+                graph.remove_node(u)
+            elif u != v:
+                action = "remove_edge" if graph.has_edge(u, v) else "add_edge"
+                getattr(graph, action)(u, v)
+            for pattern in patterns:
+                relation = graph.relation_for(pattern, privacy)
+                assert isinstance(relation, ConjunctiveKRelation)
+                backend = graph.maintainer._state(pattern).backend
+                assert backend.canonical_rows().tolist() == \
+                    oracle_canonical_rows(backend).tolist()
+                participants, matrix = oracle_relation(backend, privacy)
+                assert relation.sorted_participants == participants
+                assert relation.matrix.tolist() == matrix.tolist()
+
+
 class TestInternTable:
     def test_round_trip_and_presence(self):
         interner = InternTable()
@@ -297,6 +335,19 @@ class TestInternTable:
         assert interner.present_edge_ids().size == 0
         # ids are stable across presence flips (append-only interning)
         assert interner.add_edge("a", "b") == edge
+
+    def test_repr_ranks_share_ties_and_keep_shape(self):
+        class Twin:
+            def __repr__(self):
+                return "twin"
+
+        interner = InternTable()
+        ids = [interner.intern_node(label) for label in (Twin(), 9, Twin(), 100)]
+        # reprs "twin", "9", "twin", "100" sort as "100" < "9" < "twin"
+        grid = np.array([[ids[0], ids[1]], [ids[2], ids[3]]])
+        assert interner.repr_ranks(grid, "node").tolist() == [[2, 1], [2, 0]]
+        edge = interner.intern_edge(9, 100)
+        assert interner.repr_ranks(np.array([edge]), "edge").tolist() == [0]
 
     def test_counts_match_and_sync(self):
         interner = InternTable()
