@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablation benches for the repository's main design choices.
 
 1. **LP backend** — HiGHS vs the from-scratch simplex oracle
    (``tests/lp_oracle.py``) on identical small programs, both through the
@@ -136,7 +136,8 @@ def test_ablation_mu_bias(benchmark, scale, record_figure):
 
 def test_ablation_bounding_mode(benchmark, scale, record_figure):
     """Eq. 19 ("paper") vs the sound Ĝ = 2·S̄·H ("uniform") — the cost of
-    repairing the DESIGN.md §6 erratum on disjunctive K-relations, and the
+    repairing the Eq. 19 erratum on disjunctive K-relations (README
+    "Deviations from the paper"), and the
     absence of any cost question on conjunctive ones (where "paper" is
     sound and much tighter)."""
     from repro.krand import random_dnf_krelation

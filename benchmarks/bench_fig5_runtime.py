@@ -4,9 +4,9 @@ Paper shape: 2-star counting grows with |V| (the number of 2-stars is
 ~|V|·C(avgdeg,2)); triangle/2-triangle runtimes track the (roughly
 constant-in-|V|) match counts for fixed average degree.
 
-Set ``$REPRO_WORKERS`` to shard the sweep grid across a process pool
-(``REPRO_WORKERS=1`` runs the same deterministic scheme in-process;
-unset keeps the historical serial path).
+Set ``$REPRO_WORKERS`` to shard the sweep grid across a process pool;
+unset (or ``REPRO_WORKERS=1``) runs the same seeded grid in-process, with
+the same answers.
 """
 
 import os
@@ -17,7 +17,7 @@ from repro.experiments.runtime import fig5_runtime_sweep
 
 def _workers_from_env():
     env = os.environ.get("REPRO_WORKERS")
-    return int(env) if env else None
+    return int(env) if env else 1
 
 
 def test_fig5(benchmark, scale, record_figure):

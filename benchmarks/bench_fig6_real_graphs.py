@@ -1,8 +1,8 @@
 """Fig. 6: dataset statistics and recursive-mechanism runtimes.
 
 The stand-in graphs shrink with the scale preset; the paper columns
-(paper_V / paper_E / paper_triangles) are printed alongside for the
-paper-vs-measured record in EXPERIMENTS.md.
+(paper_V / paper_E / paper_triangles) are printed alongside, as the README
+section "Deviations from the paper" describes.
 """
 
 from repro.experiments import format_table

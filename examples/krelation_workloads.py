@@ -36,7 +36,8 @@ def main():
             relation = generate(150, clauses, rng=17)
             # bounding="paper" matches the paper's Fig. 8 mechanism; the
             # default "auto" would pick the sound-but-looser alternative for
-            # these disjunctive annotations (see DESIGN.md §6).
+            # these disjunctive annotations (see README "Deviations from the
+            # paper").
             mechanism = EfficientRecursiveMechanism(relation, bounding="paper")
             rng = np.random.default_rng(0)
             answers = [mechanism.run(params, rng).answer for _ in range(trials)]

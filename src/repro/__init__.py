@@ -34,8 +34,8 @@ and mechanisms are picked by registry name (``repro.mechanisms.get``):
 >>> session.verify_ledger()
 True
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record of every figure.
+See the README for the system inventory and its section "Deviations from
+the paper" for where this reproduction departs from the paper.
 """
 
 from .algebra import (

@@ -21,8 +21,8 @@ nontrivial utility):
   paper's Fig. 1).
 
 These are re-implementations from the published descriptions (no reference
-code is available offline); DESIGN.md §4 records the reconstruction
-decisions.  Each returns a :class:`BaselineResult` so the experiment
+code is available offline); the README section "Deviations from the paper"
+records the reconstruction decisions.  Each returns a :class:`BaselineResult` so the experiment
 harness treats every mechanism uniformly.
 """
 

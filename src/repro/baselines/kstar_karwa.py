@@ -10,7 +10,8 @@ two largest degrees::
 (at distance ``s`` each degree can grow by at most ``s``).  The mechanism
 releases the count with Cauchy noise calibrated to the β-smooth bound —
 the ε-differentially-private variant Karwa et al. evaluate.  This is a
-re-implementation from the published description (DESIGN.md §4); their
+re-implementation from the published description (README "Deviations
+from the paper"); their
 exact algorithm computes the same smooth bound with a faster sweep.
 """
 

@@ -18,7 +18,8 @@ sensitivity recipe, the mechanism:
 
 The composition is (ε₁+ε₂, δ)-differentially private; the paper's Fig. 1
 row "O(LS/ε) error if ln(1/δ)/ε = O(a_max)" is exactly this mechanism's
-behaviour.  Re-implemented from the published description (DESIGN.md §4).
+behaviour.  Re-implemented from the published description (README
+"Deviations from the paper").
 """
 
 from __future__ import annotations

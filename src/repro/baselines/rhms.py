@@ -13,7 +13,7 @@ We reproduce it as output perturbation with Laplace noise of exactly that
 scale.  (The original uses a shifted/truncated noise distribution tuned to
 the adversarial-privacy proof; the error magnitude, which is what the
 evaluation compares, is the Fig. 1 scale.)  Re-implementation decisions are
-recorded in DESIGN.md §4.
+recorded in the README section "Deviations from the paper".
 """
 
 from __future__ import annotations

@@ -1282,7 +1282,8 @@ def _cmd_datasets(_args) -> int:
         format_table(
             rows,
             ["dataset", "paper_V", "paper_E", "paper_triangles", "family"],
-            title="Fig. 6 dataset stand-ins (synthetic; see DESIGN.md §4)",
+            title="Fig. 6 dataset stand-ins (synthetic; see the README "
+            "section 'Deviations from the paper')",
         )
     )
     return 0

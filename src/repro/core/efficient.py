@@ -131,11 +131,11 @@ class EfficientRecursiveMechanism(RecursiveMechanismBase):
     bounding:
         Which bounding sequence to use for the Δ computation:
 
-        * ``"paper"`` — Eq. 19 exactly.  **Erratum** (DESIGN.md §6): for
-          annotations containing disjunctions this sequence can violate
-          Def. 17, inflating the effective ε1 by a data-dependent factor;
-          for conjunctive annotations (all subgraph counting) it is sound
-          and much tighter.
+        * ``"paper"`` — Eq. 19 exactly.  **Erratum** (README "Deviations
+          from the paper"): for annotations containing disjunctions this
+          sequence can violate Def. 17, inflating the effective ε1 by a
+          data-dependent factor; for conjunctive annotations (all
+          subgraph counting) it is sound and much tighter.
         * ``"uniform"`` — the sound ``Ĝ_i = 2·S̄·H_i`` sequence: valid for
           arbitrary annotations, looser on conjunctive ones.
         * ``"auto"`` (default) — ``"paper"`` when every annotation is a

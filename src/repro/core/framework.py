@@ -30,13 +30,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from ..errors import MechanismError
 from ..obs import metrics as obs_metrics
-from ..parallel.pool import map_tasks
 from ..results import ResultBase
-from ..rng import RngLike, ensure_rng, laplace, spawn_seed_sequences
+from ..rng import RngLike, ensure_rng, laplace
 from .params import RecursiveMechanismParams
 
 __all__ = ["MechanismResult", "RecursiveMechanismBase"]
@@ -301,46 +298,7 @@ class RecursiveMechanismBase:
             },
         )
 
-    def sample_answers(
-        self,
-        params: RecursiveMechanismParams,
-        trials: int,
-        rng: RngLike = None,
-        workers: Optional[int] = None,
-    ) -> list:
-        """Run the mechanism ``trials`` times (sequence entries are cached).
-
-        Δ is deterministic given the database, so repeated trials only pay
-        for fresh noise and the (cached after first use) X entries.
-
-        ``workers=None`` (default) keeps the historical behavior: one
-        generator threaded sequentially through the trials.  An explicit
-        ``workers`` switches to the deterministic parallel scheme — every
-        trial gets its own spawned seed sequence up front, and the trials
-        are sharded across processes forked *after* this mechanism (and
-        its compiled program) was built.  ``workers=1`` runs the same
-        scheme in-process, so serial and parallel runs release
-        byte-identical answers at a fixed seed.  Worker-side cache warmth
-        stays in the workers; the parent's entry caches are unchanged.
-        """
-        if workers is None:
-            generator = ensure_rng(rng)
-            return [self.run(params, generator) for _ in range(trials)]
-        seeds = spawn_seed_sequences(rng, trials)
-        return map_tasks(
-            _sample_trial,
-            [(params, seed) for seed in seeds],
-            payload=self,
-            workers=workers,
-        )
-
 
 def _count_x_step(how: str) -> None:
     """Count one X-step decision by how it was made."""
     obs_metrics().counter("repro_x_step_total", how=how).inc()
-
-
-def _sample_trial(mechanism: "RecursiveMechanismBase", task) -> MechanismResult:
-    """Worker-side single trial for :meth:`sample_answers`."""
-    params, seed_sequence = task
-    return mechanism.run(params, np.random.default_rng(seed_sequence))

@@ -21,7 +21,6 @@ paper's exact sizes.
 """
 
 from .harness import (
-    ParallelHarness,
     Scale,
     aggregate_median,
     median_relative_error,
@@ -35,7 +34,6 @@ __all__ = [
     "median_relative_error",
     "aggregate_median",
     "run_mechanism_trials",
-    "ParallelHarness",
     "Scale",
     "resolve_scale",
     "MECHANISM_NAMES",

@@ -12,6 +12,7 @@ against measurements.
 from __future__ import annotations
 
 import time
+from functools import partial
 from typing import Dict, List, Optional, Sequence
 
 from ..core.queries import CountQuery
@@ -54,6 +55,11 @@ def _privacy_label(mechanism: str, query: str) -> str:
     return "edge-DP"
 
 
+def _release_answer(prepared, epsilon: float, trial_rng) -> float:
+    """One noisy release of a prepared registry mechanism."""
+    return prepared.release(epsilon, trial_rng).answer
+
+
 def fig1_comparison_table(
     num_nodes: int = 200,
     avgdeg: float = 10.0,
@@ -61,7 +67,7 @@ def fig1_comparison_table(
     queries: Sequence[str] = ("triangle", "2-star", "2-triangle"),
     scale: Optional[Scale] = None,
     rng: RngLike = 0,
-    workers: Optional[int] = None,
+    workers: Optional[int] = 1,
     mechanisms: Sequence[str] = FIG1_MECHANISMS,
 ) -> List[Dict[str, object]]:
     """One row per (query, mechanism): measured error, time and structure.
@@ -70,12 +76,10 @@ def fig1_comparison_table(
     a registry entry, see
     :data:`repro.experiments.mechanisms.EXPERIMENT_MECHANISMS`).
 
-    ``workers=None`` keeps the historical serial trial loops.  An
-    explicit ``workers`` shards each mechanism's trial repetitions across
-    a pool forked *after* that mechanism's per-graph precomputation (the
-    K-relation encoding, smooth-sensitivity statistics), with
-    deterministic per-trial seed spawning — ``workers=1`` and
-    ``workers=k`` report identical errors at a fixed seed.
+    Each mechanism's trials run through :func:`run_mechanism_trials`
+    after its per-graph precomputation (the K-relation encoding,
+    smooth-sensitivity statistics): ``workers=k`` forks a pool after it,
+    and every worker count reports identical errors at a fixed seed.
     """
     unknown = [name for name in mechanisms if name not in EXPERIMENT_MECHANISMS]
     if unknown:
@@ -106,26 +110,13 @@ def fig1_comparison_table(
                     relation_edge, bound=1
                 ).prepare(QuerySpec.of(None, privacy=privacy))
                 truth = prepared.true_answer
+                run_once = partial(_release_answer, prepared, epsilon)
                 start = time.perf_counter()  # time trials, not prepare
-                if workers is None:
-                    errors = sorted(
-                        prepared.release(epsilon, generator).relative_error
-                        for _ in range(scale.trials)
-                    )
-                    error = errors[len(errors) // 2]
-                else:
-                    error = run_mechanism_trials(
-                        lambda trial_rng: prepared.release(epsilon, trial_rng).answer,
-                        truth,
-                        scale.trials,
-                        rng=generator,
-                        workers=workers,
-                    )
             else:
                 run_once, truth = make_runner(mechanism, graph, query, epsilon)
-                error = run_mechanism_trials(
-                    run_once, truth, scale.trials, generator, workers=workers
-                )
+            error = run_mechanism_trials(
+                run_once, truth, scale.trials, generator, workers=workers
+            )
             rows.append(
                 {
                     "query": query,

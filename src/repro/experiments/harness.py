@@ -1,23 +1,31 @@
-"""Trial running, accuracy aggregation, scale presets, and the
-fork-after-compile experiment sharder (:class:`ParallelHarness`)."""
+"""Trial running, accuracy aggregation and scale presets.
+
+Every experiment entry point seeds its noisy work one way: each task (a
+trial repetition or a sweep grid point) gets its own
+:class:`numpy.random.SeedSequence`, spawned up front in task order
+(:func:`repro.rng.spawn_seed_sequences`), and the tasks run through
+:func:`repro.parallel.map_tasks`.  So a result depends on the base seed
+and task order only: ``workers=1`` (the default, in-process) and
+``workers=k`` (a pool forked after the payload is built) release
+byte-identical answers.
+"""
 
 from __future__ import annotations
 
 import os
 import statistics
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ..parallel.pool import map_tasks, resolve_workers
-from ..rng import RngLike, ensure_rng, spawn_seed_sequences
+from ..parallel.pool import map_tasks
+from ..rng import RngLike, spawn_seed_sequences
 
 __all__ = [
     "median_relative_error",
     "aggregate_median",
     "run_mechanism_trials",
-    "ParallelHarness",
     "Scale",
     "resolve_scale",
 ]
@@ -52,60 +60,24 @@ def run_mechanism_trials(
     true_answer: float,
     trials: int,
     rng: RngLike = None,
-    workers: Optional[int] = None,
+    workers: Optional[int] = 1,
 ) -> float:
-    """Run ``run_once(generator) -> answer`` repeatedly; median rel. error.
+    """Run ``run_once(generator) -> answer`` ``trials`` times; median rel. error.
 
-    ``workers=None`` (default) keeps the historical serial behavior: one
-    generator threaded through every trial.  An explicit ``workers``
-    switches to the deterministic sharded scheme of
-    :meth:`ParallelHarness.run_trials` — each repetition gets its own
-    spawned seed sequence, and ``workers=1`` releases byte-identical
-    answers to ``workers=k`` at a fixed seed.  Pass the *prebuilt*
-    ``run_once`` closure (mechanism already compiled): the pool forks
-    after compilation, so workers inherit the compiled LP structure
-    copy-on-write.
+    Each repetition draws from its own spawned seed sequence, so the
+    result is the same for every ``workers``; ``None`` resolves
+    ``$REPRO_WORKERS``, else the CPU count.  Pass the *prebuilt*
+    ``run_once`` closure (mechanism already compiled): a pool forks after
+    it exists, so workers inherit the compiled LP structure copy-on-write.
     """
-    if workers is None:
-        generator = ensure_rng(rng)
-        answers = [float(run_once(generator)) for _ in range(trials)]
-    else:
-        answers = ParallelHarness(workers).run_trials(run_once, trials, rng=rng)
+    seeds = spawn_seed_sequences(rng, trials)
+    answers = map_tasks(_trial_task, seeds, payload=run_once, workers=workers)
     return median_relative_error(answers, true_answer)
 
 
 def _trial_task(run_once: Callable[[object], float], seed_sequence) -> float:
-    """Worker-side single repetition for :meth:`ParallelHarness.run_trials`."""
+    """One repetition of :func:`run_mechanism_trials`."""
     return float(run_once(np.random.default_rng(seed_sequence)))
-
-
-class ParallelHarness:
-    """Shards experiment workloads across a fork-after-compile pool.
-
-    The harness owns the two invariants every parallel experiment path
-    shares: workers are forked only *after* the payload (a compiled
-    mechanism closure, or nothing for self-contained grid tasks) exists,
-    so they inherit it copy-on-write; and randomness is assigned
-    per-task up front through :func:`repro.rng.spawn_seed_sequences`, so
-    results are a function of the base seed and task order only — never
-    of scheduling.  ``workers=1`` (or a platform without ``fork``) runs
-    every task in-process with byte-identical results.
-    """
-
-    def __init__(self, workers: Optional[int] = None):
-        #: resolved worker count (argument > ``$REPRO_WORKERS`` > CPUs)
-        self.workers = resolve_workers(workers)
-
-    def map(self, fn: Callable, tasks: Sequence, payload=None) -> list:
-        """``[fn(payload, task) for task in tasks]`` across the pool."""
-        return map_tasks(fn, tasks, payload=payload, workers=self.workers)
-
-    def run_trials(
-        self, run_once: Callable[[object], float], trials: int, rng: RngLike = None
-    ) -> List[float]:
-        """``trials`` repetitions of ``run_once`` with per-trial seeds."""
-        seeds = spawn_seed_sequences(rng, trials)
-        return self.map(_trial_task, seeds, payload=run_once)
 
 
 @dataclass(frozen=True)

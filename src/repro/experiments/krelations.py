@@ -19,7 +19,7 @@ from ..core.queries import CountQuery
 from ..core.sensitivity import universal_empirical_sensitivity
 from ..krand.generators import random_cnf_krelation, random_dnf_krelation
 from ..rng import RngLike, ensure_rng
-from .harness import Scale, median_relative_error, resolve_scale
+from .harness import Scale, resolve_scale, run_mechanism_trials
 
 __all__ = ["krelation_point", "fig8_clause_sweep", "fig9_size_sweep"]
 
@@ -49,14 +49,18 @@ def krelation_point(
     params = RecursiveMechanismParams.paper(epsilon)
     start = time.perf_counter()
     # bounding="paper" reproduces the paper's Eq. 19 exactly (Fig. 8/9 used
-    # it); see DESIGN.md §6 for the privacy erratum on disjunctive
-    # annotations and the sound "uniform" alternative.
+    # it); see README "Deviations from the paper" for the privacy erratum
+    # on disjunctive annotations and the sound "uniform" alternative.
     mechanism = EfficientRecursiveMechanism(relation, bounding="paper")
-    results = mechanism.sample_answers(params, trials, generator)
+    truth = mechanism.true_answer()
+    error = run_mechanism_trials(
+        lambda trial_rng: mechanism.run(params, trial_rng).answer,
+        truth,
+        trials,
+        generator,
+    )
     seconds = time.perf_counter() - start
 
-    truth = mechanism.true_answer()
-    error = median_relative_error([r.answer for r in results], truth)
     us = universal_empirical_sensitivity(CountQuery(), relation)
     reference = us / (epsilon * truth) if truth else float("inf")
     return {

@@ -4,7 +4,8 @@ Fig. 6 tabulates ``|V|``, ``|E|``, the triangle count and the recursive
 mechanism's running time (node and edge privacy) per dataset; Fig. 7
 compares the median relative error of the four mechanisms for triangle
 counting on the same graphs.  The graphs are synthetic stand-ins with the
-paper's |V|/|E| (see :mod:`repro.graphs.datasets` and DESIGN.md §4);
+paper's |V|/|E| (see :mod:`repro.graphs.datasets` and the README section
+"Deviations from the paper");
 ``scale.dataset_scale`` shrinks them for laptop-fast benchmark runs.
 """
 

@@ -21,9 +21,10 @@ import numpy as np
 from ..core.efficient import EfficientRecursiveMechanism
 from ..core.params import RecursiveMechanismParams
 from ..graphs.generators import random_graph_with_avg_degree
+from ..parallel.pool import map_tasks
 from ..rng import RngLike, ensure_rng, spawn_seed_sequences
 from ..subgraphs.annotate import subgraph_krelation
-from .harness import ParallelHarness, Scale, resolve_scale
+from .harness import Scale, resolve_scale
 from .mechanisms import parse_query
 from .synthetic import PAPER_NODE_SWEEP
 
@@ -90,7 +91,7 @@ def runtime_point(
 
 
 def _runtime_task(_payload, task) -> Dict[str, float]:
-    """Worker-side grid point for the parallel Fig. 5 sweep."""
+    """One Fig. 5 grid point, seeded by its own spawned sequence."""
     num_nodes, avgdeg, query, privacy, epsilon, seed_sequence = task
     return runtime_point(
         num_nodes,
@@ -109,20 +110,18 @@ def fig5_runtime_sweep(
     epsilon: float = 0.5,
     scale: Optional[Scale] = None,
     rng: RngLike = 0,
-    workers: Optional[int] = None,
+    workers: Optional[int] = 1,
 ) -> Dict[str, List[Dict[str, float]]]:
     """Fig. 5: mechanism running time for the six query/privacy combos.
 
     Returns ``{"<query>/<privacy>": [runtime_point dict per node count]}``.
 
-    ``workers=None`` (default) keeps the historical serial behavior (one
-    generator threaded through the grid).  An explicit ``workers`` shards
-    the (query × privacy × size) grid across a worker pool with one
-    spawned seed sequence per grid point, assigned in grid order — so the
-    graphs built, the relations encoded, and the released answers are
-    byte-identical between ``workers=1`` and ``workers=k`` at a fixed
-    seed, and per-point timings remain comparable (each point is still
-    one process's wall-clock work).
+    Each (query × privacy × size) grid point gets its own spawned seed
+    sequence, assigned in grid order, and the grid runs through
+    :func:`repro.parallel.map_tasks` — so the graphs built, the relations
+    encoded and the released answers are byte-identical for every
+    ``workers``, and per-point timings stay comparable (each point is one
+    process's wall-clock work).
     """
     scale = scale or resolve_scale()
     nodes = sorted(
@@ -131,23 +130,16 @@ def fig5_runtime_sweep(
             for v in scale.subset(PAPER_NODE_SWEEP)
         }
     )
-    combos = [(query, privacy) for query in queries for privacy in privacies]
-    out: Dict[str, List[Dict[str, float]]] = {}
-    if workers is None:
-        generator = ensure_rng(rng)
-        for query, privacy in combos:
-            out[f"{query}/{privacy}"] = [
-                runtime_point(n, avgdeg, query, privacy, epsilon, generator)
-                for n in nodes
-            ]
-        return out
-    grid = [(query, privacy, n) for query, privacy in combos for n in nodes]
+    grid = [
+        (query, privacy, n) for query in queries for privacy in privacies for n in nodes
+    ]
     seeds = spawn_seed_sequences(rng, len(grid))
     tasks = [
         (n, avgdeg, query, privacy, epsilon, seed)
         for (query, privacy, n), seed in zip(grid, seeds)
     ]
-    points = ParallelHarness(workers).map(_runtime_task, tasks)
+    points = map_tasks(_runtime_task, tasks, workers=workers)
+    out: Dict[str, List[Dict[str, float]]] = {}
     for (query, privacy, _n), point in zip(grid, points):
         out.setdefault(f"{query}/{privacy}", []).append(point)
     return out

@@ -12,9 +12,9 @@ match the original's triangle density:
 * power grids / circuits (``power``, ``1138_bus``, ``bcspwr10``,
   ``gemat12``) — G(n, m) uniform wiring (sparse, few triangles).
 
-The substitution is documented in DESIGN.md §4; EXPERIMENTS.md records the
-paper's triangle counts next to the stand-ins' so the scale difference is
-explicit.  The mechanisms only consume the graph structure, so the code
+The substitution is documented in the README section "Deviations from the
+paper"; ``repro datasets`` and the Fig. 6 bench print the paper's triangle
+counts next to the stand-ins' so the scale difference is explicit.  The mechanisms only consume the graph structure, so the code
 path exercised is identical to the original experiment.
 """
 

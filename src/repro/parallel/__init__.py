@@ -8,8 +8,9 @@ per-process solver state (persistent HiGHS models) lazily in each
 worker:
 
 1. session fan-out (:meth:`~repro.session.PrivateSession.submit`);
-2. experiment sharding
-   (:class:`~repro.experiments.harness.ParallelHarness`).
+2. experiment sharding: trial repetitions
+   (:func:`~repro.experiments.harness.run_mechanism_trials`) and sweep
+   grid points, each task seeded by its own spawned sequence.
 
 One sharing scheme implements it: :class:`~repro.parallel.pool.WorkerPool`
 forks workers after the arrays exist, so they inherit them copy-on-write.

@@ -116,29 +116,29 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     """
     from ..validation import validate_workers
 
-    workers = validate_workers(workers)
-    if workers is None:
+    count = validate_workers(workers)
+    if count is None:
         env = os.environ.get(WORKERS_ENV)
         if env is not None and env.strip():
             try:
-                workers = int(env)
+                count = int(env)
             except ValueError:
                 raise ValueError(
                     f"${WORKERS_ENV} must be an integer, got {env!r}"
                 ) from None
-            workers = validate_workers(workers, name=f"${WORKERS_ENV}")
+            count = validate_workers(count, name=f"${WORKERS_ENV}")
         else:
-            workers = _available_cpus()
-    if workers > 1 and not fork_available():
+            count = _available_cpus()
+    if count > 1 and not fork_available():
         return 1  # no fork start method: the in-process fallback
-    if workers > 1 and multiprocessing.current_process().daemon:
+    if count > 1 and multiprocessing.current_process().daemon:
         # Pool workers are daemonic and may not fork children of their
-        # own (e.g. a task that asks for a pool of its own inside a
-        # ParallelHarness shard or a session worker) — demote to the
+        # own (e.g. a task that asks for a pool of its own inside an
+        # experiment shard or a session worker) — demote to the
         # in-process fallback instead of crashing on "daemonic processes
         # are not allowed to have children".
         return 1
-    return workers
+    return count
 
 
 def register_fork_reset(obj) -> None:

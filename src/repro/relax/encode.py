@@ -646,7 +646,7 @@ class EncodedRelation:
         Eq. 19's ``G`` is *not* a recursive sequence (Def. 17) for general
         annotations — a counterexample with disjunctive annotations makes
         ``ln Δ`` move by ``2β`` between neighbors, breaking Lemma 1 (see
-        DESIGN.md §6 "Erratum").  Scaling the (provably recursive) ``H`` by
+        the README section "Deviations from the paper").  Scaling the (provably recursive) ``H`` by
         the withdrawal-monotone constant ``2·S̄`` yields a sequence that is
         both recursive and a valid 2-bounding sequence of ``H``: Theorem
         4's truncation argument bounds the coordinate-Lipschitz constant of

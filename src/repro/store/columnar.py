@@ -4,29 +4,29 @@ Rows are occurrences of a single pattern (``k`` nodes, ``m`` edges);
 the backing store is one NumPy structured array with a ``nodes`` field
 (``k`` interned node ids, ascending) and an ``edges`` field (``m``
 interned edge ids, ascending — the row's orientation-free identity,
-mirroring the dict backend's frozenset-of-edge-keys key).  Deletes are
+the frozenset of the occurrence's edges as ids).  Deletes are
 tombstones in a parallel ``alive`` mask; the table is append-only, so a
 row index doubles as insertion order (which the canonical ordering's
 tie-breaking relies on).
 
-Inverted indexes (edge id → rows, node id → rows) are kept LSM-style:
-a *frozen* run — postings sorted by key, answered with two
-``searchsorted`` probes — plus an unindexed append tail that is scanned
-vectorized; the frozen run is rebuilt when the tail outgrows
-:data:`_TAIL_FRACTION` of the table.  Dead rows are filtered from
-posting hits by the ``alive`` mask at read time.
+The inverted edge index (edge id → rows) is kept LSM-style: a *frozen*
+run — postings sorted by key, answered with two ``searchsorted`` probes —
+plus an unindexed append tail that is scanned vectorized; the frozen run
+is rebuilt when the tail outgrows :data:`_TAIL_FRACTION` of the table.
+Dead rows are filtered from posting hits by the ``alive`` mask at read
+time.
 
-:meth:`ColumnarOccurrenceTable.canonical_order` reproduces the dict
-path's canonical occurrence sort (``tuple(sorted(map(repr, edges)))``,
-stable) as a pure integer computation: rank the alive rows' edge ids
-by repr (equal reprs share a rank), sort within the row, then a stable
-``np.lexsort`` across columns — ties fall back to row order, which is
-insertion order, exactly like the stable Python sort over dict values.
+:meth:`ColumnarOccurrenceTable.canonical_order` reproduces the canonical
+occurrence sort (a stable sort on ``tuple(sorted(map(repr, edges)))``) as
+a pure integer computation: rank the alive rows' edge ids by repr (equal
+reprs share a rank), sort within the row, then a stable ``np.lexsort``
+across columns — ties fall back to row order, which is insertion order,
+exactly like a stable Python sort over the rows in insertion order.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -64,17 +64,14 @@ class _InvertedIndex:
 
 
 class ColumnarOccurrenceTable:
-    """Append-only occurrence rows with searchsorted inverted indexes."""
+    """Append-only occurrence rows with a searchsorted inverted edge index."""
 
     __slots__ = (
-        "_k",
-        "_m",
         "_rows",
         "_alive",
         "_size",
         "_indexed",
         "_edge_index",
-        "_node_index",
         "_dead",
         "index_rebuilds",
         "_canonical",
@@ -82,32 +79,17 @@ class ColumnarOccurrenceTable:
     )
 
     def __init__(self, num_nodes: int, num_edges: int):
-        self._k = int(num_nodes)
-        self._m = int(num_edges)
         dtype = np.dtype(
             [
-                (
-                    "nodes",
-                    np.int64,
-                    (
-                        self._k,
-                    ),
-                ),
-                (
-                    "edges",
-                    np.int64,
-                    (
-                        self._m,
-                    ),
-                ),
+                ("nodes", np.int64, (int(num_nodes),)),
+                ("edges", np.int64, (int(num_edges),)),
             ]
         )
         self._rows = np.empty(0, dtype=dtype)
         self._alive = np.empty(0, dtype=bool)
         self._size = 0           # rows appended (alive + tombstoned)
-        self._indexed = 0        # rows covered by the frozen indexes
+        self._indexed = 0        # rows covered by the frozen index
         self._edge_index = _InvertedIndex()
-        self._node_index = _InvertedIndex()
         self._dead = 0
         self.index_rebuilds = 0
         self._canonical: Optional[np.ndarray] = None
@@ -115,14 +97,6 @@ class ColumnarOccurrenceTable:
         self.mutations = 0
 
     # -- shape ---------------------------------------------------------------------
-    @property
-    def nodes_per_row(self) -> int:
-        return self._k
-
-    @property
-    def edges_per_row(self) -> int:
-        return self._m
-
     def __len__(self) -> int:
         return self._size - self._dead
 
@@ -133,7 +107,7 @@ class ColumnarOccurrenceTable:
 
     @property
     def tail_rows(self) -> int:
-        """Rows not yet covered by the frozen inverted indexes."""
+        """Rows not yet covered by the frozen inverted index."""
         return self._size - self._indexed
 
     # -- internal helpers ------------------------------------------------------------
@@ -149,25 +123,23 @@ class ColumnarOccurrenceTable:
         self._rows = rows
         self._alive = alive
 
-    def _rebuild_indexes(self) -> None:
+    def _rebuild_index(self) -> None:
         row_ids = np.flatnonzero(self._alive[: self._size])
         self._edge_index.build(self._rows["edges"][row_ids], row_ids)
-        self._node_index.build(self._rows["nodes"][row_ids], row_ids)
         self._indexed = self._size
         self.index_rebuilds += 1
 
     def _maybe_rebuild(self) -> None:
         tail = self._size - self._indexed
         if tail > max(_TAIL_MIN, self._size // _TAIL_FRACTION):
-            self._rebuild_indexes()
+            self._rebuild_index()
 
-    def _tail_rows_with(self, field: str, key: int) -> np.ndarray:
+    def _tail_rows_with(self, edge_id: int) -> np.ndarray:
         lo, hi = self._indexed, self._size
         if lo == hi:
             return _EMPTY_ROWS
-        block = self._rows[field][lo:hi]
-        hits = np.flatnonzero((block == key).any(axis=1)) + lo
-        return hits
+        block = self._rows["edges"][lo:hi]
+        return np.flatnonzero((block == edge_id).any(axis=1)) + lo
 
     def _alive_only(self, rows: np.ndarray) -> np.ndarray:
         if rows.size == 0:
@@ -178,14 +150,7 @@ class ColumnarOccurrenceTable:
     def rows_for_edge(self, edge_id: int) -> np.ndarray:
         """Alive row ids using ``edge_id``, ascending (insertion order)."""
         frozen = self._edge_index.lookup(edge_id)
-        tail = self._tail_rows_with("edges", edge_id)
-        rows = np.concatenate((frozen, tail)) if tail.size else frozen
-        return self._alive_only(rows)
-
-    def rows_for_node(self, node_id: int) -> np.ndarray:
-        """Alive row ids whose occurrence uses ``node_id``, ascending."""
-        frozen = self._node_index.lookup(node_id)
-        tail = self._tail_rows_with("nodes", node_id)
+        tail = self._tail_rows_with(edge_id)
         rows = np.concatenate((frozen, tail)) if tail.size else frozen
         return self._alive_only(rows)
 
@@ -200,10 +165,6 @@ class ColumnarOccurrenceTable:
     def edge_columns(self, rows: np.ndarray) -> np.ndarray:
         """``(len(rows), m)`` interned edge ids (ascending per row)."""
         return self._rows["edges"][rows]
-
-    def contains(self, edge_ids: np.ndarray) -> bool:
-        """Whether a row with exactly these (sorted) edge ids is alive."""
-        return self._find(edge_ids) is not None
 
     def _find(self, edge_ids: np.ndarray) -> Optional[int]:
         candidates = self.rows_for_edge(int(edge_ids[0]))
@@ -240,7 +201,7 @@ class ColumnarOccurrenceTable:
         within the batch keep the first copy (insertion order), and rows
         already alive in the table are skipped — the same semantics as a
         loop of :meth:`insert`, without the per-row index probe.  The
-        frozen indexes are rebuilt once at the end.  Returns the number
+        frozen index is rebuilt once at the end.  Returns the number
         of rows actually appended.
         """
         edge_matrix = np.ascontiguousarray(edge_matrix, dtype=np.int64)
@@ -265,7 +226,7 @@ class ColumnarOccurrenceTable:
         self._size = end
         self._canonical = None
         self.mutations += 1
-        self._rebuild_indexes()
+        self._rebuild_index()
         return count
 
     def delete_rows(self, rows: np.ndarray) -> int:
@@ -288,7 +249,6 @@ class ColumnarOccurrenceTable:
         self._indexed = 0
         self._dead = 0
         self._edge_index = _InvertedIndex()
-        self._node_index = _InvertedIndex()
         self._canonical = None
         self.mutations += 1
 

@@ -20,11 +20,11 @@ defined over:
 
 :meth:`InternTable.repr_ranks` ranks a given array of node or edge ids
 by their reprs, assigning **equal ranks to equal repr strings**, so a
-stable integer lexsort over ranks reproduces the dict path's string
-sorts exactly, ties included.  Only the ids passed in are ranked — a
-relation build ranks the ids its rows use, never every interned repr —
-and since a subset keeps its members' relative order and ties, the
-resulting sorts are the same whatever else has been interned.
+stable integer lexsort over ranks reproduces the occurrence path's sorts
+over repr strings exactly, ties included.  Only the ids passed in are
+ranked — a relation build ranks the ids its rows use, never every
+interned repr — and since a subset keeps its members' relative order and
+ties, the resulting sorts are the same whatever else has been interned.
 Distinct labels sharing a ``repr`` make several string-keyed orders
 ambiguous, so the table tracks :attr:`InternTable.has_repr_collision`
 and the fast relation path falls back to the occurrence path (eager
@@ -246,13 +246,13 @@ class InternTable:
     def num_edges_present(self) -> int:
         return self._num_edges_present
 
-    def present_node_ids(self) -> np.ndarray:
-        """Ascending dense ids of the nodes currently present."""
-        return np.flatnonzero(self._node_present)
+    def presence_snapshot(self, kind: str) -> np.ndarray:
+        """A copy of the node (``kind="node"``) or edge presence flags.
 
-    def present_edge_ids(self) -> np.ndarray:
-        """Ascending dense ids of the edges currently present."""
-        return np.flatnonzero(self._edge_present)
+        Indexed by id; an id past its end is absent.
+        """
+        flags = self._edge_present if kind == "edge" else self._node_present
+        return flags.copy()
 
     def counts_match(self, graph: Graph) -> bool:
         """Cheap guard that presence flags still mirror the graph."""

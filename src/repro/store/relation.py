@@ -179,21 +179,23 @@ def conjunctive_relation(
     node_ids = table.node_columns(rows)
     edge_ids = table.edge_columns(rows)
     if privacy == "edge":
-        present = interner.present_edge_ids()
+        num_present = interner.num_edges_present
         names_of = interner.edge_names
         columns = edge_ids
     else:
-        present = interner.present_node_ids()
+        num_present = interner.num_nodes_present
         names_of = interner.node_names
         columns = node_ids
+    # a copy: later updates move the presence flags, not the
+    # participants of this version
+    present = interner.presence_snapshot(privacy)
     # annotation children order = repr order of the conjoined objects
     # (NOT name order): stable argsort over repr ranks per row
     ranks = interner.repr_ranks(columns, privacy)
     within = np.argsort(ranks, axis=1, kind="stable")
     children = np.take_along_axis(columns, within, axis=1)
     used, inverse = np.unique(children.ravel(), return_inverse=True)
-    at = np.searchsorted(present, used)
-    if used.size and (at[-1] == present.size or (present[at] != used).any()):
+    if used.size and (used[-1] >= present.size or not present[used].all()):
         # an occurrence references a node/edge the presence flags say is
         # absent — maintained state and graph disagree; fall back
         return None
@@ -206,11 +208,16 @@ def conjunctive_relation(
         position[inverse].reshape(children.shape),
         privacy,
         partial(_resolved_occurrences, interner, node_ids, edge_ids),
-        # ``present`` is a fresh array: later updates move the presence
-        # flags, not the participants of this version
-        participants=partial(names_of, present),
-        num_participants=present.size,
+        participants=partial(_present_names, names_of, present),
+        num_participants=num_present,
     )
+
+
+def _present_names(
+    names_of: Callable[[np.ndarray], List[str]], present: np.ndarray
+) -> List[str]:
+    """Participant names of every id whose presence flag is set."""
+    return names_of(np.flatnonzero(present))
 
 
 def _resolved_occurrences(

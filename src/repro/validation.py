@@ -59,7 +59,7 @@ def validate_epsilon(epsilon, name: str = "epsilon") -> float:
     return value
 
 
-def validate_workers(workers, name: str = "workers") -> Optional[int]:
+def validate_workers(count, name: str = "workers") -> Optional[int]:
     """Validate a worker count; returns ``None`` or an ``int >= 1``.
 
     ``None`` means "resolve from ``$REPRO_WORKERS`` / the CPU count"
@@ -67,16 +67,16 @@ def validate_workers(workers, name: str = "workers") -> Optional[int]:
     integer ``>= 1``.  Zero, negative, fractional and non-integer values
     raise :class:`ValueError` with one clear message.
     """
-    if workers is None:
+    if count is None:
         return None
-    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)):
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
         raise ValueError(
-            f"{name} must be a positive integer (>= 1) or None, got {workers!r}"
+            f"{name} must be a positive integer (>= 1) or None, got {count!r}"
         )
-    value = int(workers)
+    value = int(count)
     if value < 1:
         raise ValueError(
-            f"{name} must be a positive integer (>= 1) or None, got {workers!r}"
+            f"{name} must be a positive integer (>= 1) or None, got {count!r}"
         )
     return value
 

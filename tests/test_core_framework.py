@@ -212,8 +212,11 @@ class TestRun:
     def test_sample_answers_reuses_cache(self):
         params = RecursiveMechanismParams.paper(1.0)
         mech = SequenceMechanism([0, 1, 2, 5], [0, 1, 2, 2])
-        results = mech.sample_answers(params, trials=20, rng=3)
-        assert len(results) == 20
+        rng = np.random.default_rng(3)
+        results = [mech.run(params, rng)]
+        g_entries = len(mech._g_cache)
+        results += [mech.run(params, rng) for _ in range(19)]
+        assert len(mech._g_cache) == g_entries  # Δ's G entries are reused
         answers = {r.answer for r in results}
         assert len(answers) > 1  # fresh noise per trial
 

@@ -6,7 +6,7 @@ recursive sequence (the claim's proof says "the same as the proof for H",
 but the H argument does not transfer: the ``max_p`` over participants can
 *increase* when a fresh participant's row couples several tuples).
 
-Counterexample (documented in DESIGN.md §6):
+Counterexample (documented in the README, "Deviations from the paper"):
 
     P2 = {p0..p4},  tuples  t0 : p0 ∨ p1,   t1 : p0 ∨ p2,   q ≡ 1
     P1 = P2 - {p0}  (so t0 : p1, t1 : p2)

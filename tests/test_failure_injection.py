@@ -246,12 +246,14 @@ class TestComplexityContracts:
         assert mechanism.lp_size <= length + relation.num_participants + 1
 
     def test_trial_cost_independent_of_trial_count(self, relation):
-        """sample_answers reuses Δ: G entries stay fixed across trials."""
+        """Repeated runs reuse Δ: G entries stay fixed across trials."""
         mechanism = EfficientRecursiveMechanism(relation)
         params = RecursiveMechanismParams.paper(1.0)
-        mechanism.sample_answers(params, trials=3, rng=0)
+        for seed in range(3):
+            mechanism.run(params, rng=seed)
         g_after_three = len(mechanism._g_cache)
-        mechanism.sample_answers(params, trials=10, rng=1)
+        for seed in range(3, 13):
+            mechanism.run(params, rng=seed)
         assert len(mechanism._g_cache) == g_after_three
 
 

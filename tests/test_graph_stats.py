@@ -86,7 +86,7 @@ class TestBasicStats:
 
 class TestStandInValidation:
     """The dataset stand-ins must reproduce the qualitative structure the
-    experiments depend on (DESIGN.md §4)."""
+    experiments depend on (README "Deviations from the paper")."""
 
     def test_collaboration_clustering_exceeds_grid(self):
         collab = load_dataset("netscience", scale=0.05)

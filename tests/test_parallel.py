@@ -24,11 +24,8 @@ from lp_oracle import LP_BACKENDS
 
 from repro.core.efficient import EfficientRecursiveMechanism
 from repro.core.params import RecursiveMechanismParams
-from repro.experiments.harness import (
-    ParallelHarness,
-    Scale,
-    run_mechanism_trials,
-)
+from repro.experiments.comparison import fig1_comparison_table
+from repro.experiments.harness import Scale, run_mechanism_trials
 from repro.experiments.mechanisms import make_runner
 from repro.experiments.runtime import fig5_runtime_sweep
 from repro.graphs import random_graph_with_avg_degree
@@ -294,23 +291,42 @@ class TestDeterminism:
     """Serial vs parallel released answers are byte-identical."""
 
     def test_trials_byte_identical(self, small_graph):
+        """Forked trials equal in-process ones, and every experiment entry
+        point called without ``workers`` returns what ``workers=2`` does."""
         run_once, truth = make_runner("recursive-edge", small_graph, "triangle", 1.0)
-        serial = run_mechanism_trials(run_once, truth, 5, rng=123, workers=1)
-        parallel = run_mechanism_trials(run_once, truth, 5, rng=123, workers=4)
-        assert serial == parallel
+        errors = [
+            run_mechanism_trials(run_once, truth, 5, rng=123, workers=workers)
+            for workers in (1, 2, 4)
+        ]
+        assert errors == [run_mechanism_trials(run_once, truth, 5, rng=123)] * 3
 
-    def test_harness_run_trials_identical(self, small_graph):
-        run_once, _ = make_runner("recursive-edge", small_graph, "triangle", 1.0)
-        serial = ParallelHarness(1).run_trials(run_once, 4, rng=9)
-        parallel = ParallelHarness(3).run_trials(run_once, 4, rng=9)
-        assert serial == parallel
+        tiny = Scale("tiny", 0.08, 3, 1, 0.05, 0.02, sweep_points=2)
+        fig1 = [
+            [
+                row["median_relative_error"]
+                for row in fig1_comparison_table(
+                    queries=("triangle",), scale=tiny, rng=5, **workers
+                )
+            ]
+            for workers in ({}, {"workers": 2})
+        ]
+        assert fig1[0] == fig1[1]
 
-    def test_sample_answers_identical(self, mechanism):
-        params = RecursiveMechanismParams.paper(0.5)
-        serial = mechanism.sample_answers(params, 4, rng=7, workers=1)
-        parallel = mechanism.sample_answers(params, 4, rng=7, workers=4)
-        assert [r.answer for r in serial] == [r.answer for r in parallel]
-        assert [r.delta_hat for r in serial] == [r.delta_hat for r in parallel]
+        stable = ("nodes", "tuples", "lp_size", "true_answer", "answer")
+        fig5 = [
+            [
+                {key: row[key] for key in stable}
+                for row in fig5_runtime_sweep(
+                    queries=("2-star",),
+                    privacies=("node",),
+                    scale=tiny,
+                    rng=5,
+                    **workers,
+                )["2-star/node"]
+            ]
+            for workers in ({}, {"workers": 2})
+        ]
+        assert fig5[0] == fig5[1]
 
     def test_fig5_grid_sharding_identical(self):
         tiny = Scale("tiny", 0.08, 1, 1, 0.05, 0.02, sweep_points=2)

@@ -11,13 +11,14 @@ argmins of earlier releases at ``Δ̂_a ≤ Δ̂ ≤ Δ̂_b`` agree.  Pinned her
 * the one-sided ends (``k = 0`` and ``k = |P|``), the bound of
   ``2(|P|+1)`` kept decisions, and the ``repro_x_step_total{how}`` routes;
 * an LP error on the fallback route records nothing;
-* released answers do not depend on the route: ``sample_answers`` is
-  byte-identical for one and two workers, and a warm session's answers
-  equal cold one-release sessions at the same seeds.
+* released answers do not depend on the route: trials seeded by spawned
+  sequences are byte-identical for one and two workers, and a warm
+  session's answers equal cold one-release sessions at the same seeds.
 """
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.boolexpr import Var, parse
@@ -30,6 +31,8 @@ from repro.core import (
 from repro.errors import LPError
 from repro.graphs import random_graph_with_avg_degree
 from repro.obs import metrics
+from repro.parallel import map_tasks
+from repro.rng import spawn_seed_sequences
 from repro.session import PrivateSession
 from repro.subgraphs import k_star, k_triangle, subgraph_krelation, triangle
 
@@ -182,7 +185,8 @@ class TestBrackets:
         relation = subgraph_krelation(_graph(), triangle(), "node")
         mechanism = EfficientRecursiveMechanism(relation)
         params = RecursiveMechanismParams.paper(1.0, node_privacy=True)
-        results = mechanism.sample_answers(params, trials=30, rng=4)
+        rng = np.random.default_rng(4)
+        results = [mechanism.run(params, rng) for _ in range(30)]
         fresh = EfficientRecursiveMechanism(relation)
         for result in results:
             assert (result.x_value, result.x_index) == fresh._compute_x(
@@ -191,14 +195,24 @@ class TestBrackets:
         assert 0 < len(mechanism._x_brackets) < 30
 
 
+def _released_answer(mechanism, task):
+    params, seed_sequence = task
+    return mechanism.run(params, np.random.default_rng(seed_sequence)).answer
+
+
 def test_sample_answers_identical_for_one_and_two_workers():
     relation = subgraph_krelation(_graph(), k_star(2), "edge")
     params = RecursiveMechanismParams.paper(1.0)
-    answers = []
-    for workers in (1, 2):
-        mechanism = EfficientRecursiveMechanism(relation)
-        results = mechanism.sample_answers(params, trials=24, rng=9, workers=workers)
-        answers.append([result.answer for result in results])
+    tasks = [(params, seed) for seed in spawn_seed_sequences(9, 24)]
+    answers = [
+        map_tasks(
+            _released_answer,
+            tasks,
+            payload=EfficientRecursiveMechanism(relation),
+            workers=workers,
+        )
+        for workers in (1, 2)
+    ]
     assert answers[0] == answers[1]
 
 
