@@ -226,17 +226,31 @@ class EfficientRecursiveMechanism(RecursiveMechanismBase):
             return self._encoded.solve_g_uniform(i, s_bar=self.s_bar)
         return self._encoded.solve_g(i)
 
+    def _g_zero_index(self) -> int:
+        # Ĝ = 2·S̄·H under the uniform bounding has its own closed forms
+        if self.bounding == "uniform":
+            return self._encoded.num_idle
+        return self._encoded.g_zero_index
+
     def _g_predicate(self, i: int, threshold: float) -> bool:
         """``G_i ≤ threshold`` by the cheapest exact route.
 
         Each probe counts once in ``repro_delta_probes_total{how}``:
 
-        * ``closed_form`` — the entry needs no LP (the endpoints; under
-          the uniform bounding, a closed-form ``H_i``);
+        * ``closed_form`` — the entry needs no LP: ``|P|``, and every
+          ``i ≤ i₀``, the end of the zero region
+          (:meth:`EncodedRelation.g_closed_form`); under the uniform
+          bounding, a closed-form ``H_i``;
         * ``chord`` / ``secant`` — ``G`` is convex and nondecreasing in
           ``i`` (the LP value as a function of the mass RHS), so chords
           between known exact entries bound it from above and outward
-          secants from below, deciding with no LP at all;
+          secants from below, deciding with no LP at all.  ``0``, ``i₀``
+          and ``|P|`` are seeded as exact entries, so the chord from
+          ``(i₀, 0)`` to ``(|P|, G_{|P|})`` is there from the first probe;
+          on a conjunctive relation of width ``w`` it is the bound the
+          uniform point ``f ≡ a/n_act`` gives,
+          ``2·max_p d_p·(w·a/n_act − (w−1))`` at ``i = m + a``, up to
+          the rounding of ``i₀`` down to an integer;
         * ``tangent`` — each LP probe's mass-row dual is a subgradient of
           the convex ``G``, so its tangent bounds ``G`` from below on both
           sides of the probe; one that clears the threshold decides
@@ -255,8 +269,10 @@ class EfficientRecursiveMechanism(RecursiveMechanismBase):
         if self._encoded.g_closed_form(i) is not None:
             _count_probe("closed_form")
             return self.g_entry(i) <= threshold
-        # endpoints are closed forms — seed the bound cache for free
+        # the ends of the zero region and |P| are closed forms — seed the
+        # bound cache for free
         self.g_entry(0)
+        self.g_entry(self._g_zero_index())
         self.g_entry(self.num_participants)
         known = sorted(self._g_cache.items())
         upper = _convex_upper(known, i)

@@ -165,6 +165,14 @@ class RecursiveMechanismBase:
         """Predicate hook; the default evaluates the exact entry."""
         return self.g_entry(i) <= threshold
 
+    def _g_zero_index(self) -> int:
+        """An integer ``i₀`` with ``G_i = 0`` for every ``i ≤ i₀``.
+
+        The default knows only ``G_0 = 0``; an implementation with a
+        closed-form zero region overrides this so :meth:`compute_delta`
+        skips it."""
+        return 0
+
     # -- step 1: Δ -----------------------------------------------------------------
     def compute_delta(self, params: RecursiveMechanismParams) -> Tuple[float, int]:
         """Eq. 11 via binary search; returns ``(Δ, j*)``.
@@ -172,7 +180,12 @@ class RecursiveMechanismBase:
         ``j*`` is the minimal ``j`` with ``G_{|P|-j} ≤ e^{jβ}θ``; Lemma 3
         guarantees ``j* = ln(Δ/θ)/β`` and Sec. 5.3 bounds it by
         ``1 + ln(G_{|P|}/θ)/β``, which we use to clip the search range so
-        only ``O(log(ln(G)/β))`` G-entries are evaluated.
+        only ``O(log(ln(G)/β))`` G-entries are evaluated.  ``G`` is 0 on
+        its zero region ``i ≤ i₀`` (:meth:`_g_zero_index`), and ``θ > 0``,
+        so ``j = |P| − i₀`` is always feasible and clips the range too:
+        ``hi = min(|P|, j_max, |P| − i₀)``.  The predicate is monotone in
+        ``j``, so the clip changes which entries are probed, never
+        ``(Δ, j*)``.
         """
         n = self.num_participants
         if n == 0:
@@ -185,9 +198,9 @@ class RecursiveMechanismBase:
         if g_full <= params.theta:
             return params.theta, 0
         j_max = 1 + int(math.ceil(math.log(g_full / params.theta) / params.beta))
-        hi = min(n, j_max)
+        hi = min(n, j_max, n - self._g_zero_index())
         # Defensive: the analytic bound always satisfies the predicate when
-        # hi == j_max; if hi was clipped to n then G_0 = 0 makes it feasible.
+        # hi == j_max; otherwise G = 0 at i₀ makes it feasible.
         if not feasible(hi):
             raise MechanismError(
                 "internal error: upper end of Δ search is infeasible "

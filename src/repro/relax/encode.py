@@ -101,6 +101,10 @@ class EncodedRelation:
         The active participants' names, in LP column order.
     num_idle:
         How many participants appear in no encoded annotation.
+    g_zero_index:
+        The largest integer ``i₀`` known to have ``G_i = 0`` for every
+        ``i ≤ i₀`` (:meth:`g_closed_form`): ``m`` in general, more on a
+        conjunctive relation of width ≥ 2 (:meth:`from_conjunctions`).
     """
 
     def __init__(
@@ -146,6 +150,7 @@ class EncodedRelation:
             encoded.append((expr, weight))
         self.participants: List[str] = [name for name in names if name in used]
         self.num_idle = len(names) - len(self.participants)
+        self.g_zero_index = self.num_idle
         self._pindex: Dict[str, int] = {
             name: index for index, name in enumerate(self.participants)
         }
@@ -235,7 +240,9 @@ class EncodedRelation:
         ``r`` conjoins, columns in annotation children order.
         ``participants`` are the active participants, each in some row;
         ``idle`` counts the relation's participants in no row.  Every
-        tuple has query weight 1.0 (counting).
+        tuple has query weight 1.0 (counting).  Every row has the same
+        width ``w``, which sets :attr:`g_zero_index` to
+        ``m + ⌊n_act·(w−1)/w⌋`` when ``w ≥ 2`` (see :meth:`g_closed_form`).
 
         The emitted structure is **identical, element for element**, to
         ``cls(all participants, annotated, ...)`` over the equivalent
@@ -258,6 +265,11 @@ class EncodedRelation:
         if matrix.ndim != 2:
             raise LPError(f"conjunction matrix must be 2-D, got {matrix.ndim}-D")
         n, width = matrix.shape
+        # the uniform point f ≡ a/n_act puts every row at
+        # max(0, w·a/n_act − (w−1)), which is 0 up to a = n_act·(w−1)/w
+        self.g_zero_index = self.num_idle
+        if n and width >= 2:
+            self.g_zero_index += num_participants * (width - 1) // width
         if n and (matrix.min() < 0 or matrix.max() >= num_participants):
             raise LPError("conjunction matrix references unknown participants")
         self._constant_weight = 0.0
@@ -586,15 +598,25 @@ class EncodedRelation:
         """The exact no-LP values of ``G_i``, or None when an LP is needed.
 
         ``G_i = 0`` up to ``i = m`` (the idle participants hold the mass,
-        so every active ``f_p = 0`` and every node variable sits at 0),
-        and at ``i = |P|`` the mass row forces ``f ≡ 1``, which forces
-        every node variable to 1 (epigraph lower bounds meet the unit
-        upper bounds), so the min-max collapses to
-        ``2·max_p Σ_t q·S_{t,p}``.
+        so every active ``f_p = 0`` and every node variable sits at 0).
+        On a conjunctive relation of width ``w ≥ 2`` the zero region
+        reaches further, to ``i₀ = m + ⌊n_act·(w−1)/w⌋``
+        (:attr:`g_zero_index`): at ``i = m + a`` the uniform point
+        ``f ≡ a/n_act`` on the ``n_act`` active participants is feasible
+        and puts every row at ``max(0, w·a/n_act − (w−1))``, which is 0
+        for ``a ≤ n_act·(w−1)/w``.  ``i₀`` is an integer and ``i ≤ i₀``
+        is compared exactly, with no tolerance.  At ``i = |P|`` the mass
+        row forces ``f ≡ 1``, which forces every node variable to 1
+        (epigraph lower bounds meet the unit upper bounds), so the
+        min-max collapses to ``2·max_p Σ_t q·S_{t,p}``.
         """
         if not 0.0 <= i <= self.num_participants + 1e-9:
             raise LPError(f"G index {i} outside [0, {self.num_participants}]")
-        if not self._g_rows or self._active_index(i) <= 1e-12:
+        if (
+            not self._g_rows
+            or i <= self.g_zero_index
+            or self._active_index(i) <= 1e-12
+        ):
             return 0.0
         if i >= self.num_participants - 1e-12:
             return 2.0 * max(sum(row.values()) for row in self._g_rows.values())

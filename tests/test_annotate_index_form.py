@@ -24,11 +24,13 @@ from repro import PrivateSession
 from repro.core import EfficientRecursiveMechanism, RecursiveMechanismParams
 from repro.core.queries import WeightedQuery
 from repro.core.sensitive import SensitiveKRelation
+from repro.errors import AnnotationError
 from repro.graphs import Graph, random_graph_with_avg_degree
 from repro.relax.encode import EncodedRelation
 from repro.store.relation import ConjunctiveKRelation
 from repro.subgraphs import (
     Pattern,
+    annotate,
     cycle_pattern,
     enumerate_subgraphs,
     k_clique,
@@ -205,12 +207,39 @@ def _collision_graphs():
     ids=[n for n, _ in _collision_graphs()],
 )
 def test_collisions_fall_back_to_the_eager_relation(graph, privacy):
-    relation = subgraph_krelation(graph, triangle(), privacy)
-    oracle = eager_subgraph_krelation(graph, triangle(), privacy)
-    assert type(relation) is SensitiveKRelation
-    assert relation.participants == oracle.participants
+    # k-stars are built from adjacency, the others from occurrences
+    for pattern in (triangle(), k_star(2)):
+        try:
+            oracle = eager_subgraph_krelation(graph, pattern, privacy)
+        except AnnotationError:
+            # a k-star's edges between repr-colliding nodes normalize
+            # ambiguously; the fallback rejects them as the eager path does
+            with pytest.raises(AnnotationError):
+                subgraph_krelation(graph, pattern, privacy)
+            continue
+        relation = subgraph_krelation(graph, pattern, privacy)
+        assert type(relation) is SensitiveKRelation
+        assert relation.participants == oracle.participants
+        assert relation.items() == oracle.items()
+        assert _encoding(relation) == _encoding(oracle)
+
+
+@pytest.mark.parametrize("privacy", ["node", "edge"])
+def test_stars_skip_enumeration_and_outlive_graph_updates(privacy, monkeypatch):
+    """A k-star relation is built from adjacency without enumerating, and
+    its lazily built occurrences describe the graph it was built from,
+    not the graph as later updates leave it."""
+    graph = random_graph_with_avg_degree(18, 5, rng=4)
+    oracle = eager_subgraph_krelation(graph, k_star(2), privacy)
+    monkeypatch.setattr(annotate, "occurrences_for_pattern", None)
+    relation = subgraph_krelation(graph, k_star(2), privacy)
+    hub = max(graph.nodes(), key=graph.degree)
+    for neighbour in sorted(graph.neighbors(hub)):
+        graph.remove_edge(hub, neighbour)
+    graph.add_edge("x", "y")
+    assert relation._pairs_cache is None
     assert relation.items() == oracle.items()
-    assert _encoding(relation) == _encoding(oracle)
+    assert relation.participants == oracle.participants
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -23,6 +23,7 @@ from repro.core import (
     efficient,
 )
 from repro.graphs import random_graph_with_avg_degree
+from repro.lp.compiled import _TOP_SEED_REACH
 from repro.lp.highs_engine import PersistentLP
 from repro.subgraphs import k_star, k_triangle, subgraph_krelation, triangle
 
@@ -111,18 +112,22 @@ def test_walk_resumes_after_a_cold_first_solve(monkeypatch):
     mechanism = EfficientRecursiveMechanism(relation)
     encoded = mechanism._encoded
     n = encoded.num_participants
-    for i in (n - 1, n // 2, 3 * n // 4):
+    # the first index past G's closed-form zero region, far enough below
+    # |P| that a walk opening there seeds at mass RHS 0
+    mid = encoded.g_zero_index + 1
+    assert encoded.num_idle == 0 and n - mid > _TOP_SEED_REACH * n
+    for i in (n - 1, mid, 3 * n // 4):
         encoded.g_decide(float(i), 1.0)
     encoded.end_g_walk()
-    encoded.g_decide(float(n // 2), 1.0)
+    encoded.g_decide(float(mid), 1.0)
     encoded.end_g_walk()
     assert calls == [
         (False, n),
         (True, n - 1),
-        (True, n // 2),
+        (True, mid),
         (True, 3 * n // 4),
         (False, 0),
-        (True, n // 2),
+        (True, mid),
     ]
     calls.clear()
     for epsilon in (0.25, 1.0, 4.0):

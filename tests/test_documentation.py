@@ -2,12 +2,15 @@
 
 Walks the whole ``repro`` package and asserts that every module, public
 class, public function and public method is documented.  This enforces the
-"doc comments on every public item" deliverable mechanically.
+"doc comments on every public item" deliverable mechanically.  The type
+annotations are part of that contract: every function and method defined
+in ``repro`` must have hints that resolve.
 """
 
 import importlib
 import inspect
 import pkgutil
+import typing
 
 import pytest
 
@@ -70,3 +73,35 @@ def test_public_items_documented(module):
     assert not undocumented, (
         f"{module.__name__}: missing docstrings on {undocumented}"
     )
+
+
+def _functions(namespace, home):
+    """``(qualname, function)`` for every function defined in ``home`` —
+    plain, static, class and property accessors, nested classes included."""
+    for item in vars(namespace).values():
+        if isinstance(item, (staticmethod, classmethod)):
+            item = item.__func__
+        if isinstance(item, property):
+            for accessor in (item.fget, item.fset, item.fdel):
+                if accessor is not None and accessor.__module__ == home:
+                    yield accessor.__qualname__, accessor
+        elif inspect.isfunction(item) and item.__module__ == home:
+            yield item.__qualname__, item
+        elif (
+            inspect.isclass(item)
+            and item.__module__ == home
+            and item is not namespace
+        ):
+            yield from _functions(item, home)
+
+
+@pytest.mark.parametrize("module", ALL_MODULES, ids=lambda m: m.__name__)
+def test_type_hints_resolve(module):
+    """``typing.get_type_hints`` succeeds on every function and method."""
+    broken = []
+    for qualname, function in _functions(module, module.__name__):
+        try:
+            typing.get_type_hints(function)
+        except Exception as error:  # NameError, TypeError, ...
+            broken.append(f"{qualname}: {error!r}")
+    assert not broken, f"{module.__name__}: {broken}"
