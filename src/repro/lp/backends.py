@@ -2,7 +2,7 @@
 
 Every released answer bottoms out in the φ-epigraph LP solves, and every
 one of them runs through a :class:`PersistentModel` that a backend builds
-from the compiled CSR blocks of a :class:`~repro.lp.compiled.
+from the CSC matrix of one overlay of a :class:`~repro.lp.compiled.
 CompiledProgram`:
 
 * :class:`SolverBackend` — builds one model per overlay with
@@ -30,7 +30,7 @@ __all__ = ["SolverBackend", "PersistentModel"]
 class PersistentModel:
     """Base of every backend's model of one compiled program.
 
-    A model is built **once** from the compiled CSR blocks and then only
+    A model is built **once** from an overlay's CSC matrix and then only
     mutated between solves (a row's bounds, a few objective entries); it
     may hold live solver state.  Two invariants are enforced here rather
     than per backend:

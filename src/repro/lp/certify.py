@@ -115,13 +115,13 @@ class Certificate:
         p = program.num_participants
         a_ub = program._a_ub
         y = np.minimum(row_dual[: a_ub.shape[0]], 0.0)
-        reduced = program._c - a_ub.T @ y
+        reduced = program._c - program._a_ub_t @ y
         reduced[:p] -= self._mu
         # each reduced cost is a dot product of its column's nonzeros,
         # the cost and μ: it is off by at most γ_{nnz+2} of their sizes
-        magnitude = np.abs(program._c) + abs(a_ub).T @ -y
+        magnitude = np.abs(program._c) + program._abs_a_ub_t @ -y
         magnitude[:p] += abs(self._mu)
-        nnz = np.bincount(a_ub.indices, minlength=a_ub.shape[1])
+        nnz = np.diff(a_ub.indptr)
         yb = y * program._b_ub
         priced = math.fsum(np.minimum(reduced, 0.0))
         dual_value = math.fsum(yb)

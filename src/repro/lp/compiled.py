@@ -27,7 +27,8 @@ are the active program's).
 
 This is the only way the φ-epigraph LP is solved.  A
 :class:`CompiledProgram` performs the assembly exactly once and loads
-each overlay into a model the backend builds
+each overlay, converted once from COO triplets to the CSC matrix the
+solver takes, into a model the backend builds
 (:meth:`~repro.lp.backends.SolverBackend.build_persistent`; in
 production a persistent HiGHS model,
 :class:`~repro.lp.highs_engine.PersistentLP`), so every solve is
@@ -42,8 +43,7 @@ with a dense simplex.
 from __future__ import annotations
 
 import time
-from itertools import chain
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -110,8 +110,9 @@ class CompiledProgram:
     objective_constant:
         Weight of constant-``True`` annotations, added to every H/X value.
     g_rows:
-        Per-participant ``{root column: q·S}`` coefficient maps for the
-        Eq. 19 min-max rows (only participants with positive sensitivity).
+        The Eq. 19 min-max rows as one CSR triple ``(indptr, cols, vals)``:
+        row ``r`` holds ``q·S`` at each root column of a participant with
+        positive sensitivity, entries ``indptr[r]:indptr[r + 1]``.
     backend:
         The :class:`~repro.lp.backends.SolverBackend` (in production
         :data:`~repro.lp.highs_engine.HIGHS`): one model per overlay is
@@ -129,7 +130,7 @@ class CompiledProgram:
         ub_rhs: np.ndarray,
         objective: np.ndarray,
         objective_constant: float,
-        g_rows: Sequence[Dict[int, float]],
+        g_rows: Tuple[np.ndarray, np.ndarray, np.ndarray],
         backend,
     ):
         if not hasattr(backend, "build_persistent"):
@@ -146,31 +147,21 @@ class CompiledProgram:
                 "variable count"
             )
 
-        # All structural variables live in the unit cube.
-        self._bounds = np.empty((self.num_variables, 2))
-        self._bounds[:, 0] = 0.0
-        self._bounds[:, 1] = 1.0
-
-        self._a_ub = sparse.csr_matrix(
+        # the epigraph rows in the solver's CSC format (the X model's
+        # matrix), and their triplets for the H and G overlays
+        self._a_ub = sparse.csc_matrix(
             (ub_vals, (ub_rows, ub_cols)), shape=(len(ub_rhs), self.num_variables)
         )
         self._b_ub = np.asarray(ub_rhs, dtype=float)
-
-        # Mass row Σ_p f_p: only its RHS varies between H/G calls.
-        self._a_mass = sparse.csr_matrix(
-            (
-                np.ones(self.num_participants),
-                (
-                    np.zeros(self.num_participants, dtype=np.int64),
-                    np.arange(self.num_participants, dtype=np.int64),
-                ),
-            ),
-            shape=(1, self.num_variables),
-        )
+        self._ub_coo = (ub_rows, ub_cols, ub_vals)
+        # A_ubᵀ and |A_ub|ᵀ, which every certificate prices (certify.py)
+        self._a_ub_t = self._a_ub.T
+        self._abs_a_ub_t = abs(self._a_ub_t)
 
         self._c = np.asarray(objective, dtype=float)
         self._constant = float(objective_constant)
-        self._g_row_maps: List[Dict[int, float]] = [dict(row) for row in g_rows]
+        self._g_indptr, self._g_cols, self._g_vals = g_rows
+        self.num_g_rows = len(self._g_indptr) - 1
         # lazily assembled: the G overlay's build_persistent arguments,
         # and one model per overlay
         self._g_overlay: Optional[Dict] = None
@@ -179,7 +170,7 @@ class CompiledProgram:
         self._x_model: Optional[PersistentModel] = None
         #: the X model's last optimal basis, where the next X solve resumes
         self._x_basis = None
-        # Forked workers inherit the CSR blocks copy-on-write but must
+        # Forked workers inherit the compiled arrays copy-on-write but must
         # re-instantiate the per-process persistent models lazily.
         register_fork_reset(self)
 
@@ -191,7 +182,7 @@ class CompiledProgram:
     def fork_reset(self) -> None:
         """Drop per-process solver state (called in each forked worker).
 
-        The compiled arrays (CSR blocks, bounds, objective, the lazily
+        The compiled arrays (CSC blocks, objective, the lazily
         assembled G overlay) are process-agnostic and stay shared through
         copy-on-write; only the persistent models — live solver state
         owned by the parent — are dropped, to be rebuilt lazily from the
@@ -212,6 +203,13 @@ class CompiledProgram:
     def _ub_row_lower(self) -> np.ndarray:
         return np.full(self.num_ub_rows, -_INF)
 
+    def _stacked(self, rows, cols, vals, shape) -> sparse.csc_matrix:
+        """The epigraph rows plus the COO entries ``(rows, cols, vals)``,
+        converted once to CSC (duplicate entries summed)."""
+        parts = zip(self._ub_coo, (rows, cols, vals))
+        ub_rows, ub_cols, ub_vals = (np.concatenate(pair) for pair in parts)
+        return sparse.csc_matrix((ub_vals, (ub_rows, ub_cols)), shape=shape)
+
     def _with_constant(self, solution: LPSolution, constant: float) -> LPSolution:
         if solution.is_optimal and constant:
             solution.objective += constant
@@ -220,11 +218,17 @@ class CompiledProgram:
     # -- H -------------------------------------------------------------------
     def _ensure_h_model(self) -> PersistentModel:
         if self._h_model is None:
+            p, mass_row = self.num_participants, self.num_ub_rows
             self._h_model = self.backend.build_persistent(
-                sparse.vstack([self._a_ub, self._a_mass], format="csr"),
+                self._stacked(
+                    np.full(p, mass_row),
+                    np.arange(p),
+                    np.ones(p),
+                    (mass_row + 1, self.num_variables),
+                ),
                 col_costs=self._c,
-                col_lower=self._bounds[:, 0],
-                col_upper=self._bounds[:, 1],
+                col_lower=np.zeros(self.num_variables),
+                col_upper=np.ones(self.num_variables),
                 row_lower=np.append(self._ub_row_lower(), 0.0),
                 row_upper=np.append(self._b_ub, 0.0),
             )
@@ -243,38 +247,30 @@ class CompiledProgram:
     def _build_g_overlay(self) -> Dict:
         """Append the ``z`` column and per-participant min-max rows once.
 
-        The matrix is assembled from one set of COO triplets: the epigraph
-        rows, the min-max rows (each map's entries in key order), their
-        ``-z`` entries, and the mass row over the participant columns.
+        The CSC matrix is converted once from one set of COO triplets:
+        the epigraph rows, the min-max rows (the CSR triple's entries),
+        their ``-z`` entries, and the mass row over the participants.
         """
-        n = self.num_variables
-        p = self.num_participants
-        maps = self._g_row_maps
-        num_g = len(maps)
-        ub = self._a_ub.tocoo()
-        lengths = np.fromiter(map(len, maps), dtype=np.int64, count=num_g)
-        total = int(lengths.sum())
-        g_cols = np.fromiter(chain.from_iterable(maps), dtype=np.int64, count=total)
-        g_vals = np.fromiter(
-            chain.from_iterable(row.values() for row in maps), dtype=float, count=total
-        )
+        n, p = self.num_variables, self.num_participants
+        num_g, num_ub = self.num_g_rows, self.num_ub_rows
         # rows: the epigraph rows, the min-max rows, the mass row;
         # columns: the structural variables, z
-        g_rows = np.arange(ub.shape[0], ub.shape[0] + num_g, dtype=np.int64)
-        mass_row = ub.shape[0] + num_g
-        rows = np.concatenate(
-            [ub.row, np.repeat(g_rows, lengths), g_rows, np.full(p, mass_row)]
+        g_rows = np.arange(num_ub, num_ub + num_g, dtype=np.int64)
+        mass_row = num_ub + num_g
+        entry_rows = np.repeat(g_rows, np.diff(self._g_indptr))
+        matrix = self._stacked(
+            np.concatenate([entry_rows, g_rows, np.full(p, mass_row)]),
+            np.concatenate([self._g_cols, np.full(num_g, n), np.arange(p)]),
+            np.concatenate([self._g_vals, np.full(num_g, -1.0), np.ones(p)]),
+            (mass_row + 1, n + 1),
         )
-        cols = np.concatenate([ub.col, g_cols, np.full(num_g, n), np.arange(p)])
-        vals = np.concatenate([ub.data, g_vals, np.full(num_g, -1.0), np.ones(p)])
-        matrix = sparse.csr_matrix((vals, (rows, cols)), shape=(mass_row + 1, n + 1))
         costs = np.zeros(n + 1)
         costs[n] = 1.0  # minimise z
         return {
             "matrix": matrix,
             "col_costs": costs,
-            "col_lower": np.append(self._bounds[:, 0], 0.0),
-            "col_upper": np.append(self._bounds[:, 1], _INF),
+            "col_lower": np.zeros(n + 1),
+            "col_upper": np.append(np.ones(n), _INF),
             "row_lower": np.concatenate(
                 [self._ub_row_lower(), np.full(num_g, -_INF), [0.0]]
             ),
@@ -283,7 +279,7 @@ class CompiledProgram:
 
     def _g_mass_row(self) -> int:
         """The G model's mass row: after the epigraph and min-max rows."""
-        return self.num_ub_rows + len(self._g_row_maps)
+        return self.num_ub_rows + self.num_g_rows
 
     def _ensure_g_model(self) -> PersistentModel:
         if self._g_model is None:
@@ -297,7 +293,7 @@ class CompiledProgram:
 
         ``resume`` re-solves the G model from its previous basis.
         """
-        if not self._g_row_maps:
+        if not self.num_g_rows:
             raise LPError(
                 f"{self._err_prefix()} relation has no G rows — " "G_i is identically 0"
             )
@@ -342,7 +338,7 @@ class CompiledProgram:
         the seed's included, raises :class:`~repro.errors.LPError` naming
         its status — it is never read as ``G_i > threshold``.
         """
-        if not self._g_row_maps:
+        if not self.num_g_rows:
             return 0.0 <= threshold, 0.0, None
 
         def checked(solution: LPSolution) -> LPSolution:
@@ -386,8 +382,8 @@ class CompiledProgram:
             self._x_model = self.backend.build_persistent(
                 self._a_ub,
                 col_costs=self._c,
-                col_lower=self._bounds[:, 0],
-                col_upper=self._bounds[:, 1],
+                col_lower=np.zeros(self.num_variables),
+                col_upper=np.ones(self.num_variables),
                 row_lower=self._ub_row_lower(),
                 row_upper=self._b_ub,
             )
@@ -444,6 +440,6 @@ class CompiledProgram:
         return (
             f"CompiledProgram(num_variables={self.num_variables}, "
             f"num_ub_rows={self.num_ub_rows}, "
-            f"num_g_rows={len(self._g_row_maps)}, "
+            f"num_g_rows={self.num_g_rows}, "
             f"backend={self.backend.name!r})"
         )

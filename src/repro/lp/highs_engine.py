@@ -1,40 +1,31 @@
 """The LP solver: persistent HiGHS models via SciPy's bindings.
 
 Every φ-epigraph LP is solved here.  SciPy ships the HiGHS bindings as
-``scipy.optimize._highspy._core``; a :class:`PersistentLP` loads the
-model into a HiGHS instance **once** and then only mutates the handful
-of numbers that change between solves (a row's bounds, a few objective
-entries), where a one-shot solve would redo the CSC conversion, option
-validation and ``passModel`` on every call.
+``scipy.optimize._highspy._core``.  A :class:`PersistentLP` loads one
+overlay's CSC matrix, costs and bounds into a HiGHS instance **once**,
+through the array overload of ``_Highs.passModel``, which reads the
+NumPy buffers in place (filling ``HighsLp`` fields from Python instead
+copies each element through pybind).  Between solves it only mutates
+the few numbers that change: a row's bounds, some objective entries.
 
-A solve starts from a cleared solver state (``clearSolver``), i.e. cold
-with presolve and the size-chosen method (HiGHS's ``choose``, or IPM
-above :data:`IPM_THRESHOLD` columns), unless the
-caller resumes.  Only the H solves outside an X step and the first
-solve of each model are cold.  The Δ search seeds one G model cold at
-mass RHS ``|P|`` or 0, where presolve leaves nothing to solve, and then
-moves only its mass row between probes, which leaves the previous
-optimal basis dual feasible, so ``solve(resume=True)`` re-solves from
-that basis with dual simplex (see ``CompiledProgram.solve_g_decide``).
-The X relaxation resumes from the X model's last optimal basis, which
-a change of the participant costs leaves primal feasible
-(``CompiledProgram.solve_x``).  The H entries next to a fractional X
-optimum resume from that basis too: :meth:`PersistentLP.add_row`
-appends a mass row to the X model, whose optimal basis stays dual
-feasible; ``getBasis`` / ``setBasis`` start each entry at the X basis
-and put it back once the row is deleted
-(``CompiledProgram.solve_h_on_x``).  Resumed values
-differ from cold ones in their last bits, so every H value is certified
-and snapped to a small rational before it is used
-(:mod:`repro.lp.certify`), and released answers do not depend on the
-route.  Every optimal solution carries its row duals: the Δ search
-reads them as subgradients of ``G``, the certificates as Lagrange
-multipliers.
+A solve is cold (``clearSolver``; presolve and the size-chosen method,
+HiGHS's ``choose`` or IPM above :data:`IPM_THRESHOLD` columns) unless
+the caller resumes, when dual simplex continues from the kept basis.
+That is how ``CompiledProgram`` walks the Δ search's G model from probe
+to probe, re-solves the X model after a cost change, and solves the H
+entries next to an X optimum with a mass row appended
+(:meth:`PersistentLP.add_row`, ``getBasis`` / ``setBasis``).  Resumed
+values differ from cold ones in their last bits, so every H value is
+certified and snapped to a small rational before it is used
+(:mod:`repro.lp.certify`).  Every optimal solution carries its row
+duals: the Δ search reads them as subgradients of ``G``, the
+certificates as Lagrange multipliers.
 
-This is a private SciPy API, present from SciPy
-:data:`SCIPY_FLOOR` on, so the bindings are imported on the first model
-build: when they are missing, that build raises one
-:class:`~repro.errors.LPError` naming the module and the SciPy floor.
+This is a private SciPy API, present from SciPy :data:`SCIPY_FLOOR` on,
+so the bindings are imported on the first model build: when they, or a
+name the load uses (``_Highs``, ``MatrixFormat``, ``ObjSense``), are
+missing, that build raises one :class:`~repro.errors.LPError` naming
+the module and the SciPy floor.
 """
 
 from __future__ import annotations
@@ -67,7 +58,7 @@ SCIPY_FLOOR = "1.15"
 #: while IPM stays stable.
 IPM_THRESHOLD = 3000
 
-_REQUIRED_NAMES = ("_Highs", "HighsLp", "MatrixFormat")
+_REQUIRED_NAMES = ("_Highs", "MatrixFormat", "ObjSense")
 
 _core = None
 
@@ -129,8 +120,9 @@ class PersistentLP(PersistentModel):
     Parameters
     ----------
     matrix:
-        The full constraint matrix (any scipy-sparse format; converted to
-        CSC once).  Row activities are constrained to
+        The full constraint matrix, in SciPy's CSC format (the compiled
+        overlays are built in it; another sparse format is converted).
+        Row activities are constrained to
         ``row_lower <= A x <= row_upper`` — encode a ``<=`` row with
         ``-inf`` lower and an ``==`` row with equal bounds.
     col_costs / col_lower / col_upper:
@@ -163,21 +155,6 @@ class PersistentLP(PersistentModel):
         super().__init__()
         a = matrix.tocsc()
         num_rows, num_cols = a.shape
-        lp = _core.HighsLp()
-        lp.num_col_ = num_cols
-        lp.num_row_ = num_rows
-        lp.a_matrix_.num_col_ = num_cols
-        lp.a_matrix_.num_row_ = num_rows
-        lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
-        lp.a_matrix_.start_ = a.indptr.astype(np.int32)
-        lp.a_matrix_.index_ = a.indices.astype(np.int32)
-        lp.a_matrix_.value_ = a.data.astype(float)
-        lp.col_cost_ = np.asarray(col_costs, dtype=float)
-        lp.col_lower_ = np.asarray(col_lower, dtype=float)
-        lp.col_upper_ = np.asarray(col_upper, dtype=float)
-        lp.row_lower_ = np.asarray(row_lower, dtype=float)
-        lp.row_upper_ = np.asarray(row_upper, dtype=float)
-
         self.num_rows = num_rows
         self.num_cols = num_cols
         # a cold solve runs ``solver``; a resumed one switches to dual
@@ -187,7 +164,26 @@ class PersistentLP(PersistentModel):
         self._solver = _core._Highs()
         self._solver.setOptionValue("output_flag", False)
         self._solver.setOptionValue("solver", solver)
-        if self._solver.passModel(lp) == _core.HighsStatus.kError:
+        # an empty integrality array makes this overload fail: mark
+        # every column continuous
+        loaded = self._solver.passModel(
+            num_cols,
+            num_rows,
+            a.nnz,
+            _core.MatrixFormat.kColwise,
+            _core.ObjSense.kMinimize,
+            0.0,
+            np.asarray(col_costs, dtype=float),
+            np.asarray(col_lower, dtype=float),
+            np.asarray(col_upper, dtype=float),
+            np.asarray(row_lower, dtype=float),
+            np.asarray(row_upper, dtype=float),
+            np.asarray(a.indptr, dtype=np.int32),
+            np.asarray(a.indices, dtype=np.int32),
+            np.asarray(a.data, dtype=float),
+            np.zeros(num_cols, dtype=np.int32),
+        )
+        if loaded == _core.HighsStatus.kError:
             raise LPError(
                 f"[lp-solver {self.backend_name}] HiGHS rejected the " "compiled model"
             )
@@ -288,32 +284,18 @@ class PersistentLP(PersistentModel):
 
 
 class HighsBackend(SolverBackend):
-    """Builds one :class:`PersistentLP` per overlay from the compiled CSR
-    blocks, so per-call work shrinks to mutating one row's bounds and
+    """Builds one :class:`PersistentLP` per overlay from the compiled CSC
+    matrix, so per-call work shrinks to mutating one row's bounds and
     re-running the solver; the cold method is chosen by size
     (:func:`cold_solver`)."""
 
     name = "highs"
 
-    def build_persistent(
-        self,
-        matrix,
-        col_costs: np.ndarray,
-        col_lower: np.ndarray,
-        col_upper: np.ndarray,
-        row_lower: np.ndarray,
-        row_upper: np.ndarray,
-    ) -> PersistentLP:
-        """A :class:`PersistentLP` over the given blocks."""
-        return PersistentLP(
-            matrix,
-            col_costs=col_costs,
-            col_lower=col_lower,
-            col_upper=col_upper,
-            row_lower=row_lower,
-            row_upper=row_upper,
-            solver=cold_solver(matrix.shape[1]),
-        )
+    def build_persistent(self, matrix, *arrays, **named) -> PersistentLP:
+        """A :class:`PersistentLP` over ``matrix`` and the cost and bound
+        arrays of :meth:`SolverBackend.build_persistent`."""
+        solver = cold_solver(matrix.shape[1])
+        return PersistentLP(matrix, *arrays, solver=solver, **named)
 
 
 #: The backend every relation and mechanism solves on unless a test hands

@@ -2,7 +2,7 @@
 
 The expensive part of every mechanism evaluation is the one-time
 compilation of an :class:`~repro.relax.encode.EncodedRelation` into a
-:class:`~repro.lp.compiled.CompiledProgram` (CSR blocks, bounds, G rows).
+:class:`~repro.lp.compiled.CompiledProgram` (sparse blocks, objective, G rows).
 Forking worker processes *after* that compilation lets every worker
 inherit the base arrays through copy-on-write for free, so the marginal
 cost of answering one more release or trial on an idle core is just

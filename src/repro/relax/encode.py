@@ -170,7 +170,7 @@ class EncodedRelation:
         root_vars: List[int] = []
         root_weights: List[float] = []
         # per-participant accumulated (root var, q*S) coefficients for G rows
-        self._g_rows: Dict[str, Dict[int, float]] = {}
+        g_rows: Dict[str, Dict[int, float]] = {}
         #: S̄ = max_{t,p} S_{R(t),p} over all (weight > 0) annotations
         self.max_phi_sensitivity = 0
         # the encoded annotations, re-evaluated by H certificates, and a
@@ -193,7 +193,7 @@ class EncodedRelation:
                     continue
                 if s_value > self.max_phi_sensitivity:
                     self.max_phi_sensitivity = s_value
-                row = self._g_rows.setdefault(pname, {})
+                row = g_rows.setdefault(pname, {})
                 row[root] = row.get(root, 0.0) + weight * s_value
 
         self._num_structural = self._next_var
@@ -205,10 +205,27 @@ class EncodedRelation:
         self._ub_rhs = np.asarray(self._ub_rhs, dtype=float)
         self._root_vars = np.asarray(root_vars, dtype=np.int64)
         self._root_weights = np.asarray(root_weights, dtype=float)
-        self._finalize()
+        # the G rows as one CSR triple: rows in first-encounter order,
+        # entries in key order, each row's sum taken in that order
+        maps = list(g_rows.values())
+        self._g_owners = np.fromiter(map(self._pindex.get, g_rows), np.int64)
+        self._g_max_load = max((sum(row.values()) for row in maps), default=0.0)
+        self._finalize(
+            (
+                np.cumsum([0] + [len(row) for row in maps]),
+                np.array([var for row in maps for var in row], dtype=np.int64),
+                np.array([value for row in maps for value in row.values()]),
+            )
+        )
 
-    def _finalize(self) -> None:
-        """Compile the frozen arrays into the program every solve uses."""
+    def _finalize(self, g_rows) -> None:
+        """Compile the frozen arrays into the program every solve uses.
+
+        ``g_rows`` is the G rows' CSR triple ``(indptr, cols, vals)``;
+        ``_g_owners`` (each row's participant index) and ``_g_max_load``
+        (the largest row sum) are set with it.
+        """
+        self._g_rows = g_rows
         # the open X step's (Δ̂, solution, certificate), while one is open
         self._x_step: Optional[Tuple[float, LPSolution, Certificate]] = None
         self._compiled = CompiledProgram(
@@ -220,7 +237,7 @@ class EncodedRelation:
             ub_rhs=self._ub_rhs,
             objective=self._objective_vector(),
             objective_constant=self._constant_weight,
-            g_rows=list(self._g_rows.values()),
+            g_rows=g_rows,
             backend=self.backend,
         )
 
@@ -247,8 +264,9 @@ class EncodedRelation:
         The emitted structure is **identical, element for element**, to
         ``cls(all participants, annotated, ...)`` over the equivalent
         ``And``-of-``Var`` trees — same COO triplets in the same order,
-        same root terms, same G-row dicts in the same first-encounter
-        key order — so every downstream solve sees bit-equal inputs.
+        same root terms, same G-row CSR (rows in first-encounter order,
+        entries in ascending tuple order) — so every downstream solve
+        sees bit-equal inputs.
         The tree walk per conjunction of width ``m ≥ 2`` appends one
         epigraph row ``[-v, 1·child…] ≤ m-1``; width 1 collapses to the
         bare participant variable (``And`` of one child is the child).
@@ -259,7 +277,6 @@ class EncodedRelation:
         if len(set(self.participants)) != len(self.participants):
             raise LPError("duplicate participant names")
         self.num_idle = int(idle)
-        self._pindex = {name: index for index, name in enumerate(self.participants)}
         num_participants = len(self.participants)
         matrix = np.ascontiguousarray(matrix, dtype=np.int64)
         if matrix.ndim != 2:
@@ -303,35 +320,29 @@ class EncodedRelation:
             self._next_var = self._num_structural
         self._root_weights = np.ones(n, dtype=float)
 
-        # G rows: one dict per participant, keyed in the tree walk's
-        # first-encounter order (row-major over the matrix),
-        # entries in ascending tuple order (stable grouping argsort)
-        self._g_rows = {}
+        # G rows: one CSR row per participant, rows in the tree walk's
+        # first-encounter order (row-major over the matrix), entries in
+        # ascending tuple order (a stable argsort by row rank)
         flat = matrix.ravel()
-        order = np.argsort(flat, kind="stable")
-        sorted_flat = flat[order]
-        starts = np.flatnonzero(np.r_[True, sorted_flat[1:] != sorted_flat[:-1]])
-        if (starts.size if flat.size else 0) != num_participants:
+        counts = np.bincount(flat, minlength=num_participants)
+        if np.count_nonzero(counts) != num_participants:
             raise LPError(
                 "every participant of a conjunction matrix must occur in "
                 "some row — count the others as idle"
             )
-        if n:
-            ends = np.r_[starts[1:], flat.size]
-            uniq, first_pos = np.unique(flat, return_index=True)
-            row_of = order // width
-            root_list = self._root_vars.tolist()
-            for group in np.argsort(first_pos, kind="stable").tolist():
-                rows = row_of[starts[group]:ends[group]].tolist()
-                name = self.participants[int(uniq[group])]
-                if width == 1:
-                    # repeated rows share the bare participant as root
-                    self._g_rows[name] = {root_list[rows[0]]: float(len(rows))}
-                else:
-                    self._g_rows[name] = dict.fromkeys(
-                        (root_list[row] for row in rows), 1.0
-                    )
-        self._finalize()
+        self._g_owners = np.argsort(np.unique(flat, return_index=True)[1])
+        lengths = counts[self._g_owners]
+        if width == 1:
+            # repeated rows share the bare participant as root
+            indptr = np.arange(num_participants + 1)
+            cols, vals = self._g_owners, lengths.astype(float)
+        else:
+            indptr = np.concatenate(([0], np.cumsum(lengths)))
+            row_rank = np.argsort(self._g_owners)[flat]
+            cols = num_participants + np.argsort(row_rank, kind="stable") // width
+            vals = np.ones(flat.size)
+        self._g_max_load = float(counts.max(initial=0))
+        self._finalize((indptr, cols, vals))
         return self
 
     # -- construction helpers -------------------------------------------------
@@ -613,13 +624,13 @@ class EncodedRelation:
         if not 0.0 <= i <= self.num_participants + 1e-9:
             raise LPError(f"G index {i} outside [0, {self.num_participants}]")
         if (
-            not self._g_rows
+            not self._g_owners.size
             or i <= self.g_zero_index
             or self._active_index(i) <= 1e-12
         ):
             return 0.0
         if i >= self.num_participants - 1e-12:
-            return 2.0 * max(sum(row.values()) for row in self._g_rows.values())
+            return 2.0 * self._g_max_load
         return None
 
     def solve_g(self, i: float) -> float:

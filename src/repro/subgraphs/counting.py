@@ -17,7 +17,7 @@ objects, so the annotation layer treats all sources uniformly.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Optional
+from typing import Iterator
 
 from ..errors import PatternError
 from ..graphs.graph import Graph
@@ -67,12 +67,19 @@ def enumerate_k_stars(graph: Graph, k: int) -> Iterator[Occurrence]:
         for u, v in graph.edges():
             yield Occurrence(nodes=frozenset((u, v)), edges=frozenset((_edge(u, v),)))
         return
-    for center in graph.nodes():
+    # each edge is named as Graph.edges() orients it, by node rank; for
+    # distinct reprs that is the repr order normalize_edge gives
+    nodes = graph.nodes()
+    rank = {node: index for index, node in enumerate(nodes)}
+    for center in nodes:
         neighbors = sorted(graph.neighbors(center), key=repr)
         for leaves in itertools.combinations(neighbors, k):
             yield Occurrence(
                 nodes=frozenset((center,) + leaves),
-                edges=frozenset(_edge(center, leaf) for leaf in leaves),
+                edges=frozenset(
+                    (center, leaf) if rank[center] < rank[leaf] else (leaf, center)
+                    for leaf in leaves
+                ),
             )
 
 

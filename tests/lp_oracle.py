@@ -59,6 +59,8 @@ __all__ = [
     "reference_g",
     "reference_x",
     "exact_h",
+    "g_row_entries",
+    "g_rows_by_name",
     "stacked_g_overlay",
 ]
 
@@ -579,15 +581,33 @@ def exact_h(encoded, i: int) -> Fraction:
     return reference_h(encoded, i, backend=SimplexBackend(exact=True))
 
 
+def g_row_entries(indptr, cols, vals) -> List[List[Tuple[int, float]]]:
+    """A G-row CSR triple read back row by row: ``[(column, q·S), …]``
+    per row, in row and entry order."""
+    indptr, cols, vals = (np.asarray(part).tolist() for part in (indptr, cols, vals))
+    return [
+        list(zip(cols[start:end], vals[start:end]))
+        for start, end in zip(indptr[:-1], indptr[1:])
+    ]
+
+
+def g_rows_by_name(encoded) -> List[Tuple[str, List[Tuple[int, float]]]]:
+    """An encoded relation's G rows as ``(participant, entries)`` pairs in
+    row order (:func:`g_row_entries`, owners from ``_g_owners``)."""
+    names = [encoded.participants[owner] for owner in encoded._g_owners.tolist()]
+    return list(zip(names, g_row_entries(*encoded._g_rows)))
+
+
 def reference_g(encoded, i: float, backend=None) -> float:
     """``G_i`` (Eq. 19): ``2·min z`` with ``z ≥ Σ_t q·S_{t,p}·v_root`` per p."""
     base, b = _epigraph_rows(encoded)
     n = _width(encoded)
     rows = [np.append(row, 0.0) for row in base]
-    for g_row in encoded._g_rows.values():
+    g_rows = g_row_entries(*encoded._g_rows)
+    for g_row in g_rows:
         row = np.zeros(n + 1)
         row[n] = -1.0
-        for var, coeff in g_row.items():
+        for var, coeff in g_row:
             row[var] += coeff
         rows.append(row)
     c = np.zeros(n + 1)
@@ -596,7 +616,7 @@ def reference_g(encoded, i: float, backend=None) -> float:
         backend or SimplexBackend(),
         c=c,
         a_ub=np.array(rows).reshape(len(rows), n + 1),
-        b_ub=np.concatenate([b, np.zeros(len(encoded._g_rows))]),
+        b_ub=np.concatenate([b, np.zeros(len(g_rows))]),
         a_eq=_mass_row(encoded, n + 1),
         b_eq=np.array([float(i)]),
         bounds=[(0.0, 1.0)] * n + [(0.0, None)],
@@ -630,19 +650,18 @@ def stacked_g_overlay(program) -> dict:
 
     The construction ``CompiledProgram._build_g_overlay`` replaced: the
     min-max rows as their own CSR block from a Python triple loop, the
-    ``z`` column, the base rows padded by ``hstack``, the mass row taken
-    densely from the H model's mass block, all joined by ``vstack``.  The
-    production assembly must hand the backend the same matrix (after
-    ``tocsc()``), bounds and costs.
+    ``z`` column, the base rows padded by ``hstack``, the mass row built
+    densely, all joined by ``vstack``.  The production assembly must hand
+    the backend the same matrix (after ``tocsc()``), bounds and costs.
     """
     n = program.num_variables
     a_ub = program._a_ub
     num_ub = a_ub.shape[0]
-    maps = program._g_row_maps
-    num_g = len(maps)
+    entries = g_row_entries(program._g_indptr, program._g_cols, program._g_vals)
+    num_g = len(entries)
     rows, cols, vals = [], [], []
-    for row_index, row_map in enumerate(maps):
-        for var, coeff in row_map.items():
+    for row_index, row_entries in enumerate(entries):
+        for var, coeff in row_entries:
             rows.append(row_index)
             cols.append(var)
             vals.append(float(coeff))
@@ -656,16 +675,16 @@ def stacked_g_overlay(program) -> dict:
     )
     padded = sparse.hstack([a_ub, sparse.csr_matrix((num_ub, 1))], format="csr")
     g_block = sparse.hstack([g_matrix, z_column], format="csr")
-    mass_coeffs = np.append(program._a_mass.toarray()[0], 0.0)
+    mass_coeffs = np.zeros(n + 1)
+    mass_coeffs[: program.num_participants] = 1.0
     mass = sparse.csr_matrix(mass_coeffs[np.newaxis, :])
     costs = np.zeros(n + 1)
     costs[n] = 1.0
-    bounds = program._bounds
     return {
         "matrix": sparse.vstack([padded, g_block, mass], format="csr"),
         "col_costs": costs,
-        "col_lower": np.append(bounds[:, 0], 0.0),
-        "col_upper": np.append(bounds[:, 1], np.inf),
+        "col_lower": np.zeros(n + 1),
+        "col_upper": np.append(np.ones(n), np.inf),
         "row_lower": np.concatenate(
             [np.full(num_ub, -np.inf), np.full(num_g, -np.inf), [0.0]]
         ),

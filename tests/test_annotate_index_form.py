@@ -18,13 +18,13 @@ and graphs whose names or reprs collide fall back to eager pairs.
 
 import numpy as np
 import pytest
+from lp_oracle import g_rows_by_name
 from annotate_oracle import eager_subgraph_krelation
 
 from repro import PrivateSession
 from repro.core import EfficientRecursiveMechanism, RecursiveMechanismParams
 from repro.core.queries import WeightedQuery
 from repro.core.sensitive import SensitiveKRelation
-from repro.errors import AnnotationError
 from repro.graphs import Graph, random_graph_with_avg_degree
 from repro.relax.encode import EncodedRelation
 from repro.store.relation import ConjunctiveKRelation
@@ -110,7 +110,7 @@ def _encoding(relation):
         **arrays,
         "objective": encoded._compiled._c.tolist(),
         "participants": encoded.participants,
-        "g_rows": [(name, list(row.items())) for name, row in encoded._g_rows.items()],
+        "g_rows": g_rows_by_name(encoded),
         "g_top": encoded.g_closed_form(encoded.num_participants),
         "max_phi_sensitivity": encoded.max_phi_sensitivity,
         "total_weight": encoded.total_weight,
@@ -209,14 +209,7 @@ def _collision_graphs():
 def test_collisions_fall_back_to_the_eager_relation(graph, privacy):
     # k-stars are built from adjacency, the others from occurrences
     for pattern in (triangle(), k_star(2)):
-        try:
-            oracle = eager_subgraph_krelation(graph, pattern, privacy)
-        except AnnotationError:
-            # a k-star's edges between repr-colliding nodes normalize
-            # ambiguously; the fallback rejects them as the eager path does
-            with pytest.raises(AnnotationError):
-                subgraph_krelation(graph, pattern, privacy)
-            continue
+        oracle = eager_subgraph_krelation(graph, pattern, privacy)
         relation = subgraph_krelation(graph, pattern, privacy)
         assert type(relation) is SensitiveKRelation
         assert relation.participants == oracle.participants

@@ -150,15 +150,39 @@ class TestEngineProbeCaching:
         class Stripped:
             """A bindings module that lacks ``_Highs``."""
 
-            HighsLp = MatrixFormat = object
+            MatrixFormat = ObjSense = object
 
-        import scipy.optimize._highspy as package
-
-        monkeypatch.setattr(highs_engine, "_core", None)
-        monkeypatch.setitem(sys.modules, highs_engine.ENGINE_MODULE, Stripped)
-        monkeypatch.setattr(package, "_core", Stripped)
+        _install_bindings(monkeypatch, Stripped)
         with pytest.raises(LPError, match="lacks _Highs"):
             _tiny_model()
+
+    def test_bindings_without_the_array_load_enums_are_refused(self, monkeypatch):
+        """Models are loaded through ``passModel``'s array overload, which
+        takes ``ObjSense``: bindings without it name the SciPy floor."""
+        from scipy.optimize._highspy import _core
+
+        class Stripped:
+            """A bindings module that lacks ``ObjSense``."""
+
+            _Highs = _core._Highs
+            MatrixFormat = _core.MatrixFormat
+
+        _install_bindings(monkeypatch, Stripped)
+        with pytest.raises(LPError) as exc:
+            _tiny_model()
+        message = str(exc.value)
+        assert "[lp-solver highs]" in message
+        assert "lacks ObjSense" in message
+        assert f"SciPy >= {highs_engine.SCIPY_FLOOR}" in message
+
+
+def _install_bindings(monkeypatch, module) -> None:
+    """Make ``module`` the HiGHS bindings the next model build imports."""
+    import scipy.optimize._highspy as package
+
+    monkeypatch.setattr(highs_engine, "_core", None)
+    monkeypatch.setitem(sys.modules, highs_engine.ENGINE_MODULE, module)
+    monkeypatch.setattr(package, "_core", module)
 
 
 class TestSessionIdentity:

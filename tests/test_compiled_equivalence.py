@@ -19,13 +19,16 @@ import pytest
 from lp_oracle import (
     LinprogBackend,
     SimplexBackend,
+    g_row_entries,
     reference_g,
     reference_h,
     reference_x,
     stacked_g_overlay,
 )
+from scipy import sparse
 from test_delta_walk import COMBOS
 
+from repro import VersionedGraph
 from repro.boolexpr import parse
 from repro.boolexpr.expr import And, Or, Var
 from repro.core import (
@@ -34,8 +37,10 @@ from repro.core import (
     SensitiveKRelation,
 )
 from repro.graphs import random_graph_with_avg_degree
+from repro.lp import highs_engine
 from repro.relax.encode import EncodedRelation
-from repro.subgraphs import subgraph_krelation
+from repro.store import ConjunctiveKRelation
+from repro.subgraphs import k_star, subgraph_krelation, triangle
 
 
 def random_expression(rng: random.Random, names, depth: int):
@@ -192,3 +197,129 @@ def test_g_overlay_equals_the_stacked_block_assembly(relation):
         )
     for key in ("col_costs", "col_lower", "col_upper", "row_lower", "row_upper"):
         np.testing.assert_array_equal(built[key], oracle[key], err_msg=key)
+
+
+def _model_relations():
+    """``(id, encoded relation)``: conjunctive ones of width 1, with idle
+    participants and from the store, and a general one with ``Or``
+    nodes, repeated children, weights other than 1 and idle names."""
+    graph = random_graph_with_avg_degree(14, 4, rng=14)
+    graph.add_node("isolated")
+    conjunctive = {
+        "1-star/edge": subgraph_krelation(graph, k_star(1), "edge"),
+        "triangle/node+idle": subgraph_krelation(graph, triangle(), "node"),
+        "2-star/edge": subgraph_krelation(graph, k_star(2), "edge"),
+    }
+    store = VersionedGraph(graph.copy())
+    store.maintainer.register(triangle())
+    store.add_node("also-isolated")
+    conjunctive["store-triangle/edge"] = store.relation_for(triangle(), "edge")
+    for name, relation in conjunctive.items():
+        assert isinstance(relation, ConjunctiveKRelation), name
+        yield name, EfficientRecursiveMechanism(relation)._encoded
+    a, b, c = Var("a"), Var("b"), Var("c")
+    yield "general", EncodedRelation(
+        list("abcde"),
+        [(And([a, a, b]), 2.5), (Or([And([a, b]), c, c]), 0.5), (b, 1.25)],
+    )
+
+
+def _highs_arrays(model) -> dict:
+    """What the HiGHS instance behind a model holds (``getLp``)."""
+    lp = model._solver.getLp()
+    matrix = lp.a_matrix_
+    assert matrix.format_ == highs_engine._core.MatrixFormat.kColwise
+    assert (matrix.num_row_, matrix.num_col_) == (lp.num_row_, lp.num_col_)
+    return {
+        "shape": (lp.num_row_, lp.num_col_),
+        "indptr": np.asarray(matrix.start_),
+        "indices": np.asarray(matrix.index_),
+        "data": np.asarray(matrix.value_),
+        "col_costs": np.asarray(lp.col_cost_),
+        "col_lower": np.asarray(lp.col_lower_),
+        "col_upper": np.asarray(lp.col_upper_),
+        "row_lower": np.asarray(lp.row_lower_),
+        "row_upper": np.asarray(lp.row_upper_),
+    }
+
+
+def _reference_arrays(dense, costs, col_upper, row_lower, row_upper) -> dict:
+    """A model's arrays from its dense matrix: the canonical CSC (rows
+    ascending in each column), unit-cube lower bounds of 0."""
+    matrix = sparse.csc_matrix(dense)
+    return {
+        "shape": dense.shape,
+        "indptr": matrix.indptr,
+        "indices": matrix.indices,
+        "data": matrix.data,
+        "col_costs": costs,
+        "col_lower": np.zeros(dense.shape[1]),
+        "col_upper": col_upper,
+        "row_lower": row_lower,
+        "row_upper": row_upper,
+    }
+
+
+@pytest.mark.parametrize(
+    "encoded",
+    [e for _, e in _model_relations()],
+    ids=[name for name, _ in _model_relations()],
+)
+def test_highs_models_equal_the_encoded_triplets(encoded):
+    """The H, G and X models loaded into HiGHS hold exactly the program
+    the encoded relation's triplets and G rows describe."""
+    program = encoded._compiled
+    n, p = encoded.num_lp_variables, len(encoded.participants)
+    rows = len(encoded._ub_rhs)
+    base = np.zeros((rows, n))
+    np.add.at(base, (encoded._ub_rows, encoded._ub_cols), encoded._ub_vals)
+    costs = np.zeros(n)
+    np.add.at(costs, encoded._root_vars, encoded._root_weights)
+    mass = np.zeros((1, n))
+    mass[0, :p] = 1.0
+    lower = np.full(rows, -np.inf)
+    upper = np.asarray(encoded._ub_rhs, dtype=float)
+
+    expected = {
+        "h": _reference_arrays(
+            np.vstack([base, mass]),
+            costs,
+            np.ones(n),
+            np.append(lower, 0.0),
+            np.append(upper, 0.0),
+        )
+    }
+    entries = g_row_entries(*encoded._g_rows)
+    g_block = np.zeros((len(entries), n + 1))
+    for row, row_entries in enumerate(entries):
+        g_block[row, n] = -1.0
+        for column, value in row_entries:
+            g_block[row, column] += value
+    g_costs = np.zeros(n + 1)
+    g_costs[n] = 1.0
+    padded = np.hstack([base, np.zeros((rows, 1))])
+    expected["g"] = _reference_arrays(
+        np.vstack([padded, g_block, np.append(mass, 0.0)]),
+        g_costs,
+        np.append(np.ones(n), np.inf),
+        np.concatenate([lower, np.full(len(entries), -np.inf), [0.0]]),
+        np.concatenate([upper, np.zeros(len(entries)), [0.0]]),
+    )
+    delta_hat = 0.75
+    x_costs = costs.copy()
+    x_costs[:p] -= delta_hat
+    expected["x"] = _reference_arrays(base, x_costs, np.ones(n), lower, upper)
+
+    encoded.solve_x_relaxation(delta_hat)
+    encoded.end_x_step()
+    models = {
+        "h": program._ensure_h_model(),
+        "g": program._ensure_g_model(),
+        "x": program._x_model,
+    }
+    for overlay, model in models.items():
+        assert isinstance(model, highs_engine.PersistentLP)
+        built = _highs_arrays(model)
+        assert built["shape"] == expected[overlay]["shape"], overlay
+        for key, value in expected[overlay].items():
+            np.testing.assert_array_equal(built[key], value, err_msg=f"{overlay} {key}")

@@ -160,10 +160,9 @@ def test_no_model_has_an_idle_column(name, lp_backend):
     used = np.zeros(columns, dtype=bool)
     used[program._a_ub.tocoo().col] = True
     used[np.flatnonzero(program._c)] = True
-    for row in program._g_row_maps:
-        used[list(row)] = True
+    used[program._g_cols] = True
     assert used[:active].all()
-    if program._g_row_maps:
+    if program.num_g_rows:
         overlay = program._build_g_overlay()
         assert overlay["matrix"].shape[1] == columns + 1  # and z
     if encoded.num_encoded_tuples:

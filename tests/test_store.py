@@ -16,6 +16,7 @@ import random
 
 import numpy as np
 import pytest
+from lp_oracle import g_rows_by_name
 from store_oracle import (
     oracle_canonical_rows,
     oracle_relation,
@@ -176,8 +177,11 @@ class TestEncoderIdentity:
             np.testing.assert_array_equal(
                 getattr(fast, name), getattr(legacy, name), err_msg=name
             )
-        assert list(fast._g_rows) == list(legacy._g_rows)
-        assert fast._g_rows == legacy._g_rows
+        for part, ours, theirs in zip(
+            ("indptr", "cols", "vals"), fast._g_rows, legacy._g_rows
+        ):
+            np.testing.assert_array_equal(ours, theirs, err_msg=part)
+        assert g_rows_by_name(fast) == g_rows_by_name(legacy)
         assert fast.total_weight == legacy.total_weight
         assert fast.max_phi_sensitivity == legacy.max_phi_sensitivity
 
