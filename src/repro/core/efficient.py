@@ -199,9 +199,12 @@ class EfficientRecursiveMechanism(RecursiveMechanismBase):
                     else "uniform"
                 )
         self.bounding = bounding
-        #: ``k → (G_k, slope_k)`` for every LP-probed G entry that came
-        #: with a subgradient (see _g_predicate)
-        self._g_tangents: Dict[int, Tuple[float, float]] = {}
+        #: ``k → G_core(k)``: the core's exact G entries by core index,
+        #: closed forms and LP probes (see _g_predicate)
+        self._g_core: Dict[float, float] = {}
+        #: ``k → (G_core(k), slope_k)`` for every LP-probed core entry that
+        #: came with a subgradient
+        self._g_tangents: Dict[float, Tuple[float, float]] = {}
         #: query-level φ-sensitivity cap for the "uniform" bounding mode;
         #: falls back to the max over the current annotations (see
         #: EncodedRelation.solve_g_uniform for the neighbor-consistency
@@ -235,60 +238,84 @@ class EfficientRecursiveMechanism(RecursiveMechanismBase):
     def _g_predicate(self, i: int, threshold: float) -> bool:
         """``G_i ≤ threshold`` by the cheapest exact route.
 
+        Isolated rows and idle participants are an index shift: ``G_i ≤
+        τ`` holds exactly when ``G_core(k) ≤ τ`` at the core index
+        ``k = i − m − N·(w−1) − N·min(1, τ/2)``, for ``m`` idle
+        participants and ``N`` isolated rows of width ``w``
+        (:meth:`EncodedRelation.core_index`).  With no isolated row the
+        core is the whole active program and ``k = i − m``.  Past the
+        shift the search works in core coordinates: exact entries
+        (:attr:`_g_core`) and tangents (:attr:`_g_tangents`) are the
+        core's ``G``, keyed by core index.
+
         Each probe counts once in ``repro_delta_probes_total{how}``:
 
         * ``closed_form`` — the entry needs no LP: ``|P|``, and every
           ``i ≤ i₀``, the end of the zero region
-          (:meth:`EncodedRelation.g_closed_form`); under the uniform
-          bounding, a closed-form ``H_i``;
-        * ``chord`` / ``secant`` — ``G`` is convex and nondecreasing in
-          ``i`` (the LP value as a function of the mass RHS), so chords
-          between known exact entries bound it from above and outward
-          secants from below, deciding with no LP at all.  ``0``, ``i₀``
-          and ``|P|`` are seeded as exact entries, so the chord from
-          ``(i₀, 0)`` to ``(|P|, G_{|P|})`` is there from the first probe;
-          on a conjunctive relation of width ``w`` it is the bound the
-          uniform point ``f ≡ a/n_act`` gives,
-          ``2·max_p d_p·(w·a/n_act − (w−1))`` at ``i = m + a``, up to
-          the rounding of ``i₀`` down to an integer;
+          (:meth:`EncodedRelation.g_closed_form`), then the core's own zero
+          region and top (:meth:`EncodedRelation.g_core_closed_form`);
+          under the uniform bounding, a closed-form ``H_i``;
+        * ``core_shift`` — ``k ≤ 0`` ("yes": the idle participants and
+          isolated rows take all the mass within ``τ``) or ``k`` past the
+          core's participant count ("no");
+        * ``chord`` / ``secant`` — ``G_core`` is convex and nondecreasing
+          (the LP value as a function of the mass RHS), so chords between
+          known exact entries bound it from above and outward secants
+          from below, deciding with no LP at all.  ``0``, the core's zero
+          region end ``k₀`` and its top are seeded as exact entries, so
+          the chord from ``(k₀, 0)`` to the top is there from the first
+          probe; with no isolated row it is the bound the uniform point
+          ``f ≡ a/n_act`` gives, ``2·max_p d_p·(w·a/n_act − (w−1))`` at
+          ``i = m + a``, up to the rounding of ``i₀`` down to an integer;
         * ``tangent`` — each LP probe's mass-row dual is a subgradient of
-          the convex ``G``, so its tangent bounds ``G`` from below on both
-          sides of the probe; one that clears the threshold decides
-          ``G_i > threshold`` with no LP (:func:`_tangent_exceeds`);
-        * ``lp`` — otherwise one step of the Δ-search walk on the exact
-          G model (``CompiledProgram.solve_g_decide``); the exact value
-          and slope it returns are kept and tighten the bounds for later
-          probes.  A backend that reports no duals yields no tangents:
-          its decisions are the same, only more of them take an LP.
+          the convex ``G_core``, so its tangent bounds ``G_core`` from
+          below on both sides of the probe; one that clears the threshold
+          decides "no" with no LP (:func:`_tangent_exceeds`);
+        * ``lp`` — otherwise one step of the Δ-search walk on the core's
+          exact G model (``CompiledProgram.solve_g_decide``); the exact
+          value and slope it returns are kept and tighten the bounds for
+          later probes.  A backend that reports no duals yields no
+          tangents: its decisions are the same, only more of them take an
+          LP.
         """
+        encoded = self._encoded
         if self.bounding == "uniform":
             # Ĝ = 2·S̄·H — one (cheap) H solve; keep the exact entry cached
-            lp = self._encoded.h_closed_form(i) is None
+            lp = encoded.h_closed_form(i) is None
             _count_probe("lp" if lp else "closed_form")
             return self.g_entry(i) <= threshold
-        if self._encoded.g_closed_form(i) is not None:
+        if encoded.g_closed_form(i) is not None:
             _count_probe("closed_form")
             return self.g_entry(i) <= threshold
-        # the ends of the zero region and |P| are closed forms — seed the
-        # bound cache for free
-        self.g_entry(0)
-        self.g_entry(self._g_zero_index())
-        self.g_entry(self.num_participants)
-        known = sorted(self._g_cache.items())
-        upper = _convex_upper(known, i)
+        decided, k = encoded.core_index(i, threshold)
+        if decided is not None:
+            _count_probe("core_shift")
+            return decided
+        closed = encoded.g_core_closed_form(k)
+        if closed is not None:
+            _count_probe("closed_form")
+            return closed <= threshold
+        known = self._g_core
+        if not known:
+            # the ends of the core's zero region and its top are closed
+            # forms — seed the bound cache for free
+            for end in (0, encoded.core_zero_index, encoded.num_core_participants):
+                known[end] = encoded.g_core_closed_form(end)
+        exact = sorted(known.items())
+        upper = _convex_upper(exact, k)
         if upper is not None and upper <= threshold:
             _count_probe("chord")
             return True
-        if _convex_lower(known, i) > threshold:
+        if _convex_lower(exact, k) > threshold:
             _count_probe("secant")
             return False
-        if _tangent_exceeds(self._g_tangents, i, threshold):
+        if _tangent_exceeds(self._g_tangents, k, threshold):
             _count_probe("tangent")
             return False
         _count_probe("lp")
-        decided, value, slope = self._encoded.g_decide(i, threshold)
-        key = _index_key(i)
-        self._g_cache[key] = value
+        decided, value, slope = encoded.g_core_decide(k, threshold)
+        key = _index_key(k)
+        known[key] = value
         if slope is not None:
             self._g_tangents[key] = (value, slope)
         return decided

@@ -25,6 +25,14 @@ every overlay through the mass row alone, so
 shifts the mass index by their number instead (``|P|`` and ``i`` here
 are the active program's).
 
+A conjunctive relation may also compile a second program over its core,
+the rows that share a participant with another row: an isolated row
+adds a closed form to ``G``, so the Δ search walks the core's G model
+at a τ-dependent shifted index
+(:meth:`~repro.relax.encode.EncodedRelation.core_index`).  That program
+only ever builds its G overlay; with no isolated row the core is the
+active program itself.
+
 This is the only way the φ-epigraph LP is solved.  A
 :class:`CompiledProgram` performs the assembly exactly once and loads
 each overlay, converted once from COO triplets to the CSC matrix the
@@ -43,6 +51,7 @@ with a dense simplex.
 from __future__ import annotations
 
 import time
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -118,6 +127,12 @@ class CompiledProgram:
         :data:`~repro.lp.highs_engine.HIGHS`): one model per overlay is
         built from the compiled blocks through its ``build_persistent``
         and mutated in place per call.
+    g_only:
+        True for a program that only ever solves ``G`` (a conjunctive
+        relation's core): it skips the epigraph CSC and the certificate
+        transposes, which are then built on first use.  Any other
+        program builds them here, since every release prices an X
+        certificate.
     """
 
     def __init__(
@@ -132,6 +147,7 @@ class CompiledProgram:
         objective_constant: float,
         g_rows: Tuple[np.ndarray, np.ndarray, np.ndarray],
         backend,
+        g_only: bool = False,
     ):
         if not hasattr(backend, "build_persistent"):
             raise LPError(
@@ -147,16 +163,15 @@ class CompiledProgram:
                 "variable count"
             )
 
-        # the epigraph rows in the solver's CSC format (the X model's
-        # matrix), and their triplets for the H and G overlays
-        self._a_ub = sparse.csc_matrix(
-            (ub_vals, (ub_rows, ub_cols)), shape=(len(ub_rhs), self.num_variables)
-        )
+        # the epigraph rows as triplets, which the H and G overlays stack
+        # their rows onto
         self._b_ub = np.asarray(ub_rhs, dtype=float)
         self._ub_coo = (ub_rows, ub_cols, ub_vals)
-        # A_ubᵀ and |A_ub|ᵀ, which every certificate prices (certify.py)
-        self._a_ub_t = self._a_ub.T
-        self._abs_a_ub_t = abs(self._a_ub_t)
+        if not g_only:
+            # their CSC matrix and its transposes (_a_ub, _a_ub_t,
+            # _abs_a_ub_t): built here, next to the triplets, they cost
+            # less than on first use after the Δ search's solves
+            self._abs_a_ub_t
 
         self._c = np.asarray(objective, dtype=float)
         self._constant = float(objective_constant)
@@ -198,7 +213,26 @@ class CompiledProgram:
     def num_ub_rows(self) -> int:
         """Rows of the base ``A_ub x <= b_ub`` block (the H and X models'
         mass row, when present, comes right after them)."""
-        return self._a_ub.shape[0]
+        return len(self._b_ub)
+
+    @cached_property
+    def _a_ub(self) -> sparse.csc_matrix:
+        """The epigraph rows in the solver's CSC format: the X model's
+        matrix, and what every certificate prices."""
+        ub_rows, ub_cols, ub_vals = self._ub_coo
+        return sparse.csc_matrix(
+            (ub_vals, (ub_rows, ub_cols)), shape=(self.num_ub_rows, self.num_variables)
+        )
+
+    @cached_property
+    def _a_ub_t(self):
+        """``A_ubᵀ``, built with the first certificate (certify.py)."""
+        return self._a_ub.T
+
+    @cached_property
+    def _abs_a_ub_t(self):
+        """``|A_ub|ᵀ``, built with the first certificate (certify.py)."""
+        return abs(self._a_ub_t)
 
     def _ub_row_lower(self) -> np.ndarray:
         return np.full(self.num_ub_rows, -_INF)

@@ -33,6 +33,17 @@ carries ``m`` as an integer: it answers every index ``i ≤ m`` in closed
 form and every other one at ``i − m`` on the active program.  Callers see
 full indices ``0..|P|`` throughout.
 
+``G`` goes one step further on a conjunctive relation of width ``w ≥ 2``
+(:meth:`EncodedRelation.from_conjunctions`).  A row whose participants
+occur in no other row is *isolated*; the other rows are the *core*.
+``G_i ≤ τ`` is a statement about the largest mass that keeps every
+load within ``τ/2``, and that mass adds up over independent parts: each
+isolated row holds ``(w − 1) + min(1, τ/2)`` of it.  So with ``N``
+isolated rows, ``G_i ≤ τ`` is ``G_core(k) ≤ τ`` at
+``k = i − m − N·(w−1) − N·min(1, τ/2)``
+(:meth:`EncodedRelation.core_index`), and the Δ search walks only the
+core's G model (:meth:`EncodedRelation.g_core_decide`).
+
 Every ``H`` value is certified and snapped to a small rational
 (:mod:`repro.lp.certify`) before it is returned, whichever solve produced
 it, so the route does not show in its bits.  While an X step is open
@@ -50,7 +61,7 @@ builds once per overlay.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -75,6 +86,74 @@ def _count_h(how: str, entries: int = 1) -> None:
 def _count_unsnapped() -> None:
     """Count one ``H`` whose certified interval isolated no rational."""
     obs_metrics().counter("repro_h_unsnapped_total").inc()
+
+
+class _ConjunctionBlocks(NamedTuple):
+    """The LP blocks of a conjunction matrix (:func:`_conjunction_blocks`)."""
+
+    ub: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    root_vars: np.ndarray
+    num_structural: int
+    g_rows: Tuple[np.ndarray, np.ndarray, np.ndarray]
+    owners: np.ndarray
+    counts: np.ndarray
+
+
+def _conjunction_blocks(
+    matrix: np.ndarray, num_participants: int
+) -> _ConjunctionBlocks:
+    """The epigraph triplets ``(rows, cols, vals, rhs)``, root variables
+    and G-row CSR of the conjunctions in ``matrix`` (see
+    :meth:`EncodedRelation.from_conjunctions`), with each G row's
+    participant (``owners``) and each participant's row count."""
+    n, width = matrix.shape
+    if n == 0 or width == 1:
+        ub = (
+            np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=float),
+            np.empty(0, dtype=float),
+        )
+        root_vars = matrix[:, 0].copy() if n else np.empty(0, dtype=np.int64)
+        num_structural = num_participants
+    else:
+        # one And node per row: v = P + r, row [-v, +children] <= m-1
+        cols = np.empty((n, width + 1), dtype=np.int64)
+        cols[:, 0] = num_participants + np.arange(n)
+        cols[:, 1:] = matrix
+        ub = (
+            np.repeat(np.arange(n, dtype=np.int64), width + 1),
+            cols.ravel(),
+            np.tile(np.concatenate(([-1.0], np.ones(width))), n),
+            np.full(n, float(width - 1)),
+        )
+        root_vars = num_participants + np.arange(n, dtype=np.int64)
+        num_structural = num_participants + n
+
+    # G rows: one CSR row per participant, rows in the tree walk's
+    # first-encounter order (row-major over the matrix), entries in
+    # ascending tuple order (a stable argsort by row rank)
+    flat = matrix.ravel()
+    counts = np.bincount(flat, minlength=num_participants)
+    if np.count_nonzero(counts) != num_participants:
+        raise LPError(
+            "every participant of a conjunction matrix must occur in "
+            "some row — count the others as idle"
+        )
+    owners = np.argsort(np.unique(flat, return_index=True)[1])
+    lengths = counts[owners]
+    if width == 1:
+        # repeated rows share the bare participant as root
+        indptr = np.arange(num_participants + 1)
+        g_cols, g_vals = owners, lengths.astype(float)
+    else:
+        indptr = np.concatenate(([0], np.cumsum(lengths)))
+        row_rank = np.argsort(owners)[flat]
+        g_cols = num_participants + np.argsort(row_rank, kind="stable") // width
+        g_vals = np.ones(flat.size)
+    return _ConjunctionBlocks(
+        ub, root_vars, num_structural, (indptr, g_cols, g_vals), owners, counts
+    )
 
 
 class EncodedRelation:
@@ -105,6 +184,14 @@ class EncodedRelation:
         The largest integer ``i₀`` known to have ``G_i = 0`` for every
         ``i ≤ i₀`` (:meth:`g_closed_form`): ``m`` in general, more on a
         conjunctive relation of width ≥ 2 (:meth:`from_conjunctions`).
+    num_isolated:
+        ``N``, the rows whose participants occur in no other row; found
+        only by :meth:`from_conjunctions`, so 0 from this constructor.
+    num_core_participants:
+        The participants of the core, the other rows: the active ones
+        less ``N·w``.  The Δ search decides ``G`` on the core
+        (:meth:`core_index`, :meth:`g_core_decide`); with ``N = 0`` the
+        core is the whole active program.
     """
 
     def __init__(
@@ -228,6 +315,11 @@ class EncodedRelation:
         self._g_rows = g_rows
         # the open X step's (Δ̂, solution, certificate), while one is open
         self._x_step: Optional[Tuple[float, LPSolution, Certificate]] = None
+        # no isolated rows until from_conjunctions finds some: the core is
+        # the active program, at the index i − m
+        self.num_isolated = 0
+        self._core_offset = self.num_idle
+        self.num_core_participants = len(self.participants)
         self._compiled = CompiledProgram(
             num_variables=self._num_structural,
             num_participants=len(self.participants),
@@ -240,6 +332,7 @@ class EncodedRelation:
             g_rows=g_rows,
             backend=self.backend,
         )
+        self._core: Optional[CompiledProgram] = self._compiled
 
     @classmethod
     def from_conjunctions(
@@ -270,6 +363,11 @@ class EncodedRelation:
         The tree walk per conjunction of width ``m ≥ 2`` appends one
         epigraph row ``[-v, 1·child…] ≤ m-1``; width 1 collapses to the
         bare participant variable (``And`` of one child is the child).
+
+        When ``w ≥ 2``, a row whose participants all occur in no other
+        row is *isolated* (:attr:`num_isolated`); the other rows are the
+        core, whose G program is compiled apart on first use
+        (:meth:`core_index`).
         """
         self = cls.__new__(cls)
         self.participants = list(participants)
@@ -292,57 +390,33 @@ class EncodedRelation:
         self._constant_weight = 0.0
         self.total_weight = float(n)
         self.max_phi_sensitivity = 1 if n else 0
-        self._next_var = num_participants
         # node values are re-evaluated from the epigraph rows themselves
         self._annotations = None
         self._phi_error = 0.0
 
-        if n == 0 or width == 1:
-            self._ub_rows = np.empty(0, dtype=np.int64)
-            self._ub_cols = np.empty(0, dtype=np.int64)
-            self._ub_vals = np.empty(0, dtype=float)
-            self._ub_rhs = np.empty(0, dtype=float)
-            self._root_vars = (
-                matrix[:, 0].copy() if n else np.empty(0, dtype=np.int64)
-            )
-            self._num_structural = num_participants
-        else:
-            # one And node per row: v = P + r, row [-v, +children] <= m-1
-            cols = np.empty((n, width + 1), dtype=np.int64)
-            cols[:, 0] = num_participants + np.arange(n)
-            cols[:, 1:] = matrix
-            self._ub_rows = np.repeat(np.arange(n, dtype=np.int64), width + 1)
-            self._ub_cols = cols.ravel()
-            self._ub_vals = np.tile(np.concatenate(([-1.0], np.ones(width))), n)
-            self._ub_rhs = np.full(n, float(width - 1))
-            self._root_vars = num_participants + np.arange(n, dtype=np.int64)
-            self._num_structural = num_participants + n
-            self._next_var = self._num_structural
+        blocks = _conjunction_blocks(matrix, num_participants)
+        self._ub_rows, self._ub_cols, self._ub_vals, self._ub_rhs = blocks.ub
+        self._root_vars = blocks.root_vars
+        self._num_structural = self._next_var = blocks.num_structural
         self._root_weights = np.ones(n, dtype=float)
+        self._g_owners = blocks.owners
+        self._g_max_load = float(blocks.counts.max(initial=0))
+        self._finalize(blocks.g_rows)
 
-        # G rows: one CSR row per participant, rows in the tree walk's
-        # first-encounter order (row-major over the matrix), entries in
-        # ascending tuple order (a stable argsort by row rank)
-        flat = matrix.ravel()
-        counts = np.bincount(flat, minlength=num_participants)
-        if np.count_nonzero(counts) != num_participants:
-            raise LPError(
-                "every participant of a conjunction matrix must occur in "
-                "some row — count the others as idle"
-            )
-        self._g_owners = np.argsort(np.unique(flat, return_index=True)[1])
-        lengths = counts[self._g_owners]
-        if width == 1:
-            # repeated rows share the bare participant as root
-            indptr = np.arange(num_participants + 1)
-            cols, vals = self._g_owners, lengths.astype(float)
-        else:
-            indptr = np.concatenate(([0], np.cumsum(lengths)))
-            row_rank = np.argsort(self._g_owners)[flat]
-            cols = num_participants + np.argsort(row_rank, kind="stable") // width
-            vals = np.ones(flat.size)
-        self._g_max_load = float(counts.max(initial=0))
-        self._finalize((indptr, cols, vals))
+        if n and width >= 2:
+            # one pass over the counts: a row is isolated when each of its
+            # participants occurs in it alone
+            isolated = (blocks.counts[matrix] == 1).all(axis=1)
+            self.num_isolated = int(np.count_nonzero(isolated))
+            if self.num_isolated:
+                self._core_offset += self.num_isolated * (width - 1)
+                self.num_core_participants -= self.num_isolated * width
+                self._core = None
+                # the core rows over the core participants, renumbered in
+                # their order
+                kept = np.ones(num_participants, dtype=bool)
+                kept[matrix[isolated]] = False
+                self._core_matrix = (np.cumsum(kept) - 1)[matrix[~isolated]]
         return self
 
     # -- construction helpers -------------------------------------------------
@@ -619,7 +693,9 @@ class EncodedRelation:
         is compared exactly, with no tolerance.  At ``i = |P|`` the mass
         row forces ``f ≡ 1``, which forces every node variable to 1
         (epigraph lower bounds meet the unit upper bounds), so the
-        min-max collapses to ``2·max_p Σ_t q·S_{t,p}``.
+        min-max collapses to ``2·max_p Σ_t q·S_{t,p}``.  The same two
+        closed forms hold for the core's ``G`` in core coordinates
+        (:meth:`g_core_closed_form`).
         """
         if not 0.0 <= i <= self.num_participants + 1e-9:
             raise LPError(f"G index {i} outside [0, {self.num_participants}]")
@@ -637,7 +713,7 @@ class EncodedRelation:
         """``G_i`` (Eq. 19) — twice the min-max LP value.
 
         The closed forms need no LP (:meth:`g_closed_form`); otherwise one
-        cold solve at ``i − m``.
+        cold solve at ``i − m`` on the whole active program.
         """
         closed = self.g_closed_form(i)
         if closed is not None:
@@ -649,22 +725,101 @@ class EncodedRelation:
     def g_decide(
         self, i: float, threshold: float
     ) -> Tuple[bool, float, Optional[float]]:
-        """The exact predicate ``G_i ≤ threshold`` as ``(bool, G_i, slope)``.
+        """The exact predicate ``G_i ≤ threshold`` as ``(bool, G_i, slope)``
+        on the whole active program.
 
         A closed form needs no LP and has no slope (None); otherwise this
-        is one step of the Δ-search walk on the exact G model at ``i − m``
+        is one step of a walk on the active program's G model at ``i − m``
         (``CompiledProgram.solve_g_decide``), ended by :meth:`end_g_walk`,
         and ``slope`` is a subgradient of ``G`` at ``i`` from the mass
-        row's dual (None when the backend reports no duals).
+        row's dual (None when the backend reports no duals).  The Δ search
+        walks the core instead (:meth:`g_core_decide`); with no isolated
+        row the two are the same walk.
         """
         closed = self.g_closed_form(i)
         if closed is not None:
             return closed <= threshold, closed, None
         return self._compiled.solve_g_decide(self._active_index(i), float(threshold))
 
+    # -- G on the core ----------------------------------------------------------
+    @property
+    def core_zero_index(self) -> int:
+        """The core's zero region ``k ≤ i₀ − m − N·(w−1)``, in core
+        coordinates (:meth:`g_core_closed_form`)."""
+        return self.g_zero_index - self._core_offset
+
+    def core_index(self, i: float, threshold: float) -> Tuple[Optional[bool], float]:
+        """``G_i ≤ threshold`` moved onto the core: ``(decided, k)``.
+
+        Let ``cap(τ)`` be the largest mass ``Σf`` with every
+        participant's load at most ``τ/2``.  Loads are nondecreasing in
+        ``f``, so ``G_i ≤ τ`` exactly when ``i ≤ cap(τ)`` (for ``τ ≥ 0``),
+        and ``cap`` is a sum over the independent parts of the relation:
+        each idle participant adds 1, each isolated row of width ``w``
+        adds ``(w − 1) + min(1, τ/2)``, and the core adds
+        ``cap_core(τ)``.  With ``m`` idle participants and ``N`` isolated
+        rows, ``G_i ≤ τ`` therefore holds exactly when ``k ≤ cap_core(τ)``
+        at ``k = i − m − N·(w−1) − N·min(1, τ/2)``: yes when ``k ≤ 0``,
+        no when ``k`` exceeds the core's participant count, and
+        ``G_core(k) ≤ τ`` otherwise.  The first two are decided by
+        comparing ``i − m − N·(w−1)`` (an integer at an integer ``i``)
+        with ``N·min(1, τ/2)``; they return ``decided`` as a bool.  The
+        third returns ``decided = None`` and the core index ``k``.  With
+        no isolated row, ``k = i − m``: the core is the active program.
+        """
+        base = i - self._core_offset
+        slack = self.num_isolated * min(1.0, threshold / 2.0)
+        if base <= slack:
+            # i ≤ cap(τ); under a negative τ no mass fits, as G ≥ 0
+            return threshold >= 0, 0.0
+        if base - self.num_core_participants > slack:
+            return False, 0.0
+        return None, base - slack
+
+    def g_core_closed_form(self, k: float) -> Optional[float]:
+        """The exact no-LP values of ``G_core(k)``, or None when an LP is
+        needed: 0 on the core's zero region ``k ≤``
+        :attr:`core_zero_index`, and ``2·max_p Σ_t q·S_{t,p}`` at ``k`` =
+        the core's participant count (a core row shares a participant with
+        another row, so the core holds the relation's largest load)."""
+        if k <= self.core_zero_index:
+            return 0.0
+        if k >= self.num_core_participants:
+            return 2.0 * self._g_max_load
+        return None
+
+    def g_core_decide(
+        self, k: float, threshold: float
+    ) -> Tuple[bool, float, Optional[float]]:
+        """``G_core(k) ≤ threshold`` as ``(bool, G_core(k), slope)``: one
+        step of the Δ-search walk on the core's G model
+        (``CompiledProgram.solve_g_decide``), ended by :meth:`end_g_walk`.
+        The core's program is compiled on the first call; only its G
+        overlay is ever built."""
+        if self._core is None:
+            blocks = _conjunction_blocks(
+                self._core_matrix, self.num_core_participants
+            )
+            objective = np.zeros(blocks.num_structural)
+            objective[blocks.root_vars] = 1.0
+            self._core = CompiledProgram(
+                blocks.num_structural,
+                self.num_core_participants,
+                *blocks.ub,
+                objective=objective,
+                objective_constant=0.0,
+                g_rows=blocks.g_rows,
+                backend=self.backend,
+                g_only=True,
+            )
+        return self._core.solve_g_decide(float(k), float(threshold))
+
     def end_g_walk(self) -> None:
-        """Free the Δ-search walk's G model (``CompiledProgram.end_g_walk``)."""
+        """Free the G walks' models (``CompiledProgram.end_g_walk``): the
+        core's, and the active program's when they differ."""
         self._compiled.end_g_walk()
+        if self._core is not None:
+            self._core.end_g_walk()
 
     def solve_g_uniform(self, i: float, s_bar: Optional[float] = None) -> float:
         """The sound alternative bounding sequence ``Ĝ_i = 2·S̄·H_i``.

@@ -147,6 +147,13 @@ def test_tangent_decisions_match_cold_solves(combo, lp_backend, monkeypatch):
     cold = EfficientRecursiveMechanism(relation, backend=lp_backend)._encoded
     n = mechanism.num_participants
     exact = [cold.solve_g(float(j)) for j in range(n + 1)]
+    # tangents are keyed by core index; with no isolated row the core is
+    # the active program, so core index k is the full index k + m
+    assert cold.num_isolated == 0
+    m = cold.num_idle
+
+    def full(tangents):
+        return {k + m: tangent for k, tangent in tangents.items()}
     routes = []
     monkeypatch.setattr(efficient, "_count_probe", routes.append)
 
@@ -160,21 +167,21 @@ def test_tangent_decisions_match_cold_solves(combo, lp_backend, monkeypatch):
         for factor in (0.9, 0.5):
             probe(mechanism, i, factor * exact[i])
     mechanism._encoded.end_g_walk()
-    tangents = [mechanism._g_tangents]
+    tangents = [full(mechanism._g_tangents)]
     # one LP probe at k, then thresholds just under its tangent (which
     # it decides) and just over G (where a bound above G would decide)
     for k in sorted(tangents[0]):
         fresh = EfficientRecursiveMechanism(relation, backend=lp_backend)
         probe(fresh, k, 0.5 * exact[k])
         assert routes[-1] == "lp"
-        value, slope = fresh._g_tangents[k]
+        value, slope = full(fresh._g_tangents)[k]
         for j in range(1, n):
             bound = value + slope * (j - k)
             if j != k and bound > 1e-3:
                 probe(fresh, j, bound - 1e-3)
                 probe(fresh, j, exact[j] + 1e-3)
         fresh._encoded.end_g_walk()
-        tangents.append(fresh._g_tangents)
+        tangents.append(full(fresh._g_tangents))
     for kept in tangents:
         for k, (value, slope) in kept.items():
             for j in range(n + 1):

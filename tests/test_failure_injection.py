@@ -222,7 +222,8 @@ class TestComplexityContracts:
         mechanism = EfficientRecursiveMechanism(relation)
         params = RecursiveMechanismParams.paper(0.5, node_privacy=True)
         mechanism.compute_delta(params)
-        touched = len(mechanism._g_cache)
+        # full-index closed forms, and the core's entries by core index
+        touched = len(mechanism._g_cache) + len(mechanism._g_core)
         g_final = mechanism.g_entry(mechanism.num_participants)
         # Sec. 5.3: O(log(ln(G)/beta)) entries; generous constant
         bound = 4 + 2 * math.log2(max(2.0, 1 + math.log(max(g_final, 2)) / params.beta))

@@ -774,6 +774,35 @@ class TestServingIntegration:
         after = _histogram_count("repro_lp_solve_seconds", overlay="h")
         assert after == before + 1
 
+    def test_delta_probes_count_the_core_shift(self):
+        """A probe that idle participants and isolated rows decide alone
+        counts once as ``repro_delta_probes_total{how="core_shift"}`` and
+        solves no LP."""
+        from repro.core.efficient import EfficientRecursiveMechanism
+        from repro.store import ConjunctiveKRelation
+
+        # a core of two rows sharing p0, and two isolated rows
+        matrix = np.array([[0, 1], [0, 2], [3, 4], [5, 6]])
+        names = [f"p{k}" for k in range(7)]
+        relation = ConjunctiveKRelation(names, matrix, "edge", range(4), names, 7)
+        mechanism = EfficientRecursiveMechanism(relation)
+        assert mechanism._encoded.num_isolated == 2
+        routes = ("core_shift", "closed_form", "lp")
+        before = {
+            how: _counter_total("repro_delta_probes_total", how=how) for how in routes
+        }
+        # i − m − N·(w−1) = 2 ≤ N·min(1, τ/2) = 2: the isolated rows hold it
+        assert mechanism._g_predicate(4, 2.0) is True
+        # 4 − 3 core participants = 1 > N·min(1, τ/2) = 0.5: past the core
+        assert mechanism._g_predicate(6, 0.5) is False
+        after = {
+            how: _counter_total("repro_delta_probes_total", how=how) for how in routes
+        }
+        assert after["core_shift"] - before["core_shift"] == 2
+        assert after["closed_form"] == before["closed_form"]
+        assert after["lp"] == before["lp"]
+        assert mechanism._encoded._core is None  # no core program compiled
+
     @pytest.mark.parametrize("backend", ["highs", "scipy"])
     def test_batched_h_solves_each_observed(self, identity_graph, backend):
         """A batched ``h_entries`` call records one solve per LP index."""
