@@ -3,10 +3,15 @@
 ``H_i`` (Eq. 16) and the 2-bounding ``G_i`` (Eq. 19) are evaluated as linear
 programs over the φ-epigraph encoding (:mod:`repro.relax.encode`).  The
 Δ search touches ``O(log(ln G/β))`` G-entries (Sec. 5.3).  The X step is
-usually decided with no LP: the argmin of Eq. 12 is monotone in ``Δ̂``, so
-earlier releases of the same mechanism bracket it
-(:meth:`~repro.core.framework.RecursiveMechanismBase.x_step`).  Only when
-they do not does it solve the continuous relaxation Eq. 20 as a single LP
+usually decided with no LP
+(:meth:`~repro.core.framework.RecursiveMechanismBase.x_step`).  On a
+conjunctive counting relation ``H_{|P|} − H_{|P|−1}`` is exactly the
+largest participant load ``d`` (one unit of mass taken from ``f ≡ 1``
+lowers the rows it touches by at most ``d`` in all), and ``H`` is convex
+(Lemma 10), so every ``Δ̂ > d`` has argmin ``|P|`` and ``X = q(supp R)``.
+Below that, the argmin of Eq. 12 is monotone in ``Δ̂``, so earlier
+releases of the same mechanism bracket it.  Only when they do not does it
+solve the continuous relaxation Eq. 20 as a single LP
 and use convexity of ``H`` (Lemma 10) to restrict the integer argmin to
 ``{⌊i'⌋, ⌈i'⌉}``.  That LP is solved cold only the first time: later
 X steps of the same mechanism resume from the last X optimum's basis,
@@ -337,11 +342,17 @@ class EfficientRecursiveMechanism(RecursiveMechanismBase):
         """``q(supp(R)) = H_{|P|}`` (Theorem 3) without solving an LP."""
         return self._encoded.true_answer()
 
+    def _h_top_chord(self) -> Optional[float]:
+        # H is convex (Lemma 10); the chord is exact on a conjunctive
+        # counting relation only (EncodedRelation.h_top_chord)
+        return self._encoded.h_top_chord
+
     def _compute_x(self, delta_hat: float) -> Tuple[float, float]:
         """Eq. 12 via Eq. 20: one LP, and the H-entries it brackets.
 
-        The fallback route of :meth:`x_step`, taken only when earlier
-        decisions do not already bracket the argmin at ``delta_hat``.  The
+        The fallback route of :meth:`x_step`, taken only when ``delta_hat``
+        is at most the top chord (or there is none) and earlier decisions
+        do not already bracket the argmin there.  The
         relaxation's optimum ``i'`` restricts the integer argmin to
         ``{⌊i'⌋, ⌈i'⌉}`` (Lemma 10).  Their H-entries come off the X LP
         while its step is open (:meth:`EncodedRelation.solve_h_many`): an

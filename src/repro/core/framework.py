@@ -9,7 +9,9 @@ evaluate entries of the recursive sequence ``H`` and its g-bounding sequence
    ``Δ̂ = e^{μ+Y}·Δ`` with ``Y ~ Lap(β/ε1)`` is ε1-differentially private
    (Lemma 4).
 2. ``X = min_i { H_i + (|P|-i)·Δ̂ }``  (Eq. 12); for any fixed ``Δ̂ ≥ 0``,
-   ``X`` has global sensitivity ≤ Δ̂ (Lemma 7).  The argmin is
+   ``X`` has global sensitivity ≤ Δ̂ (Lemma 7).  When ``H`` is convex
+   and its top chord ``H_{|P|} − H_{|P|-1}`` is known exactly, every
+   ``Δ̂`` above that chord has argmin ``|P|``.  The argmin is
    nondecreasing in ``Δ̂`` for any sequence ``H``, so once two earlier
    releases at ``Δ̂_a ≤ Δ̂ ≤ Δ̂_b`` returned the same index ``k``, ``k`` is
    the argmin at ``Δ̂`` and ``X`` needs only the cached ``H_k``
@@ -113,6 +115,14 @@ class RecursiveMechanismBase:
 
     def true_answer(self) -> Optional[float]:
         """``H_{|P|}`` when known exactly (for diagnostics), else None."""
+        return None
+
+    def _h_top_chord(self) -> Optional[float]:
+        """``H_{|P|} − H_{|P|-1}`` when it is known exactly *and* ``H`` is
+        convex, else None (the default): :meth:`x_step` then decides every
+        ``Δ̂`` above it in closed form.  An implementation that knows only
+        a bound on the chord, or whose ``H`` need not be convex, keeps
+        None."""
         return None
 
     # -- cached access ------------------------------------------------------------
@@ -242,20 +252,32 @@ class RecursiveMechanismBase:
     def x_step(self, delta_hat: float) -> Tuple[float, float]:
         """Eq. 12 as :meth:`_compute_x` returns it, solved only when needed.
 
-        For ``i < j`` the difference ``F(j) − F(i)`` of the objective
-        ``F(i) = H_i + (|P|−i)·Δ̂`` strictly decreases in ``Δ̂``, so every
-        argmin at a larger ``Δ̂`` is ≥ every argmin at a smaller one
-        (Topkis).  The nearest earlier decisions below and above ``Δ̂``
-        (or ``0`` / ``|P|`` when there is none) therefore bracket the
-        argmin; when they agree it is fixed, and ``X`` is evaluated from
-        the cached ``H_k`` by the same expression :meth:`_compute_x`
-        uses.  The efficient mechanism's ``H_k`` has the same bits however
-        it was reached (a snapped rational, :mod:`repro.lp.certify`), so
-        the released bytes do not depend on the route.  Each
-        decision counts once in ``repro_x_step_total{how}``:
-        ``bracket`` or ``solve``.
+        First the top: when ``H`` is convex, so is
+        ``F(i) = H_i + (|P|−i)·Δ̂`` on the integers, and
+        ``F(|P|−1) − F(|P|) = Δ̂ − (H_{|P|} − H_{|P|−1})``.  A ``Δ̂``
+        strictly above the exact top chord (:meth:`_h_top_chord`) makes
+        that difference positive, so ``F`` decreases all the way to
+        ``|P|``: the argmin is ``|P|`` and ``X = H_{|P|}``.  The
+        comparison is exact, with no tolerance, and records no bracket:
+        a bracket with none above it already ends at ``|P|``.
+
+        Otherwise, for ``i < j`` the difference ``F(j) − F(i)`` strictly
+        decreases in ``Δ̂``, so every argmin at a larger ``Δ̂`` is ≥
+        every argmin at a smaller one (Topkis).  The nearest earlier
+        decisions below and above ``Δ̂`` (or ``0`` / ``|P|`` when there is
+        none) therefore bracket the argmin; when they agree it is fixed,
+        and ``X`` is evaluated from the cached ``H_k`` by the same
+        expression :meth:`_compute_x` uses.  The efficient mechanism's
+        ``H_k`` has the same bits however it was reached (a snapped
+        rational, :mod:`repro.lp.certify`), so the released bytes do not
+        depend on the route.  Each decision counts once in
+        ``repro_x_step_total{how}``: ``top``, ``bracket`` or ``solve``.
         """
         n = self.num_participants
+        top = self._h_top_chord()
+        if top is not None and delta_hat > top:
+            _count_x_step("top")
+            return self.h_entry(n) + (n - n) * delta_hat, float(n)
         brackets = self._x_brackets
         pos = bisect.bisect_left(brackets, (delta_hat,))
         if pos < len(brackets) and brackets[pos][0] == delta_hat:

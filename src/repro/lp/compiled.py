@@ -131,8 +131,11 @@ class CompiledProgram:
         True for a program that only ever solves ``G`` (a conjunctive
         relation's core): it skips the epigraph CSC and the certificate
         transposes, which are then built on first use.  Any other
-        program builds them here, since every release prices an X
-        certificate.
+        program builds them here.  Only a release that solves the X LP
+        prices an X certificate (on a conjunctive relation, one whose
+        ``Δ̂`` is at most the largest load), yet building them lazily
+        measured live-updates p50 4–8% lower and cold-release p50 6–8%
+        higher on 2 vCPUs, so the build stays eager.
     """
 
     def __init__(

@@ -192,6 +192,16 @@ class EncodedRelation:
         less ``N·w``.  The Δ search decides ``G`` on the core
         (:meth:`core_index`, :meth:`g_core_decide`); with ``N = 0`` the
         core is the whole active program.
+    h_top_chord:
+        ``H_{|P|} − H_{|P|−1}`` when it is known exactly, else None.
+        :meth:`from_conjunctions` sets it to the largest participant load
+        ``d = max_p count_p``, an integer: with ``Σ(1 − f_p) = 1`` every
+        row keeps at least ``1 − Σ_{p∈t}(1 − f_p)``, so the rows lose at
+        most ``Σ_p count_p·(1 − f_p) ≤ d`` in all, and emptying one most
+        loaded participant loses exactly ``d``.  This constructor keeps
+        None: its loads are float sums of ``q·S`` and only bound the chord.
+        The X step decides every ``Δ̂ > d`` with no LP
+        (:meth:`~repro.core.framework.RecursiveMechanismBase.x_step`).
     """
 
     def __init__(
@@ -315,6 +325,8 @@ class EncodedRelation:
         self._g_rows = g_rows
         # the open X step's (Δ̂, solution, certificate), while one is open
         self._x_step: Optional[Tuple[float, LPSolution, Certificate]] = None
+        # the top chord is exact on a conjunctive relation only
+        self.h_top_chord: Optional[float] = None
         # no isolated rows until from_conjunctions finds some: the core is
         # the active program, at the index i − m
         self.num_isolated = 0
@@ -353,6 +365,7 @@ class EncodedRelation:
         tuple has query weight 1.0 (counting).  Every row has the same
         width ``w``, which sets :attr:`g_zero_index` to
         ``m + ⌊n_act·(w−1)/w⌋`` when ``w ≥ 2`` (see :meth:`g_closed_form`).
+        The largest row count is the exact :attr:`h_top_chord`.
 
         The emitted structure is **identical, element for element**, to
         ``cls(all participants, annotated, ...)`` over the equivalent
@@ -402,6 +415,7 @@ class EncodedRelation:
         self._g_owners = blocks.owners
         self._g_max_load = float(blocks.counts.max(initial=0))
         self._finalize(blocks.g_rows)
+        self.h_top_chord = self._g_max_load
 
         if n and width >= 2:
             # one pass over the counts: a row is isolated when each of its

@@ -803,6 +803,22 @@ class TestServingIntegration:
         assert after["lp"] == before["lp"]
         assert mechanism._encoded._core is None  # no core program compiled
 
+    def test_x_steps_count_the_closed_form_top(self, identity_graph):
+        """A triangle release whose Δ̂ exceeds the largest participant load
+        counts once as ``repro_x_step_total{how="top"}``; every release
+        counts exactly one X-step route."""
+        routes = ("top", "bracket", "solve")
+        before = {how: _counter_total("repro_x_step_total", how=how) for how in routes}
+        session = PrivateSession(identity_graph, workers=1, rng=42)
+        try:
+            for _ in range(4):
+                session.query(triangle(), privacy="edge", epsilon=0.5)
+        finally:
+            session.close()
+        after = {how: _counter_total("repro_x_step_total", how=how) for how in routes}
+        assert after["top"] - before["top"] >= 1
+        assert sum(after[how] - before[how] for how in routes) == 4
+
     @pytest.mark.parametrize("backend", ["highs", "scipy"])
     def test_batched_h_solves_each_observed(self, identity_graph, backend):
         """A batched ``h_entries`` call records one solve per LP index."""

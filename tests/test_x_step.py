@@ -10,18 +10,24 @@ argmins of earlier releases at ``Δ̂_a ≤ Δ̂ ≤ Δ̂_b`` agree.  Pinned her
   mechanism, on HiGHS and on the one-shot linprog oracle;
 * the one-sided ends (``k = 0`` and ``k = |P|``), the bound of
   ``2(|P|+1)`` kept decisions, and the ``repro_x_step_total{how}`` routes;
+* the closed-form top on conjunctive relations: ``H_{|P|} − H_{|P|−1}``
+  is the largest load bit for bit, every ``Δ̂`` above it returns
+  ``(q(supp R), |P|)`` with no LP and no bracket, and no other relation
+  or ``Δ̂`` takes that route;
 * an LP error on the fallback route records nothing;
 * released answers do not depend on the route: trials seeded by spawned
   sequences are byte-identical for one and two workers, and a warm
   session's answers equal cold one-release sessions at the same seeds.
 """
 
+import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from repro.boolexpr import Var, parse
+from repro.boolexpr import And, Var, parse
 from repro.core import (
     EfficientRecursiveMechanism,
     GeneralRecursiveMechanism,
@@ -34,6 +40,7 @@ from repro.obs import metrics
 from repro.parallel import map_tasks
 from repro.rng import spawn_seed_sequences
 from repro.session import PrivateSession
+from repro.store import ConjunctiveKRelation
 from repro.subgraphs import k_star, k_triangle, subgraph_krelation, triangle
 
 #: Δ̂ values spanning the slopes of H on the relations below
@@ -96,7 +103,7 @@ def _streams():
 def _routes():
     return {
         how: metrics().counter("repro_x_step_total", how=how).value
-        for how in ("bracket", "solve")
+        for how in ("top", "bracket", "solve")
     }
 
 
@@ -193,6 +200,103 @@ class TestBrackets:
                 result.delta_hat
             )
         assert 0 < len(mechanism._x_brackets) < 30
+
+
+def _conjunctive_relation(width, seed):
+    """A random conjunctive relation of ``width`` (1–4) with idle
+    participants, as the index-form relation and the same ``And``-of-``Var``
+    annotations for the general constructor."""
+    rng = np.random.default_rng(100 * width + seed)
+    pool = int(rng.integers(width, 3 * width + 4))
+    rows = np.array(
+        [
+            rng.choice(pool, size=width, replace=False)
+            for _ in range(int(rng.integers(1, 12)))
+        ],
+        dtype=np.int64,
+    )
+    used = np.unique(rows)
+    index = np.empty(pool, dtype=np.int64)
+    index[used] = rng.permutation(used.size)
+    matrix = index[rows]
+    names = [f"p{k:02d}" for k in range(used.size)]
+    idle = [f"z{k}" for k in range(int(rng.integers(0, 4)))]
+    conjunctive = ConjunctiveKRelation(
+        names,
+        matrix,
+        "node",
+        [f"t{r}" for r in range(len(matrix))],
+        names + idle,
+        len(names) + len(idle),
+    )
+    general = SensitiveKRelation(
+        names + idle,
+        [
+            (f"t{r}", And([Var(names[k]) for k in row]))
+            for r, row in enumerate(matrix)
+        ],
+    )
+    return conjunctive, general
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+def test_top_chord_decides_x_above_the_largest_load(width):
+    """``H_{|P|} − H_{|P|−1}`` is the largest load ``d``, bit for bit, so
+    every ``Δ̂ > d`` has argmin ``|P|`` and ``X = q(supp R)`` (50 random
+    relations per width)."""
+    for seed in range(50):
+        conjunctive, general = _conjunctive_relation(width, seed)
+        warm = EfficientRecursiveMechanism(conjunctive)
+        encoded = warm._encoded
+        n = warm.num_participants
+        total = encoded.true_answer()
+        d = float(np.bincount(conjunctive.matrix.ravel()).max())
+        assert warm._h_top_chord() == d
+        below = encoded.solve_h(n - 1)
+        assert below == total - d, seed
+        # a decision below the top records a bracket; the top adds none
+        warm.x_step(d / 2)
+        recorded = list(warm._x_brackets)
+        for delta_hat in (d * (1 + 1e-6), d + 0.5, 3 * d):
+            before = _routes()
+            assert warm.x_step(delta_hat) == (total, float(n)), seed
+            fresh = EfficientRecursiveMechanism(conjunctive)._compute_x(delta_hat)
+            assert fresh == (total, float(n)), (seed, delta_hat)
+            after = _routes()
+            assert after["top"] - before["top"] == 1
+            assert after["bracket"] == before["bracket"]
+            assert after["solve"] == before["solve"]
+            assert warm._x_brackets == recorded
+        # one ulp above d: F(|P|−1) − F(|P|) = Δ̂ − d > 0 exactly, and H is
+        # convex, so |P| is the exact argmin of every F(i)
+        delta_hat = math.nextafter(d, math.inf)
+        assert warm.x_step(delta_hat) == (total, float(n))
+        exact = Fraction(delta_hat)
+        values = [
+            Fraction(h) + (n - i) * exact
+            for i, h in enumerate(warm.h_entries(range(n + 1)))
+        ]
+        assert values[n] < values[n - 1] and values[n] == min(values), seed
+        # at or below d, and on the general constructor, never the top
+        whole = EfficientRecursiveMechanism(general)
+        assert whole._h_top_chord() is None
+        before = _routes()
+        for delta_hat in (d, math.nextafter(d, 0.0), d / 3):
+            warm.x_step(delta_hat)
+        for delta_hat in (d + 0.5, 3 * d):
+            assert whole.x_step(delta_hat) == (total, float(n))
+        after = _routes()
+        assert after["top"] == before["top"]
+        decided = sum(after[how] - before[how] for how in after)
+        assert decided == 5
+
+
+def test_general_mechanism_never_takes_the_top():
+    mechanism = _general()
+    assert mechanism._h_top_chord() is None
+    before = _routes()
+    mechanism.x_step(1e6)
+    assert _routes()["top"] == before["top"]
 
 
 def _released_answer(mechanism, task):
