@@ -1,13 +1,9 @@
-"""Horizontal-serving microbench: routing and replication lag.
+"""Multi-dataset serving microbench: routed warm latency per dataset.
 
-Runs the PR-7 topology in-process — one primary
-:class:`~repro.service.ServiceRouter` with two datasets (one dynamic)
-plus one tailing :class:`~repro.service.ReplicaService` — and measures:
-
-* warm per-request latency through the v2 router, per dataset (the
-  multi-dataset routing layer must not tax the v1 hot path);
-* replica catch-up: the wall time from a primary write to the moment a
-  ``min_version``-floored read on the replica releases.
+Runs one :class:`~repro.service.ServiceRouter` in-process with two
+datasets (one dynamic, writer-token gated) and measures warm
+per-request latency through the v2 router, per dataset — the
+multi-dataset routing layer must not tax the v1 hot path.
 
 Emits ``BENCH_router.json`` (path from ``$REPRO_BENCH_ROUTER_OUT``,
 default ``benchmarks/results/``) so CI can archive the numbers next to
@@ -25,16 +21,10 @@ from bench_service import scraped_quantiles
 from repro import PrivateSession, random_graph_with_avg_degree
 from repro.dynamic import VersionedGraph
 from repro.experiments import format_table
-from repro.service import (
-    BackgroundService,
-    ReplicaService,
-    ServiceClient,
-    ServiceRouter,
-)
+from repro.service import BackgroundService, ServiceClient, ServiceRouter
 from repro.session import HierarchicalAccountant, SharedCompiledCache
 
 WARM_QUERIES = 15
-WRITE_ROUNDS = 3
 
 
 def _session(data, cache):
@@ -47,7 +37,7 @@ def _session(data, cache):
     )
 
 
-def test_router_replication_bench(scale, record_figure, results_dir):
+def test_router_bench(scale, record_figure, results_dir):
     n = max(40, int(round(150 * scale.graph_nodes_factor)))
     alpha_graph = VersionedGraph(random_graph_with_avg_degree(n, 6, rng=11))
     beta_graph = random_graph_with_avg_degree(n, 6, rng=12)
@@ -61,65 +51,21 @@ def test_router_replication_bench(scale, record_figure, results_dir):
     )
     router.add_dataset("beta", beta_session)
 
-    replica_sessions = []
-
-    def factory(replicated):
-        session = _session(replicated, SharedCompiledCache(maxsize=16))
-        replica_sessions.append(session)
-        return session
-
     warm = {"alpha": [], "beta": []}
-    catchup = []
-    with BackgroundService(router) as primary:
-        replica = BackgroundService(
-            ReplicaService(
-                primary.address,
-                "alpha",
-                factory,
-                poll_interval=0.05,
-            )
-        )
-        replica.start()
-        try:
-            with ServiceClient(primary.address, user="bench") as client:
-                for dataset in ("alpha", "beta"):
-                    client.query("triangle", epsilon=1.0, privacy="node",
-                                 dataset=dataset)  # cold: compile
-                    for _ in range(WARM_QUERIES):
-                        start = time.perf_counter()
-                        client.query(
-                            "triangle", epsilon=1.0, privacy="node", dataset=dataset
-                        )
-                        warm[dataset].append(time.perf_counter() - start)
-                with ServiceClient(replica.address, user="bench") as reader:
-                    reader.query("triangle", epsilon=1.0, privacy="node")
-                    for round_index in range(WRITE_ROUNDS):
-                        start = time.perf_counter()
-                        out = client.update(
-                            [
-                                {
-                                    "action": "add_edge",
-                                    "u": 10_000 + round_index,
-                                    "v": 20_000 + round_index,
-                                }
-                            ],
-                            token="bench-admin",
-                        )
-                        result = reader.query(
-                            "triangle",
-                            epsilon=1.0,
-                            privacy="node",
-                            min_version=out["version"],
-                        )
-                        catchup.append(time.perf_counter() - start)
-                        assert result["version"] >= out["version"]
-                scraped = client.metrics()
-        finally:
-            replica.stop()
+    with BackgroundService(router) as bg:
+        with ServiceClient(bg.address, user="bench") as client:
+            for dataset in ("alpha", "beta"):
+                client.query("triangle", epsilon=1.0, privacy="node",
+                             dataset=dataset)  # cold: compile
+                for _ in range(WARM_QUERIES):
+                    start = time.perf_counter()
+                    client.query(
+                        "triangle", epsilon=1.0, privacy="node", dataset=dataset
+                    )
+                    warm[dataset].append(time.perf_counter() - start)
+            scraped = client.metrics()
     alpha_session.close()
     beta_session.close()
-    for session in replica_sessions:
-        session.close()
 
     # Per-dataset server-side latency quantiles from the wire metrics op
     # (the lane label isolates this router's streams from other benches
@@ -138,15 +84,13 @@ def test_router_replication_bench(scale, record_figure, results_dir):
         "beta_p50_seconds": beta_latency["p50"],
         "beta_p95_seconds": beta_latency["p95"],
         "beta_p99_seconds": beta_latency["p99"],
-        "replica_catchup_median_seconds": statistics.median(catchup),
-        "replica_catchup_max_seconds": max(catchup),
     }
     record_figure(
         "router_serving",
         format_table(
             [row],
             list(row),
-            title=f"Router + replica serving (scale={scale.name})",
+            title=f"Router serving (scale={scale.name})",
         ),
     )
     out_path = Path(
@@ -155,7 +99,6 @@ def test_router_replication_bench(scale, record_figure, results_dir):
     payload = {
         "scale": scale.name,
         "warm_queries": WARM_QUERIES,
-        "write_rounds": WRITE_ROUNDS,
         **row,
     }
     out_path.write_text(json.dumps(payload, indent=2) + "\n")

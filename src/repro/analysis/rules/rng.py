@@ -80,7 +80,7 @@ class RngDeterminismRule(Rule):
     title = "randomness and timestamps must derive from the session seed"
     rationale = (
         "Released answers are byte-identical at a fixed seed — the audit "
-        "log replays them, and the cross-backend/worker/replica tests pin "
+        "log replays them, and the cross-backend/worker/wire tests pin "
         "them.  Entropy from the stdlib `random` module, numpy's global "
         "RNG, an unseeded default_rng()/RandomState()/SeedSequence(), or "
         "a wall-clock read (time.time, datetime.now) bypasses the "

@@ -24,11 +24,6 @@ Commands
     TCP.  With ``--datasets config.json`` one listener routes to many
     per-dataset sessions (protocol v2), each with its own budgets,
     writer token, and cache namespace.
-``replica``
-    Start a read replica of one dataset on a running primary: bootstrap
-    from its ``snapshot``, tail its delta ``log``, serve reads (updates
-    are refused — writes go to the primary).  ``--epsilon`` is required:
-    each replica spends its own slice of the dataset's cap.
 ``fig``
     Regenerate one of the paper's figures at a chosen scale preset and
     print the rendered table.
@@ -97,6 +92,18 @@ def _workers_arg(text: str) -> int:
         return validate_workers(int(text))
     except ValueError as error:
         raise argparse.ArgumentTypeError(str(error)) from None
+
+
+def _address_arg(text: str) -> str:
+    """Argparse type for ``HOST:PORT`` arguments (checked, kept as text)."""
+    from .errors import ServiceError
+    from .service import parse_address
+
+    try:
+        parse_address(text)
+    except ServiceError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -224,6 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument(
         "--remote",
+        type=_address_arg,
         metavar="HOST:PORT",
         default=None,
         help="send the workload to a running `repro serve` "
@@ -351,82 +359,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_obs_flags(serve)
 
-    replica = sub.add_parser(
-        "replica",
-        help="serve a read replica of one dataset on a running primary",
-    )
-    replica.add_argument(
-        "--primary",
-        required=True,
-        metavar="HOST:PORT",
-        help="the primary router to bootstrap from and tail",
-    )
-    replica.add_argument(
-        "--dataset",
-        required=True,
-        metavar="NAME",
-        help="the (dynamic) dataset to replicate",
-    )
-    replica.add_argument("--host", default="127.0.0.1")
-    replica.add_argument(
-        "--port", type=int, default=0, help="TCP port (0 = pick an ephemeral port)"
-    )
-    replica.add_argument(
-        "--poll",
-        type=float,
-        default=0.2,
-        metavar="SECONDS",
-        help="interval between log polls while tailing",
-    )
-    replica.add_argument(
-        "--epsilon",
-        type=_positive_float,
-        required=True,
-        help="this replica's global epsilon cap (required): each "
-        "replica spends its own slice, so give every replica its "
-        "share of the dataset's cap",
-    )
-    replica.add_argument(
-        "--user-epsilon",
-        type=_positive_float,
-        default=None,
-        help="default per-user epsilon sub-budget",
-    )
-    replica.add_argument(
-        "--user-budget",
-        action="append",
-        default=[],
-        metavar="USER=EPS",
-        help="explicit sub-budget for one tenant " "(repeatable)",
-    )
-    replica.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="session + request-seed entropy (match the "
-        "primary's to reproduce its answer stream)",
-    )
-    replica.add_argument("--workers", type=_workers_arg, default=1, help=workers_help)
-    replica.add_argument(
-        "--max-pending",
-        type=int,
-        default=64,
-        help="backpressure bound: in-flight queries beyond "
-        "this are refused ('overloaded')",
-    )
-    replica.add_argument(
-        "--announce",
-        metavar="FILE",
-        default=None,
-        help="write the bound host:port to FILE once " "listening",
-    )
-    add_obs_flags(replica)
-
     obs = sub.add_parser(
         "obs",
         help="scrape a running service's metrics (the wire 'metrics' op)",
     )
-    obs.add_argument("address", metavar="HOST:PORT", help="a running repro service")
+    obs.add_argument(
+        "address",
+        type=_address_arg,
+        metavar="HOST:PORT",
+        help="a running repro service",
+    )
     obs.add_argument(
         "--json",
         action="store_true",
@@ -605,139 +547,154 @@ _BATCH_COLUMNS = ["label", "user", "mechanism", "query", "epsilon", "status", "a
 
 
 def _cmd_batch_remote(args, spec) -> int:
-    """Round-trip the workload through a running ``repro serve``."""
-    import json
+    """Round-trip the workload through a running ``repro serve``.
 
-    from .errors import ServiceError, ServiceForbidden, ServiceOverloaded
-    from .experiments import format_table
+    A server that cannot be reached (or drops the connection) is one
+    stderr line and exit 2, as in ``repro obs``, not a traceback.
+    """
+    from .errors import ServiceError
     from .service import ServiceClient
-    from .session import BudgetExhausted
 
-    seed = args.seed if args.seed is not None else spec.get("seed")
     for key in ("graph", "budget", "workers"):
         if key in spec:
             print(
                 f"note: spec {key!r} is ignored with --remote " "(the server owns it)",
                 file=sys.stderr,
             )
+    try:
+        with ServiceClient(args.remote, dataset=args.dataset) as client:
+            return _remote_workload(args, spec, client)
+    except (OSError, ServiceError) as error:
+        print(f"remote {args.remote}: {error}", file=sys.stderr)
+        return 2
+
+
+def _remote_workload(args, spec, client) -> int:
+    """Send the batch spec's steps over ``client``; the exit code."""
+    import json
+
+    from .errors import ServiceError, ServiceForbidden, ServiceOverloaded
+    from .experiments import format_table
+    from .session import BudgetExhausted
+
+    seed = args.seed if args.seed is not None else spec.get("seed")
     rows = []
     failed = 0
     granted = 0
-    with ServiceClient(args.remote, dataset=args.dataset) as client:
-        hello = client.hello()
-        dataset = args.dataset or hello.get("default_dataset")
-        extra = f", dataset {dataset!r}" if dataset else ""
-        print(
-            f"remote: {args.remote} ({hello['name']}, protocol "
-            f"v{hello['protocol']}, multi_tenant={hello['multi_tenant']}{extra})"
-        )
-        for index, item in enumerate(spec["queries"]):
-            label = item.get("label", f"q{index}")
-            if "update" in item:
-                # An interleaved live update: the server serializes it
-                # with admissions, so earlier remote queries completed
-                # against the old version and later ones see the new.
-                try:
-                    outcome = client.update(
-                        item["update"],
-                        token=args.update_token,
-                        label=label,
-                    )
-                except ServiceForbidden as error:
-                    failed += 1
-                    rows.append(_update_row(label, "forbidden"))
-                    print(f"update forbidden {label!r}: {error}", file=sys.stderr)
-                    continue
-                except (ValueError, ServiceError) as error:
-                    failed += 1
-                    rows.append(_update_row(label, "update-failed"))
-                    print(f"update failed {label!r}: {error}", file=sys.stderr)
-                    continue
-                rows.append(
-                    _update_row(
-                        label,
-                        "applied",
-                        version=outcome["version"],
-                        applied=outcome["applied"],
-                    )
-                )
-                continue
-            if "seed" in item:
-                wire_seed = item["seed"]
-            elif seed is not None:
-                # The i-th granted query draws the same SeedSequence child
-                # the in-process session stream would spawn for it, so a
-                # remote run is byte-identical to `repro batch` locally at
-                # the same seed (given the same server-side budget).
-                wire_seed = {"entropy": seed, "spawn_key": [granted]}
-            else:
-                wire_seed = None
+    hello = client.hello()
+    dataset = args.dataset or hello.get("default_dataset")
+    extra = f", dataset {dataset!r}" if dataset else ""
+    print(
+        f"remote: {args.remote} ({hello['name']}, protocol "
+        f"v{hello['protocol']}, multi_tenant={hello['multi_tenant']}{extra})"
+    )
+    for index, item in enumerate(spec["queries"]):
+        label = item.get("label", f"q{index}")
+        if "update" in item:
+            # An interleaved live update: the server serializes it
+            # with admissions, so earlier remote queries completed
+            # against the old version and later ones see the new.
             try:
-                result = client.query(
-                    item.get("query"),
-                    epsilon=item.get("epsilon"),
-                    privacy=item.get("privacy"),
-                    mechanism=item.get("mechanism"),
-                    user=item.get("user"),
+                outcome = client.update(
+                    item["update"],
+                    token=args.update_token,
                     label=label,
-                    seed=wire_seed,
-                    options=item.get("options"),
                 )
-            except BudgetExhausted as error:
-                rows.append(_batch_row(label, item, "refused"))
-                print(f"refused {label!r}: {error}", file=sys.stderr)
-                continue
-            except ServiceOverloaded as error:
+            except ServiceForbidden as error:
                 failed += 1
-                rows.append(_batch_row(label, item, "overloaded"))
-                print(f"overloaded {label!r}: {error}", file=sys.stderr)
+                rows.append(_update_row(label, "forbidden"))
+                print(f"update forbidden {label!r}: {error}", file=sys.stderr)
                 continue
-            except ValueError as error:
+            except (ValueError, ServiceError) as error:
                 failed += 1
-                rows.append(_batch_row(label, item, "invalid"))
-                print(f"invalid {label!r}: {error}", file=sys.stderr)
+                rows.append(_update_row(label, "update-failed"))
+                print(f"update failed {label!r}: {error}", file=sys.stderr)
                 continue
-            except ServiceError as error:
-                failed += 1
-                if "seed" not in item:  # admitted: a stream seed was used
-                    granted += 1
-                rows.append(_batch_row(label, item, "failed"))
-                print(f"failed {label!r}: {error}", file=sys.stderr)
-                continue
-            if "seed" not in item:
-                # Explicit-seed items never consume the derived stream —
-                # mirroring the local session, which only spawns a child
-                # for submissions whose rng it assigns itself.
-                granted += 1
             rows.append(
-                _batch_row(
-                    label, item, result["status"], answer=result["answer"], entry=result
+                _update_row(
+                    label,
+                    "applied",
+                    version=outcome["version"],
+                    applied=outcome["applied"],
                 )
             )
-        print(format_table(rows, _BATCH_COLUMNS, title="batch workload (remote)"))
-        budget = client.budget()
-        cap = budget.get("budget")
-        remaining = budget.get("remaining")
-        print(
-            f"server budget spent: eps={budget['spent']:g}" + (
-                "" if remaining is None else f" (remaining {remaining:g})"
+            continue
+        if "seed" in item:
+            wire_seed = item["seed"]
+        elif seed is not None:
+            # The i-th granted query draws the same SeedSequence child
+            # the in-process session stream would spawn for it, so a
+            # remote run is byte-identical to `repro batch` locally at
+            # the same seed (given the same server-side budget).
+            wire_seed = {"entropy": seed, "spawn_key": [granted]}
+        else:
+            wire_seed = None
+        try:
+            result = client.query(
+                item.get("query"),
+                epsilon=item.get("epsilon"),
+                privacy=item.get("privacy"),
+                mechanism=item.get("mechanism"),
+                user=item.get("user"),
+                label=label,
+                seed=wire_seed,
+                options=item.get("options"),
+            )
+        except BudgetExhausted as error:
+            rows.append(_batch_row(label, item, "refused"))
+            print(f"refused {label!r}: {error}", file=sys.stderr)
+            continue
+        except ServiceOverloaded as error:
+            failed += 1
+            rows.append(_batch_row(label, item, "overloaded"))
+            print(f"overloaded {label!r}: {error}", file=sys.stderr)
+            continue
+        except ValueError as error:
+            failed += 1
+            rows.append(_batch_row(label, item, "invalid"))
+            print(f"invalid {label!r}: {error}", file=sys.stderr)
+            continue
+        except ServiceError as error:
+            failed += 1
+            if "seed" not in item:  # admitted: a stream seed was used
+                granted += 1
+            rows.append(_batch_row(label, item, "failed"))
+            print(f"failed {label!r}: {error}", file=sys.stderr)
+            continue
+        if "seed" not in item:
+            # Explicit-seed items never consume the derived stream —
+            # mirroring the local session, which only spawns a child
+            # for submissions whose rng it assigns itself.
+            granted += 1
+        rows.append(
+            _batch_row(
+                label, item, result["status"], answer=result["answer"], entry=result
             )
         )
-        if cap is not None and budget.get("users"):
-            for user, row in sorted(budget["users"].items()):
-                remaining = row["remaining"]
-                tail = "" if remaining is None else f" remaining={remaining:g}"
-                print(f"  user {user}: spent={row['spent']:g}{tail}")
-        if args.audit_log:
-            audit = client.audit(replay=True)
-            print(json.dumps(audit, indent=2))
-            if audit["matched"] != sum(
-                1 for e in audit["entries"]
-                if e["entry"]["status"] == "released"
-                and e["entry"]["seed"] is not None
-            ):
-                print("audit replay mismatch!", file=sys.stderr)
-                return 1
+    print(format_table(rows, _BATCH_COLUMNS, title="batch workload (remote)"))
+    budget = client.budget()
+    cap = budget.get("budget")
+    remaining = budget.get("remaining")
+    print(
+        f"server budget spent: eps={budget['spent']:g}" + (
+            "" if remaining is None else f" (remaining {remaining:g})"
+        )
+    )
+    if cap is not None and budget.get("users"):
+        for user, row in sorted(budget["users"].items()):
+            remaining = row["remaining"]
+            tail = "" if remaining is None else f" remaining={remaining:g}"
+            print(f"  user {user}: spent={row['spent']:g}{tail}")
+    if args.audit_log:
+        audit = client.audit(replay=True)
+        print(json.dumps(audit, indent=2))
+        if audit["matched"] != sum(
+            1 for e in audit["entries"]
+            if e["entry"]["status"] == "released"
+            and e["entry"]["seed"] is not None
+        ):
+            print("audit replay mismatch!", file=sys.stderr)
+            return 1
     return 1 if failed else 0
 
 
@@ -923,10 +880,10 @@ def _announce(path, host, port) -> None:
 def _served_session(args, name, graph, user_budgets, config=None):
     """The session behind one served dataset ``name``.
 
-    Every session ``repro serve`` mounts and ``repro replica`` bootstraps
-    is built here: a :class:`~repro.session.HierarchicalAccountant`, the
-    dataset's namespace of the process-wide compiled cache, the seed,
-    the LP backend and the worker count.  The ``budget``,
+    Every session ``repro serve`` mounts is built here: the dataset's one
+    :class:`~repro.session.HierarchicalAccountant`, its namespace of the
+    process-wide compiled cache, the seed, the LP backend and the worker
+    count.  The ``budget``,
     ``user_epsilon``, ``user_budgets`` and ``seed`` keys of a
     ``--datasets`` entry (``config``) win over ``--epsilon``,
     ``--user-epsilon``, ``--user-budget`` (parsed into ``user_budgets``)
@@ -1027,15 +984,37 @@ def _build_router(args):
     return router, sessions
 
 
-def _run_service(service, sessions, args, banner) -> int:
-    """Start ``service``, print ``banner(host, port)``, serve forever."""
+def _cmd_serve(args) -> int:
     import asyncio
 
+    from .service import PROTOCOL_VERSION
+
+    _apply_obs(args)
+    try:
+        router, sessions = _build_router(args)
+    except (OSError, ValueError) as error:
+        print(error, file=sys.stderr)
+        return 2
+    rows = []
+    for name in router.datasets:
+        lane = router.lane(name)
+        data, cap = lane.session.data, lane.session.accountant.budget
+        rows.append(
+            f"{name}({data.num_nodes}n/{data.num_edges}e,budget "
+            f"{'unlimited' if cap is None else f'{cap:g}'}"
+            + (",dynamic" if lane.updates_enabled else "") + ")"
+        )
+
     async def run() -> None:
-        host, port = await service.start()
-        print(banner(host, port), flush=True)
+        host, port = await router.start()
+        print(
+            f"serving {len(rows)} dataset(s) on {host}:{port} (protocol "
+            f"v{PROTOCOL_VERSION}, default {router.default_dataset!r}): "
+            + ", ".join(rows),
+            flush=True,
+        )
         _announce(args.announce, host, port)
-        await service.serve_forever()
+        await router.serve_forever()
 
     try:
         asyncio.run(run())
@@ -1045,75 +1024,6 @@ def _run_service(service, sessions, args, banner) -> int:
         for session in sessions:
             session.close()
     return 0
-
-
-def _cmd_serve(args) -> int:
-    from .service import PROTOCOL_VERSION
-
-    _apply_obs(args)
-    try:
-        router, sessions = _build_router(args)
-    except (OSError, ValueError) as error:
-        print(error, file=sys.stderr)
-        return 2
-
-    def banner(host, port):
-        rows = []
-        for name in router.datasets:
-            lane = router.lane(name)
-            data, cap = lane.session.data, lane.session.accountant.budget
-            rows.append(
-                f"{name}({data.num_nodes}n/{data.num_edges}e,budget "
-                f"{'unlimited' if cap is None else f'{cap:g}'}"
-                + (",dynamic" if lane.updates_enabled else "") + ")"
-            )
-        return (
-            f"serving {len(rows)} dataset(s) on {host}:{port} (protocol "
-            f"v{PROTOCOL_VERSION}, default {router.default_dataset!r}): "
-            + ", ".join(rows)
-        )
-
-    return _run_service(router, sessions, args, banner)
-
-
-def _cmd_replica(args) -> int:
-    from .service import PROTOCOL_VERSION, ReplicaService, parse_address
-
-    try:
-        parse_address(args.primary)
-        user_budgets = _parse_user_budgets(args.user_budget)
-    except Exception as error:
-        print(error, file=sys.stderr)
-        return 2
-    _apply_obs(args)
-    sessions = []
-
-    def session_factory(graph):
-        session = _served_session(args, args.dataset, graph, user_budgets)
-        sessions.append(session)
-        return session
-
-    service = ReplicaService(
-        args.primary,
-        args.dataset,
-        session_factory,
-        poll_interval=args.poll,
-        host=args.host,
-        port=args.port,
-        max_pending=args.max_pending,
-        seed=args.seed,
-    )
-
-    def banner(host, port):
-        lane = service.lane()
-        return (
-            f"replica of {args.dataset!r} on {args.primary} "
-            f"(bootstrapped at graph version {lane.current_version()}) "
-            f"serving on {host}:{port} (protocol v{PROTOCOL_VERSION}, "
-            f"poll {args.poll:g}s, updates refused)"
-        )
-
-    return _run_service(service, sessions, args, banner)
 
 
 def _cmd_fig(args) -> int:
@@ -1235,12 +1145,13 @@ def _cmd_audit(args) -> int:
 def _cmd_obs(args) -> int:
     import json
 
+    from .errors import ServiceError
     from .service import ServiceClient
 
     try:
         with ServiceClient(args.address) as client:
             payload = client.metrics()
-    except (OSError, ValueError) as error:
+    except (OSError, ValueError, ServiceError) as error:
         print(error, file=sys.stderr)
         return 2
     if args.output is not None:
@@ -1297,7 +1208,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "ingest": _cmd_ingest,
         "batch": _cmd_batch,
         "serve": _cmd_serve,
-        "replica": _cmd_replica,
         "fig": _cmd_fig,
         "audit": _cmd_audit,
         "datasets": _cmd_datasets,

@@ -129,8 +129,8 @@ class Tracer:
         self._buffer: Optional[List[Dict]] = None
         self._slow_ms: Optional[float] = None
         self._slow_stream = None
-        #: fallback root ids for spans with no seed material (updates,
-        #: replication ticks): a process-local ordinal, not a clock.
+        #: fallback root ids for spans with no seed material (graph
+        #: updates): a process-local ordinal, not a clock.
         self._root_ids = itertools.count(1)
 
     # -- configuration --------------------------------------------------------

@@ -7,11 +7,11 @@ newline-delimited JSON wire protocol (stdlib ``asyncio`` only), with
 per-user sub-budgets (:class:`~repro.session.HierarchicalAccountant`),
 per-dataset compiled-relation cache namespaces
 (:meth:`~repro.session.SharedCompiledCache.namespaced`), per-dataset
-writer authorization, bounded-queue backpressure, streaming audit, and a
-replication feed (``snapshot`` + ``log``) that
-:class:`~repro.service.replication.ReplicaService` read replicas tail.
-A single-dataset server is a router with one lane.  ``python -m repro
-serve`` / ``repro replica`` start them from the command line;
+writer authorization, bounded-queue backpressure, and streaming audit.
+Each dataset has exactly one budget accountant — its lane's session —
+so every release against it is charged to one ledger.  A
+single-dataset server is a router with one lane.  ``python -m repro
+serve`` starts one from the command line;
 :class:`BackgroundService` runs one in-process on a thread, and
 :class:`ServiceClient` is the blocking client (``python -m repro batch
 --remote`` rides on it).
@@ -27,7 +27,6 @@ from .protocol import (
     seed_from_wire,
     seed_to_wire,
 )
-from .replication import PrimaryLink, ReplicaService
 from .router import DatasetLane, ServiceRouter
 from .service import DEFAULT_DATASET, BackgroundService
 
@@ -35,8 +34,6 @@ __all__ = [
     "ServiceRouter",
     "DatasetLane",
     "BackgroundService",
-    "ReplicaService",
-    "PrimaryLink",
     "ServiceClient",
     "parse_address",
     "DEFAULT_DATASET",

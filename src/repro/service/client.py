@@ -244,7 +244,8 @@ class ServiceClient:
         the client's ``dataset=``, else the server's default dataset).
         ``at_version`` answers against a historical graph version;
         ``min_version`` refuses (``version_behind``) unless the serving
-        lane has caught up to that version — the replica-lag contract.
+        lane has reached that version — read-your-writes after an
+        :meth:`update`.
 
         Raises :class:`~repro.session.BudgetExhausted` (tenant attached)
         on refusal, :class:`~repro.errors.ServiceOverloaded` under
@@ -281,46 +282,6 @@ class ServiceClient:
             "update", dataset=dataset, actions=list(actions), token=token,
             label=label,
         ))["result"]
-
-    def snapshot(self, *, dataset: Optional[str] = None) -> Dict[str, Any]:
-        """A dynamic dataset's base graph: ``{version, nodes, edges, ...}``.
-
-        The replica bootstrap: replaying the :meth:`log` onto this base
-        reconstructs every historical version.
-        """
-        return self._roundtrip(self._request("snapshot", dataset=dataset))["result"]
-
-    def log(self, *, since: int = 0, dataset: Optional[str] = None) -> Dict[str, Any]:
-        """The dataset's delta log after version ``since``.
-
-        Returns ``{"deltas": [{"version": v, "delta": {...}}, ...],
-        "version": current}`` — delta ``v`` moved the graph to version
-        ``v``.
-        """
-        request = self._request("log", dataset=dataset)
-        if since:
-            request["since"] = since
-        request_id = self._send(request)
-        deltas: List[Dict[str, Any]] = []
-        while True:
-            frame = self._read_frame()
-            if frame.get("id") != request_id:
-                raise ProtocolError("interleaved response during log stream")
-            if not frame.get("ok"):
-                self._raise_error(frame)
-            event = frame.get("event")
-            if event == "delta":
-                deltas.append(
-                    {"version": frame.get("version"), "delta": frame.get("delta")}
-                )
-            elif event == "end":
-                return {
-                    "deltas": deltas,
-                    "version": frame.get("version"),
-                    "base_version": frame.get("base_version", 0),
-                }
-            else:
-                raise ProtocolError(f"unexpected log stream frame: {frame!r}")
 
     def audit(
         self,

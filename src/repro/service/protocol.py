@@ -24,19 +24,15 @@ the field-by-field contract)::
      "token": "...",
      "actions": [{"action": "add_edge", "u": 1, "v": 2},
                  {"action": "remove_node", "node": 7}]}
-    {"v": 2, "id": "s1", "op": "snapshot", "dataset": "prod"}
-    {"v": 2, "id": "l1", "op": "log", "dataset": "prod", "since": 3}
 
 Protocol **v2** adds horizontal serving on top of the v1 single-dataset
 contract: every request may carry a ``dataset`` (the router maps it to a
 per-dataset session; frames without one — every v1 client — route to the
 server's configurable default dataset), a ``min_version`` consistency
 floor (the request waits until the dataset's graph version reaches it,
-or is refused ``version_behind`` — the replica-lag contract), and
-queries may pin ``at_version`` to answer against a historical graph
-version.  ``snapshot`` and ``log`` ship the base graph and the
-:class:`~repro.dynamic.GraphDelta` log to read replicas
-(:mod:`repro.service.replication`); ``stats`` reports per-dataset router
+or is refused ``version_behind`` — read-your-writes after an
+``update``), and queries may pin ``at_version`` to answer against a
+historical graph version.  ``stats`` reports per-dataset router
 counters.  v1 frames remain fully supported — responses echo the
 request's ``v``.
 
@@ -96,7 +92,7 @@ __all__ = [
 ]
 
 #: Current wire-protocol version (v2: multi-dataset routing, consistency
-#: floors, replication ops).
+#: floors, historical reads).
 PROTOCOL_VERSION = 2
 
 #: Versions the server accepts.  v1 frames (single implicit dataset) are
@@ -173,9 +169,9 @@ class ResultFrame:
 
     v1 grew these fields ad hoc (``version`` with PR 5, ``lp_backend``
     with PR 6, ``user`` with PR 4); v2 fixes them as one declared shape
-    so the router, the replicas, and the client agree on every key.  All
-    keys are always present on the wire — absent values are ``null`` —
-    which keeps v1 clients (who index into the dict) working unchanged.
+    so the router and the client agree on every key.  All keys are
+    always present on the wire — absent values are ``null`` — which
+    keeps v1 clients (who index into the dict) working unchanged.
     """
 
     answer: float

@@ -23,14 +23,15 @@ Per-lane isolation is the point of the design:
   of another; the v1 ``--update-token`` gate generalizes to a *writer
   token per dataset*;
 * **consistency floors** — a v2 request carrying ``min_version`` waits
-  (bounded) until its lane's graph version reaches the floor, the
-  replica-lag contract used by :mod:`repro.service.replication`;
+  (bounded) until its lane's graph version reaches the floor, so a
+  client that just wrote a version reads its own write; a lane with
+  updates disabled can never advance and refuses an unmet floor at once;
 * **historical reads** — a v2 ``query`` carrying ``at_version`` answers
   against that graph version through the session's versioned-checkout
   path, with the version echoed in the result frame.
 
-The ``snapshot``/``log`` ops ship a dynamic lane's base graph and
-:class:`~repro.dynamic.GraphDelta` log to read replicas; ``stats``
+Each lane's session holds the dataset's one budget accountant: every
+release against a dataset is reserved and committed there.  ``stats``
 reports per-lane counters (including the per-dataset compiled-cache
 view counters of :meth:`repro.session.cache.SharedCompiledCache
 .namespaced`).
@@ -81,8 +82,7 @@ __all__ = ["DatasetLane", "ServiceRouter"]
 
 #: Capability vocabulary advertised by the v2 ``hello``.
 CAPABILITIES = (
-    "datasets", "min_version", "at_version", "snapshot", "log", "stats",
-    "result_frame", "metrics",
+    "datasets", "min_version", "at_version", "stats", "result_frame", "metrics",
 )
 
 #: Process-unique lane ordinals for registry labels.  Two routers in one
@@ -200,7 +200,13 @@ class DatasetLane:
                 waiter.set_result(None)
 
     async def wait_for_version(self, floor: int, timeout: float) -> bool:
-        """Block until the lane's version reaches ``floor`` (or time out)."""
+        """Block until the lane's version reaches ``floor`` (or time out).
+
+        Only an ``update`` moves a lane's version, so a lane with updates
+        disabled answers at once: it is at the floor or never will be.
+        """
+        if not self.updates_enabled:
+            return self.current_version() >= floor
         loop = asyncio.get_running_loop()
         deadline = loop.time() + timeout
         while self.current_version() < floor:
@@ -283,10 +289,6 @@ class ServiceRouter:
     Datasets are mounted with :meth:`add_dataset` (the first becomes the
     default unless ``default=`` says otherwise).
     """
-
-    #: Reported by ``hello``; :class:`~repro.service.replication
-    #: .ReplicaService` overrides with ``"replica"``.
-    role = "primary"
 
     def __init__(
         self,
@@ -527,7 +529,12 @@ class ServiceRouter:
                             ERR_VERSION_BEHIND,
                             f"dataset {lane.name!r} is at graph version "
                             f"{lane.current_version()}, below the requested "
-                            f"min_version={floor} (waited {self._min_version_wait:g}s)",
+                            f"min_version={floor} "
+                            + (
+                                f"(waited {self._min_version_wait:g}s)"
+                                if lane.updates_enabled
+                                else "(updates are disabled; it cannot advance)"
+                            ),
                             v=v,
                         )
                     )
@@ -539,10 +546,6 @@ class ServiceRouter:
                 writer.write(encode_frame(await self._op_update(lane, request)))
             elif op == "audit":
                 await self._op_audit(lane, request, writer)
-            elif op == "snapshot":
-                writer.write(encode_frame(self._op_snapshot(lane, request)))
-            elif op == "log":
-                await self._op_log(lane, request, writer)
             else:  # budget
                 writer.write(
                     encode_frame(
@@ -561,7 +564,6 @@ class ServiceRouter:
             "protocol": PROTOCOL_VERSION,
             "protocols": list(SUPPORTED_VERSIONS),
             "capabilities": list(CAPABILITIES),
-            "role": self.role,
             "name": self.name,
             "mechanisms": list(available_mechanisms()),
             "max_pending": self._max_pending,
@@ -604,7 +606,6 @@ class ServiceRouter:
 
     def _op_stats(self, request) -> Dict:
         return {
-            "role": self.role,
             "default_dataset": self._default,
             "uptime_seconds": time.perf_counter() - self._started,
             "obs_schema": OBS_SCHEMA,
@@ -617,7 +618,6 @@ class ServiceRouter:
         snapshot = obs_metrics().snapshot()
         payload = json_payload(snapshot)
         payload["text"] = prometheus_text(snapshot)
-        payload["role"] = self.role
         payload["uptime_seconds"] = time.perf_counter() - self._started
         return payload
 
@@ -772,19 +772,21 @@ class ServiceRouter:
         return result_frame(request_id, payload, v=v)
 
     # -- live updates -----------------------------------------------------------
-    async def apply_actions(
-        self, lane: DatasetLane, actions, label: Optional[str] = None
-    ):
-        """Apply update actions behind the lane's drain barrier.
+    async def _op_update(self, lane: DatasetLane, request) -> Dict:
+        """Apply a graph update: writer-gated, a barrier in admission order.
 
         The update waits for every in-flight request on the lane to drain
         (new arrivals queue behind it on the barrier), then applies on
         the event-loop thread — atomic with respect to admissions, so
-        each query sees exactly one version.  Shared by the wire
-        ``update`` op and the replica log-replay loop.  Exceptions from
-        :meth:`~repro.session.PrivateSession.apply_update` propagate
-        after the barrier drops.
+        each query sees exactly one version.  Updates spend no privacy
+        budget; they are ledgered with their deltas for audit.
         """
+        request_id = request.get("id")
+        v = request["v"]
+        refused = self._update_gate(lane, request)
+        if refused is not None:
+            return error_frame(request_id, ERR_FORBIDDEN, refused, v=v)
+        version_before = lane.session.graph_version
         await lane.admission_turn()
         loop = asyncio.get_running_loop()
         barrier = loop.create_future()
@@ -794,27 +796,8 @@ class ServiceRouter:
                 lane.drained = loop.create_future()
                 await lane.drained
             lane.drained = None
-            return lane.session.apply_update(actions, label=label)
-        finally:
-            lane.update_barrier = None
-            barrier.set_result(None)
-            lane.notify_version()
-
-    async def _op_update(self, lane: DatasetLane, request) -> Dict:
-        """Apply a graph update: writer-gated, a barrier in admission order.
-
-        Updates spend no privacy budget; they are ledgered with their
-        deltas for audit.
-        """
-        request_id = request.get("id")
-        v = request["v"]
-        refused = self._update_gate(lane, request)
-        if refused is not None:
-            return error_frame(request_id, ERR_FORBIDDEN, refused, v=v)
-        version_before = lane.session.graph_version
-        try:
-            outcome = await self.apply_actions(
-                lane, request["actions"], label=request.get("label")
+            outcome = lane.session.apply_update(
+                request["actions"], label=request.get("label")
             )
         except (ReproError, ValueError, TypeError) as error:
             # Application is sequential, not transactional: tell the
@@ -829,6 +812,10 @@ class ServiceRouter:
                     f"v{version_after}; see the audit log)"
                 )
             return error_frame(request_id, ERR_BAD_REQUEST, message, v=v)
+        finally:
+            lane.update_barrier = None
+            barrier.set_result(None)
+            lane.notify_version()
         return result_frame(
             request_id,
             {
@@ -860,101 +847,6 @@ class ServiceRouter:
                     f"for dataset {lane.name!r}"
                 )
         return None
-
-    # -- replication feed (snapshot + delta log) --------------------------------
-    def _op_snapshot(self, lane: DatasetLane, request) -> Dict:
-        """The lane's base graph (version 0) — a replica's bootstrap."""
-        request_id = request.get("id")
-        v = request["v"]
-        if not lane.session.dynamic:
-            return error_frame(
-                request_id,
-                ERR_BAD_REQUEST,
-                f"dataset {lane.name!r} is static (no versioned log to " "replicate)",
-                v=v,
-            )
-        base = lane.session.data.at_version(0)
-        return result_frame(
-            request_id,
-            {
-                "dataset": lane.name,
-                "version": lane.session.data.version,
-                "base_version": 0,
-                "nodes": base.nodes(),
-                "edges": [[u, w] for u, w in base.edges()],
-            },
-            v=v,
-        )
-
-    async def _op_log(
-        self, lane: DatasetLane, request, writer: asyncio.StreamWriter
-    ) -> None:
-        """Stream the lane's delta log from ``since`` (exclusive).
-
-        One ``delta`` event per committed :class:`~repro.dynamic
-        .GraphDelta` — delta ``i`` (1-based) moved the graph to version
-        ``i`` — closed by an ``end`` event carrying the lane's current
-        version, so a tailing replica knows how far it has caught up.
-        """
-        request_id = request.get("id")
-        v = request["v"]
-        if not lane.session.dynamic:
-            writer.write(
-                encode_frame(
-                    error_frame(
-                        request_id,
-                        ERR_BAD_REQUEST,
-                        f"dataset {lane.name!r} is static (no versioned log to "
-                        "replicate)",
-                        v=v,
-                    )
-                )
-            )
-            return
-        since = request.get("since", 0)
-        log = lane.session.data.log
-        if since > len(log):
-            writer.write(
-                encode_frame(
-                    error_frame(
-                        request_id,
-                        ERR_BAD_REQUEST,
-                        f"since={since} is ahead of dataset {lane.name!r} "
-                        f"(version {len(log)})",
-                        v=v,
-                    )
-                )
-            )
-            return
-        streamed = 0
-        for index in range(since, len(log)):
-            writer.write(
-                encode_frame(
-                    event_frame(
-                        request_id,
-                        "delta",
-                        v=v,
-                        version=index + 1,
-                        delta=log[index].to_dict(),
-                    )
-                )
-            )
-            streamed += 1
-            if streamed % 64 == 0:
-                await writer.drain()
-        writer.write(
-            encode_frame(
-                event_frame(
-                    request_id,
-                    "end",
-                    v=v,
-                    version=len(log),
-                    base_version=0,
-                    count=streamed,
-                    dataset=lane.name,
-                )
-            )
-        )
 
     # -- streaming audit --------------------------------------------------------
     async def _op_audit(

@@ -29,8 +29,7 @@ class BackgroundService:
     benchmark: the asyncio event loop runs on its own thread, the caller
     talks to it through a blocking
     :class:`~repro.service.client.ServiceClient`.  Any assembled
-    :class:`~repro.service.router.ServiceRouter` (or
-    :class:`~repro.service.replication.ReplicaService`) runs this way.
+    :class:`~repro.service.router.ServiceRouter` runs this way.
 
     >>> # router = ServiceRouter(seed=7)                 # doctest: +SKIP
     ... # router.add_dataset("default", session)

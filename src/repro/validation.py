@@ -368,12 +368,11 @@ def validate_serve_config(config: Any) -> Dict:
     return config
 
 
-#: Wire-protocol operations the service understands.  ``stats``,
-#: ``snapshot``, and ``log`` arrived with protocol v2 (multi-dataset
-#: routing + replication); the rest are the v1 vocabulary.
+#: Wire-protocol operations the service understands.  ``stats`` arrived
+#: with protocol v2 (multi-dataset routing) and ``metrics`` with the
+#: telemetry layer; the rest are the v1 vocabulary.
 SERVICE_OPS = (
-    "hello", "ping", "budget", "query", "audit", "update", "stats", "snapshot",
-    "log", "metrics",
+    "hello", "ping", "budget", "query", "audit", "update", "stats", "metrics",
 )
 
 
@@ -431,12 +430,6 @@ _SERVICE_OP_FIELDS = {
         ),
         "token": (lambda v: isinstance(v, str), "the admin token string"),
         "label": (lambda v: isinstance(v, str), "a string"),
-    },
-    "snapshot": {},
-    "log": {
-        "since": (
-            lambda v: _is_int(v) and v >= 0, "a non-negative integer graph version"
-        ),
     },
 }
 

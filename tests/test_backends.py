@@ -260,10 +260,9 @@ class TestCliKnob:
             ["count"],
             ["batch", "queries.json"],
             ["serve"],
-            ["replica", "--primary", "127.0.0.1:1", "--dataset", "d", "--epsilon", "1"],
             ["fig", "fig5"],
         ],
-        ids=["count", "batch", "serve", "replica", "fig"],
+        ids=["count", "batch", "serve", "fig"],
     )
     def test_no_subcommand_takes_lp_backend(self, argv, capsys):
         from repro.cli import build_parser

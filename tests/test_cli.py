@@ -112,21 +112,37 @@ class TestCommands:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig", "fig5", "--workers", "0"])
 
-    def test_replica_rejects_out_of_range_primary_port(self, capsys):
-        args = [
-            "replica", "--primary", "127.0.0.1:70000", "--dataset", "d",
-            "--epsilon", "1",
-        ]
-        assert main(args) == 2
-        assert "1-65535" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv",
+        [["batch", "spec.json", "--remote", "127.0.0.1:70000"],
+         ["obs", "127.0.0.1:70000"]],
+        ids=["batch-remote", "obs"],
+    )
+    def test_out_of_range_port_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "1-65535" in err and "Traceback" not in err
 
-    def test_replica_requires_an_epsilon_slice(self, capsys):
-        # without a cap a replica's budget is unlimited, so K replicas
-        # would spend without bound against the dataset
+    def test_refused_connection_exits_2(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(
+            '{"queries": [{"query": "triangle", "privacy": "node", '
+            '"epsilon": 0.5}]}'
+        )
+        # nothing listens on port 1
+        assert main(["batch", str(spec), "--remote", "127.0.0.1:1"]) == 2
+        assert main(["obs", "127.0.0.1:1"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 2 and "Traceback" not in err
+
+    def test_replica_subcommand_is_gone(self, capsys):
+        # one ledger per dataset: no second server may release against it
         with pytest.raises(SystemExit) as exit_info:
             main(["replica", "--primary", "127.0.0.1:8732", "--dataset", "d"])
         assert exit_info.value.code == 2
-        assert "--epsilon" in capsys.readouterr().err
+        assert "invalid choice: 'replica'" in capsys.readouterr().err
 
 
 class TestBatchCommand:

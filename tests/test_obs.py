@@ -713,7 +713,6 @@ class TestServingIntegration:
             session.close()
 
         assert payload["schema"] == OBS_SCHEMA
-        assert payload["role"] == "primary"
         assert payload["uptime_seconds"] >= 0.0
 
         rows = {
@@ -745,6 +744,7 @@ class TestServingIntegration:
         for frame in (hello, stats):
             assert frame["obs_schema"] == OBS_SCHEMA
             assert frame["uptime_seconds"] >= 0.0
+        assert not {"snapshot", "log"} & set(hello["capabilities"])
 
     def test_lane_gauges_return_to_zero_and_count_grants(self, identity_graph):
         router, session = self._router(identity_graph)

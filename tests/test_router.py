@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import socket
+import time
 
 import pytest
 
@@ -91,7 +92,8 @@ class TestHelloAndMounting:
         assert hello["protocol"] == PROTOCOL_VERSION == 2
         assert hello["protocols"] == list(SUPPORTED_VERSIONS) == [1, 2]
         assert set(CAPABILITIES) <= set(hello["capabilities"])
-        assert hello["role"] == "primary"
+        # no replication feed: a lane's accountant is the dataset's only ledger
+        assert not {"snapshot", "log"} & set(hello["capabilities"])
         assert hello["default_dataset"] == "alpha"
         assert set(hello["datasets"]) == {"alpha", "beta"}
         for row in hello["datasets"].values():
@@ -345,6 +347,46 @@ class TestWriterAuthAndVersions:
                 assert res["version"] == out["version"] == 1
         _close_all(sessions)
 
+    def test_static_lane_refuses_unmet_floor_at_once(self, alpha_graph, beta_graph):
+        """Nothing can advance a lane with updates disabled, so an unmet
+        ``min_version`` is refused without parking for the wait bound."""
+        router, sessions = _two_dataset_router(
+            alpha_graph, beta_graph, min_version_wait=30.0
+        )
+        with BackgroundService(router) as bg:
+            with ServiceClient(bg.address) as client:
+                start = time.perf_counter()
+                with pytest.raises(RemoteServiceError, match="version_behind"):
+                    client.query("triangle", epsilon=0.2, privacy="edge", min_version=1)
+                assert time.perf_counter() - start < 1.0
+                ok = client.query("triangle", epsilon=0.2, privacy="edge", min_version=0)
+        assert ok["version"] is None
+        assert sessions[0].accountant.spent == pytest.approx(0.2)
+        _close_all(sessions)
+
+    def test_replication_ops_are_refused(self):
+        """``snapshot`` and ``log`` are not wire ops: a lane's accountant
+        is the only way to release against its dataset."""
+        router, sessions, _ = self._dynamic_router()
+        frames = [
+            {"v": 2, "id": "s1", "op": "snapshot", "dataset": "alpha"},
+            {"v": 2, "id": "l1", "op": "log", "dataset": "alpha", "since": 0},
+        ]
+        with BackgroundService(router) as bg:
+            with socket.create_connection(bg.address, timeout=30) as sock:
+                file = sock.makefile("rb")
+                replies = []
+                for frame in frames:
+                    sock.sendall(encode_frame(frame))
+                    replies.append(json.loads(file.readline()))
+        for frame, reply in zip(frames, replies):
+            assert reply["id"] == frame["id"] and reply["ok"] is False
+            assert reply["error"]["code"] == "bad_request"
+        for session in sessions:
+            assert session.accountant.spent == 0
+            assert not session.accountant.ledger
+        _close_all(sessions)
+
     def test_at_version_answers_historical_graph(self):
         router, sessions, graphs = self._dynamic_router()
         with BackgroundService(router) as bg:
@@ -388,7 +430,6 @@ class TestPerDatasetStats:
         assert alpha["cache"]["misses"] == 1 and alpha["cache"]["hits"] == 1
         assert beta["cache"]["misses"] == 1 and beta["cache"]["hits"] == 0
         assert alpha["granted"] == 0  # explicit seeds don't advance streams
-        assert stats["role"] == "primary"
         assert stats["default_dataset"] == "alpha"
         # one store underneath: both datasets' entries count to the bound
         assert shared.info().size == 2

@@ -584,7 +584,7 @@ class TestServiceConstruction:
 
 
 class TestServeBuilder:
-    """``repro serve``/``repro replica`` build their sessions in one place
+    """``repro serve`` builds its sessions in one place
     (:func:`repro.cli._served_session`, mounted by ``_build_router``)."""
 
     # (user, query, privacy, epsilon): alice's third and bob's third
@@ -710,14 +710,11 @@ class TestServeBuilder:
         for session in sessions:
             session.close()
 
-    def test_replica_session_carries_its_epsilon_cap(self):
-        args = build_parser().parse_args([
-            "replica", "--primary", "127.0.0.1:1", "--dataset", "alpha",
-            "--epsilon", "0.7", "--seed", "5",
-        ])
+    def test_served_session_carries_its_epsilon_cap(self):
+        args = build_parser().parse_args(["serve", "--epsilon", "0.7", "--seed", "5"])
         graph = VersionedGraph(random_graph_with_avg_degree(12, 3.0, rng=1))
-        session = _served_session(args, args.dataset, graph, {})
-        assert session.name == "replica[alpha]"
+        session = _served_session(args, "alpha", graph, {})
+        assert session.name == "serve[alpha]"
         assert session.accountant.budget == 0.7
         with pytest.raises(BudgetExhausted):
             session.query("triangle", epsilon=0.8, privacy="edge")
